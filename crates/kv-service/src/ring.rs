@@ -17,9 +17,18 @@
 //! deadline so a wedged (alive but stalled) worker cannot block a client
 //! past its op budget.
 //!
-//! Sleep/wake: the worker parks on a condvar when the ring is empty. The
-//! `sleeping` flag plus re-check under the doorbell mutex closes the lost
-//! wakeup race; a coarse wait timeout is belt and braces only.
+//! Sleep/wake, worker side: the worker parks on a condvar when the ring is
+//! empty. The `sleeping` flag plus re-check under the doorbell mutex closes
+//! the lost wakeup race; a coarse wait timeout is belt and braces only.
+//! When the batch it just ran held a command whose caller has nothing else
+//! in flight, it first polls the ring for [`IDLE_SPIN_BUDGET_NS`]
+//! ([`Ring::spin_for_work`]): that caller's next command is one reply
+//! round trip away, and a park + doorbell wake costs about the budget.
+//!
+//! Sleep/wake, client side: a reply wait spins, yields, and then *registers*
+//! on its [`ResponseSlot`] and parks; whoever resolves a registered slot
+//! unparks exactly that thread. The slot's one state word carries all of
+//! it — see the state diagram on [`ResponseSlot`].
 //!
 //! Crash story: when the worker dies (panic or shutdown), it *retires* the
 //! ring — closed + `worker_gone` — after which any client waiting on a
@@ -32,9 +41,11 @@ use std::mem::MaybeUninit;
 use std::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed, Release, SeqCst};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::thread::Thread;
+use std::time::{Duration, Instant};
 
-use smr_common::{Backoff, CachePadded};
+use smr_common::time::mono_ns;
+use smr_common::{counters, Backoff, CachePadded};
 
 use crate::ShardDown;
 
@@ -79,60 +90,205 @@ pub enum PushError {
     TimedOut,
 }
 
+/// How long an idle worker polls the ring for a blocked caller's next
+/// command before it parks: the measured cost of one park plus one doorbell
+/// wake on the reference host (≈ 50 µs through the kernel's timer slack and
+/// the futex round trip). Spinning for as long as the alternative costs is
+/// the classic 2-competitive rent-or-buy bound: never more than twice the
+/// cost of the better choice made with hindsight.
+const IDLE_SPIN_BUDGET_NS: u64 = 50_000;
+/// Polls between two `yield_now` + clock reads inside that budget (≈ 2–6 µs
+/// of pauses by CPU generation). The yield is what lets a client sharing the
+/// worker's only CPU run at all; the clock is read nowhere else in the spin.
+const IDLE_SPIN_SLICE: u32 = 128;
+/// Longest single park of a reply wait. The targeted unpark is the wake
+/// protocol; this only bounds how late a waiter notices a worker that died
+/// or wedged without resolving its slot.
+const REPLY_BACKSTOP: Duration = Duration::from_millis(1);
+/// Reply polls that read no clock: [`Backoff`]'s default spin phase. Every
+/// later step is a syscall (yield or park), beside which the deadline and
+/// worker-death checks are free.
+const CLOCK_FREE_POLLS: u32 = 6;
+
+// Reply-slot states. Unresolved states are `PENDING` or `WAITING`, each with
+// or without the `BLOCKED` bit; a resolved state is final until the client
+// re-arms the slot.
+//
+//            arm(false)            arm(true)              (client, sole owner)
+//               │                     │
+//            PENDING           PENDING_BLOCKED
+//               │ register()          │ register()        (client, about to park)
+//            WAITING           WAITING|BLOCKED
+//               └──────────┬──────────┘
+//                          │ one `swap`                   (worker or rescuer)
+//          DONE_NONE · DONE_SOME · DROPPED
+//
+/// Bit 0 of an unresolved state: the caller has nothing else in flight, so
+/// its next command cannot arrive before this reply does.
+const BLOCKED: u32 = 1;
 const PENDING: u32 = 0;
-const DONE_NONE: u32 = 1;
-const DONE_SOME: u32 = 2;
-const DROPPED: u32 = 3;
+const PENDING_BLOCKED: u32 = PENDING | BLOCKED;
+/// The caller stored its `Thread` in `waiter` and parks; the resolver owes
+/// it an unpark.
+const WAITING: u32 = 2;
+const DONE_NONE: u32 = 4;
+const DONE_SOME: u32 = 5;
+const DROPPED: u32 = 6;
 
 /// A one-shot reply cell shared by the submitting client and the worker.
-/// Clients pool and reuse slots across commands ([`reset`](Self::reset)),
-/// so the steady state allocates nothing.
+/// Clients pool and reuse slots across commands ([`arm`](Self::arm)), so
+/// the steady state allocates nothing.
+///
+/// Exactly one party resolves an armed slot, with exactly one `swap` of
+/// `state`: the worker that popped the command (through its
+/// [`ReplyGuard`]), or a rescuer that popped it off a dead worker's ring.
+/// The swap's previous value hands the resolver, for free, whether the
+/// caller is blocked on this reply and whether it parked.
 #[derive(Debug)]
 pub(crate) struct ResponseSlot {
     state: AtomicU32,
+    /// Set by a resolver that found the caller registered, once it has
+    /// taken the handle and before it unparks it. Lets a waiter whose park
+    /// ran out tell a wake that is merely late from one that is not coming;
+    /// touched on neither side's fast path (it fills `state`'s padding).
+    woke: AtomicBool,
     value: AtomicU64,
+    /// The parked caller's handle. Written by the client before its
+    /// `register` CAS, taken by the resolver whose swap returned `WAITING`;
+    /// the state word says whose turn it is, so the cell needs no lock.
+    waiter: UnsafeCell<Option<Thread>>,
 }
+
+// SAFETY: `state`, `woke` and `value` are atomics. `waiter` is written only
+// by the client while the slot is unresolved and unregistered (nobody else
+// looks at it then), and read only by the one resolver whose swap saw
+// `WAITING`, which the client's Release CAS in `register` ordered after the
+// write. The client does not write it again before re-arming the slot, and
+// `Client::take_slot` re-arms only a slot whose resolver has dropped its
+// `Arc`.
+unsafe impl Sync for ResponseSlot {}
 
 impl ResponseSlot {
     pub(crate) fn new() -> Self {
         Self {
             state: AtomicU32::new(PENDING),
+            woke: AtomicBool::new(false),
             value: AtomicU64::new(0),
+            waiter: UnsafeCell::new(None),
         }
     }
 
-    /// Rearms a pooled slot for the next command. Caller must be the only
-    /// side still interested in it (the previous command completed).
-    pub(crate) fn reset(&self) {
-        self.state.store(PENDING, Relaxed);
+    /// Rearms a pooled slot for the next command; `blocked` records that
+    /// the caller will have nothing else in flight. Caller must be the only
+    /// owner left (the previous command resolved and its resolver let go).
+    pub(crate) fn arm(&self, blocked: bool) {
+        let state = if blocked { PENDING_BLOCKED } else { PENDING };
+        self.state.store(state, Relaxed);
+        if self.woke.load(Relaxed) {
+            self.woke.store(false, Relaxed);
+        }
     }
 
-    /// Worker side: publish the result.
-    pub(crate) fn complete(&self, result: Option<u64>) {
+    /// The resolver's single write. Returns whether the caller was blocked
+    /// on this reply.
+    fn resolve(&self, done: u32) -> bool {
+        // AcqRel: Release publishes `value` with the result; Acquire pairs
+        // with `register`'s Release so the waiter handle is visible.
+        let prev = self.state.swap(done, AcqRel);
+        debug_assert!(prev < DONE_NONE, "reply slot resolved twice");
+        if prev & WAITING != 0 {
+            // SAFETY: the swap returned `WAITING`, so the client published
+            // the cell and will not touch it until it re-arms the slot,
+            // which it cannot while the caller of `resolve` holds its `Arc`.
+            let thread = unsafe { (*self.waiter.get()).take() };
+            self.woke.store(true, Release);
+            if let Some(thread) = thread {
+                thread.unpark();
+            }
+        }
+        prev & BLOCKED != 0
+    }
+
+    fn complete(&self, result: Option<u64>) -> bool {
         match result {
             Some(v) => {
                 self.value.store(v, Relaxed);
-                self.state.store(DONE_SOME, Release);
+                self.resolve(DONE_SOME)
             }
-            None => self.state.store(DONE_NONE, Release),
+            None => self.resolve(DONE_NONE),
         }
     }
 
-    /// Marks the command failed if no result was published — the dead
-    /// worker / rescue path. Idempotent; never overwrites a real result.
-    pub(crate) fn drop_if_pending(&self) {
-        let _ = self
-            .state
-            .compare_exchange(PENDING, DROPPED, AcqRel, Relaxed);
+    /// Client side: announce that this thread is about to park on the slot.
+    /// False if the slot resolved first.
+    fn register(&self) -> bool {
+        // SAFETY: the slot is unresolved and unregistered, or resolved with
+        // a previous state other than `WAITING`; either way no resolver
+        // reads the cell (see the `Sync` impl).
+        unsafe { *self.waiter.get() = Some(std::thread::current()) };
+        let mut state = self.state.load(Relaxed);
+        while state < WAITING {
+            match self
+                .state
+                .compare_exchange_weak(state, state | WAITING, Release, Relaxed)
+            {
+                Ok(_) => return true,
+                Err(now) => state = now,
+            }
+        }
+        false
+    }
+
+    /// Client side, after a park ran its full length and found the reply
+    /// already there: whether the resolver's wake is at least on its way.
+    /// The resolver sets the flag a few instructions after its swap, so a
+    /// short grace covers a wake that is merely late.
+    fn wake_was_sent(&self) -> bool {
+        (0..1 << 12).any(|_| {
+            std::hint::spin_loop();
+            self.woke.load(Acquire)
+        })
     }
 
     /// Client side: non-blocking result check.
     pub(crate) fn poll(&self) -> Option<Result<Option<u64>, ShardDown>> {
         match self.state.load(Acquire) {
-            PENDING => None,
             DONE_NONE => Some(Ok(None)),
             DONE_SOME => Some(Ok(Some(self.value.load(Relaxed)))),
-            _ => Some(Err(ShardDown)),
+            DROPPED => Some(Err(ShardDown)),
+            _ => None,
+        }
+    }
+}
+
+/// The obligation to resolve one popped command exactly once: publish its
+/// result with [`complete`](Self::complete), or fail it as [`ShardDown`] on
+/// drop — the store op panicked under the worker, or a rescuer drained the
+/// command off a dead worker's ring. Once `complete` has run the guard is
+/// disarmed for good, so nothing it does later can land on the command the
+/// client re-armed the slot for.
+pub(crate) struct ReplyGuard {
+    slot: Arc<ResponseSlot>,
+    armed: bool,
+}
+
+impl ReplyGuard {
+    pub(crate) fn new(slot: Arc<ResponseSlot>) -> Self {
+        Self { slot, armed: true }
+    }
+
+    /// Publishes the result. Returns whether the caller was blocked on it.
+    pub(crate) fn complete(&mut self, result: Option<u64>) -> bool {
+        debug_assert!(self.armed, "reply completed twice");
+        self.armed = false;
+        self.slot.complete(result)
+    }
+}
+
+impl Drop for ReplyGuard {
+    fn drop(&mut self) {
+        if self.armed {
+            self.slot.resolve(DROPPED);
         }
     }
 }
@@ -161,6 +317,8 @@ struct Doorbell {
     sleeping: AtomicBool,
     lock: Mutex<()>,
     cv: Condvar,
+    /// Times the worker went to sleep here. Written by the worker alone.
+    parks: AtomicU64,
 }
 
 /// The producers' pillow: where pushes park once their backoff escalates
@@ -190,6 +348,12 @@ pub(crate) struct Ring {
     rescue: Mutex<()>,
     doorbell: Doorbell,
     space: SpaceBell,
+    /// Reply waits that ran a full [`REPLY_BACKSTOP`] park and found their
+    /// slot resolved by someone who never sent them a wake: a reply that
+    /// reached its caller by the timer. Zero while the wake protocol holds.
+    /// (Elapsed time alone cannot tell: a worker stalled for about the
+    /// backstop resolves and wakes just as the park runs out.)
+    reply_backstops: AtomicU64,
 }
 
 // Entries are moved across threads through the slots; Command and
@@ -218,12 +382,14 @@ impl Ring {
                 sleeping: AtomicBool::new(false),
                 lock: Mutex::new(()),
                 cv: Condvar::new(),
+                parks: AtomicU64::new(0),
             },
             space: SpaceBell {
                 waiters: AtomicUsize::new(0),
                 lock: Mutex::new(()),
                 cv: Condvar::new(),
             },
+            reply_backstops: AtomicU64::new(0),
         }
     }
 
@@ -238,6 +404,19 @@ impl Ring {
 
     pub(crate) fn is_worker_gone(&self) -> bool {
         self.worker_gone.load(Acquire)
+    }
+
+    /// Whether the worker is parked on the doorbell (or about to be).
+    pub(crate) fn is_worker_parked(&self) -> bool {
+        self.doorbell.sleeping.load(Relaxed)
+    }
+
+    pub(crate) fn worker_parks(&self) -> u64 {
+        self.doorbell.parks.load(Relaxed)
+    }
+
+    pub(crate) fn reply_backstops(&self) -> u64 {
+        self.reply_backstops.load(Relaxed)
     }
 
     /// Enqueues a command. Blocks (via backoff, escalating to parking on
@@ -256,7 +435,7 @@ impl Ring {
         &self,
         cmd: Command,
         resp: Arc<ResponseSlot>,
-        deadline: Option<std::time::Instant>,
+        deadline: Option<Instant>,
     ) -> Result<(), PushError> {
         let mut backoff = Backoff::new();
         loop {
@@ -283,7 +462,7 @@ impl Ring {
                 // Full: a whole lap behind. Wait for the consumer.
                 smr_common::fault_point!("kv::ring::full");
                 if let Some(d) = deadline {
-                    if std::time::Instant::now() >= d {
+                    if Instant::now() >= d {
                         return Err(PushError::TimedOut);
                     }
                 }
@@ -314,7 +493,7 @@ impl Ring {
         // This *is* the park phase of the producer's escalator; account for
         // it like `Backoff::snooze` would so the contention counters (and
         // the backpressure tests reading them) keep seeing parks.
-        smr_common::counters::incr_backoff_park();
+        counters::incr_backoff_park();
         self.space.waiters.fetch_add(1, SeqCst);
         {
             let guard = self.space.lock.lock().unwrap();
@@ -360,6 +539,29 @@ impl Ring {
         self.slots[pos & self.mask].seq.load(Acquire) == pos.wrapping_add(1)
     }
 
+    /// Worker: poll for the next command (or the close) for up to
+    /// [`IDLE_SPIN_BUDGET_NS`] instead of parking. Only worth it when a
+    /// blocked caller's next command is known to be a round trip away;
+    /// behind pipelined traffic it would trade the batching that parking
+    /// buys (one wake per ≈ 20 commands) for a synchronous hand-over of
+    /// every command, so the worker asks for it per batch. Returns whether
+    /// there is something to do.
+    pub(crate) fn spin_for_work(&self) -> bool {
+        let start = mono_ns();
+        loop {
+            for _ in 0..IDLE_SPIN_SLICE {
+                if self.has_next() || self.closed.load(Relaxed) {
+                    return true;
+                }
+                std::hint::spin_loop();
+            }
+            std::thread::yield_now();
+            if mono_ns().saturating_sub(start) >= IDLE_SPIN_BUDGET_NS {
+                return false;
+            }
+        }
+    }
+
     /// Worker: sleep until a producer rings the doorbell or the ring
     /// closes. Returns immediately if either is already true.
     pub(crate) fn wait_for_work(&self) {
@@ -370,6 +572,7 @@ impl Ring {
         }
         let guard = self.doorbell.lock.lock().unwrap();
         if self.doorbell.sleeping.load(SeqCst) && !self.has_next() && !self.closed.load(SeqCst) {
+            self.doorbell.parks.fetch_add(1, Relaxed);
             // The timeout is a backstop, not the protocol: the sleeping
             // flag + re-check above already closes the lost-wakeup race.
             let _ = self.doorbell.cv.wait_timeout(guard, Duration::from_millis(50));
@@ -411,7 +614,7 @@ impl Ring {
     pub(crate) fn rescue_drain(&self) {
         let _guard = self.rescue.lock().unwrap();
         while let Some((_, resp)) = self.pop() {
-            resp.drop_if_pending();
+            drop(ReplyGuard::new(resp));
         }
     }
 
@@ -425,15 +628,27 @@ impl Ring {
     /// [`wait_response`](Self::wait_response) with an optional deadline. A
     /// [`WaitError::TimedOut`] slot may still be completed by the worker
     /// later — the caller must abandon it, not pool it.
+    ///
+    /// Spin, then yield, then park *on the slot*: the resolver's swap sees
+    /// the registration and unparks this thread, so a parked wait ends with
+    /// the reply, not with a timer. The spin phase reads no clock and does
+    /// not look for a dead worker; both checks start with the first yield.
     pub(crate) fn wait_response_deadline(
         &self,
         slot: &ResponseSlot,
-        deadline: Option<std::time::Instant>,
+        deadline: Option<Instant>,
     ) -> Result<Option<u64>, WaitError> {
         let mut backoff = Backoff::new();
+        let mut polls = 0u32;
+        let mut registered = false;
         loop {
             if let Some(result) = slot.poll() {
                 return result.map_err(|ShardDown| WaitError::Down);
+            }
+            if polls < CLOCK_FREE_POLLS {
+                polls += 1;
+                backoff.snooze();
+                continue;
             }
             if self.is_worker_gone() {
                 // Our entry is published (push returned Ok), so a rescue
@@ -445,12 +660,33 @@ impl Ring {
                     return result.map_err(|ShardDown| WaitError::Down);
                 }
             }
-            if let Some(d) = deadline {
-                if std::time::Instant::now() >= d {
-                    return Err(WaitError::TimedOut);
+            let now = Instant::now();
+            let park_for = match deadline {
+                Some(d) if now >= d => return Err(WaitError::TimedOut),
+                Some(d) => REPLY_BACKSTOP.min(d - now),
+                None => REPLY_BACKSTOP,
+            };
+            if !backoff.is_parking() {
+                backoff.snooze();
+                continue;
+            }
+            if !registered {
+                registered = slot.register();
+                if !registered {
+                    continue;
                 }
             }
-            backoff.snooze();
+            // The park phase of this wait's escalator, counted as
+            // `Backoff::snooze` counts its own.
+            counters::incr_backoff_park();
+            std::thread::park_timeout(park_for);
+            if park_for == REPLY_BACKSTOP
+                && now.elapsed() >= REPLY_BACKSTOP
+                && slot.poll().is_some()
+                && !slot.wake_was_sent()
+            {
+                self.reply_backstops.fetch_add(1, Relaxed);
+            }
         }
     }
 }
@@ -459,7 +695,7 @@ impl Drop for Ring {
     fn drop(&mut self) {
         // Entries may remain if the service was dropped without shutdown.
         while let Some((_, resp)) = self.pop() {
-            resp.drop_if_pending();
+            drop(ReplyGuard::new(resp));
         }
     }
 }
@@ -577,14 +813,81 @@ mod tests {
     fn response_slot_roundtrip_and_reuse() {
         let s = ResponseSlot::new();
         assert_eq!(s.poll(), None);
-        s.complete(Some(7));
+        assert!(!s.complete(Some(7)));
         assert_eq!(s.poll(), Some(Ok(Some(7))));
-        // drop_if_pending never clobbers a real result.
-        s.drop_if_pending();
-        assert_eq!(s.poll(), Some(Ok(Some(7))));
-        s.reset();
+        s.arm(true);
         assert_eq!(s.poll(), None);
-        s.complete(None);
+        // The resolver learns the caller was blocked from its own swap.
+        assert!(s.complete(None));
         assert_eq!(s.poll(), Some(Ok(None)));
+        s.arm(false);
+        assert!(!s.resolve(DROPPED));
+        assert_eq!(s.poll(), Some(Err(ShardDown)));
+    }
+
+    #[test]
+    fn reply_slot_with_its_arc_header_stays_within_40_bytes() {
+        // Two Arc counts + state + value + waiter: the saturated path must
+        // not gain a cache line per command.
+        assert!(std::mem::size_of::<ResponseSlot>() + 16 <= 40);
+    }
+
+    /// The PR-11 re-arm race: the worker's guard used to run a late
+    /// `PENDING → DROPPED` CAS after `complete`, which could land on the
+    /// command the client had meanwhile re-armed the slot for.
+    #[test]
+    fn guard_dropped_after_complete_leaves_a_rearmed_slot_pending() {
+        let slot = Arc::new(ResponseSlot::new());
+        let mut guard = ReplyGuard::new(Arc::clone(&slot));
+        guard.complete(Some(1));
+        assert_eq!(slot.poll(), Some(Ok(Some(1))));
+        // Client: reads the reply, pools the slot, re-arms it for its next
+        // command — all before the worker leaves `execute`.
+        slot.arm(false);
+        drop(guard);
+        assert_eq!(slot.poll(), None, "a stale guard failed the next command");
+        assert_eq!(slot.state.load(Relaxed), PENDING);
+    }
+
+    #[test]
+    fn guard_dropped_without_a_result_fails_the_command() {
+        let slot = Arc::new(ResponseSlot::new());
+        drop(ReplyGuard::new(Arc::clone(&slot)));
+        assert_eq!(slot.poll(), Some(Err(ShardDown)));
+    }
+
+    #[test]
+    fn resolving_a_registered_slot_unparks_its_waiter() {
+        let ring = Arc::new(Ring::with_capacity(4));
+        let (c, r) = entry(1);
+        ring.push(c, Arc::clone(&r)).unwrap();
+        let waiter = {
+            let (ring, r) = (Arc::clone(&ring), Arc::clone(&r));
+            std::thread::spawn(move || ring.wait_response(&r))
+        };
+        // Resolve only once the waiter has registered, so the reply can
+        // reach it through the unpark alone.
+        while r.state.load(Acquire) & WAITING == 0 {
+            std::thread::yield_now();
+        }
+        let (_, resp) = ring.pop().unwrap();
+        ReplyGuard::new(resp).complete(Some(5));
+        assert_eq!(waiter.join().unwrap(), Ok(Some(5)));
+        assert_eq!(ring.reply_backstops(), 0);
+    }
+
+    #[test]
+    fn idle_spin_sees_a_push_and_gives_up_after_its_budget() {
+        let ring = Arc::new(Ring::with_capacity(4));
+        let t = mono_ns();
+        assert!(!ring.spin_for_work());
+        let spent = mono_ns() - t;
+        assert!(spent >= IDLE_SPIN_BUDGET_NS, "gave up after {spent} ns");
+        let (c, r) = entry(1);
+        ring.push(c, r).unwrap();
+        assert!(ring.spin_for_work());
+        ring.pop().unwrap();
+        ring.close();
+        assert!(ring.spin_for_work(), "a closed ring must end the spin");
     }
 }

@@ -7,6 +7,7 @@
 //! with one relaxed generation load per command, so the supervised fast
 //! path costs nothing measurable over the PR-7 layout.
 
+use std::sync::atomic::{fence, Ordering::Acquire};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -158,6 +159,7 @@ impl<S: ShardStore> KvService<S> {
             retries: self.cfg.retries,
             free: Vec::new(),
             pending: Vec::new(),
+            solo: false,
         }
     }
 
@@ -174,12 +176,12 @@ impl<S: ShardStore> KvService<S> {
     /// Current counters for shard `i`'s live incarnation. Reset on
     /// respawn, like everything else about the incarnation.
     pub fn shard_stats(&self, i: usize) -> ShardStatsSnapshot {
-        self.slots[i].current().stats.snapshot()
+        self.slots[i].current().stats()
     }
 
     /// Counters for every shard.
     pub fn stats(&self) -> Vec<ShardStatsSnapshot> {
-        self.slots.iter().map(|s| s.current().stats.snapshot()).collect()
+        self.slots.iter().map(|s| s.current().stats()).collect()
     }
 
     /// Shard `i`'s derived worst-case garbage bound, if its scheme has one.
@@ -191,6 +193,12 @@ impl<S: ShardStore> KvService<S> {
     /// panic). Flips back to false once the supervisor respawns it.
     pub fn worker_gone(&self, i: usize) -> bool {
         self.slots[i].current().ring.is_worker_gone()
+    }
+
+    /// Whether shard `i`'s current worker is asleep on its doorbell: an
+    /// idle service burns no CPU once this reads true for every shard.
+    pub fn worker_parked(&self, i: usize) -> bool {
+        self.slots[i].current().ring.is_worker_parked()
     }
 
     /// Shard `i`'s current generation (0 until its first respawn).
@@ -313,6 +321,12 @@ pub struct Client<S: ShardStore> {
     retries: u32,
     free: Vec<Arc<ResponseSlot>>,
     pending: Vec<(usize, Arc<Shard<S>>, Arc<ResponseSlot>)>,
+    /// Whether the last drained pipeline window held a single command: the
+    /// caller is using `submit` + `drain` as a one-shot call, and the next
+    /// `submit` into an empty pipeline is marked blocked-caller like one.
+    /// A window of two or more clears it, so pipelined traffic never makes
+    /// the worker spin.
+    solo: bool,
 }
 
 impl<S: ShardStore> Client<S> {
@@ -345,9 +359,23 @@ impl<S: ShardStore> Client<S> {
         self
     }
 
-    fn take_slot(&mut self) -> Arc<ResponseSlot> {
-        let slot = self.free.pop().unwrap_or_else(|| Arc::new(ResponseSlot::new()));
-        slot.reset();
+    /// A reply slot armed for the next command; `blocked` marks a command
+    /// whose caller will have nothing else in flight.
+    fn take_slot(&mut self, blocked: bool) -> Arc<ResponseSlot> {
+        // A pooled slot is re-armed only once its resolver has let go of
+        // it: the client pools a slot as soon as it has read the reply,
+        // while the resolver may still be unparking this thread through the
+        // slot's waiter cell. One still shared is left to the resolver to
+        // free. The fence pairs with the Release decrement in the
+        // resolver's `Arc` drop, which `strong_count` alone (Relaxed) does
+        // not order.
+        let slot = self
+            .free
+            .pop()
+            .filter(|slot| Arc::strong_count(slot) == 1)
+            .unwrap_or_else(|| Arc::new(ResponseSlot::new()));
+        fence(Acquire);
+        slot.arm(blocked);
         slot
     }
 
@@ -401,7 +429,7 @@ impl<S: ShardStore> Client<S> {
     pub fn submit(&mut self, cmd: Command) -> Result<(), KvError> {
         let idx = self.shard_of(cmd.key());
         let deadline = Instant::now() + self.op_timeout;
-        let slot = self.take_slot();
+        let slot = self.take_slot(self.solo && self.pending.is_empty());
         let mut attempts = 0u32;
         loop {
             let shard = self.current(idx);
@@ -438,14 +466,23 @@ impl<S: ShardStore> Client<S> {
 
     /// Waits for every in-flight command, invoking `sink(index, reply)` in
     /// submission order (`index` counts from 0 within this drain). Each
-    /// reply waits at most one op-timeout; a timed-out command reports
+    /// reply waits at most one op-timeout from the start of its wait (the
+    /// clock is read only for a reply that is not there yet); a timed-out
+    /// command reports
     /// [`KvError::DeadlineExceeded`] and its slot is abandoned (the worker
     /// may still complete it later). Pipelined errors are *not* retried.
     pub fn drain(&mut self, mut sink: impl FnMut(usize, Result<Option<u64>, KvError>)) {
         let pending = std::mem::take(&mut self.pending);
+        self.solo = pending.len() == 1;
         for (i, (idx, shard, slot)) in pending.into_iter().enumerate() {
-            let deadline = Instant::now() + self.op_timeout;
-            match shard.ring.wait_response_deadline(&slot, Some(deadline)) {
+            let reply = match slot.poll() {
+                Some(ready) => ready.map_err(|_| WaitError::Down),
+                None => {
+                    let deadline = Instant::now() + self.op_timeout;
+                    shard.ring.wait_response_deadline(&slot, Some(deadline))
+                }
+            };
+            match reply {
                 Ok(reply) => {
                     sink(i, Ok(reply));
                     self.free.push(slot);
@@ -469,7 +506,8 @@ impl<S: ShardStore> Client<S> {
         let mut attempts = 0u32;
         loop {
             let shard = self.current(idx);
-            let slot = self.take_slot();
+            // A one-shot caller cannot issue anything else before this reply.
+            let slot = self.take_slot(true);
             match shard.ring.push_deadline(cmd, Arc::clone(&slot), Some(deadline)) {
                 Ok(()) => match shard.ring.wait_response_deadline(&slot, Some(deadline)) {
                     Ok(reply) => {

@@ -6,6 +6,13 @@
 //! and its scheme handle (hazard slots, local bags) is registered once for
 //! the shard's lifetime. Commands execute back-to-back on a warm cache.
 //!
+//! Idle story: a worker whose ring runs dry parks on the doorbell at once
+//! — unless the batch it just ran resolved a command whose caller has
+//! nothing else in flight. That caller's next command is one reply round
+//! trip away, so the worker polls for it first (`Ring::spin_for_work`) and
+//! a ping-pong client never pays a park and a futex wake per op. The gate
+//! is what keeps pipelined traffic batched: see DESIGN.md §1.9.
+//!
 //! Crash story: `WorkerGuard` retires the ring on *any* exit — normal
 //! shutdown or unwind — so queued commands fail fast instead of hanging
 //! clients, and `ReplyGuard` fails the command that was mid-execution when
@@ -21,7 +28,7 @@ use std::time::Duration;
 use smr_common::policy::Verdict;
 use smr_common::watchdog::GarbageWatchdog;
 
-use crate::ring::{Command, Entry, Ring};
+use crate::ring::{Command, Entry, ReplyGuard, Ring};
 use crate::store::ShardStore;
 use crate::supervisor::SupervisorCtl;
 
@@ -49,6 +56,16 @@ pub struct ShardStatsSnapshot {
     pub peak_garbage: u64,
     /// Largest single batch drained.
     pub max_batch: u64,
+    /// Times the worker went to sleep on the doorbell.
+    pub worker_parks: u64,
+    /// Idle spins (ring dry behind a blocked caller) that found the next
+    /// command within the budget.
+    pub idle_spin_hits: u64,
+    /// Idle spins that ran out their budget; the worker parked after each.
+    pub idle_spin_expired: u64,
+    /// Reply waits that ended on the 1 ms park backstop with the reply
+    /// already there — a wake that never came. Zero by design.
+    pub reply_backstops: u64,
 }
 
 /// Shard counters, written by the single worker, read by anyone.
@@ -59,6 +76,8 @@ pub(crate) struct ShardStats {
     garbage: AtomicU64,
     peak_garbage: AtomicU64,
     max_batch: AtomicU64,
+    idle_spin_hits: AtomicU64,
+    idle_spin_expired: AtomicU64,
 }
 
 impl ShardStats {
@@ -69,22 +88,12 @@ impl ShardStats {
         self.peak_garbage.fetch_max(garbage, Relaxed);
         self.max_batch.fetch_max(len, Relaxed);
     }
-
-    pub(crate) fn snapshot(&self) -> ShardStatsSnapshot {
-        ShardStatsSnapshot {
-            ops: self.ops.load(Relaxed),
-            batches: self.batches.load(Relaxed),
-            garbage: self.garbage.load(Relaxed),
-            peak_garbage: self.peak_garbage.load(Relaxed),
-            max_batch: self.max_batch.load(Relaxed),
-        }
-    }
 }
 
 pub(crate) struct Shard<S> {
     pub(crate) ring: Ring,
     pub(crate) store: S,
-    pub(crate) stats: ShardStats,
+    stats: ShardStats,
     /// Latest watchdog verdict ([`Verdict::encode`]), written by the
     /// worker's sampling, read by [`KvService::health`](crate::KvService).
     verdict: AtomicU8,
@@ -100,23 +109,34 @@ impl<S: ShardStore> Shard<S> {
         }
     }
 
+    /// The shard's counters: the worker's own plus the ring's park and
+    /// backstop counts.
+    pub(crate) fn stats(&self) -> ShardStatsSnapshot {
+        let s = &self.stats;
+        ShardStatsSnapshot {
+            ops: s.ops.load(Relaxed),
+            batches: s.batches.load(Relaxed),
+            garbage: s.garbage.load(Relaxed),
+            peak_garbage: s.peak_garbage.load(Relaxed),
+            max_batch: s.max_batch.load(Relaxed),
+            worker_parks: self.ring.worker_parks(),
+            idle_spin_hits: s.idle_spin_hits.load(Relaxed),
+            idle_spin_expired: s.idle_spin_expired.load(Relaxed),
+            reply_backstops: self.ring.reply_backstops(),
+        }
+    }
+
     /// The worker's latest watchdog verdict for this shard incarnation.
     pub(crate) fn verdict(&self) -> Verdict {
         Verdict::decode(self.verdict.load(Relaxed))
     }
 }
 
-/// Fails the in-flight command if the store op below panics.
-struct ReplyGuard(Arc<crate::ring::ResponseSlot>);
-
-impl Drop for ReplyGuard {
-    fn drop(&mut self) {
-        self.0.drop_if_pending();
-    }
-}
-
-fn execute<S: ShardStore>(store: &S, handle: &mut S::Handle, (cmd, resp): Entry) {
-    let reply = ReplyGuard(resp);
+/// Runs one command and publishes its reply; the guard fails the command
+/// instead if the store op panics. Returns whether the caller was blocked
+/// on this reply with nothing else in flight.
+fn execute<S: ShardStore>(store: &S, handle: &mut S::Handle, (cmd, resp): Entry) -> bool {
+    let mut reply = ReplyGuard::new(resp);
     let result = match cmd {
         Command::Get { key } => store.get(handle, key),
         Command::Put { key, value } => {
@@ -129,7 +149,7 @@ fn execute<S: ShardStore>(store: &S, handle: &mut S::Handle, (cmd, resp): Entry)
         Command::Del { key } => store.remove(handle, key),
         Command::Crash { .. } => panic!("kv worker: injected crash command"),
     };
-    reply.0.complete(result);
+    reply.complete(result)
 }
 
 /// The shard worker: park-drain-execute until the ring closes, then flush
@@ -170,19 +190,34 @@ pub(crate) fn run_worker<S: ShardStore>(
     let mut progress_token = 0u64;
     let mut prev_garbage = 0u64;
     let mut batches_since_sample = 0u32;
+    // Whether the last batch resolved a command for a blocked caller.
+    let mut blocked_caller = false;
+    // Idle-spin outcomes. A hit sits between a command's arrival and its
+    // execution, so it is published with a plain store (this thread is the
+    // only writer), not an RMW.
+    let (mut spin_hits, mut spin_expired) = (0u64, 0u64);
     loop {
         let Some(first) = shard.ring.pop() else {
             if shard.ring.is_closed() {
                 break;
             }
+            if std::mem::take(&mut blocked_caller) {
+                if shard.ring.spin_for_work() {
+                    spin_hits += 1;
+                    shard.stats.idle_spin_hits.store(spin_hits, Relaxed);
+                    continue;
+                }
+                spin_expired += 1;
+                shard.stats.idle_spin_expired.store(spin_expired, Relaxed);
+            }
             shard.ring.wait_for_work();
             continue;
         };
-        execute(&shard.store, &mut handle, first);
+        blocked_caller = execute(&shard.store, &mut handle, first);
         let mut drained = 1u64;
         while drained < batch_max as u64 {
             let Some(entry) = shard.ring.pop() else { break };
-            execute(&shard.store, &mut handle, entry);
+            blocked_caller |= execute(&shard.store, &mut handle, entry);
             drained += 1;
         }
         smr_common::fault_point!("kv::worker::batch");

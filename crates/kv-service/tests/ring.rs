@@ -206,6 +206,50 @@ fn retired_ring_wakes_parked_producers() {
 }
 
 #[test]
+fn crashed_worker_wakes_the_client_parked_on_its_reply() {
+    let _serial = serial();
+    // A one-shot caller parked on its reply slot must not sit out its op
+    // deadline when the worker dies under it: the dying worker's rescue
+    // drain fails the queued command and unparks the caller, and the 1 ms
+    // park backstop covers whatever that misses.
+    let op_timeout = Duration::from_secs(60);
+    let svc = KvService::<GatedStore>::start(cfg(1, 4, 8).with_op_timeout(op_timeout));
+    GATE.store(true, SeqCst);
+    PANIC.store(false, SeqCst);
+    let mut client = svc.client();
+    client.submit(Command::Get { key: 0 }).unwrap();
+    // Queue the crash behind the gated command, and a one-shot call behind
+    // the crash: the ring is FIFO, so the caller is waiting when it fires.
+    assert!(svc.inject_crash(0));
+    let (_, _, parks_before) = smr_common::counters::total_backoff();
+    let caller = std::thread::spawn({
+        let mut c: Client<GatedStore> = svc.client().with_retries(0);
+        move || c.get(7)
+    });
+    wait_for("the caller to park on its reply slot", || {
+        smr_common::counters::total_backoff().2 > parks_before
+    });
+    assert!(!caller.is_finished());
+
+    let released = Instant::now();
+    GATE.store(false, SeqCst);
+    let reply = caller.join().unwrap();
+    let waited = released.elapsed();
+    assert!(
+        matches!(reply, Err(KvError::RetryAfter(_))),
+        "a supervised death reads as RetryAfter, got {reply:?}"
+    );
+    // Backstop (1 ms) + slack for the worker's unwind and a loaded host;
+    // four orders of magnitude under the op deadline it must not wait out.
+    assert!(
+        waited < Duration::from_millis(500),
+        "parked caller woke {waited:?} after its worker died"
+    );
+    client.drain(|_, r| assert_eq!(r, Ok(None)));
+    svc.shutdown();
+}
+
+#[test]
 fn batch_drain_preserves_per_key_program_order() {
     let _serial = serial();
     // Dependent op chains per key, pipelined through tiny rings so batches

@@ -12,11 +12,13 @@
 //!   garbage counters exactly — the PR-4 teardown guarantee at service
 //!   scope.
 //!
-//! Requires `--features fault-injection`. Each test holds an
-//! [`smr_common::fault::InstalledPlan`], which serializes tests on the
-//! process-wide plan lock.
+//! Requires `--features fault-injection`. Every test diffs the
+//! process-global `counters::garbage_now()` from before its service starts
+//! — earlier than it installs its fault plan — so the tests serialize on a
+//! file-local lock from their first line, not on the plan lock.
 #![cfg(feature = "fault-injection")]
 
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use kv_service::{
@@ -25,6 +27,11 @@ use kv_service::{
 use smr_common::counters;
 use smr_common::fault::{self, FaultAction};
 use smr_common::watchdog::{GarbageWatchdog, WatchdogStatus};
+
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn wait_for(what: &str, mut cond: impl FnMut() -> bool) {
     let deadline = Instant::now() + Duration::from_secs(20);
@@ -60,6 +67,7 @@ fn churn<S: ShardStore>(client: &mut kv_service::Client<S>, keys: &[u64], pairs:
 
 #[test]
 fn stalled_hpp_collector_leaves_sibling_shards_healthy() {
+    let _serial = serial();
     let before = counters::garbage_now();
     let svc = KvService::<HppStore>::start(cfg(3, 16, 256));
     let shard0_keys = keys_for(&svc, 0, 64);
@@ -140,6 +148,7 @@ fn stalled_hpp_collector_leaves_sibling_shards_healthy() {
 
 #[test]
 fn shared_ebr_collector_spreads_stall_to_sibling_shards() {
+    let _serial = serial();
     let before = counters::garbage_now();
     // Deliberately no isolation: every shard's worker registers with the
     // process-default collector.
@@ -194,6 +203,7 @@ fn shared_ebr_collector_spreads_stall_to_sibling_shards() {
 
 #[test]
 fn per_shard_ebr_collectors_confine_stall_to_wedged_shard() {
+    let _serial = serial();
     let before = counters::garbage_now();
     let svc = KvService::<EbrStore>::start(cfg(3, 8, 128));
 
@@ -244,6 +254,7 @@ fn per_shard_ebr_collectors_confine_stall_to_wedged_shard() {
 
 #[test]
 fn worker_panic_drops_queued_commands_and_balances_orphans() {
+    let _serial = serial();
     let before = counters::garbage_now();
     let _plan = fault::plan()
         .at("kv::worker::batch", 5, FaultAction::Panic)

@@ -92,8 +92,16 @@ fn main() {
     );
     for (i, s) in stats.iter().enumerate() {
         println!(
-            "  shard {i}: {} ops in {} batches (max batch {}, peak garbage {})",
-            s.ops, s.batches, s.max_batch, s.peak_garbage
+            "  shard {i}: {} ops in {} batches (max batch {}, peak garbage {}); \
+             idle: {} parks, {} spins hit / {} expired, {} reply backstops",
+            s.ops,
+            s.batches,
+            s.max_batch,
+            s.peak_garbage,
+            s.worker_parks,
+            s.idle_spin_hits,
+            s.idle_spin_expired,
+            s.reply_backstops
         );
     }
     println!(

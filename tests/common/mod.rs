@@ -1,11 +1,38 @@
 //! Shared helpers for the cross-crate integration tests.
+#![allow(dead_code)] // each test binary uses its own subset
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, Ordering::Relaxed};
+use std::sync::{Mutex, MutexGuard};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use smr_common::ConcurrentMap;
+
+/// The one lock behind which a test binary's counter-sensitive tests take
+/// turns. `smr_common::counters` are process-global and `cargo test` runs a
+/// binary's tests on parallel threads, so a test that diffs
+/// `garbage_now()` (or asserts an exact counter delta) is only
+/// deterministic if no sibling retires or frees meanwhile: every test in
+/// such a binary holds this — the readers and the ones that merely retire.
+pub fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Runs `test` on a thread of its own while holding [`serial`], and joins
+/// that thread before letting go. A `serial()` guard held by the test
+/// function is released when the function returns — *before* the test
+/// thread's thread-local scheme handles are torn down, and those donate and
+/// free garbage and cross fault points on their way out, inside the next
+/// test's plan and counter window. Joining first closes that window, under
+/// `--test-threads=1` (where every test shares the main thread) as well.
+pub fn isolated(test: fn()) {
+    let _serial = serial();
+    if let Err(panic) = std::thread::spawn(test).join() {
+        std::panic::resume_unwind(panic);
+    }
+}
 
 /// Random single-threaded trace cross-checked against a `BTreeMap`.
 pub fn check_sequential<M: ConcurrentMap<u64, u64>>(steps: u64, key_space: u64, seed: u64) {

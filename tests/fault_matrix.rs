@@ -9,9 +9,14 @@
 //! leaver bounds for hyaline, unbounded growth (flagged by the
 //! [`GarbageWatchdog`]) for EBR, and zero leaked nodes once faults clear.
 //!
-//! Requires `--features fault-injection`. Plans serialize on a process
-//! lock, so these tests are safe under the default parallel test runner.
+//! Requires `--features fault-injection`. Every test runs through
+//! [`common::isolated`]: one at a time from its first line (counter
+//! baselines are read before the plan goes in), on a thread that is joined
+//! before the next test starts (a test thread's scheme handles cross fault
+//! points and move the counters as they are torn down).
 #![cfg(feature = "fault-injection")]
+
+mod common;
 
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::time::{Duration, Instant};
@@ -32,6 +37,10 @@ fn wait_for(what: &str, mut cond: impl FnMut() -> bool) {
 
 #[test]
 fn schedule_is_deterministic_for_same_seed() {
+    common::isolated(schedule_is_deterministic_for_same_seed_body);
+}
+
+fn schedule_is_deterministic_for_same_seed_body() {
     // Same seed + same single-threaded operation sequence must replay the
     // exact same injection log (the acceptance criterion for
     // `SMR_FAULT_SEED` reproducibility). Both runs execute on this thread,
@@ -67,6 +76,10 @@ fn schedule_is_deterministic_for_same_seed() {
 
 #[test]
 fn hp_stalled_reader_keeps_garbage_bounded() {
+    common::isolated(hp_stalled_reader_keeps_garbage_bounded_body);
+}
+
+fn hp_stalled_reader_keeps_garbage_bounded_body() {
     // A reader stalled forever in the announce-to-validate window holds a
     // published hazard. HP's contract: the writer keeps reclaiming around
     // it — at most the announced node survives, the retired bag never
@@ -136,6 +149,10 @@ fn hp_stalled_reader_keeps_garbage_bounded() {
 
 #[test]
 fn ebr_stalled_pin_wedges_epoch_and_watchdog_reports_growth() {
+    common::isolated(ebr_stalled_pin_wedges_epoch_and_watchdog_reports_growth_body);
+}
+
+fn ebr_stalled_pin_wedges_epoch_and_watchdog_reports_growth_body() {
     // The EBR failure mode: a thread stalled inside pin (epoch announced,
     // not yet validated) blocks every advance past epoch+1. Garbage grows
     // without bound and the GarbageWatchdog must say so; releasing the
@@ -213,6 +230,10 @@ fn ebr_stalled_pin_wedges_epoch_and_watchdog_reports_growth() {
 
 #[test]
 fn pebr_ejects_straggler_despite_scheduling_noise() {
+    common::isolated(pebr_ejects_straggler_despite_scheduling_noise_body);
+}
+
+fn pebr_ejects_straggler_despite_scheduling_noise_body() {
     // PEBR's robustness mechanism under injected scheduling chaos: yield
     // storms on every other pin and on the ejection mark itself must not
     // stop the reclaimer from ejecting a straggler, and the straggler's
@@ -249,6 +270,10 @@ fn pebr_ejects_straggler_despite_scheduling_noise() {
 
 #[test]
 fn hpp_mid_invalidation_preemption_leaks_nothing() {
+    common::isolated(hpp_mid_invalidation_preemption_leaks_nothing_body);
+}
+
+fn hpp_mid_invalidation_preemption_leaks_nothing_body() {
     // Preempt HP++ threads inside `do_invalidation` — after a batch's nodes
     // are invalidated but before its frontier protections are parked — and
     // on the unlink frontier window, while two threads churn one list.
@@ -304,6 +329,10 @@ fn hpp_mid_invalidation_preemption_leaks_nothing() {
 
 #[test]
 fn hp_panicking_teardown_still_donates() {
+    common::isolated(hp_panicking_teardown_still_donates_body);
+}
+
+fn hp_panicking_teardown_still_donates_body() {
     // A thread that dies *inside its own teardown* (injected panic at the
     // start of the final reclaim) must still donate every retired node —
     // the satellite-1 Drop guard in `hp::Thread::drop`.
@@ -340,6 +369,10 @@ fn hp_panicking_teardown_still_donates() {
 
 #[test]
 fn ebr_dead_thread_orphan_storm_reclaims_exactly() {
+    common::isolated(ebr_dead_thread_orphan_storm_reclaims_exactly_body);
+}
+
+fn ebr_dead_thread_orphan_storm_reclaims_exactly_body() {
     // The dead-thread acceptance criterion: 8 threads die without flushing
     // (donating via handle teardown) under seeded scheduling noise; the
     // survivor must reclaim *exactly* every node — zero leaks, asserted by
@@ -392,6 +425,10 @@ fn ebr_dead_thread_orphan_storm_reclaims_exactly() {
 
 #[test]
 fn hp_retire_storm_under_stalled_collector_stays_bounded() {
+    common::isolated(hp_retire_storm_under_stalled_collector_stays_bounded_body);
+}
+
+fn hp_retire_storm_under_stalled_collector_stays_bounded_body() {
     // One thread stalls *inside reclaim* (mid-scan, its bag swapped out).
     // Other threads' retire storms must keep reclaiming independently —
     // per-thread bags are private, so a stalled collector bounds only its
@@ -465,6 +502,10 @@ fn hp_retire_storm_under_stalled_collector_stays_bounded() {
 
 #[test]
 fn ebr_retire_storm_under_stalled_collector_grows_then_drains() {
+    common::isolated(ebr_retire_storm_under_stalled_collector_grows_then_drains_body);
+}
+
+fn ebr_retire_storm_under_stalled_collector_grows_then_drains_body() {
     // The EBR counterpart: the victim stalls inside `try_advance` — after
     // verifying all participants but *before publishing* the new epoch —
     // while still pinned. The epoch wedges one step later, a concurrent
@@ -542,6 +583,10 @@ fn ebr_retire_storm_under_stalled_collector_grows_then_drains() {
 
 #[test]
 fn backoff_parked_thread_keeps_garbage_bounded_and_drains() {
+    common::isolated(backoff_parked_thread_keeps_garbage_bounded_and_drains_body);
+}
+
+fn backoff_parked_thread_keeps_garbage_bounded_and_drains_body() {
     // Contention-machinery adversary: a thread escalates its CAS backoff all
     // the way to the park phase *while still holding its hazard pointer*
     // (exactly the state of a retry loop between failed attempts), and the
@@ -626,6 +671,10 @@ fn backoff_parked_thread_keeps_garbage_bounded_and_drains() {
 
 #[test]
 fn hyaline_stalled_enter_is_ejected_and_garbage_stays_bounded() {
+    common::isolated(hyaline_stalled_enter_is_ejected_and_garbage_stays_bounded_body);
+}
+
+fn hyaline_stalled_enter_is_ejected_and_garbage_stays_bounded_body() {
     // Hyaline's answer to the stall EBR cannot survive: a thread stalled in
     // the announce-to-validate window (era + PENDING published, critical
     // section not yet validated) holds no references, so the next handover
@@ -700,6 +749,10 @@ fn hyaline_stalled_enter_is_ejected_and_garbage_stays_bounded() {
 
 #[test]
 fn hyaline_stalled_leaver_pins_one_batch_and_drains_exactly() {
+    common::isolated(hyaline_stalled_leaver_pins_one_batch_and_drains_exactly_body);
+}
+
+fn hyaline_stalled_leaver_pins_one_batch_and_drains_exactly_body() {
     // The handover-decrement window: a leaver that detached its retirement
     // list (critical section already over — its slot word is 0) but stalled
     // before releasing the references. Contract: exactly the batches on the
@@ -788,6 +841,10 @@ fn hyaline_stalled_leaver_pins_one_batch_and_drains_exactly() {
 
 #[test]
 fn hyaline_preempted_retire_and_handover_windows_leak_nothing() {
+    common::isolated(hyaline_preempted_retire_and_handover_windows_leak_nothing_body);
+}
+
+fn hyaline_preempted_retire_and_handover_windows_leak_nothing_body() {
     // Preempt hyaline threads at the retire-link, the post-fence handover
     // traverse, and the final refs adjustment — the three windows where a
     // batch is visible to leavers but its count is not yet settled — while
@@ -850,6 +907,10 @@ fn hyaline_preempted_retire_and_handover_windows_leak_nothing() {
 
 #[test]
 fn hyaline_panicking_teardown_still_donates() {
+    common::isolated(hyaline_panicking_teardown_still_donates_body);
+}
+
+fn hyaline_panicking_teardown_still_donates_body() {
     // A thread that dies *inside its own teardown* (injected panic before
     // the donation) must still unregister its slot and donate every
     // unhanded payload — the Drop guard in `LocalHandle::drop` runs during
@@ -895,6 +956,10 @@ fn hyaline_panicking_teardown_still_donates() {
 
 #[test]
 fn all_fault_points_are_reachable() {
+    common::isolated(all_fault_points_are_reachable_body);
+}
+
+fn all_fault_points_are_reachable_body() {
     // Coverage: every point a crate declares in its FAULT_POINTS const is
     // actually crossed by a small targeted scenario — a renamed or orphaned
     // injection point fails here instead of silently rotting.

@@ -3,6 +3,8 @@
 //! availability. This test binary forces the fallback before any fence is
 //! issued (own process ⇒ own OnceLock), then runs scheme stresses.
 
+mod common;
+
 use smr_common::ConcurrentMap;
 
 fn force_symmetric() {
@@ -16,6 +18,7 @@ fn force_symmetric() {
 
 #[test]
 fn schemes_work_with_symmetric_fences() {
+    let _serial = common::serial();
     force_symmetric();
 
     // HP under churn + concurrent readers.

@@ -16,16 +16,15 @@
 //!    `k·H + RECLAIM_THRESHOLD`, because the effective threshold is
 //!    clamped to that expression by construction.
 
-use std::sync::{Arc, Mutex};
+mod common;
+
+use std::sync::Arc;
 use std::time::Duration;
 
+use common::serial;
 use smr_common::counters;
 use smr_common::policy::{Adaptive, Verdict};
 use smr_common::watchdog::{GarbageWatchdog, WatchdogStatus};
-
-/// The adaptive tighten/relax counters are process-global and asserted as
-/// exact deltas: tests in this binary take turns.
-static SERIAL: Mutex<()> = Mutex::new(());
 
 /// Retires `n` heap nodes on `thread`, returning the highest backlog seen
 /// after any single retire — the worst point the installed policy let the
@@ -41,7 +40,7 @@ fn churn(thread: &mut hp::Thread, n: usize) -> usize {
 
 #[test]
 fn stall_tightens_within_one_sample_then_relaxes_after_release() {
-    let _guard = SERIAL.lock().unwrap();
+    let _serial = serial();
     let domain: &'static hp::Domain = Box::leak(Box::new(hp::Domain::new()));
     let adaptive = Arc::new(Adaptive::new(hp::legacy_trigger()));
     assert!(domain.set_policy(adaptive.clone()), "fresh domain must accept a policy");
@@ -116,7 +115,7 @@ fn stall_tightens_within_one_sample_then_relaxes_after_release() {
 
 #[test]
 fn relaxed_threshold_never_escapes_the_derived_bound() {
-    let _guard = SERIAL.lock().unwrap();
+    let _serial = serial();
     let domain: &'static hp::Domain = Box::leak(Box::new(hp::Domain::new()));
     let adaptive = Arc::new(Adaptive::new(hp::legacy_trigger()));
     assert!(domain.set_policy(adaptive.clone()));

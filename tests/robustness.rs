@@ -13,26 +13,26 @@
 //! The deterministic fault-driven matrix lives in `tests/fault_matrix.rs`
 //! (requires the `fault-injection` feature); these tests stay always-on.
 
+mod common;
+
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
-use std::sync::Mutex;
 use std::time::Duration;
 
+use common::serial;
 use smr_common::{ConcurrentMap, GuardedScheme, SchemeGuard};
 
-/// The garbage counters are process-global; tests in this binary run in
-/// parallel by default, so each counter-sensitive test holds this lock.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+fn churn_n<M: ConcurrentMap<u64, u64>>(m: &M, h: &mut M::Handle, rounds: u64) {
+    churn_keys(m, h, rounds, 0);
 }
 
-fn churn_n<M: ConcurrentMap<u64, u64>>(m: &M, h: &mut M::Handle, rounds: u64) {
+/// `rounds` × (insert then remove) of the 16 keys from `base`: 16 retires a
+/// round as long as no other thread works the same keys.
+fn churn_keys<M: ConcurrentMap<u64, u64>>(m: &M, h: &mut M::Handle, rounds: u64, base: u64) {
     for r in 0..rounds {
-        for k in 0..16 {
+        for k in base..base + 16 {
             m.insert(h, k, r);
         }
-        for k in 0..16 {
+        for k in base..base + 16 {
             m.remove(h, &k);
         }
     }
@@ -164,13 +164,15 @@ fn ebr_stalled_pin_grows_unboundedly_pebr_does_not() {
             while !pinned.load(Relaxed) {
                 std::thread::yield_now();
             }
-            // Churners: a fixed amount of retiring work.
+            // Churners: a fixed amount of retiring work — each on its own
+            // keys, or two that overlap in time would fail each other's
+            // inserts and removes and retire as little as half of it.
             std::thread::scope(|s2| {
-                for _ in 0..CHURNERS {
+                for c in 0..CHURNERS {
                     let m = &m;
                     s2.spawn(move || {
                         let mut h = ConcurrentMap::handle(m);
-                        churn_n(m, &mut h, ROUNDS);
+                        churn_keys(m, &mut h, ROUNDS, 16 * c);
                     });
                 }
             });
@@ -212,6 +214,9 @@ fn ebr_stalled_pin_grows_unboundedly_pebr_does_not() {
 
 #[test]
 fn hybrid_hp_retire_through_hpp_thread() {
+    // Retires and frees on the default HP++ domain: takes its turn so the
+    // counter-diffing tests never see it.
+    let _serial = serial();
     // §4.2 backward compatibility: an HP++ thread can retire nodes protected
     // with the original HP validation, in the same domain.
     let domain = hp_plus::default_domain();

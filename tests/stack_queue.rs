@@ -1,11 +1,16 @@
 //! Cross-crate tests for the §4.2 applicability structures: Treiber stacks
 //! (HP and HP++ flavors) and the Michael–Scott queue (guard-based flavors).
 
+mod common;
+
 use std::collections::HashSet;
 use std::sync::Mutex;
 
+use common::serial;
+
 #[test]
 fn hp_and_hpp_stacks_agree_under_interleaving() {
+    let _serial = serial();
     let hp_stack = ds::hp::TreiberStack::new();
     let hpp_stack = ds::hpp::TreiberStack::new();
     let mut hh = hp_stack.handle();
@@ -28,6 +33,7 @@ fn hp_and_hpp_stacks_agree_under_interleaving() {
 
 #[test]
 fn msqueue_across_schemes_preserves_fifo_per_producer() {
+    let _serial = serial();
     fn run<S: smr_common::GuardedScheme>() {
         let q: ds::guarded::MSQueue<u64, S> = ds::guarded::MSQueue::new();
         let seen = Mutex::new(HashSet::new());
@@ -73,6 +79,7 @@ fn msqueue_across_schemes_preserves_fifo_per_producer() {
 
 #[test]
 fn stacks_reclaim_promptly() {
+    let _serial = serial();
     let s = ds::hpp::TreiberStack::new();
     let mut h = s.handle();
     let before = smr_common::counters::garbage_now();
