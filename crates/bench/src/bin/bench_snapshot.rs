@@ -187,12 +187,7 @@ fn fig8_headline(snap: &mut Snapshot) {
 }
 
 fn contended_bags(snap: &mut Snapshot) {
-    for (ds, scheme) in [
-        (Ds::Stack, Scheme::Hp),
-        (Ds::ElimStack, Scheme::Hp),
-        (Ds::Queue, Scheme::Ebr),
-        (Ds::OptQueue, Scheme::Ebr),
-    ] {
+    for (ds, scheme) in [(Ds::Stack, Scheme::Hp), (Ds::Queue, Scheme::Ebr)] {
         let sc = quick_scenario(ds, scheme, 4, Workload::WriteOnly);
         if let Some(stats) = best_of_2(&sc) {
             snap.record(

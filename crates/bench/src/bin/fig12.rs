@@ -1,8 +1,7 @@
 //! Figure 12: the reclamation-policy ablation.
 //!
-//! Sweeps the [`smr_common::policy`] engine — `eager`, `capped` (the legacy
-//! default), `timed`, `adaptive` — across schemes and three workload
-//! shapes:
+//! Sweeps the [`smr_common::policy`] enum — `eager`, `capped` (the
+//! default), `adaptive` — across schemes and three workload shapes:
 //!
 //! * **read-heavy** — 90/5/5 on the hash map: retires are rare, so policy
 //!   overhead and missed batching show up directly in throughput;

@@ -1,8 +1,7 @@
 //! Figure 9: maximum throughput per category (list / tree), HP vs HP++,
 //! small and big key ranges — the contention crossover. Plus the
 //! contention-machinery section: bags (stacks/queues) under oversubscribed
-//! write storms, bare CAS loops vs adaptive backoff vs elimination /
-//! optimistic variants.
+//! write storms, bare CAS loops vs adaptive backoff.
 
 use bench::orchestrate::{emit_timeout, run_scenario, run_scenario_env, Opts, Outcome};
 use bench::{thread_sweep, Ds, Scenario, Scheme, Workload};
@@ -52,7 +51,7 @@ fn best(
 
 /// Oversubscription sweep for the bags: thread counts *beyond* the host's
 /// parallelism, where descheduled CAS owners make spin-only retries
-/// pathological and yield/park backoff plus elimination pay off.
+/// pathological and yield/park backoff pays off.
 fn contention_threads(quick: bool) -> Vec<usize> {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -89,13 +88,9 @@ fn contention_section(opts: &Opts) {
     println!("ds,scheme,threads,mode,throughput_mops");
     let pairs = [
         (Ds::Stack, Scheme::Hp),
-        (Ds::ElimStack, Scheme::Hp),
         (Ds::Stack, Scheme::Hpp),
-        (Ds::ElimStack, Scheme::Hpp),
         (Ds::Queue, Scheme::Ebr),
-        (Ds::OptQueue, Scheme::Ebr),
         (Ds::Queue, Scheme::Pebr),
-        (Ds::OptQueue, Scheme::Pebr),
     ];
     for threads in contention_threads(opts.quick) {
         for (ds, scheme) in pairs {
@@ -116,8 +111,7 @@ fn contention_section(opts: &Opts) {
     }
     println!();
     println!("# Expectation: at threads > cores, backoff beats bare (descheduled");
-    println!("# CAS winners stall spinners), and elimination/optimistic variants");
-    println!("# beat their plain counterparts by decongesting the hot ends.");
+    println!("# CAS winners stall spinners).");
 }
 
 /// Adversarial mix: long-running scans (read-most over a big range) racing

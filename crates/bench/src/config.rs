@@ -23,12 +23,8 @@ pub enum Ds {
     BonsaiTree,
     /// Treiber stack (bag adapter).
     Stack,
-    /// Treiber stack + elimination array (bag adapter).
-    ElimStack,
     /// Michael–Scott queue (bag adapter).
     Queue,
-    /// Ladan-Mozes–Shavit optimistic queue (bag adapter).
-    OptQueue,
 }
 
 impl Ds {
@@ -46,11 +42,11 @@ impl Ds {
     ];
 
     /// The bag structures benchmarked by the contention-machinery section.
-    pub const BAGS: [Ds; 4] = [Ds::Stack, Ds::ElimStack, Ds::Queue, Ds::OptQueue];
+    pub const BAGS: [Ds; 2] = [Ds::Stack, Ds::Queue];
 
     /// Is this a bag (stack/queue) rather than a map?
     pub fn is_bag(self) -> bool {
-        matches!(self, Ds::Stack | Ds::ElimStack | Ds::Queue | Ds::OptQueue)
+        matches!(self, Ds::Stack | Ds::Queue)
     }
 
     /// Is this a list-shaped structure (paper: small range 16 / big 10K)?
@@ -88,9 +84,7 @@ impl fmt::Display for Ds {
             Ds::EFRBTree => "efrbtree",
             Ds::BonsaiTree => "bonsai",
             Ds::Stack => "stack",
-            Ds::ElimStack => "elimstack",
             Ds::Queue => "queue",
-            Ds::OptQueue => "optqueue",
         };
         f.write_str(s)
     }
@@ -108,9 +102,7 @@ impl FromStr for Ds {
             "efrbtree" => Ok(Ds::EFRBTree),
             "bonsai" => Ok(Ds::BonsaiTree),
             "stack" => Ok(Ds::Stack),
-            "elimstack" => Ok(Ds::ElimStack),
             "queue" => Ok(Ds::Queue),
-            "optqueue" => Ok(Ds::OptQueue),
             _ => Err(format!("unknown data structure: {s}")),
         }
     }

@@ -275,15 +275,13 @@ pub fn applicable(ds: Ds, scheme: Scheme) -> bool {
         // CDRC implemented for the list-shaped structures (the paper also
         // omits the RC trees).
         (Ds::SkipList | Ds::NMTree | Ds::EFRBTree | Ds::BonsaiTree, Scheme::Rc) => false,
-        // Bags: the stacks are HP-family only; MSQueue additionally has a
-        // guarded flavor; the optimistic queue is guarded-only (its lazy
-        // prev repair needs whole-structure protection).
-        (Ds::Stack | Ds::ElimStack, s) => matches!(s, Scheme::Hp | Scheme::Hpp),
+        // Bags: the stack is HP-family only; MSQueue additionally has a
+        // guarded flavor.
+        (Ds::Stack, s) => matches!(s, Scheme::Hp | Scheme::Hpp),
         (Ds::Queue, s) => matches!(
             s,
             Scheme::Hp | Scheme::Nr | Scheme::Ebr | Scheme::Pebr | Scheme::Hyaline
         ),
-        (Ds::OptQueue, s) => matches!(s, Scheme::Nr | Scheme::Ebr | Scheme::Pebr | Scheme::Hyaline),
         _ => true,
     }
 }
@@ -370,11 +368,6 @@ pub fn run(sc: &Scenario) -> Option<Stats> {
             Scheme::Hpp => Some(run_map::<BagMap<hpp::TreiberStack<u64>>>(sc)),
             _ => None,
         },
-        Ds::ElimStack => match sc.scheme {
-            Scheme::Hp => Some(run_map::<BagMap<dshp::ElimStack<u64>>>(sc)),
-            Scheme::Hpp => Some(run_map::<BagMap<hpp::ElimStack<u64>>>(sc)),
-            _ => None,
-        },
         Ds::Queue => match sc.scheme {
             Scheme::Hp => Some(run_map::<BagMap<dshp::MSQueue<u64>>>(sc)),
             Scheme::Nr => Some(run_map::<BagMap<guarded::MSQueue<u64, nr::Nr>>>(sc)),
@@ -382,15 +375,6 @@ pub fn run(sc: &Scenario) -> Option<Stats> {
             Scheme::Pebr => Some(run_map::<BagMap<guarded::MSQueue<u64, pebr::Pebr>>>(sc)),
             Scheme::Hyaline => {
                 Some(run_map::<BagMap<guarded::MSQueue<u64, hyaline::Hyaline>>>(sc))
-            }
-            _ => None,
-        },
-        Ds::OptQueue => match sc.scheme {
-            Scheme::Nr => Some(run_map::<BagMap<guarded::OptQueue<u64, nr::Nr>>>(sc)),
-            Scheme::Ebr => Some(run_map::<BagMap<guarded::OptQueue<u64, ebr::Ebr>>>(sc)),
-            Scheme::Pebr => Some(run_map::<BagMap<guarded::OptQueue<u64, pebr::Pebr>>>(sc)),
-            Scheme::Hyaline => {
-                Some(run_map::<BagMap<guarded::OptQueue<u64, hyaline::Hyaline>>>(sc))
             }
             _ => None,
         },
@@ -431,15 +415,13 @@ mod tests {
         assert!(Ds::ALL.iter().all(|&ds| applicable(ds, Scheme::Hpp)));
     }
 
-    /// The bag structures have their own applicability rules: stacks are
-    /// HP-family only, MSQueue adds the guarded schemes, and the optimistic
-    /// queue is guarded-only.
+    /// The bag structures have their own applicability rules: the stack is
+    /// HP-family only, MSQueue adds the guarded schemes.
     #[test]
     fn bag_applicability_rules() {
         for scheme in Scheme::ALL {
             let stackish = matches!(scheme, Scheme::Hp | Scheme::Hpp);
             assert_eq!(applicable(Ds::Stack, scheme), stackish);
-            assert_eq!(applicable(Ds::ElimStack, scheme), stackish);
             assert_eq!(
                 applicable(Ds::Queue, scheme),
                 matches!(
@@ -447,21 +429,14 @@ mod tests {
                     Scheme::Hp | Scheme::Nr | Scheme::Ebr | Scheme::Pebr | Scheme::Hyaline
                 )
             );
-            assert_eq!(
-                applicable(Ds::OptQueue, scheme),
-                matches!(
-                    scheme,
-                    Scheme::Nr | Scheme::Ebr | Scheme::Pebr | Scheme::Hyaline
-                )
-            );
         }
     }
 
-    /// Bag smoke runs: drive an elimination stack and the optimistic queue
-    /// through the standard workload engine under a write-heavy mix.
+    /// Bag smoke runs: drive a stack and a queue through the standard
+    /// workload engine under a write-heavy mix.
     #[test]
     fn bag_smoke_runs() {
-        for (ds, scheme) in [(Ds::ElimStack, Scheme::Hp), (Ds::OptQueue, Scheme::Ebr)] {
+        for (ds, scheme) in [(Ds::Stack, Scheme::Hp), (Ds::Queue, Scheme::Ebr)] {
             let sc = Scenario {
                 ds,
                 scheme,

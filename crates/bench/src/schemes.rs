@@ -14,9 +14,8 @@ use smr_common::GuardedScheme;
 
 use crate::config::Scheme;
 
-/// Schemes carrying a `PolicySlot`, i.e. the `SMR_POLICY` /
-/// `SMR_POLICY_*` env latch applies to them: the fig12 policy-ablation
-/// rows.
+/// Schemes carrying a `PolicySlot`, i.e. the `SMR_POLICY` env latch
+/// applies to them: the fig12 policy-ablation rows.
 pub const POLICY: [Scheme; 5] = [
     Scheme::Hp,
     Scheme::Hpp,

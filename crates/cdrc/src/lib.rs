@@ -167,6 +167,12 @@ mod tests {
         fn edges(&self, _out: &mut Vec<Shared<Counted<Self>>>) {}
     }
 
+    /// `DROPS` is shared: the tests asserting its deltas run one at a time.
+    fn drops_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn flush(h: &mut LocalHandle) {
         for _ in 0..4 {
             let g = h.pin();
@@ -177,6 +183,7 @@ mod tests {
 
     #[test]
     fn count_reaches_zero_destroys() {
+        let _serial = drops_lock();
         let c: &'static ebr::Collector = Box::leak(Box::new(ebr::Collector::new()));
         let mut h = c.register();
         let before = DROPS.load(Relaxed);
@@ -191,6 +198,7 @@ mod tests {
 
     #[test]
     fn extra_reference_keeps_alive() {
+        let _serial = drops_lock();
         let c: &'static ebr::Collector = Box::leak(Box::new(ebr::Collector::new()));
         let mut h = c.register();
         let before = DROPS.load(Relaxed);

@@ -9,8 +9,7 @@
 //! while still exercising the contended ends.
 //!
 //! Keys drawn by the sampler are uninterpreted payload here; contention is
-//! structural (every operation hits the head/tail words), which is exactly
-//! what the elimination and optimistic variants are designed to relieve.
+//! structural: every operation hits the head/tail words.
 
 use smr_common::{ConcurrentMap, GuardedScheme};
 
@@ -56,26 +55,6 @@ impl<T: Send> ConcurrentBag<T> for dshp::TreiberStack<T> {
     }
 }
 
-impl<T: Send> ConcurrentBag<T> for dshp::ElimStack<T> {
-    type Handle = dshp::StackHandle;
-
-    fn new() -> Self {
-        dshp::ElimStack::new()
-    }
-
-    fn handle(&self) -> dshp::StackHandle {
-        dshp::ElimStack::<T>::handle(self)
-    }
-
-    fn add(&self, _handle: &mut dshp::StackHandle, value: T) {
-        self.push(value);
-    }
-
-    fn take(&self, handle: &mut dshp::StackHandle) -> Option<T> {
-        self.pop(handle)
-    }
-}
-
 impl<T: Send> ConcurrentBag<T> for hpp::TreiberStack<T> {
     type Handle = hpp::StackHandle;
 
@@ -85,26 +64,6 @@ impl<T: Send> ConcurrentBag<T> for hpp::TreiberStack<T> {
 
     fn handle(&self) -> hpp::StackHandle {
         hpp::TreiberStack::<T>::handle(self)
-    }
-
-    fn add(&self, _handle: &mut hpp::StackHandle, value: T) {
-        self.push(value);
-    }
-
-    fn take(&self, handle: &mut hpp::StackHandle) -> Option<T> {
-        self.pop(handle)
-    }
-}
-
-impl<T: Send> ConcurrentBag<T> for hpp::ElimStack<T> {
-    type Handle = hpp::StackHandle;
-
-    fn new() -> Self {
-        hpp::ElimStack::new()
-    }
-
-    fn handle(&self) -> hpp::StackHandle {
-        hpp::ElimStack::<T>::handle(self)
     }
 
     fn add(&self, _handle: &mut hpp::StackHandle, value: T) {
@@ -141,26 +100,6 @@ impl<T: Send, S: GuardedScheme> ConcurrentBag<T> for guarded::MSQueue<T, S> {
 
     fn new() -> Self {
         guarded::MSQueue::new()
-    }
-
-    fn handle(&self) -> S::Handle {
-        S::handle()
-    }
-
-    fn add(&self, handle: &mut S::Handle, value: T) {
-        self.enqueue(handle, value);
-    }
-
-    fn take(&self, handle: &mut S::Handle) -> Option<T> {
-        self.dequeue(handle)
-    }
-}
-
-impl<T: Send, S: GuardedScheme> ConcurrentBag<T> for guarded::OptQueue<T, S> {
-    type Handle = S::Handle;
-
-    fn new() -> Self {
-        guarded::OptQueue::new()
     }
 
     fn handle(&self) -> S::Handle {
@@ -235,13 +174,9 @@ mod tests {
     #[test]
     fn map_adapter_over_every_bag() {
         exercise::<dshp::TreiberStack<u64>>();
-        exercise::<dshp::ElimStack<u64>>();
         exercise::<hpp::TreiberStack<u64>>();
-        exercise::<hpp::ElimStack<u64>>();
         exercise::<dshp::MSQueue<u64>>();
         exercise::<guarded::MSQueue<u64, ebr::Ebr>>();
-        exercise::<guarded::OptQueue<u64, ebr::Ebr>>();
         exercise::<guarded::MSQueue<u64, nr::Nr>>();
-        exercise::<guarded::OptQueue<u64, pebr::Pebr>>();
     }
 }

@@ -11,7 +11,6 @@ mod bonsai;
 mod efrb_tree;
 mod hhs_list;
 pub(crate) mod nm_tree;
-mod opt_queue;
 mod queue;
 mod skip_list;
 mod hm_list;
@@ -22,6 +21,5 @@ pub use efrb_tree::EFRBTree;
 pub use hhs_list::HHSList;
 pub use hm_list::HMList;
 pub use nm_tree::NMTree;
-pub use opt_queue::OptQueue;
 pub use queue::MSQueue;
 pub use skip_list::{SkipList, MAX_HEIGHT};

@@ -231,7 +231,9 @@ where
             debug_assert!(!node.is_leaf(), "chain nodes are internal");
             let lw = node.left.load(Relaxed);
             let rw = node.right.load(Relaxed);
-            let (pendant, continue_w) = if lw.tag() & FLAG != 0 {
+            // Both edges of the last chain node may be flagged (sibling
+            // deletes): the pendant is the flagged one that is not promoted.
+            let (pendant, continue_w) = if lw.tag() & FLAG != 0 && !lw.ptr_eq(promoted) {
                 (lw, rw)
             } else {
                 debug_assert!(rw.tag() & FLAG != 0, "chain node lacks flagged edge");

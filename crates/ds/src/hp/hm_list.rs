@@ -266,10 +266,9 @@ mod tests {
     #[test]
     fn heavy_churn_reclaims_memory() {
         // Insert/remove churn far beyond the reclamation threshold; the
-        // global garbage level must stay bounded (robustness of HP).
+        // thread's retired bag must stay bounded (robustness of HP).
         let m: HMList<u64, u64> = HMList::new();
         let mut h = ConcurrentMap::handle(&m);
-        let before = smr_common::counters::garbage_now();
         for round in 0..200u64 {
             for k in 0..10 {
                 ConcurrentMap::insert(&m, &mut h, k, round);
@@ -278,10 +277,12 @@ mod tests {
                 ConcurrentMap::remove(&m, &mut h, &k);
             }
         }
-        let after = smr_common::counters::garbage_now();
+        // The handle's own count: the process-global counters also move
+        // with every sibling test running in parallel.
+        let garbage = h.thread.retired_count() as u64;
         assert!(
-            after.saturating_sub(before) < 2 * hp::RECLAIM_THRESHOLD as u64 + 64,
-            "garbage grew unboundedly: {before} -> {after}"
+            garbage < 2 * hp::RECLAIM_THRESHOLD as u64 + 64,
+            "garbage grew unboundedly: {garbage}"
         );
     }
 }

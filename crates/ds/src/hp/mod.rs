@@ -20,7 +20,7 @@ pub type HashMap<K, V> = crate::hash_map::HashMap<K, V, HMList<K, V>>;
 pub use bonsai::{BonsaiTree, Handle as BonsaiHandle};
 pub use hm_list::{Handle as HMListHandle, HMList};
 pub use queue::{MSQueue, QueueHandle};
-pub use stack::{ElimStack, StackHandle, TreiberStack};
+pub use stack::{StackHandle, TreiberStack};
 
 /// Skiplist protected by the original HP (careful, restarting traversal).
 pub type SkipList<K, V> = skip_list::SkipList<K, V, ::hp::Thread>;

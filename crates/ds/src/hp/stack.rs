@@ -1,19 +1,14 @@
-//! Treiber's stack with hazard pointers — the paper's Figure 2 — plus the
-//! elimination-array variant ([`ElimStack`]).
+//! Treiber's stack with hazard pointers — the paper's Figure 2.
 //!
 //! `pop` protects the head node and validates by re-reading `head` (a
 //! proper over-approximation of reachability: if the node were retired it
-//! could no longer be the head). Both variants damp CAS retry storms with
-//! [`smr_common::Backoff`]; the elimination variant additionally diverts
-//! colliding push/pop pairs through [`crate::elim::ExchangerArray`] so
-//! they cancel without touching the head at all.
+//! could no longer be the head). CAS retry storms are damped with
+//! [`smr_common::Backoff`].
 
 use std::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed};
 
 use hp::HazardPointer;
 use smr_common::{Atomic, Backoff, Shared};
-
-use crate::elim::ExchangerArray;
 
 struct Node<T> {
     next: Atomic<Node<T>>,
@@ -131,115 +126,6 @@ impl<T> Drop for TreiberStack<T> {
     }
 }
 
-/// Treiber stack + elimination array (Hendler, Shavit & Yerushalmi 2004).
-///
-/// Operations first try the stack head once; on CAS failure they visit the
-/// [`ExchangerArray`], where a colliding push/pop pair cancels without ever
-/// touching the head. Exchanged nodes never become reachable from the
-/// structure, so the popper frees them directly — no hazard pointer and no
-/// retirement on the elimination path.
-pub struct ElimStack<T> {
-    stack: TreiberStack<T>,
-    elim: ExchangerArray<Node<T>>,
-}
-
-unsafe impl<T: Send + Sync> Send for ElimStack<T> {}
-unsafe impl<T: Send + Sync> Sync for ElimStack<T> {}
-
-impl<T> ElimStack<T> {
-    /// Creates an empty stack.
-    pub fn new() -> Self {
-        Self {
-            stack: TreiberStack::new(),
-            elim: ExchangerArray::new(),
-        }
-    }
-
-    /// Creates a per-thread handle (same state as the plain stack's).
-    pub fn handle(&self) -> StackHandle {
-        StackHandle::new()
-    }
-
-    /// Pushes a value, eliminating against a concurrent pop when contended.
-    pub fn push(&self, value: T) {
-        let node = Shared::from_owned(Node {
-            next: Atomic::null(),
-            value: Some(value),
-        });
-        let raw = node.as_raw();
-        let mut backoff = Backoff::new();
-        loop {
-            // Fast path: one shot at the stack head.
-            let head = self.stack.head.load(Relaxed);
-            unsafe { node.deref() }.next.store(head, Relaxed);
-            if self
-                .stack
-                .head
-                .compare_exchange(head, node, AcqRel, Acquire)
-                .is_ok()
-            {
-                return;
-            }
-            backoff.cas_failed();
-            // Contended: offer the node to a concurrent pop instead.
-            if unsafe { self.elim.try_push(raw, &mut backoff) } {
-                return;
-            }
-        }
-    }
-
-    /// Pops the top value, eliminating against a concurrent push when
-    /// contended.
-    pub fn pop(&self, handle: &mut StackHandle) -> Option<T>
-    where
-        T: Send,
-    {
-        let mut backoff = Backoff::new();
-        loop {
-            let h = handle.hp.protect(&self.stack.head);
-            if h.is_null() {
-                // Empty stack: a waiting pusher may still serve us.
-                if let Some(node) = self.elim.try_pop(&mut backoff) {
-                    let mut node = unsafe { Box::from_raw(node) };
-                    return node.value.take();
-                }
-                return None;
-            }
-            let next = unsafe { h.deref() }.next.load(Acquire);
-            if self
-                .stack
-                .head
-                .compare_exchange(h, next, AcqRel, Acquire)
-                .is_ok()
-            {
-                let value = unsafe { (*h.as_raw()).value.take() };
-                handle.hp.reset();
-                unsafe { handle.thread.retire(h.as_raw()) };
-                return value;
-            }
-            backoff.cas_failed();
-            // Contended: try to cancel against a concurrent push. The node
-            // never entered the stack, so it is freed directly.
-            if let Some(node) = self.elim.try_pop(&mut backoff) {
-                handle.hp.reset();
-                let mut node = unsafe { Box::from_raw(node) };
-                return node.value.take();
-            }
-        }
-    }
-
-    /// Whether the stack is (momentarily) empty.
-    pub fn is_empty(&self) -> bool {
-        self.stack.is_empty()
-    }
-}
-
-impl<T> Default for ElimStack<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,99 +147,6 @@ mod tests {
     #[test]
     fn concurrent_push_pop_conserves_sum() {
         let s = TreiberStack::new();
-        let popped_sum = AtomicU64::new(0);
-        let pushed_sum = AtomicU64::new(0);
-        std::thread::scope(|scope| {
-            for t in 0..4u64 {
-                let s = &s;
-                let pushed_sum = &pushed_sum;
-                scope.spawn(move || {
-                    for i in 0..1000 {
-                        let v = t * 10_000 + i;
-                        s.push(v);
-                        pushed_sum.fetch_add(v, R);
-                    }
-                });
-            }
-            for _ in 0..4 {
-                let s = &s;
-                let popped_sum = &popped_sum;
-                scope.spawn(move || {
-                    let mut h = s.handle();
-                    let mut got = 0;
-                    while got < 1000 {
-                        if let Some(v) = s.pop(&mut h) {
-                            popped_sum.fetch_add(v, R);
-                            got += 1;
-                        }
-                    }
-                });
-            }
-        });
-        assert_eq!(popped_sum.load(R), pushed_sum.load(R));
-        let mut h = s.handle();
-        assert_eq!(s.pop(&mut h), None);
-    }
-
-    #[test]
-    fn elim_stack_lifo_and_empty() {
-        let s = ElimStack::new();
-        let mut h = s.handle();
-        for i in 0..10 {
-            s.push(i);
-        }
-        for i in (0..10).rev() {
-            assert_eq!(s.pop(&mut h), Some(i));
-        }
-        assert_eq!(s.pop(&mut h), None);
-        assert!(s.is_empty());
-    }
-
-    /// A push/pop pair cancels through the exchanger without the stack head
-    /// ever changing: the pusher offers its node straight to the elimination
-    /// array and the popper takes it from there, while `head` stays null
-    /// throughout.
-    #[test]
-    fn elimination_pair_cancels_without_touching_head() {
-        let s: ElimStack<u64> = ElimStack::new();
-        let got = AtomicU64::new(0);
-        std::thread::scope(|scope| {
-            let s = &s;
-            let got = &got;
-            scope.spawn(move || {
-                let mut bo = smr_common::Backoff::with_config(Default::default(), 5);
-                loop {
-                    let node = Box::into_raw(Box::new(Node {
-                        next: Atomic::null(),
-                        value: Some(99u64),
-                    }));
-                    if unsafe { s.elim.try_push(node, &mut bo) } {
-                        return;
-                    }
-                    drop(unsafe { Box::from_raw(node) });
-                    bo.snooze();
-                }
-            });
-            scope.spawn(move || {
-                let mut h = s.handle();
-                loop {
-                    if let Some(v) = s.pop(&mut h) {
-                        got.store(v, R);
-                        return;
-                    }
-                    std::thread::yield_now();
-                }
-            });
-        });
-        assert_eq!(got.load(R), 99);
-        // The node travelled pusher -> exchanger -> popper; the stack's head
-        // was never installed-to or CASed away from null.
-        assert!(s.stack.head.load(Relaxed).is_null());
-    }
-
-    #[test]
-    fn elim_concurrent_push_pop_conserves_sum() {
-        let s = ElimStack::new();
         let popped_sum = AtomicU64::new(0);
         let pushed_sum = AtomicU64::new(0);
         std::thread::scope(|scope| {

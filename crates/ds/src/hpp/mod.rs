@@ -17,7 +17,7 @@ pub use bonsai::{BonsaiTree, Handle as BonsaiHandle};
 pub use hhs_list::HHSList;
 pub use hm_list::HMList;
 pub use nm_tree::{Handle as NMTreeHandle, NMTree};
-pub use stack::{ElimStack, StackHandle, TreiberStack};
+pub use stack::{StackHandle, TreiberStack};
 
 use hp_plus::{HazardPointer, Invalidate};
 use smr_common::tagged::{TAG_DELETED, TAG_INVALIDATED};

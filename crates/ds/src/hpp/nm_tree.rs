@@ -233,7 +233,10 @@ where
                             let node = unsafe { m.deref() };
                             let lw = node.left.load(Relaxed);
                             let rw = node.right.load(Relaxed);
-                            if lw.tag() & FLAG != 0 {
+                            // Both edges of the last chain node may be
+                            // flagged (sibling deletes): the pendant is the
+                            // flagged one that is not promoted.
+                            if lw.tag() & FLAG != 0 && !lw.ptr_eq(promoted) {
                                 (lw, rw)
                             } else {
                                 (rw, lw)
@@ -451,7 +454,6 @@ mod tests {
     fn heavy_churn_bounded_garbage() {
         let m: NMTree<u64, u64> = NMTree::new();
         let mut h = ConcurrentMap::handle(&m);
-        let before = smr_common::counters::garbage_now();
         for round in 0..300u64 {
             for k in 0..10 {
                 ConcurrentMap::insert(&m, &mut h, k, round);
@@ -460,10 +462,12 @@ mod tests {
                 ConcurrentMap::remove(&m, &mut h, &k);
             }
         }
-        let after = smr_common::counters::garbage_now();
+        // The handle's own count: the process-global counters also move
+        // with every sibling test running in parallel.
+        let garbage = h.thread.garbage_count() as u64;
         assert!(
-            after.saturating_sub(before) < 4 * hp_plus::RECLAIM_PERIOD as u64 + 256,
-            "garbage grew unboundedly: {before} -> {after}"
+            garbage < 4 * hp_plus::RECLAIM_PERIOD as u64 + 256,
+            "garbage grew unboundedly: {garbage}"
         );
     }
 }

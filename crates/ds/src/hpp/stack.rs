@@ -1,13 +1,9 @@
-//! Treiber's stack under HP++ — the smallest complete `try_unlink` client —
-//! plus its elimination-array variant ([`ElimStack`]).
+//! Treiber's stack under HP++ — the smallest complete `try_unlink` client.
 //!
 //! A popped head node's frontier is its successor (the new head): it is
 //! reachable by one link from the unlinked node and is not itself
 //! unlinked. Head nodes are immutable once pushed (Assumption 1 holds for
-//! free, §4.2). CAS retry loops back off via [`smr_common::Backoff`]; the
-//! elimination variant diverts colliding push/pop pairs through
-//! [`crate::elim::ExchangerArray`]. Eliminated nodes never become reachable,
-//! so the exchange needs neither `try_protect` nor `try_unlink`.
+//! free, §4.2). CAS retry loops back off via [`smr_common::Backoff`].
 
 use std::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed, Release};
 
@@ -15,9 +11,7 @@ use hp_plus::{try_protect, HazardPointer, Invalidate, Unlinked};
 use smr_common::tagged::TAG_INVALIDATED;
 use smr_common::{Atomic, Backoff, Shared};
 
-use crate::elim::ExchangerArray;
-
-pub(crate) struct Node<T> {
+struct Node<T> {
     next: Atomic<Node<T>>,
     value: Option<T>,
 }
@@ -153,124 +147,6 @@ impl<T> Drop for TreiberStack<T> {
     }
 }
 
-/// HP++ Treiber stack + elimination array.
-///
-/// Same protocol as [`crate::hp::ElimStack`]: on a failed head CAS the
-/// operation visits the exchanger, where a colliding push/pop pair cancels
-/// without touching the head. An eliminated node was never reachable from
-/// the stack, so its handoff bypasses HP++ entirely — no `try_protect`, no
-/// `try_unlink`, no invalidation mark; the popper frees it directly.
-pub struct ElimStack<T> {
-    stack: TreiberStack<T>,
-    elim: ExchangerArray<Node<T>>,
-}
-
-unsafe impl<T: Send + Sync> Send for ElimStack<T> {}
-unsafe impl<T: Send + Sync> Sync for ElimStack<T> {}
-
-impl<T> ElimStack<T> {
-    /// Creates an empty stack.
-    pub fn new() -> Self {
-        Self {
-            stack: TreiberStack::new(),
-            elim: ExchangerArray::new(),
-        }
-    }
-
-    /// Creates a per-thread handle (same state as the plain stack's).
-    pub fn handle(&self) -> StackHandle {
-        StackHandle::new()
-    }
-
-    /// Pushes a value, eliminating against a concurrent pop when contended.
-    pub fn push(&self, value: T) {
-        let node = Shared::from_owned(Node {
-            next: Atomic::null(),
-            value: Some(value),
-        });
-        let raw = node.as_raw();
-        let mut backoff = Backoff::new();
-        loop {
-            let head = self.stack.head.load(Relaxed);
-            unsafe { node.deref() }.next.store(head, Relaxed);
-            if self
-                .stack
-                .head
-                .compare_exchange(head, node, AcqRel, Acquire)
-                .is_ok()
-            {
-                return;
-            }
-            backoff.cas_failed();
-            if unsafe { self.elim.try_push(raw, &mut backoff) } {
-                return;
-            }
-        }
-    }
-
-    /// Pops the top value, eliminating against a concurrent push when
-    /// contended.
-    pub fn pop(&self, handle: &mut StackHandle) -> Option<T>
-    where
-        T: Send,
-    {
-        let mut backoff = Backoff::new();
-        loop {
-            let mut h = self.stack.head.load(Acquire).with_tag(0);
-            if h.is_null() {
-                // Empty stack: a waiting pusher may still serve us.
-                if let Some(node) = self.elim.try_pop(&mut backoff) {
-                    let mut node = unsafe { Box::from_raw(node) };
-                    return node.value.take();
-                }
-                return None;
-            }
-            if !try_protect(&handle.hp, &mut h, &self.stack.head, || false) {
-                backoff.cas_failed();
-                if let Some(node) = self.elim.try_pop(&mut backoff) {
-                    let mut node = unsafe { Box::from_raw(node) };
-                    return node.value.take();
-                }
-                continue;
-            }
-            if h.is_null() {
-                return None;
-            }
-            let next = unsafe { h.deref() }.next.load(Acquire).with_tag(0);
-            let head = &self.stack.head;
-            let unlinked = unsafe {
-                handle.thread.try_unlink(&[next], || {
-                    head.compare_exchange(h, next, AcqRel, Acquire)
-                        .ok()
-                        .map(|_| Unlinked::single(h))
-                })
-            };
-            if unlinked {
-                let value = unsafe { (*h.as_raw()).value.take() };
-                handle.hp.reset();
-                return value;
-            }
-            backoff.cas_failed();
-            if let Some(node) = self.elim.try_pop(&mut backoff) {
-                handle.hp.reset();
-                let mut node = unsafe { Box::from_raw(node) };
-                return node.value.take();
-            }
-        }
-    }
-
-    /// Whether the stack is (momentarily) empty.
-    pub fn is_empty(&self) -> bool {
-        self.stack.is_empty()
-    }
-}
-
-impl<T> Default for ElimStack<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -328,7 +204,6 @@ mod tests {
     fn garbage_stays_bounded() {
         let s = TreiberStack::new();
         let mut h = s.handle();
-        let before = smr_common::counters::garbage_now();
         for round in 0..400u64 {
             for i in 0..8 {
                 s.push(round * 8 + i);
@@ -337,53 +212,9 @@ mod tests {
                 s.pop(&mut h);
             }
         }
-        let grown = smr_common::counters::garbage_now().saturating_sub(before);
+        // The handle's own count: the process-global counters also move
+        // with every sibling test running in parallel.
+        let grown = h.thread.garbage_count() as u64;
         assert!(grown < 2 * hp_plus::RECLAIM_PERIOD as u64 + 64, "grew {grown}");
-    }
-
-    #[test]
-    fn elim_stack_lifo_and_concurrent_sum() {
-        let s = ElimStack::new();
-        let mut h = s.handle();
-        for i in 0..10 {
-            s.push(i);
-        }
-        for i in (0..10).rev() {
-            assert_eq!(s.pop(&mut h), Some(i));
-        }
-        assert_eq!(s.pop(&mut h), None);
-
-        let popped_sum = AtomicU64::new(0);
-        let pushed_sum = AtomicU64::new(0);
-        std::thread::scope(|scope| {
-            for t in 0..2u64 {
-                let s = &s;
-                let pushed_sum = &pushed_sum;
-                scope.spawn(move || {
-                    for i in 0..1000 {
-                        let v = t * 10_000 + i;
-                        s.push(v);
-                        pushed_sum.fetch_add(v, R);
-                    }
-                });
-            }
-            for _ in 0..2 {
-                let s = &s;
-                let popped_sum = &popped_sum;
-                scope.spawn(move || {
-                    let mut h = s.handle();
-                    let mut got = 0;
-                    while got < 1000 {
-                        if let Some(v) = s.pop(&mut h) {
-                            popped_sum.fetch_add(v, R);
-                            got += 1;
-                        }
-                    }
-                });
-            }
-        });
-        assert_eq!(popped_sum.load(R), pushed_sum.load(R));
-        let mut h = s.handle();
-        assert_eq!(s.pop(&mut h), None);
     }
 }

@@ -23,9 +23,7 @@
 //! | `EFRBTree` (Ellen et al.) | ✓ | ✓ | ✓ (hybrid) | — |
 //! | `BonsaiTree` (COW path-copy) | ✓ | ✓ | ✓ | — |
 //! | `TreiberStack` | — | ✓ | ✓ | — |
-//! | `ElimStack` (Treiber + elimination) | — | ✓ | ✓ | — |
 //! | `MSQueue` | ✓ | ✓ | — | — |
-//! | `OptQueue` (Ladan-Mozes–Shavit) | ✓ | — | — | — |
 //!
 //! The missing cells are the paper's inapplicability results: HP cannot
 //! protect optimistic traversal (HHSList, NMTree — §2.3), and the paper
@@ -42,7 +40,6 @@
 pub mod bag;
 pub(crate) mod bonsai_core;
 pub mod cdrc;
-pub(crate) mod elim;
 pub mod guarded;
 pub mod hash_map;
 pub mod hp_family;

@@ -106,6 +106,12 @@ mod tests {
         }
     }
 
+    /// `DROPS` is shared: tests asserting its deltas run one at a time.
+    fn drops_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn retired_canary() -> Retired {
         smr_common::counters::incr_garbage(1);
         unsafe { Retired::new(Box::into_raw(Box::new(Canary))) }
@@ -113,6 +119,7 @@ mod tests {
 
     #[test]
     fn nothing_frees_before_epoch_plus_two() {
+        let _serial = drops_lock();
         let drops0 = DROPS.load(Relaxed);
         let mut bags = GenBags::new();
         bags.push(5, retired_canary());
@@ -130,6 +137,7 @@ mod tests {
 
     #[test]
     fn push_evicts_only_expired_generations() {
+        let _serial = drops_lock();
         let drops0 = DROPS.load(Relaxed);
         let mut bags = GenBags::new();
         // Three consecutive generations occupy the whole ring.
@@ -154,6 +162,7 @@ mod tests {
 
     #[test]
     fn drain_preserves_stamps() {
+        let _serial = drops_lock();
         let mut bags = GenBags::new();
         bags.push(7, retired_canary());
         bags.push(8, retired_canary());

@@ -25,7 +25,7 @@ use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
-use smr_common::policy::{PolicySlot, ReclaimPolicy, Verdict};
+use smr_common::policy::{Policy, PolicySlot, Verdict};
 use smr_common::registry::{Node, Registry};
 use smr_common::{counters, fence as smr_fence, CachePadded, Retired};
 
@@ -62,13 +62,6 @@ pub fn legacy_trigger() -> smr_common::policy::Capped {
         k: COLLECT_K,
         period: 0,
     }
-}
-
-/// The env-selected default policy (`SMR_POLICY*` refining
-/// [`legacy_trigger`]); with no policy env vars this is `Capped` with the
-/// legacy parameters — bit-identical trigger decisions.
-pub(crate) fn default_policy() -> Arc<dyn ReclaimPolicy> {
-    smr_common::policy::PolicyConfig::from_env().build(legacy_trigger())
 }
 
 /// Per-participant epoch state. `state` packs `(epoch << 1) | pinned`.
@@ -126,14 +119,14 @@ impl Collector {
             registry: Registry::new(),
             orphans: Mutex::new(Vec::new()),
             orphan_count: AtomicUsize::new(0),
-            policy: PolicySlot::new(),
+            policy: PolicySlot::new(legacy_trigger),
         }
     }
 
     /// Installs the collection-trigger policy (must run before the
     /// collector's first deferred destroy; the slot latches). Returns
     /// `false` if a policy was already installed.
-    pub fn set_policy(&self, policy: Arc<dyn ReclaimPolicy>) -> bool {
+    pub fn set_policy(&self, policy: Arc<Policy>) -> bool {
         self.policy.install(policy)
     }
 
@@ -141,10 +134,6 @@ impl Collector {
     /// the others ignore it).
     pub fn report_verdict(&self, verdict: Verdict) {
         self.policy.report_verdict(verdict);
-    }
-
-    pub(crate) fn policy_slot(&self) -> &PolicySlot {
-        &self.policy
     }
 
     /// Registers the current thread, returning its local handle.
@@ -159,7 +148,6 @@ impl Collector {
             record: self.registry.insert(Participant::new()),
             bags: GenBags::new(),
             guard_live: false,
-            last_collect_ns: 0,
         }
     }
 
@@ -204,10 +192,14 @@ impl Collector {
             },
             |node| {
                 counters::incr_garbage(1);
+                // Stamped with the epoch *now*, not `e`: a traverser that
+                // pinned at `e + 1` after `e` was read may be parked on this
+                // node, and nothing pinned at `e + 1` holds back `e + 2`.
+                let stamp = self.epoch.load(Ordering::Relaxed);
                 // Safety: the node came from `Box::into_raw` in
                 // `Registry::insert`, and `traverse` hands each unlinked
                 // node out exactly once.
-                bags.push(e, unsafe { Retired::new(node) });
+                bags.push(stamp, unsafe { Retired::new(node) });
             },
         );
         if !all_observed {
@@ -279,9 +271,6 @@ pub struct LocalHandle {
     /// Epoch-stamped local garbage in sealed generation bags.
     pub(crate) bags: GenBags,
     pub(crate) guard_live: bool,
-    /// When this thread last ran a collection (mono ns; only maintained
-    /// when the installed policy wants time, else stays 0).
-    pub(crate) last_collect_ns: u64,
 }
 
 // The handle is only a registration token plus thread-local garbage; the
@@ -341,22 +330,8 @@ impl LocalHandle {
     /// Asks the collector's trigger policy whether a deferred destroy
     /// should attempt a collection now.
     pub(crate) fn should_collect(&self) -> bool {
-        use smr_common::policy::{self, Decision, RetireStats};
-        let slot = self.global.policy_slot();
-        let policy = slot.get_or_init(default_policy);
-        let since_scan_ns = if policy.wants_time() {
-            smr_common::time::mono_ns().saturating_sub(self.last_collect_ns)
-        } else {
-            0
-        };
-        let stats = RetireStats {
-            retired: self.bags.len(),
-            slots: self.global.registry.live(),
-            ops: 0,
-            since_scan_ns,
-            verdict: slot.verdict(),
-        };
-        policy::decide(policy, &stats) == Decision::Reclaim
+        let live = self.global.registry.live();
+        self.global.policy.should_reclaim(self.bags.len(), live, 0)
     }
 
     /// Attempts an epoch advance and frees everything eligible.
@@ -379,10 +354,6 @@ impl LocalHandle {
         smr_common::fault_point!("ebr::collect::after_adopt");
         let global_epoch = self.global.try_advance(&mut self.bags);
         self.bags.collect_expired(global_epoch);
-        let slot = self.global.policy_slot();
-        if slot.get_or_init(default_policy).wants_time() {
-            self.last_collect_ns = smr_common::time::mono_ns();
-        }
     }
 }
 

@@ -4,7 +4,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use smr_common::fence;
-use smr_common::policy::{PolicySlot, ReclaimPolicy, Verdict};
+use smr_common::policy::{Policy, PolicySlot, Verdict};
 
 use crate::thread::Thread;
 
@@ -17,7 +17,7 @@ pub struct Domain {
     pub(crate) fence_epoch: AtomicU64,
     /// Trigger policy for the unlink→reclaim cadence (the inner HP domain
     /// carries its own slot for the plain-retire path).
-    unlink_policy: PolicySlot,
+    pub(crate) unlink_policy: PolicySlot,
 }
 
 impl Default for Domain {
@@ -32,7 +32,7 @@ impl Domain {
         Self {
             hp: hp::Domain::new(),
             fence_epoch: AtomicU64::new(0),
-            unlink_policy: PolicySlot::new(),
+            unlink_policy: PolicySlot::new(crate::legacy_unlink_trigger),
         }
     }
 
@@ -40,13 +40,13 @@ impl Domain {
     /// domain's first unlink; the slot latches). Unset, the domain lazily
     /// builds the env-selected default over
     /// [`legacy_unlink_trigger`](crate::legacy_unlink_trigger).
-    pub fn set_unlink_policy(&self, policy: Arc<dyn ReclaimPolicy>) -> bool {
+    pub fn set_unlink_policy(&self, policy: Arc<Policy>) -> bool {
         self.unlink_policy.install(policy)
     }
 
     /// Installs the plain-retire policy on the inner HP domain (hybrid-use
     /// retirements, §4.2).
-    pub fn set_retire_policy(&self, policy: Arc<dyn ReclaimPolicy>) -> bool {
+    pub fn set_retire_policy(&self, policy: Arc<Policy>) -> bool {
         self.hp.set_policy(policy)
     }
 
@@ -55,10 +55,6 @@ impl Domain {
     pub fn report_verdict(&self, verdict: Verdict) {
         self.unlink_policy.report_verdict(verdict);
         self.hp.report_verdict(verdict);
-    }
-
-    pub(crate) fn unlink_policy_slot(&self) -> &PolicySlot {
-        &self.unlink_policy
     }
 
     /// Registers the current thread.

@@ -152,12 +152,6 @@ pub fn legacy_unlink_trigger() -> smr_common::policy::Capped {
     }
 }
 
-/// The env-selected default unlink policy (`SMR_POLICY*` refining
-/// [`legacy_unlink_trigger`]).
-pub(crate) fn default_unlink_policy() -> std::sync::Arc<dyn smr_common::policy::ReclaimPolicy> {
-    smr_common::policy::PolicyConfig::from_env().build(legacy_unlink_trigger())
-}
-
 /// A node type that can be invalidated by an HP++ unlinker.
 ///
 /// Invalidation typically sets the second-lowest bit of the node's link

@@ -9,6 +9,13 @@ use crate::{try_protect, Domain, HazardPointer, Invalidate, Unlinked};
 
 static DROPS: AtomicUsize = AtomicUsize::new(0);
 
+/// Every test here drops `Node`s and some assert exact `DROPS` deltas, so
+/// they run one at a time.
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 struct Node {
     next: Atomic<Node>,
     value: u64,
@@ -60,6 +67,7 @@ fn chain3() -> (Atomic<Node>, Shared<Node>, Shared<Node>, Shared<Node>) {
 
 #[test]
 fn protect_succeeds_through_logically_deleted_source() {
+    let _serial = serial();
     // The defining difference from HP: a *logically deleted* (tagged) but
     // not invalidated source does not fail protection.
     let d = new_domain();
@@ -90,6 +98,7 @@ fn protect_succeeds_through_logically_deleted_source() {
 
 #[test]
 fn protect_fails_on_invalidated_source() {
+    let _serial = serial();
     let d = new_domain();
     let mut t = d.register();
     let (_head, a, b, c) = chain3();
@@ -114,6 +123,7 @@ fn protect_fails_on_invalidated_source() {
 
 #[test]
 fn protect_follows_changed_link() {
+    let _serial = serial();
     // If the source link moved to a new target, try_protect retargets and
     // succeeds with the new value.
     let d = new_domain();
@@ -140,6 +150,7 @@ fn protect_follows_changed_link() {
 
 #[test]
 fn unlink_invalidates_and_frees_chain() {
+    let _serial = serial();
     let before = DROPS.load(Relaxed);
     let d = new_domain();
     let mut t = d.register();
@@ -170,6 +181,7 @@ fn unlink_invalidates_and_frees_chain() {
 
 #[test]
 fn failed_unlink_releases_frontier_protection() {
+    let _serial = serial();
     let d = new_domain();
     let mut t = d.register();
     let (head, a, b, c) = chain3();
@@ -197,6 +209,7 @@ fn failed_unlink_releases_frontier_protection() {
 
 #[test]
 fn frontier_protection_blocks_reclamation_of_frontier() {
+    let _serial = serial();
     // Scenario 2 of Fig. 6: after T2 unlinks [a, b] with frontier [c],
     // another thread retires c. c must survive until T2's invalidation
     // completes (its frontier protection is revoked only after a fence).
@@ -240,6 +253,7 @@ fn frontier_protection_blocks_reclamation_of_frontier() {
 
 #[test]
 fn epoched_hps_are_revoked_lazily() {
+    let _serial = serial();
     let d = new_domain();
     let mut t = d.register();
     let (head, a, b, c) = chain3();
@@ -274,6 +288,7 @@ fn epoched_hps_are_revoked_lazily() {
 
 #[test]
 fn long_chain_unlinks_keep_spill_pools_bounded() {
+    let _serial = serial();
     // Chains longer than the two inline slots spill to pooled vectors; the
     // pools must recycle them (so long unlinks stop allocating) while never
     // growing beyond their cap.
@@ -312,6 +327,7 @@ fn long_chain_unlinks_keep_spill_pools_bounded() {
 
 #[test]
 fn pair_unlink_is_inline() {
+    let _serial = serial();
     // The Pair variant (chain-node + pendant, NMTree-style) uses only the
     // inline slots: no spill vector is ever taken or pooled.
     let before = DROPS.load(Relaxed);
@@ -336,6 +352,7 @@ fn pair_unlink_is_inline() {
 
 #[test]
 fn concurrent_traverse_vs_unlink_stress_no_uaf() {
+    let _serial = serial();
     // Readers hand-over-hand traverse a 3-node chain with try_protect while
     // an unlinker repeatedly detaches the middle chain and reinserts fresh
     // nodes. Node drop poisons values, so any use-after-free trips asserts.

@@ -2,7 +2,6 @@
 //! deferred invalidation, reclamation (Algorithms 3 and 5).
 
 use hp::HazardPointer;
-use smr_common::policy::{self, Decision, RetireStats};
 use smr_common::{counters, Retired, Shared};
 
 use crate::domain::Domain;
@@ -171,9 +170,6 @@ pub struct Thread {
     /// reallocating (capped — see [`SPARE_POOL_CAP`]).
     spare_retired_vecs: Vec<Vec<Retired>>,
     spare_hp_vecs: Vec<Vec<HazardPointer>>,
-    /// When this thread last completed a reclaim, for time-based unlink
-    /// policies (only maintained while the installed policy wants time).
-    last_scan_ns: u64,
 }
 
 impl Thread {
@@ -187,7 +183,6 @@ impl Thread {
             unlink_count: 0,
             spare_retired_vecs: Vec::new(),
             spare_hp_vecs: Vec::new(),
-            last_scan_ns: 0,
         }
     }
 
@@ -272,21 +267,11 @@ impl Thread {
                 // The reclaim cadence is policy-driven (legacy default:
                 // every `reclaim_period` unlinks); the invalidation cadence
                 // stays fixed and is only consulted when the policy defers.
-                let slot = self.domain.unlink_policy_slot();
-                let unlink_policy = slot.get_or_init(crate::default_unlink_policy);
-                let since_scan_ns = if unlink_policy.wants_time() {
-                    smr_common::time::mono_ns().saturating_sub(self.last_scan_ns)
-                } else {
-                    0
-                };
-                let stats = RetireStats {
-                    retired: self.unlinkeds.len() + self.inner.retired_count(),
-                    slots: self.domain.hp.slot_capacity(),
-                    ops: self.unlink_count as u64,
-                    since_scan_ns,
-                    verdict: slot.verdict(),
-                };
-                if policy::decide(unlink_policy, &stats) == Decision::Reclaim {
+                if self.domain.unlink_policy.should_reclaim(
+                    self.unlinkeds.len() + self.inner.retired_count(),
+                    self.domain.hp.slot_capacity(),
+                    self.unlink_count as u64,
+                ) {
                     self.reclaim();
                 } else if self.unlink_count.is_multiple_of(periods().0) {
                     self.do_invalidation();
@@ -379,10 +364,6 @@ impl Thread {
         });
         for (_, hp) in self.epoched_hps.drain(..) {
             self.inner.recycle(hp);
-        }
-        let slot = self.domain.unlink_policy_slot();
-        if slot.get_or_init(crate::default_unlink_policy).wants_time() {
-            self.last_scan_ns = smr_common::time::mono_ns();
         }
     }
 

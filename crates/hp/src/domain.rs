@@ -4,7 +4,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use smr_common::policy::{PolicySlot, ReclaimPolicy, Verdict};
+use smr_common::policy::{Policy, PolicySlot, Verdict};
 use smr_common::Retired;
 
 use crate::hazard::{HazardList, HazardPointer};
@@ -25,7 +25,7 @@ pub struct Domain {
     /// This domain's reclamation-trigger policy + latest watchdog verdict;
     /// defaults to the legacy `max(RECLAIM_THRESHOLD, k·H)` trigger
     /// ([`crate::legacy_trigger`]) on first retire.
-    policy: PolicySlot,
+    pub(crate) policy: PolicySlot,
 }
 
 impl Default for Domain {
@@ -41,7 +41,7 @@ impl Domain {
             hazards: HazardList::new(),
             orphans: Mutex::new(Vec::new()),
             orphan_count: AtomicUsize::new(0),
-            policy: PolicySlot::new(),
+            policy: PolicySlot::new(crate::legacy_trigger),
         }
     }
 
@@ -50,7 +50,7 @@ impl Domain {
     /// `false` and change nothing). Unset, the domain lazily builds
     /// [`smr_common::policy::PolicyConfig::from_env`] over the legacy
     /// trigger — bit-identical decisions when no policy env vars are set.
-    pub fn set_policy(&self, policy: Arc<dyn ReclaimPolicy>) -> bool {
+    pub fn set_policy(&self, policy: Arc<Policy>) -> bool {
         self.policy.install(policy)
     }
 
@@ -58,10 +58,6 @@ impl Domain {
     /// policy tightens/relaxes its trigger on these).
     pub fn report_verdict(&self, verdict: Verdict) {
         self.policy.report_verdict(verdict);
-    }
-
-    pub(crate) fn policy_slot(&self) -> &PolicySlot {
-        &self.policy
     }
 
     /// Registers the current thread.

@@ -1,6 +1,5 @@
 //! Per-thread HP state: slot cache, retired bag, reclamation.
 
-use smr_common::policy::{self, Decision, RetireStats};
 use smr_common::{counters, fence, Retired};
 
 use crate::domain::Domain;
@@ -25,11 +24,6 @@ pub struct Thread {
     /// scan start and survivors are pushed back, so both vectors keep their
     /// capacities across cycles.
     scan_bag: Vec<Retired>,
-    /// When this thread last completed a scan, for time-based policies
-    /// (only maintained while the installed policy
-    /// [`wants_time`](smr_common::policy::ReclaimPolicy::wants_time) —
-    /// other policies never pay the clock read).
-    last_scan_ns: u64,
 }
 
 unsafe impl Send for Thread {}
@@ -42,7 +36,6 @@ impl Thread {
             retired: Vec::new(),
             scan_protected: Vec::new(),
             scan_bag: Vec::new(),
-            last_scan_ns: 0,
         }
     }
 
@@ -104,21 +97,8 @@ impl Thread {
     /// Consults the domain's policy (installed, or the env-built default
     /// over [`crate::legacy_trigger`]) and scans if it says to.
     fn maybe_reclaim(&mut self) {
-        let slot = self.domain.policy_slot();
-        let policy = slot.get_or_init(crate::default_policy);
-        let since_scan_ns = if policy.wants_time() {
-            smr_common::time::mono_ns().saturating_sub(self.last_scan_ns)
-        } else {
-            0
-        };
-        let stats = RetireStats {
-            retired: self.retired.len(),
-            slots: self.domain.slot_capacity(),
-            ops: 0,
-            since_scan_ns,
-            verdict: slot.verdict(),
-        };
-        if policy::decide(policy, &stats) == Decision::Reclaim {
+        let slots = self.domain.slot_capacity();
+        if self.domain.policy.should_reclaim(self.retired.len(), slots, 0) {
             self.reclaim();
         }
     }
@@ -188,10 +168,6 @@ impl Thread {
             } else {
                 unsafe { r.free() };
             }
-        }
-        let slot = self.domain.policy_slot();
-        if slot.get_or_init(crate::default_policy).wants_time() {
-            self.last_scan_ns = smr_common::time::mono_ns();
         }
     }
 }

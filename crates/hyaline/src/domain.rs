@@ -68,7 +68,7 @@ use std::sync::atomic::{AtomicIsize, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
-use smr_common::policy::{PolicySlot, ReclaimPolicy, Verdict};
+use smr_common::policy::{Policy, PolicySlot, Verdict};
 use smr_common::registry::{Node, Registry};
 use smr_common::{counters, fence as smr_fence, CachePadded, Retired};
 
@@ -115,12 +115,6 @@ pub fn legacy_trigger() -> smr_common::policy::Capped {
         k: BATCH_K,
         period: 0,
     }
-}
-
-/// The env-selected default policy (`SMR_POLICY*` refining
-/// [`legacy_trigger`]).
-pub(crate) fn default_policy() -> Arc<dyn ReclaimPolicy> {
-    smr_common::policy::PolicyConfig::from_env().build(legacy_trigger())
 }
 
 /// Derived worst-case garbage bound at `threads` registered handles when no
@@ -228,14 +222,14 @@ impl Domain {
             orphan_count: AtomicUsize::new(0),
             dead_slots: Mutex::new(Vec::new()),
             dead_count: AtomicUsize::new(0),
-            policy: PolicySlot::new(),
+            policy: PolicySlot::new(legacy_trigger),
         }
     }
 
     /// Installs the handover-trigger policy (must run before the domain's
     /// first deferred destroy; the slot latches). Returns `false` if a
     /// policy was already installed.
-    pub fn set_policy(&self, policy: Arc<dyn ReclaimPolicy>) -> bool {
+    pub fn set_policy(&self, policy: Arc<Policy>) -> bool {
         self.policy.install(policy)
     }
 
@@ -243,10 +237,6 @@ impl Domain {
     /// the others ignore it).
     pub fn report_verdict(&self, verdict: Verdict) {
         self.policy.report_verdict(verdict);
-    }
-
-    pub(crate) fn policy_slot(&self) -> &PolicySlot {
-        &self.policy
     }
 
     /// Registers the current thread, returning its local handle.
@@ -501,17 +491,8 @@ impl LocalHandle {
     /// Asks the domain's trigger policy whether this retire should attempt
     /// a handover now.
     pub(crate) fn should_collect(&self) -> bool {
-        use smr_common::policy::{self, Decision, RetireStats};
-        let slot = self.global.policy_slot();
-        let policy = slot.get_or_init(default_policy);
-        let stats = RetireStats {
-            retired: self.batch_len,
-            slots: self.global.registry.live(),
-            ops: 0,
-            since_scan_ns: 0,
-            verdict: slot.verdict(),
-        };
-        policy::decide(policy, &stats) == Decision::Reclaim
+        let live = self.global.registry.live();
+        self.global.policy.should_reclaim(self.batch_len, live, 0)
     }
 
     /// Adopts orphans, attempts a handover, and reaps dead slot records.

@@ -133,8 +133,8 @@ pub struct KvConfig {
     /// `KV_BUCKETS`.
     pub buckets: usize,
     /// Reclamation-trigger policy installed on every shard's private domain.
-    /// Default [`PolicyKind::Capped`] (the legacy trigger, bit-identical),
-    /// `KV_POLICY` (`eager`/`capped`/`timed`/`adaptive`).
+    /// Default [`PolicyKind::Capped`] (the scheme's own trigger),
+    /// `KV_POLICY` (`eager`/`capped`/`adaptive`).
     pub policy: smr_common::policy::PolicyKind,
     /// Whether the supervisor respawns dead workers (quarantining their
     /// domain) instead of leaving the shard permanently down. Default true,

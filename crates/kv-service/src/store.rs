@@ -19,17 +19,7 @@
 //! control for the per-shard [`EbrStore`].
 
 use smr_common::policy::{PolicyConfig, PolicyKind, Verdict};
-use smr_common::ConcurrentMap;
-
-/// The per-shard trigger-policy config: `KV_POLICY` (via
-/// [`KvConfig::policy`](crate::KvConfig)) picks the kind, while the
-/// process-wide `SMR_POLICY_THRESHOLD`/`SMR_POLICY_K`/`SMR_POLICY_TIMEOUT_MS`
-/// parameter overrides still apply.
-fn shard_policy_config(kind: PolicyKind) -> PolicyConfig {
-    let mut cfg = PolicyConfig::from_env();
-    cfg.kind = kind;
-    cfg
-}
+use smr_common::{ConcurrentMap, GuardedScheme};
 
 /// One shard's map + private reclamation domain.
 pub trait ShardStore: Send + Sync + Sized + 'static {
@@ -98,7 +88,7 @@ impl ShardStore for HppStore {
         // every handle they registered; leaking one small Domain per shard
         // is the same idiom the fault tests use.
         let domain: &'static hp_plus::Domain = Box::leak(Box::new(hp_plus::Domain::new()));
-        let cfg = shard_policy_config(policy);
+        let cfg = PolicyConfig::for_kind(policy);
         domain.set_unlink_policy(cfg.build(hp_plus::legacy_unlink_trigger()));
         domain.set_retire_policy(cfg.build(hp::legacy_trigger()));
         Self {
@@ -168,113 +158,64 @@ impl ShardStore for HppStore {
 }
 
 type GuardedMap<S> = ds::hash_map::HashMap<u64, u64, ds::guarded::HHSList<u64, u64, S>>;
+type GuardedHandle<D> = <<D as GuardedDomain>::Scheme as GuardedScheme>::Handle;
 
-/// EBR map over a **private** [`ebr::Collector`] per shard: a wedged pin
-/// stops this shard's epoch only.
-pub struct EbrStore {
-    collector: &'static ebr::Collector,
-    map: GuardedMap<ebr::Ebr>,
-}
+/// Where a guarded shard's workers register and its garbage lives — all
+/// that the guarded stores differ in; [`GuardedStore`] is the rest.
+pub trait GuardedDomain: Send + Sync + 'static {
+    /// The guard-based scheme the shard's map is instantiated with.
+    type Scheme: GuardedScheme;
 
-impl EbrStore {
-    /// This shard's collection trigger (`max(floor, k·participants)`);
-    /// fault tests derive the expected steady-state garbage bound from it.
-    pub fn collect_threshold(&self) -> usize {
-        self.collector.collect_threshold()
-    }
-}
+    /// [`ShardStore::SCHEME`] of the store over this domain.
+    const SCHEME: &'static str;
 
-impl ShardStore for EbrStore {
-    type Handle = ebr::LocalHandle;
+    /// The shard's domain, with `policy` installed if it is private.
+    fn new_domain(policy: PolicyKind) -> Self;
 
-    fn new_shard(buckets: usize, policy: PolicyKind) -> Self {
-        let collector: &'static ebr::Collector = Box::leak(Box::new(ebr::Collector::new()));
-        collector.set_policy(shard_policy_config(policy).build(ebr::legacy_trigger()));
-        Self {
-            collector,
-            map: ds::hash_map::HashMap::with_buckets(buckets),
-        }
-    }
+    /// Registers a worker here, bypassing `GuardedScheme::handle` (which
+    /// registers with the process default).
+    fn register(&self) -> GuardedHandle<Self>;
 
-    fn handle(&self) -> Self::Handle {
-        // Bypasses `GuardedScheme::handle` (which registers with the
-        // process default) to register with this shard's collector.
-        self.collector.register()
-    }
+    /// Unreclaimed blocks held by `handle`.
+    fn local_garbage(handle: &GuardedHandle<Self>) -> u64;
 
-    fn get(&self, handle: &mut Self::Handle, key: u64) -> Option<u64> {
-        self.map.get(handle, &key)
-    }
+    /// One reclamation round: adopt orphans, then try to advance the epoch
+    /// (EBR) or hand the local batch over (Hyaline). Three rounds expire
+    /// everything when nothing else is pinned.
+    fn flush(handle: &mut GuardedHandle<Self>);
 
-    fn insert(&self, handle: &mut Self::Handle, key: u64, value: u64) -> bool {
-        self.map.insert(handle, key, value)
-    }
-
-    fn remove(&self, handle: &mut Self::Handle, key: u64) -> Option<u64> {
-        self.map.remove(handle, &key)
-    }
-
-    fn garbage(handle: &Self::Handle) -> u64 {
-        handle.local_garbage() as u64
-    }
-
-    fn garbage_bound(&self) -> Option<u64> {
-        // EBR's garbage is bounded only while the epoch advances; one
-        // stalled pin unbounds it (Table 1). No stall-proof bound exists.
+    /// See [`ShardStore::garbage_bound`].
+    fn garbage_bound() -> Option<u64> {
         None
     }
 
-    fn quiesce(&self, handle: &mut Self::Handle) {
-        // Each flush adopts orphans and attempts an epoch advance; three
-        // rounds expire all generation bags when nothing else is pinned.
-        for _ in 0..3 {
-            handle.pin().flush();
-        }
-    }
+    /// See [`ShardStore::report_verdict`].
+    fn report_verdict(&self, _verdict: Verdict) {}
 
-    fn drain_orphans(&self) {
-        let mut handle = self.collector.register();
-        for _ in 0..3 {
-            handle.pin().flush();
-        }
-    }
-
-    fn report_verdict(&self, verdict: Verdict) {
-        self.collector.report_verdict(verdict);
-    }
-
+    /// See [`ShardStore::settled_garbage`].
     fn settled_garbage(&self) -> u64 {
-        self.collector.orphan_count() as u64
+        0
     }
-
-    const SCHEME: &'static str = "ebr";
 }
 
-/// Hyaline map over a **private** [`hyaline::Domain`] per shard:
-/// snapshot-free reference-counted batch handover. Unlike EBR there is no
-/// epoch to wedge — a batch waits only on the slots that were active at its
-/// handover — so the store has a derived stall-proof garbage bound where
-/// [`EbrStore`] must report `None`.
-pub struct HyalineStore {
-    domain: &'static hyaline::Domain,
-    map: GuardedMap<hyaline::Hyaline>,
+/// Harris–Herlihy–Shavit chaining hash map under a guard-based scheme,
+/// retiring into the [`GuardedDomain`] `D`.
+pub struct GuardedStore<D: GuardedDomain> {
+    domain: D,
+    map: GuardedMap<D::Scheme>,
 }
 
-impl ShardStore for HyalineStore {
-    type Handle = hyaline::LocalHandle;
+impl<D: GuardedDomain> ShardStore for GuardedStore<D> {
+    type Handle = GuardedHandle<D>;
 
     fn new_shard(buckets: usize, policy: PolicyKind) -> Self {
-        let domain: &'static hyaline::Domain = Box::leak(Box::new(hyaline::Domain::new()));
-        domain.set_policy(shard_policy_config(policy).build(hyaline::legacy_trigger()));
         Self {
-            domain,
+            domain: D::new_domain(policy),
             map: ds::hash_map::HashMap::with_buckets(buckets),
         }
     }
 
     fn handle(&self) -> Self::Handle {
-        // Bypasses `GuardedScheme::handle` (which registers with the
-        // process default) to register with this shard's domain.
         self.domain.register()
     }
 
@@ -291,30 +232,21 @@ impl ShardStore for HyalineStore {
     }
 
     fn garbage(handle: &Self::Handle) -> u64 {
-        handle.local_garbage() as u64
+        D::local_garbage(handle)
     }
 
     fn garbage_bound(&self) -> Option<u64> {
-        // One worker per shard: its unhanded batch plus the batches the
-        // worker's own critical sections can pin — `hyaline::garbage_bound`
-        // derives the cap from the handover trigger, never hard-coded.
-        Some(hyaline::garbage_bound(1) as u64)
+        D::garbage_bound()
     }
 
     fn quiesce(&self, handle: &mut Self::Handle) {
-        // Each pinned flush hands the local batch over; the guard drop
-        // releases this worker's own reference. Three rounds also adopt
-        // whatever orphans other workers donated meanwhile.
         for _ in 0..3 {
-            handle.pin().flush();
+            D::flush(handle);
         }
     }
 
     fn drain_orphans(&self) {
-        let mut handle = self.domain.register();
-        for _ in 0..3 {
-            handle.pin().flush();
-        }
+        self.quiesce(&mut self.domain.register());
     }
 
     fn report_verdict(&self, verdict: Verdict) {
@@ -322,111 +254,155 @@ impl ShardStore for HyalineStore {
     }
 
     fn settled_garbage(&self) -> u64 {
-        self.domain.orphan_count() as u64
+        self.domain.settled_garbage()
     }
 
+    const SCHEME: &'static str = D::SCHEME;
+}
+
+/// EBR map over a **private** [`ebr::Collector`] per shard: a wedged pin
+/// stops this shard's epoch only. No `garbage_bound`: EBR's garbage is
+/// bounded only while the epoch advances; one stalled pin unbounds it
+/// (Table 1).
+pub type EbrStore = GuardedStore<&'static ebr::Collector>;
+
+impl EbrStore {
+    /// This shard's collection trigger (`max(floor, k·participants)`);
+    /// fault tests derive the expected steady-state garbage bound from it.
+    pub fn collect_threshold(&self) -> usize {
+        self.domain.collect_threshold()
+    }
+}
+
+impl GuardedDomain for &'static ebr::Collector {
+    type Scheme = ebr::Ebr;
+    const SCHEME: &'static str = "ebr";
+
+    fn new_domain(policy: PolicyKind) -> Self {
+        // Shards live for the service's lifetime and domains must outlive
+        // every handle they registered: leak one small collector per shard.
+        let collector: Self = Box::leak(Box::new(ebr::Collector::new()));
+        collector.set_policy(PolicyConfig::for_kind(policy).build(ebr::legacy_trigger()));
+        collector
+    }
+
+    fn register(&self) -> ebr::LocalHandle {
+        ebr::Collector::register(self)
+    }
+
+    fn local_garbage(handle: &ebr::LocalHandle) -> u64 {
+        handle.local_garbage() as u64
+    }
+
+    fn flush(handle: &mut ebr::LocalHandle) {
+        handle.pin().flush();
+    }
+
+    fn report_verdict(&self, verdict: Verdict) {
+        ebr::Collector::report_verdict(self, verdict);
+    }
+
+    fn settled_garbage(&self) -> u64 {
+        self.orphan_count() as u64
+    }
+}
+
+/// Hyaline map over a **private** [`hyaline::Domain`] per shard:
+/// snapshot-free reference-counted batch handover. Unlike EBR there is no
+/// epoch to wedge — a batch waits only on the slots that were active at its
+/// handover — so the store has a derived stall-proof garbage bound where
+/// [`EbrStore`] must report `None`.
+pub type HyalineStore = GuardedStore<&'static hyaline::Domain>;
+
+impl GuardedDomain for &'static hyaline::Domain {
+    type Scheme = hyaline::Hyaline;
     const SCHEME: &'static str = "hyaline";
+
+    fn new_domain(policy: PolicyKind) -> Self {
+        let domain: Self = Box::leak(Box::new(hyaline::Domain::new()));
+        domain.set_policy(PolicyConfig::for_kind(policy).build(hyaline::legacy_trigger()));
+        domain
+    }
+
+    fn register(&self) -> hyaline::LocalHandle {
+        hyaline::Domain::register(self)
+    }
+
+    fn local_garbage(handle: &hyaline::LocalHandle) -> u64 {
+        handle.local_garbage() as u64
+    }
+
+    fn flush(handle: &mut hyaline::LocalHandle) {
+        // The guard drop releases this worker's own reference to the batch
+        // it just handed over.
+        handle.pin().flush();
+    }
+
+    fn garbage_bound() -> Option<u64> {
+        // One worker per shard: its unhanded batch plus the batches the
+        // worker's own critical sections can pin — `hyaline::garbage_bound`
+        // derives the cap from the handover trigger, never hard-coded.
+        Some(hyaline::garbage_bound(1) as u64)
+    }
+
+    fn report_verdict(&self, verdict: Verdict) {
+        hyaline::Domain::report_verdict(self, verdict);
+    }
+
+    fn settled_garbage(&self) -> u64 {
+        self.orphan_count() as u64
+    }
 }
 
 /// EBR map over the **process-wide** default collector: no isolation, on
 /// purpose. The A/B control proving why domains must be per shard — one
 /// wedged pin here freezes reclamation for every shard.
-pub struct EbrSharedStore {
-    map: GuardedMap<ebr::Ebr>,
-}
+pub type EbrSharedStore = GuardedStore<SharedEbr>;
 
-impl ShardStore for EbrSharedStore {
-    type Handle = ebr::LocalHandle;
+/// [`EbrSharedStore`]'s domain: the process-default collector, which is
+/// shared with everything else in the process — so a per-shard policy must
+/// not latch onto it, and quarantining it leaks nothing extra.
+pub struct SharedEbr;
 
-    fn new_shard(buckets: usize, _policy: PolicyKind) -> Self {
-        // The process-default collector is shared with everything else in
-        // the process; a per-shard policy must not latch onto it.
-        Self {
-            map: ds::hash_map::HashMap::with_buckets(buckets),
-        }
+impl GuardedDomain for SharedEbr {
+    type Scheme = ebr::Ebr;
+    const SCHEME: &'static str = "ebr-shared";
+
+    fn new_domain(_policy: PolicyKind) -> Self {
+        SharedEbr
     }
 
-    fn handle(&self) -> Self::Handle {
+    fn register(&self) -> ebr::LocalHandle {
         ebr::default_collector().register()
     }
 
-    fn get(&self, handle: &mut Self::Handle, key: u64) -> Option<u64> {
-        self.map.get(handle, &key)
-    }
-
-    fn insert(&self, handle: &mut Self::Handle, key: u64, value: u64) -> bool {
-        self.map.insert(handle, key, value)
-    }
-
-    fn remove(&self, handle: &mut Self::Handle, key: u64) -> Option<u64> {
-        self.map.remove(handle, &key)
-    }
-
-    fn garbage(handle: &Self::Handle) -> u64 {
+    fn local_garbage(handle: &ebr::LocalHandle) -> u64 {
         handle.local_garbage() as u64
     }
 
-    fn garbage_bound(&self) -> Option<u64> {
-        None
+    fn flush(handle: &mut ebr::LocalHandle) {
+        handle.pin().flush();
     }
-
-    fn quiesce(&self, handle: &mut Self::Handle) {
-        for _ in 0..3 {
-            handle.pin().flush();
-        }
-    }
-
-    fn drain_orphans(&self) {
-        let mut handle = ebr::default_collector().register();
-        for _ in 0..3 {
-            handle.pin().flush();
-        }
-    }
-
-    const SCHEME: &'static str = "ebr-shared";
 }
 
 /// No reclamation at all: the leaking upper-bound baseline.
-pub struct NrStore {
-    map: GuardedMap<nr::Nr>,
-}
+pub type NrStore = GuardedStore<nr::Nr>;
 
-impl ShardStore for NrStore {
-    type Handle = ();
+impl GuardedDomain for nr::Nr {
+    type Scheme = nr::Nr;
+    const SCHEME: &'static str = "nr";
 
-    fn new_shard(buckets: usize, _policy: PolicyKind) -> Self {
-        Self {
-            map: ds::hash_map::HashMap::with_buckets(buckets),
-        }
+    fn new_domain(_policy: PolicyKind) -> Self {
+        nr::Nr
     }
 
-    fn handle(&self) -> Self::Handle {}
+    fn register(&self) {}
 
-    fn get(&self, handle: &mut Self::Handle, key: u64) -> Option<u64> {
-        self.map.get(handle, &key)
-    }
-
-    fn insert(&self, handle: &mut Self::Handle, key: u64, value: u64) -> bool {
-        self.map.insert(handle, key, value)
-    }
-
-    fn remove(&self, handle: &mut Self::Handle, key: u64) -> Option<u64> {
-        self.map.remove(handle, &key)
-    }
-
-    fn garbage(_handle: &Self::Handle) -> u64 {
+    fn local_garbage(_handle: &()) -> u64 {
         0 // NR never frees; "garbage" is simply the leak, tracked globally.
     }
 
-    fn garbage_bound(&self) -> Option<u64> {
-        None
-    }
-
-    fn quiesce(&self, _handle: &mut Self::Handle) {}
-
-    fn drain_orphans(&self) {}
-
-    const SCHEME: &'static str = "nr";
+    fn flush(_handle: &mut ()) {}
 }
 
 #[cfg(test)]

@@ -21,7 +21,7 @@ use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use smr_common::policy::{PolicySlot, ReclaimPolicy, Verdict};
+use smr_common::policy::{Policy, PolicySlot, Verdict};
 use smr_common::{counters, CachePadded, GuardedScheme, Retired, SchemeGuard, Shared};
 
 /// Retire this many blocks before attempting a collection. Public so tests
@@ -41,13 +41,6 @@ pub fn legacy_trigger() -> smr_common::policy::Capped {
         k: 0,
         period: 0,
     }
-}
-
-/// The env-selected default policy (`SMR_POLICY*` refining
-/// [`legacy_trigger`]); with no policy env vars this is `Capped` with the
-/// legacy parameters — bit-identical trigger decisions.
-fn default_policy() -> Arc<dyn ReclaimPolicy> {
-    smr_common::policy::PolicyConfig::from_env().build(legacy_trigger())
 }
 
 /// Named fault-injection points compiled into this crate (each a
@@ -90,14 +83,14 @@ impl Collector {
             epoch: CachePadded::new(AtomicU64::new(0)),
             participants: Mutex::new(Vec::new()),
             orphans: Mutex::new(Vec::new()),
-            policy: PolicySlot::new(),
+            policy: PolicySlot::new(legacy_trigger),
         }
     }
 
     /// Installs the collection-trigger policy (must run before the
     /// collector's first deferred destroy; the slot latches). Returns
     /// `false` if a policy was already installed.
-    pub fn set_policy(&self, policy: Arc<dyn ReclaimPolicy>) -> bool {
+    pub fn set_policy(&self, policy: Arc<Policy>) -> bool {
         self.policy.install(policy)
     }
 
@@ -124,7 +117,6 @@ impl Collector {
             record,
             garbage: Vec::new(),
             guard_live: false,
-            last_collect_ns: 0,
         }
     }
 
@@ -184,9 +176,6 @@ pub struct LocalHandle {
     record: Arc<Participant>,
     garbage: Vec<(u64, Retired)>,
     guard_live: bool,
-    /// When this thread last ran a collection (mono ns; only maintained
-    /// when the installed policy wants time, else stays 0).
-    last_collect_ns: u64,
 }
 
 unsafe impl Send for LocalHandle {}
@@ -228,22 +217,7 @@ impl LocalHandle {
     /// Asks the collector's trigger policy whether a deferred destroy
     /// should attempt a collection now.
     fn should_collect(&self) -> bool {
-        use smr_common::policy::{self, Decision, RetireStats};
-        let slot = &self.global.policy;
-        let policy = slot.get_or_init(default_policy);
-        let since_scan_ns = if policy.wants_time() {
-            smr_common::time::mono_ns().saturating_sub(self.last_collect_ns)
-        } else {
-            0
-        };
-        let stats = RetireStats {
-            retired: self.garbage.len(),
-            slots: 0,
-            ops: 0,
-            since_scan_ns,
-            verdict: slot.verdict(),
-        };
-        policy::decide(policy, &stats) == Decision::Reclaim
+        self.global.policy.should_reclaim(self.garbage.len(), 0, 0)
     }
 
     fn collect(&mut self) {
@@ -261,9 +235,6 @@ impl LocalHandle {
             } else {
                 i += 1;
             }
-        }
-        if self.global.policy.get_or_init(default_policy).wants_time() {
-            self.last_collect_ns = smr_common::time::mono_ns();
         }
     }
 }

@@ -152,7 +152,7 @@ impl Backoff {
     }
 
     /// Next jitter word (xorshift64*); also usable by callers that need a
-    /// cheap decorrelated draw, e.g. elimination-slot selection.
+    /// cheap decorrelated draw.
     #[inline]
     pub fn jitter_u64(&mut self) -> u64 {
         let mut x = self.rng;
@@ -171,8 +171,8 @@ impl Backoff {
     }
 
     /// Whether the escalation has reached the park phase — the signal
-    /// structure variants use to divert (e.g. a stack push moving to the
-    /// elimination array instead of sleeping).
+    /// callers use to divert to their own wait (kv-service's ring parks on
+    /// its doorbell / reply slot instead of sleeping blind).
     #[inline]
     pub fn is_parking(&self) -> bool {
         !self.config.disabled && self.step >= self.config.spin_limit + YIELD_STEPS
@@ -209,22 +209,6 @@ impl Backoff {
             // the same CAS without ever exceeding the configured cap.
             let jittered = base / 2 + self.jitter_u64() % (base / 2).max(1);
             park(jittered);
-        }
-    }
-
-    /// Spin-only variant for paths that must never leave the core (e.g.
-    /// waiting out a partner inside an elimination slot): caps at the spin
-    /// limit instead of escalating.
-    #[inline]
-    pub fn spin(&mut self) {
-        if self.config.disabled {
-            return;
-        }
-        let step = self.step.min(self.config.spin_limit);
-        self.step = self.step.saturating_add(1);
-        counters::incr_backoff_spin();
-        for _ in 0..(1u32 << step.min(16)) {
-            std::hint::spin_loop();
         }
     }
 }
@@ -340,7 +324,6 @@ mod tests {
         let started = std::time::Instant::now();
         for _ in 0..10_000 {
             b.snooze();
-            b.spin();
         }
         assert!(!b.is_parking(), "disabled backoff never reports parking");
         assert_eq!(
@@ -356,6 +339,8 @@ mod tests {
 
     #[test]
     fn reset_returns_to_spin_phase() {
+        // Snoozes bump the global step counters the exact-delta tests read.
+        let _serial = crate::counters::test_lock();
         let mut b = Backoff::with_config(test_config(), 5);
         for _ in 0..(2 + YIELD_STEPS) {
             b.snooze();

@@ -31,7 +31,6 @@ struct Stripe {
     backoff_yield: AtomicU64,
     backoff_park: AtomicU64,
     policy_forced: AtomicU64,
-    policy_skipped: AtomicU64,
     adaptive_tighten: AtomicU64,
     adaptive_relax: AtomicU64,
     env_malformed: AtomicU64,
@@ -49,7 +48,6 @@ const STRIPE_INIT: Stripe = Stripe {
     backoff_yield: AtomicU64::new(0),
     backoff_park: AtomicU64::new(0),
     policy_forced: AtomicU64::new(0),
-    policy_skipped: AtomicU64::new(0),
     adaptive_tighten: AtomicU64::new(0),
     adaptive_relax: AtomicU64::new(0),
     env_malformed: AtomicU64::new(0),
@@ -164,13 +162,6 @@ pub fn incr_policy_scan_forced() {
     stripe().policy_forced.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Records one reclamation-policy decision that deferred a scan
-/// ([`crate::policy::Decision::Skip`]).
-#[inline]
-pub fn incr_policy_scan_skipped() {
-    stripe().policy_skipped.fetch_add(1, Ordering::Relaxed);
-}
-
 /// Records one `Adaptive` policy tightening step (watchdog reported
 /// pressure; the effective trigger drops to its floor).
 #[inline]
@@ -197,14 +188,6 @@ pub fn policy_scans_forced() -> u64 {
     STRIPES_ARR
         .iter()
         .map(|s| s.policy_forced.load(Ordering::Relaxed))
-        .sum()
-}
-
-/// Total policy decisions that skipped (deferred) a scan.
-pub fn policy_scans_skipped() -> u64 {
-    STRIPES_ARR
-        .iter()
-        .map(|s| s.policy_skipped.load(Ordering::Relaxed))
         .sum()
 }
 
@@ -323,20 +306,16 @@ mod tests {
     fn policy_counter_deltas_are_exact() {
         let _serial = test_lock();
         let forced0 = policy_scans_forced();
-        let skipped0 = policy_scans_skipped();
         let tight0 = adaptive_tightens();
         let relax0 = adaptive_relaxes();
         let env0 = env_malformed();
         incr_policy_scan_forced();
-        incr_policy_scan_skipped();
-        incr_policy_scan_skipped();
         incr_adaptive_tighten();
         incr_adaptive_relax();
         incr_adaptive_relax();
         incr_adaptive_relax();
         incr_env_malformed();
         assert_eq!(policy_scans_forced() - forced0, 1);
-        assert_eq!(policy_scans_skipped() - skipped0, 2);
         assert_eq!(adaptive_tightens() - tight0, 1);
         assert_eq!(adaptive_relaxes() - relax0, 3);
         assert_eq!(env_malformed() - env0, 1);

@@ -31,12 +31,10 @@
 //! * [`watchdog`] — [`GarbageWatchdog`](watchdog::GarbageWatchdog), which
 //!   classifies a run as healthy / degraded-bounded / growing-unbounded
 //!   from sampled progress + garbage counters (the Table 1 failure modes).
-//! * [`policy`] — pluggable reclamation-trigger strategies
-//!   ([`ReclaimPolicy`](policy::ReclaimPolicy): eager / capped /
-//!   timed-capped / watchdog-adaptive) consulted by every scheme's
-//!   retire path through a per-domain [`PolicySlot`](policy::PolicySlot);
-//!   knobs `SMR_POLICY`, `SMR_POLICY_THRESHOLD`, `SMR_POLICY_K`,
-//!   `SMR_POLICY_TIMEOUT_MS`.
+//! * [`policy`] — the reclamation-trigger enum ([`Policy`](policy::Policy):
+//!   eager / capped / watchdog-adaptive) every scheme's retire path
+//!   consults with one [`PolicySlot::should_reclaim`](policy::PolicySlot)
+//!   call; knob `SMR_POLICY`.
 //! * [`env`] — shared env-var parsing with malformed-value accounting
 //!   (one warning + one [`counters::env_malformed`] bump per bad value).
 

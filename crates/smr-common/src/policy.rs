@@ -1,18 +1,17 @@
-//! Pluggable reclamation-trigger policies.
+//! Reclamation-trigger policies.
 //!
 //! Every scheme in the workspace amortizes its retire→scan→free cost the
 //! same way: retirement is O(1) and a *trigger predicate* decides when to
-//! pay for a scan. Before this module each scheme hard-coded its own
-//! predicate (hp: `retired ≥ max(128, k·H)`; ebr: `bags ≥ max(floor,
+//! pay for a scan (hp: `retired ≥ max(128, k·H)`; ebr: `bags ≥ max(floor,
 //! 8·participants)`; hp-plus: `unlinks % 128 == 0`; pebr: `garbage ≥ 128`).
 //! The predicate — not the scan mechanics — dominates the
-//! throughput/memory-bound trade-off, so it is now a strategy object:
+//! throughput/memory-bound trade-off, so it is one enum, [`Policy`],
+//! decided by one inlined `match` on the retire path:
 //!
 //! | policy | trigger | memory bound |
 //! |---|---|---|
-//! | [`Eager`] | every retirement | tightest (≈ 0 idle garbage) |
-//! | [`Capped`] | the legacy formula, bit-for-bit | `k·H + floor` |
-//! | [`TimedCapped`] | [`Capped`] **or** age > timeout | `k·H + floor` |
+//! | [`Policy::Eager`] | every retirement | tightest (≈ 0 idle garbage) |
+//! | [`Capped`] | the scheme's own formula, bit-for-bit | `k·H + floor` |
 //! | [`Adaptive`] | [`Capped`] with a watchdog-driven threshold | `k·H + floor` |
 //!
 //! [`Adaptive`] closes the loop that the PR-4
@@ -25,11 +24,12 @@
 //! `k·slots + floor` *by construction*, so relaxing never voids the
 //! scheme's published bound.
 //!
-//! A scheme consults its policy through a [`PolicySlot`] embedded in its
-//! domain/collector: installable once per domain ([`PolicySlot::install`]),
-//! defaulting to [`PolicyConfig::from_env`]-built [`Capped`] with the
-//! scheme's legacy parameters — so with no policy env vars set, trigger
-//! decisions are bit-identical to the pre-policy code.
+//! A scheme consults its policy through the [`PolicySlot`] embedded in its
+//! domain/collector — one [`PolicySlot::should_reclaim`] call per retire.
+//! The slot is installable once per domain ([`PolicySlot::install`]) and
+//! defaults to [`PolicyConfig::from_env`] over the scheme's legacy
+//! [`Capped`], so with `SMR_POLICY` unset the decisions are exactly the
+//! scheme's own formula.
 
 use std::sync::atomic::{AtomicI8, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -105,10 +105,7 @@ impl From<&WatchdogStatus> for Verdict {
 /// The facts a scheme hands its policy at each trigger opportunity.
 ///
 /// Schemes fill in the fields they track and zero the rest: hp/ebr/pebr
-/// report `retired`+`slots`, hp-plus reports `ops` (its unlink counter),
-/// and `since_scan_ns` is only sampled when the installed policy says it
-/// [`wants_time`](ReclaimPolicy::wants_time) — keeping clock reads off the
-/// retire fast path for the policies that never look at them.
+/// report `retired`+`slots`, hp-plus reports `ops` (its unlink counter).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RetireStats {
     /// Blocks retired to the calling thread and not yet reclaimed.
@@ -119,62 +116,54 @@ pub struct RetireStats {
     /// Monotonic per-thread operation count for cadence-based triggers
     /// (HP++ unlink count); 0 when the scheme has no such counter.
     pub ops: u64,
-    /// Nanoseconds since this thread's last completed scan (0 when the
-    /// policy does not want time).
-    pub since_scan_ns: u64,
-    /// Latest watchdog verdict reported to the domain.
+    /// Latest watchdog verdict reported to the domain (only [`Adaptive`]
+    /// reads it).
     pub verdict: Verdict,
 }
 
-/// A reclamation-trigger strategy.
-///
-/// Implementations must be cheap — `should_reclaim` runs on every
-/// retirement — and thread-safe: one policy instance is shared by every
-/// thread registered with a domain.
-pub trait ReclaimPolicy: Send + Sync {
+/// A reclamation-trigger strategy. One instance is shared by every thread
+/// registered with a domain, and [`should_reclaim`](Self::should_reclaim)
+/// runs on every retirement.
+#[derive(Debug)]
+pub enum Policy {
+    /// Reclaim at every opportunity: the zero-garbage, maximum-overhead
+    /// corner of the ablation (fig12's lower bound on batching benefit).
+    Eager,
+    /// The scheme's own trigger formula.
+    Capped(Capped),
+    /// [`Capped`] with a watchdog-driven threshold.
+    Adaptive(Adaptive),
+}
+
+impl Policy {
     /// Decides whether the calling thread should scan now.
-    fn should_reclaim(&self, stats: &RetireStats) -> Decision;
+    #[inline]
+    pub fn should_reclaim(&self, stats: &RetireStats) -> Decision {
+        match self {
+            Policy::Eager => Decision::Reclaim,
+            Policy::Capped(capped) => capped.should_reclaim(stats),
+            Policy::Adaptive(adaptive) => adaptive.should_reclaim(stats),
+        }
+    }
 
     /// Feedback hook: the domain's watchdog produced a verdict.
-    fn on_verdict(&self, _verdict: Verdict) {}
-
-    /// Whether the policy reads [`RetireStats::since_scan_ns`] — schemes
-    /// skip the clock read when this is false.
-    fn wants_time(&self) -> bool {
-        false
+    pub fn on_verdict(&self, verdict: Verdict) {
+        if let Policy::Adaptive(adaptive) = self {
+            adaptive.on_verdict(verdict);
+        }
     }
-
-    /// Stable lower-case name for CSV columns and logs.
-    fn name(&self) -> &'static str;
 }
 
-/// Queries `policy` and records the decision in the global counters
-/// ([`counters::policy_scans_forced`] / [`counters::policy_scans_skipped`]),
-/// so benches and the fault matrix can assert policy behavior instead of
-/// inferring it from garbage peaks.
+/// Queries `policy` and counts a firing trigger in
+/// [`counters::policy_scans_forced`], so benches and the fault matrix can
+/// assert policy behavior instead of inferring it from garbage peaks.
 #[inline]
-pub fn decide(policy: &dyn ReclaimPolicy, stats: &RetireStats) -> Decision {
+pub fn decide(policy: &Policy, stats: &RetireStats) -> Decision {
     let d = policy.should_reclaim(stats);
-    match d {
-        Decision::Reclaim => counters::incr_policy_scan_forced(),
-        Decision::Skip => counters::incr_policy_scan_skipped(),
+    if d == Decision::Reclaim {
+        counters::incr_policy_scan_forced();
     }
     d
-}
-
-/// Reclaim at every opportunity: the zero-garbage, maximum-overhead corner
-/// of the ablation (fig12's lower bound on batching benefit).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Eager;
-
-impl ReclaimPolicy for Eager {
-    fn should_reclaim(&self, _stats: &RetireStats) -> Decision {
-        Decision::Reclaim
-    }
-
-    fn name(&self) -> &'static str {
-        "eager"
-    }
 }
 
 /// The legacy trigger formulas, bit-for-bit, as one parameterization.
@@ -219,50 +208,15 @@ impl Capped {
         let by_cadence = period > 0 && stats.ops > 0 && stats.ops.is_multiple_of(period);
         by_count || by_cadence
     }
-}
 
-impl ReclaimPolicy for Capped {
-    fn should_reclaim(&self, stats: &RetireStats) -> Decision {
+    /// Decides whether the calling thread should scan now.
+    #[inline]
+    pub fn should_reclaim(&self, stats: &RetireStats) -> Decision {
         if self.fires(stats, self.threshold(stats.slots), self.period) {
             Decision::Reclaim
         } else {
             Decision::Skip
         }
-    }
-
-    fn name(&self) -> &'static str {
-        "capped"
-    }
-}
-
-/// [`Capped`] plus a sync timeout: a scan also fires when anything has been
-/// sitting retired longer than `timeout_ns` (atom_box's `TimeCapped`
-/// strategy). Buys latency-bounded reclamation for bursty workloads that
-/// never reach the count threshold between idle stretches.
-#[derive(Clone, Copy, Debug)]
-pub struct TimedCapped {
-    /// The count/cadence trigger that still applies.
-    pub capped: Capped,
-    /// Maximum age of unscanned garbage before a scan is forced.
-    pub timeout_ns: u64,
-}
-
-impl ReclaimPolicy for TimedCapped {
-    fn should_reclaim(&self, stats: &RetireStats) -> Decision {
-        let timed_out = stats.retired > 0 && stats.since_scan_ns >= self.timeout_ns;
-        if timed_out || self.capped.fires(stats, self.capped.threshold(stats.slots), self.capped.period) {
-            Decision::Reclaim
-        } else {
-            Decision::Skip
-        }
-    }
-
-    fn wants_time(&self) -> bool {
-        true
-    }
-
-    fn name(&self) -> &'static str {
-        "timed"
     }
 }
 
@@ -314,7 +268,7 @@ impl Adaptive {
         let base = self.base.threshold(slots);
         let lvl = self.level.load(Ordering::Relaxed);
         let shifted = if lvl >= 0 {
-            base.saturating_shl(lvl as u32)
+            base.checked_shl(lvl as u32).unwrap_or(usize::MAX)
         } else {
             base >> (-lvl) as u32
         };
@@ -339,22 +293,10 @@ impl Adaptive {
                 .min(self.base.period)
         }
     }
-}
 
-/// `usize::checked_shl` that saturates instead of wrapping (tiny helper:
-/// levels are ≤ 2, but a pathological base could still overflow).
-trait SaturatingShl {
-    fn saturating_shl(self, by: u32) -> Self;
-}
-
-impl SaturatingShl for usize {
-    fn saturating_shl(self, by: u32) -> usize {
-        self.checked_shl(by).unwrap_or(usize::MAX)
-    }
-}
-
-impl ReclaimPolicy for Adaptive {
-    fn should_reclaim(&self, stats: &RetireStats) -> Decision {
+    /// Decides whether the calling thread should scan now, relaxing one
+    /// level when a scan fires under a non-pressure verdict.
+    pub fn should_reclaim(&self, stats: &RetireStats) -> Decision {
         let eff = self.effective_threshold(stats.slots);
         let period = self.effective_period();
         if self.base.fires(stats, eff, period) {
@@ -378,7 +320,8 @@ impl ReclaimPolicy for Adaptive {
         }
     }
 
-    fn on_verdict(&self, verdict: Verdict) {
+    /// Feedback hook: any pressure verdict snaps the level to its floor.
+    pub fn on_verdict(&self, verdict: Verdict) {
         if verdict.is_pressure() {
             let prev = self.level.swap(ADAPTIVE_LEVEL_MIN, Ordering::Relaxed);
             if prev != ADAPTIVE_LEVEL_MIN {
@@ -386,36 +329,24 @@ impl ReclaimPolicy for Adaptive {
             }
         }
     }
-
-    fn name(&self) -> &'static str {
-        "adaptive"
-    }
 }
 
-/// Which [`ReclaimPolicy`] implementation to build — the value of
-/// `SMR_POLICY`/`KV_POLICY`, a `KvConfig` field, and a bench CSV column.
+/// Which [`Policy`] to build — the value of `SMR_POLICY`/`KV_POLICY`, a
+/// `KvConfig` field, and a bench CSV column.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum PolicyKind {
-    /// [`Eager`].
+    /// [`Policy::Eager`].
     Eager,
-    /// [`Capped`] — the default; legacy parameters make it bit-identical
-    /// to the pre-policy triggers.
+    /// [`Capped`] — the default: the scheme's own trigger formula.
     #[default]
     Capped,
-    /// [`TimedCapped`].
-    TimedCapped,
     /// [`Adaptive`].
     Adaptive,
 }
 
 impl PolicyKind {
     /// Every kind, in fig12 column order.
-    pub const ALL: [PolicyKind; 4] = [
-        PolicyKind::Eager,
-        PolicyKind::Capped,
-        PolicyKind::TimedCapped,
-        PolicyKind::Adaptive,
-    ];
+    pub const ALL: [PolicyKind; 3] = [PolicyKind::Eager, PolicyKind::Capped, PolicyKind::Adaptive];
 
     /// The lower-case name used in env vars, CSV columns, and snapshot
     /// metric keys.
@@ -423,18 +354,15 @@ impl PolicyKind {
         match self {
             PolicyKind::Eager => "eager",
             PolicyKind::Capped => "capped",
-            PolicyKind::TimedCapped => "timed",
             PolicyKind::Adaptive => "adaptive",
         }
     }
 
-    /// Parses a policy name (the inverse of [`PolicyKind::name`], plus the
-    /// `timed-capped`/`timedcapped` spellings).
+    /// Parses a policy name (the inverse of [`PolicyKind::name`]).
     pub fn parse(raw: &str) -> Option<Self> {
         match raw.trim().to_ascii_lowercase().as_str() {
             "eager" => Some(PolicyKind::Eager),
             "capped" => Some(PolicyKind::Capped),
-            "timed" | "timed-capped" | "timedcapped" => Some(PolicyKind::TimedCapped),
             "adaptive" => Some(PolicyKind::Adaptive),
             _ => None,
         }
@@ -445,13 +373,11 @@ impl PolicyKind {
     /// returns `None` (caller's default applies).
     pub fn from_env_var(name: &str) -> Option<Self> {
         let raw = std::env::var(name).ok()?;
-        match Self::parse(&raw) {
-            Some(kind) => Some(kind),
-            None => {
-                crate::env::note_malformed(name, &raw);
-                None
-            }
+        let kind = Self::parse(&raw);
+        if kind.is_none() {
+            crate::env::note_malformed(name, &raw);
         }
+        kind
     }
 }
 
@@ -469,103 +395,45 @@ impl std::str::FromStr for PolicyKind {
     }
 }
 
-/// Default `SMR_POLICY_TIMEOUT_MS` for [`TimedCapped`].
-const DEFAULT_TIMEOUT_MS: u64 = 10;
-
-/// Process-wide policy selection, read once from the environment:
-///
-/// * `SMR_POLICY` — `eager` | `capped` | `timed` | `adaptive` (default
-///   `capped`);
-/// * `SMR_POLICY_THRESHOLD` — overrides the scheme's legacy floor (or its
-///   cadence period, for cadence-only schemes like hp-plus);
-/// * `SMR_POLICY_K` — overrides the scheme's legacy slot multiplier;
-/// * `SMR_POLICY_TIMEOUT_MS` — [`TimedCapped`] sync timeout (default 10).
-///
-/// The per-scheme legacy env vars (`HP_RECLAIM_K`,
-/// `EBR_COLLECT_THRESHOLD`, `HPP_RECLAIM_PERIOD`) keep working: they feed
-/// the `legacy` [`Capped`] each scheme passes to [`PolicyConfig::build`],
-/// which these overrides then refine.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Policy selection: which [`PolicyKind`] to build over a scheme's legacy
+/// trigger. The trigger's parameters stay with the scheme (`HP_RECLAIM_K`,
+/// `EBR_COLLECT_THRESHOLD`, `HPP_RECLAIM_PERIOD`, `HYALINE_BATCH_THRESHOLD`
+/// feed the `legacy` [`Capped`] passed to [`PolicyConfig::build`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub struct PolicyConfig {
     /// Which implementation to build.
     pub kind: PolicyKind,
-    /// `SMR_POLICY_THRESHOLD` override (floor, or period for cadence-only
-    /// schemes).
-    pub threshold: Option<usize>,
-    /// `SMR_POLICY_K` override.
-    pub k: Option<usize>,
-    /// `SMR_POLICY_TIMEOUT_MS` (always present; defaulted).
-    pub timeout_ms: u64,
-}
-
-impl Default for PolicyConfig {
-    fn default() -> Self {
-        Self {
-            kind: PolicyKind::default(),
-            threshold: None,
-            k: None,
-            timeout_ms: DEFAULT_TIMEOUT_MS,
-        }
-    }
 }
 
 impl PolicyConfig {
-    /// The process-wide config, parsed from the environment once (so a
-    /// malformed value warns once, not once per domain).
+    /// The process-wide config: `SMR_POLICY` = `eager` | `capped` |
+    /// `adaptive` (default `capped`), parsed once so a malformed value
+    /// warns once, not once per domain.
     pub fn from_env() -> Self {
         static CONFIG: OnceLock<PolicyConfig> = OnceLock::new();
-        *CONFIG.get_or_init(|| Self {
-            kind: PolicyKind::from_env_var("SMR_POLICY").unwrap_or_default(),
-            threshold: crate::env::parse_usize("SMR_POLICY_THRESHOLD"),
-            k: crate::env::parse_usize("SMR_POLICY_K"),
-            timeout_ms: crate::env::parse_u64("SMR_POLICY_TIMEOUT_MS")
-                .unwrap_or(DEFAULT_TIMEOUT_MS),
+        *CONFIG.get_or_init(|| {
+            Self::for_kind(PolicyKind::from_env_var("SMR_POLICY").unwrap_or_default())
         })
     }
 
-    /// A config selecting `kind` with no parameter overrides — how
-    /// kv-service builds per-shard policies from `KV_POLICY` without going
-    /// through the process-wide `SMR_POLICY` latch.
+    /// A config selecting `kind` — how kv-service builds per-shard policies
+    /// from `KV_POLICY` without going through the process-wide `SMR_POLICY`
+    /// latch.
     pub fn for_kind(kind: PolicyKind) -> Self {
-        Self {
-            kind,
-            ..Self::default()
-        }
+        Self { kind }
     }
 
-    /// Builds the policy, refining the scheme's `legacy` trigger with this
-    /// config's overrides. `legacy` carries the scheme's pre-policy
-    /// formula (including its old env-var knobs), so an empty environment
-    /// builds a [`Capped`] that decides bit-identically to the old code.
-    pub fn build(&self, legacy: Capped) -> Arc<dyn ReclaimPolicy> {
-        let mut base = legacy;
-        if base.period > 0 && !base.count_armed() {
-            // Cadence-only scheme: the threshold override retunes the
-            // cadence.
-            if let Some(t) = self.threshold {
-                base.period = (t as u64).max(1);
-            }
-        } else {
-            if let Some(t) = self.threshold {
-                base.floor = t;
-            }
-            if let Some(k) = self.k {
-                base.k = k;
-            }
-        }
-        match self.kind {
-            PolicyKind::Eager => Arc::new(Eager),
-            PolicyKind::Capped => Arc::new(base),
-            PolicyKind::TimedCapped => Arc::new(TimedCapped {
-                capped: base,
-                timeout_ns: self.timeout_ms.saturating_mul(1_000_000),
-            }),
-            PolicyKind::Adaptive => Arc::new(Adaptive::new(base)),
-        }
+    /// Builds the policy over the scheme's `legacy` trigger.
+    pub fn build(&self, legacy: Capped) -> Arc<Policy> {
+        Arc::new(match self.kind {
+            PolicyKind::Eager => Policy::Eager,
+            PolicyKind::Capped => Policy::Capped(legacy),
+            PolicyKind::Adaptive => Policy::Adaptive(Adaptive::new(legacy)),
+        })
     }
 }
 
-/// A domain's installed policy + latest watchdog verdict.
+/// A domain's policy + latest watchdog verdict.
 ///
 /// `const`-constructible so the static domains (`hp::default_domain`,
 /// `ebr::default_collector`) embed one. The slot is install-once
@@ -573,14 +441,19 @@ impl PolicyConfig {
 /// matching the "configure before first use" contract of every other knob
 /// in the workspace.
 pub struct PolicySlot {
-    cell: OnceLock<Arc<dyn ReclaimPolicy>>,
+    /// The owning scheme's trigger formula, read (env knobs included) when
+    /// the slot defaults.
+    legacy: fn() -> Capped,
+    cell: OnceLock<Arc<Policy>>,
     verdict: AtomicU8,
 }
 
 impl PolicySlot {
-    /// An empty slot (policy defaults on first use).
-    pub const fn new() -> Self {
+    /// An empty slot that defaults, on first use, to
+    /// [`PolicyConfig::from_env`] over `legacy()`.
+    pub const fn new(legacy: fn() -> Capped) -> Self {
         Self {
+            legacy,
             cell: OnceLock::new(),
             verdict: AtomicU8::new(0),
         }
@@ -588,16 +461,28 @@ impl PolicySlot {
 
     /// Installs `policy`; returns false (and changes nothing) if a policy
     /// is already installed or defaulted.
-    pub fn install(&self, policy: Arc<dyn ReclaimPolicy>) -> bool {
+    pub fn install(&self, policy: Arc<Policy>) -> bool {
         self.cell.set(policy).is_ok()
     }
 
-    /// The installed policy, defaulting via `default` on first use.
-    pub fn get_or_init(
-        &self,
-        default: impl FnOnce() -> Arc<dyn ReclaimPolicy>,
-    ) -> &dyn ReclaimPolicy {
-        self.cell.get_or_init(default).as_ref()
+    /// The scheme's whole per-retire policy step: should the calling
+    /// thread scan now? `retired`/`slots`/`ops` as in [`RetireStats`].
+    #[inline]
+    pub fn should_reclaim(&self, retired: usize, slots: usize, ops: u64) -> bool {
+        let policy = &**self
+            .cell
+            .get_or_init(|| PolicyConfig::from_env().build((self.legacy)()));
+        let verdict = match policy {
+            Policy::Adaptive(_) => self.verdict(),
+            _ => Verdict::Unknown,
+        };
+        let stats = RetireStats {
+            retired,
+            slots,
+            ops,
+            verdict,
+        };
+        decide(policy, &stats) == Decision::Reclaim
     }
 
     /// The latest verdict reported to this slot.
@@ -612,12 +497,6 @@ impl PolicySlot {
         if let Some(policy) = self.cell.get() {
             policy.on_verdict(verdict);
         }
-    }
-}
-
-impl Default for PolicySlot {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -648,8 +527,8 @@ mod tests {
 
     #[test]
     fn eager_always_fires() {
-        assert_eq!(Eager.should_reclaim(&stats(0, 0)), Decision::Reclaim);
-        assert_eq!(Eager.should_reclaim(&stats(1, 999)), Decision::Reclaim);
+        assert_eq!(Policy::Eager.should_reclaim(&stats(0, 0)), Decision::Reclaim);
+        assert_eq!(Policy::Eager.should_reclaim(&stats(1, 999)), Decision::Reclaim);
     }
 
     #[test]
@@ -730,31 +609,6 @@ mod tests {
             let got = policy.should_reclaim(&stats(retired, 7)) == Decision::Reclaim;
             assert_eq!(got, legacy, "pebr mismatch at retired={retired}");
         }
-    }
-
-    #[test]
-    fn timed_capped_fires_on_age_or_count() {
-        let policy = TimedCapped {
-            capped: Capped {
-                floor: 100,
-                k: 0,
-                period: 0,
-            },
-            timeout_ns: 1_000_000,
-        };
-        assert!(policy.wants_time());
-        // Below threshold, young: skip.
-        let mut s = stats(10, 0);
-        assert_eq!(policy.should_reclaim(&s), Decision::Skip);
-        // Below threshold but stale: reclaim.
-        s.since_scan_ns = 2_000_000;
-        assert_eq!(policy.should_reclaim(&s), Decision::Reclaim);
-        // Stale but nothing retired: nothing to sync, skip.
-        let mut empty = stats(0, 0);
-        empty.since_scan_ns = u64::MAX;
-        assert_eq!(policy.should_reclaim(&empty), Decision::Skip);
-        // Over threshold regardless of age: reclaim.
-        assert_eq!(policy.should_reclaim(&stats(200, 0)), Decision::Reclaim);
     }
 
     #[test]
@@ -858,89 +712,94 @@ mod tests {
             assert_eq!(PolicyKind::parse(kind.name()), Some(kind));
             assert_eq!(kind.name().parse::<PolicyKind>(), Ok(kind));
         }
-        assert_eq!(PolicyKind::parse("timed-capped"), Some(PolicyKind::TimedCapped));
         assert_eq!(PolicyKind::parse("ADAPTIVE"), Some(PolicyKind::Adaptive));
         assert_eq!(PolicyKind::parse("nope"), None);
     }
 
     #[test]
-    fn config_build_maps_overrides_onto_legacy() {
+    fn removed_timed_kind_is_malformed_and_falls_back_to_capped() {
+        let _serial = crate::counters::test_lock();
+        assert_eq!(PolicyKind::parse("timed"), None);
+        const VAR: &str = "SMR_TEST_REMOVED_POLICY_KIND";
+        std::env::set_var(VAR, "timed");
+        let malformed0 = counters::env_malformed();
+        let kind = PolicyKind::from_env_var(VAR);
+        std::env::remove_var(VAR);
+        assert_eq!(kind, None);
+        assert_eq!(counters::env_malformed() - malformed0, 1);
+        assert_eq!(kind.unwrap_or_default(), PolicyKind::Capped);
+    }
+
+    #[test]
+    fn config_build_selects_the_kind_over_legacy() {
         let legacy = Capped {
             floor: 128,
             k: 2,
             period: 0,
         };
-        // No overrides → the legacy trigger itself.
         let p = PolicyConfig::default().build(legacy);
-        assert_eq!(p.name(), "capped");
+        assert!(matches!(*p, Policy::Capped(c) if c == legacy));
         assert_eq!(p.should_reclaim(&stats(127, 0)), Decision::Skip);
         assert_eq!(p.should_reclaim(&stats(128, 0)), Decision::Reclaim);
 
-        // Threshold/k overrides refine the count branch.
-        let cfg = PolicyConfig {
-            threshold: Some(10),
-            k: Some(0),
-            ..Default::default()
-        };
-        let p = cfg.build(legacy);
-        assert_eq!(p.should_reclaim(&stats(10, 999)), Decision::Reclaim);
-        assert_eq!(p.should_reclaim(&stats(9, 999)), Decision::Skip);
-
-        // Cadence-only legacy: threshold override retunes the period.
-        let hpp = Capped {
-            floor: 0,
-            k: 0,
-            period: 128,
-        };
-        let cfg = PolicyConfig {
-            threshold: Some(4),
-            ..Default::default()
-        };
-        let p = cfg.build(hpp);
-        let fire = RetireStats {
-            ops: 8,
-            ..Default::default()
-        };
-        assert_eq!(p.should_reclaim(&fire), Decision::Reclaim);
-
-        // Kind selection.
-        assert_eq!(PolicyConfig::for_kind(PolicyKind::Eager).build(legacy).name(), "eager");
-        assert_eq!(PolicyConfig::for_kind(PolicyKind::TimedCapped).build(legacy).name(), "timed");
-        assert_eq!(PolicyConfig::for_kind(PolicyKind::Adaptive).build(legacy).name(), "adaptive");
+        assert!(matches!(*PolicyConfig::for_kind(PolicyKind::Eager).build(legacy), Policy::Eager));
+        assert!(matches!(
+            &*PolicyConfig::for_kind(PolicyKind::Adaptive).build(legacy),
+            Policy::Adaptive(a) if a.base == legacy
+        ));
     }
 
     #[test]
     fn slot_installs_once_and_forwards_verdicts() {
         let _serial = crate::counters::test_lock();
-        let slot = PolicySlot::new();
-        assert_eq!(slot.verdict(), Verdict::Unknown);
-        let adaptive = Arc::new(Adaptive::new(Capped {
+        let legacy = || Capped {
             floor: 128,
             k: 2,
             period: 0,
-        }));
-        assert!(slot.install(adaptive.clone()));
-        assert!(!slot.install(Arc::new(Eager)), "second install rejected");
-        assert_eq!(slot.get_or_init(|| Arc::new(Eager)).name(), "adaptive");
+        };
+        let slot = PolicySlot::new(legacy);
+        assert_eq!(slot.verdict(), Verdict::Unknown);
+        let policy = Arc::new(Policy::Adaptive(Adaptive::new(legacy())));
+        let Policy::Adaptive(adaptive) = &*policy else {
+            unreachable!()
+        };
+        assert!(slot.install(policy.clone()));
+        assert!(!slot.install(Arc::new(Policy::Eager)), "second install rejected");
+        assert!(!slot.should_reclaim(127, 0, 0), "adaptive at level 0, not eager");
         slot.report_verdict(Verdict::GrowingUnbounded);
         assert_eq!(slot.verdict(), Verdict::GrowingUnbounded);
         assert_eq!(adaptive.level(), ADAPTIVE_LEVEL_MIN, "verdict reached the policy");
+        assert!(slot.should_reclaim(ADAPTIVE_MIN_THRESHOLD, 0, 0), "tightened trigger fires");
+        assert_eq!(adaptive.level(), ADAPTIVE_LEVEL_MIN, "slot passed the pressure verdict on");
     }
 
     #[test]
-    fn decide_counts_both_outcomes_exactly() {
+    fn empty_slot_defaults_to_the_schemes_legacy_trigger() {
+        // SMR_POLICY is unset under `cargo test`, so the default is Capped.
         let _serial = crate::counters::test_lock();
-        let forced0 = counters::policy_scans_forced();
-        let skipped0 = counters::policy_scans_skipped();
-        let policy = Capped {
+        let slot = PolicySlot::new(|| Capped {
             floor: 4,
             k: 0,
             period: 0,
-        };
+        });
+        let forced0 = counters::policy_scans_forced();
+        assert!(!slot.should_reclaim(3, 0, 0));
+        assert!(slot.should_reclaim(4, 0, 0));
+        assert_eq!(counters::policy_scans_forced() - forced0, 1);
+    }
+
+    #[test]
+    fn decide_counts_only_firing_triggers() {
+        let _serial = crate::counters::test_lock();
+        let forced0 = counters::policy_scans_forced();
+        let policy = Policy::Capped(Capped {
+            floor: 4,
+            k: 0,
+            period: 0,
+        });
         assert_eq!(decide(&policy, &stats(4, 0)), Decision::Reclaim);
         assert_eq!(decide(&policy, &stats(0, 0)), Decision::Skip);
         assert_eq!(decide(&policy, &stats(1, 0)), Decision::Skip);
         assert_eq!(counters::policy_scans_forced() - forced0, 1);
-        assert_eq!(counters::policy_scans_skipped() - skipped0, 2);
     }
 }

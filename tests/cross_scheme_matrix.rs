@@ -57,6 +57,23 @@ matrix_test!(nmtree_pebr, ds::guarded::NMTree<u64, u64, pebr::Pebr>);
 matrix_test!(nmtree_hyaline, ds::guarded::NMTree<u64, u64, hyaline::Hyaline>);
 matrix_test!(nmtree_hpp, ds::hpp::NMTree<u64, u64>);
 
+// NMTree sibling deletes: 3 keys under 8 threads keep both leaves of one
+// parent flagged at once, so a cleanup's promoted sibling is itself a
+// deleted leaf — the chain walk must not retire it or descend into it.
+macro_rules! sibling_delete_test {
+    ($name:ident, $ty:ty) => {
+        #[test]
+        fn $name() {
+            for _ in 0..100 {
+                check_concurrent::<$ty>(8, 2000, 3);
+            }
+        }
+    };
+}
+sibling_delete_test!(nmtree_sibling_delete_nr, ds::guarded::NMTree<u64, u64, nr::Nr>);
+sibling_delete_test!(nmtree_sibling_delete_ebr, ds::guarded::NMTree<u64, u64, ebr::Ebr>);
+sibling_delete_test!(nmtree_sibling_delete_hpp, ds::hpp::NMTree<u64, u64>);
+
 // EFRBTree row.
 matrix_test!(efrbtree_nr, ds::guarded::EFRBTree<u64, u64, nr::Nr>);
 matrix_test!(efrbtree_ebr, ds::guarded::EFRBTree<u64, u64, ebr::Ebr>);

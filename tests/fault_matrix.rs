@@ -582,6 +582,50 @@ fn ebr_retire_storm_under_stalled_collector_grows_then_drains_body() {
 }
 
 #[test]
+fn ebr_registry_node_unlinked_behind_a_stale_epoch_waits_for_late_pinners() {
+    common::isolated(ebr_registry_node_unlinked_behind_a_stale_epoch_waits_for_late_pinners_body);
+}
+
+fn ebr_registry_node_unlinked_behind_a_stale_epoch_waits_for_late_pinners_body() {
+    // The victim reads the epoch `e0` in `try_advance` and stalls before
+    // traversing the registry. Meanwhile the epoch moves to `e0 + 1`, a
+    // participant exits (dead registry node) and `reader` pins at `e0 + 1`
+    // — it stands for a traverser parked on that dead node. Released, the
+    // victim unlinks and retires the node. A pin at `e0 + 1` does not hold
+    // back `e0 + 2`, so the node must be stamped with the epoch at the
+    // unlink, not with `e0`, or it is freed under the reader.
+    let plan = fault::plan()
+        .at("ebr::advance::before_traverse", 1, FaultAction::Stall)
+        .install();
+    let c: &'static ebr::Collector = Box::leak(Box::new(ebr::Collector::new()));
+    // Registry order is newest first: victim, dying, reader — so the stale
+    // traversal reaches the dead node before `reader`'s newer pin ends it.
+    let mut reader = c.register();
+    let dying = c.register();
+    let e0 = c.epoch();
+
+    let victim = std::thread::spawn(move || {
+        let mut h = c.register();
+        h.pin().flush(); // reads e0, stalls; released: unlinks the dead node
+        h.pin().flush(); // everyone pinned is at e0 + 1: advances to e0 + 2
+        h.local_garbage()
+    });
+    wait_for("victim stalled before its registry traversal", || {
+        fault::stalled_count("ebr::advance::before_traverse") == 1
+    });
+    reader.pin().flush();
+    assert_eq!(c.epoch(), e0 + 1, "victim and reader had both observed e0");
+    drop(dying);
+    let late = reader.pin();
+    fault::release("ebr::advance::before_traverse");
+    let kept = victim.join().unwrap();
+    assert_eq!(c.epoch(), e0 + 2);
+    assert_eq!(kept, 1, "registry node freed while a pin at e0 + 1 could still reach it");
+    drop(late);
+    drop(plan);
+}
+
+#[test]
 fn backoff_parked_thread_keeps_garbage_bounded_and_drains() {
     common::isolated(backoff_parked_thread_keeps_garbage_bounded_and_drains_body);
 }

@@ -23,7 +23,7 @@ use std::time::Duration;
 
 use common::serial;
 use smr_common::counters;
-use smr_common::policy::{Adaptive, Verdict};
+use smr_common::policy::{Adaptive, Policy, Verdict};
 use smr_common::watchdog::{GarbageWatchdog, WatchdogStatus};
 
 /// Retires `n` heap nodes on `thread`, returning the highest backlog seen
@@ -42,8 +42,11 @@ fn churn(thread: &mut hp::Thread, n: usize) -> usize {
 fn stall_tightens_within_one_sample_then_relaxes_after_release() {
     let _serial = serial();
     let domain: &'static hp::Domain = Box::leak(Box::new(hp::Domain::new()));
-    let adaptive = Arc::new(Adaptive::new(hp::legacy_trigger()));
-    assert!(domain.set_policy(adaptive.clone()), "fresh domain must accept a policy");
+    let policy = Arc::new(Policy::Adaptive(Adaptive::new(hp::legacy_trigger())));
+    let Policy::Adaptive(adaptive) = &*policy else {
+        unreachable!()
+    };
+    assert!(domain.set_policy(policy.clone()), "fresh domain must accept a policy");
     let mut thread = domain.register();
 
     // Healthy steady state first: no verdict reported yet (`Unknown` relaxes
@@ -117,8 +120,11 @@ fn stall_tightens_within_one_sample_then_relaxes_after_release() {
 fn relaxed_threshold_never_escapes_the_derived_bound() {
     let _serial = serial();
     let domain: &'static hp::Domain = Box::leak(Box::new(hp::Domain::new()));
-    let adaptive = Arc::new(Adaptive::new(hp::legacy_trigger()));
-    assert!(domain.set_policy(adaptive.clone()));
+    let policy = Arc::new(Policy::Adaptive(Adaptive::new(hp::legacy_trigger())));
+    let Policy::Adaptive(adaptive) = &*policy else {
+        unreachable!()
+    };
+    assert!(domain.set_policy(policy.clone()));
     let mut thread = domain.register();
 
     // One live hazard slot (H = 1) protecting a retired node: scans must
