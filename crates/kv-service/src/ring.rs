@@ -20,6 +20,10 @@
 //! Sleep/wake, worker side: the worker parks on a condvar when the ring is
 //! empty. The `sleeping` flag plus re-check under the doorbell mutex closes
 //! the lost wakeup race; a coarse wait timeout is belt and braces only.
+//! The doorbell is rung on demand: by a push whose caller is blocked on it
+//! or that brings the backlog to one worker batch
+//! ([`Ring::push_deadline`]), else by whoever next waits for progress
+//! ([`Ring::flush`]); the coarse timeout bounds what nobody waits for.
 //! When the batch it just ran held a command whose caller has nothing else
 //! in flight, it first polls the ring for [`IDLE_SPIN_BUDGET_NS`]
 //! ([`Ring::spin_for_work`]): that caller's next command is one reply
@@ -39,7 +43,7 @@
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed, Release, SeqCst};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize};
+use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, AtomicUsize};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::Thread;
 use std::time::{Duration, Instant};
@@ -101,6 +105,10 @@ const IDLE_SPIN_BUDGET_NS: u64 = 50_000;
 /// of pauses by CPU generation). The yield is what lets a client sharing the
 /// worker's only CPU run at all; the clock is read nowhere else in the spin.
 const IDLE_SPIN_SLICE: u32 = 128;
+/// Longest single park of the worker: how late a published command runs
+/// when nobody rang for it — a sub-batch window its client never drains, or
+/// a push that raced the worker to sleep with no waiter behind it.
+const DOORBELL_BACKSTOP: Duration = Duration::from_millis(50);
 /// Longest single park of a reply wait. The targeted unpark is the wake
 /// protocol; this only bounds how late a waiter notices a worker that died
 /// or wedged without resolving its slot.
@@ -307,6 +315,31 @@ pub(crate) enum WaitError {
 
 pub(crate) type Entry = (Command, Arc<ResponseSlot>);
 
+/// A time budget that starts at its first look at the clock, so an
+/// operation that stays on its fast path reads none. Every slow path (full
+/// ring, closed ring, a reply past its spin phase) checks it before it
+/// waits, which anchors it within a few polls of the operation's start.
+pub(crate) struct Deadline {
+    timeout: Duration,
+    at: Option<Instant>,
+}
+
+impl Deadline {
+    pub(crate) fn after(timeout: Duration) -> Self {
+        Self { timeout, at: None }
+    }
+
+    /// Time left at `now`; `None` once the deadline has passed.
+    fn left(&mut self, now: Instant) -> Option<Duration> {
+        let at = *self.at.get_or_insert(now + self.timeout);
+        (now < at).then(|| at - now)
+    }
+
+    pub(crate) fn passed(&mut self) -> bool {
+        self.left(Instant::now()).is_none()
+    }
+}
+
 struct Slot {
     seq: AtomicUsize,
     entry: UnsafeCell<MaybeUninit<Entry>>,
@@ -315,10 +348,15 @@ struct Slot {
 /// The worker's pillow: where it sleeps when the ring is empty.
 struct Doorbell {
     sleeping: AtomicBool,
-    lock: Mutex<()>,
+    /// Whether the worker is inside `cv.wait`; a ringer that finds it is
+    /// not skips the futex wake (the worker re-checks `sleeping` first).
+    lock: Mutex<bool>,
     cv: Condvar,
     /// Times the worker went to sleep here. Written by the worker alone.
     parks: AtomicU64,
+    /// Rings that found the worker asleep and paid the futex wake; at most
+    /// one per park.
+    wakes: AtomicU64,
 }
 
 /// The producers' pillow: where pushes park once their backoff escalates
@@ -341,6 +379,9 @@ pub(crate) struct Ring {
     /// Consumer cursor. Atomic only so the rescue path can take over after
     /// the worker dies; a live worker is the sole writer.
     head: CachePadded<AtomicUsize>,
+    /// Queued commands at which a push rings a sleeping worker unasked:
+    /// one worker batch, or the whole ring if that is smaller.
+    wake_backlog: usize,
     closed: AtomicBool,
     /// Set (after `closed`) once the worker has exited; enables rescue.
     worker_gone: AtomicBool,
@@ -362,7 +403,8 @@ unsafe impl Send for Ring {}
 unsafe impl Sync for Ring {}
 
 impl Ring {
-    pub(crate) fn with_capacity(capacity: usize) -> Self {
+    /// `capacity` rounds up to a power of two; `batch` is the worker's.
+    pub(crate) fn with_capacity(capacity: usize, batch: usize) -> Self {
         let cap = capacity.max(2).next_power_of_two();
         let slots = (0..cap)
             .map(|i| Slot {
@@ -375,14 +417,16 @@ impl Ring {
             mask: cap - 1,
             tail: CachePadded::new(AtomicUsize::new(0)),
             head: CachePadded::new(AtomicUsize::new(0)),
+            wake_backlog: batch.clamp(1, cap),
             closed: AtomicBool::new(false),
             worker_gone: AtomicBool::new(false),
             rescue: Mutex::new(()),
             doorbell: Doorbell {
                 sleeping: AtomicBool::new(false),
-                lock: Mutex::new(()),
+                lock: Mutex::new(false),
                 cv: Condvar::new(),
                 parks: AtomicU64::new(0),
+                wakes: AtomicU64::new(0),
             },
             space: SpaceBell {
                 waiters: AtomicUsize::new(0),
@@ -415,27 +459,29 @@ impl Ring {
         self.doorbell.parks.load(Relaxed)
     }
 
+    pub(crate) fn doorbell_wakes(&self) -> u64 {
+        self.doorbell.wakes.load(Relaxed)
+    }
+
     pub(crate) fn reply_backstops(&self) -> u64 {
         self.reply_backstops.load(Relaxed)
     }
 
     /// Enqueues a command. Blocks (via backoff, escalating to parking on
-    /// the space doorbell) while the ring is full; fails only when the
-    /// ring is closed.
-    #[cfg(test)]
-    pub(crate) fn push(&self, cmd: Command, resp: Arc<ResponseSlot>) -> Result<(), PushError> {
-        self.push_deadline(cmd, resp, None)
-    }
-
-    /// [`push`](Self::push) with an optional deadline: a ring that stays
-    /// full past it (wedged worker) fails the push with
-    /// [`PushError::TimedOut`] instead of blocking forever. The command was
-    /// never queued, so the response slot stays safe to reuse.
+    /// the space doorbell) while the ring is full; fails when the ring is
+    /// closed, or stays full past `deadline` (wedged worker). A failed push
+    /// never queued the command, so the response slot stays safe to reuse.
+    ///
+    /// A sleeping worker is woken only if the caller is `blocked` on this
+    /// command or the backlog has reached `wake_backlog` (as a full ring
+    /// has); otherwise by [`flush`](Self::flush) or its
+    /// [`DOORBELL_BACKSTOP`]. An awake worker costs a push one relaxed load.
     pub(crate) fn push_deadline(
         &self,
         cmd: Command,
         resp: Arc<ResponseSlot>,
-        deadline: Option<Instant>,
+        blocked: bool,
+        deadline: &mut Deadline,
     ) -> Result<(), PushError> {
         let mut backoff = Backoff::new();
         loop {
@@ -454,17 +500,24 @@ impl Ring {
                 {
                     unsafe { (*slot.entry.get()).write((cmd, resp)) };
                     slot.seq.store(pos.wrapping_add(1), Release);
-                    self.ring_doorbell();
+                    if self.doorbell.sleeping.load(Relaxed)
+                        && (blocked
+                            || pos.wrapping_add(1).wrapping_sub(self.head.load(Relaxed))
+                                >= self.wake_backlog)
+                    {
+                        self.ring_doorbell();
+                    }
                     return Ok(());
                 }
                 backoff.cas_failed();
             } else if lag < 0 {
                 // Full: a whole lap behind. Wait for the consumer.
                 smr_common::fault_point!("kv::ring::full");
-                if let Some(d) = deadline {
-                    if Instant::now() >= d {
-                        return Err(PushError::TimedOut);
-                    }
+                // The push that filled the ring rang; this closes its
+                // store→load gap before anyone parks behind it.
+                self.flush();
+                if deadline.passed() {
+                    return Err(PushError::TimedOut);
                 }
                 if backoff.is_parking() {
                     self.wait_for_space();
@@ -570,20 +623,44 @@ impl Ring {
             self.doorbell.sleeping.store(false, SeqCst);
             return;
         }
-        let guard = self.doorbell.lock.lock().unwrap();
+        let mut parked = self.doorbell.lock.lock().unwrap();
         if self.doorbell.sleeping.load(SeqCst) && !self.has_next() && !self.closed.load(SeqCst) {
             self.doorbell.parks.fetch_add(1, Relaxed);
-            // The timeout is a backstop, not the protocol: the sleeping
-            // flag + re-check above already closes the lost-wakeup race.
-            let _ = self.doorbell.cv.wait_timeout(guard, Duration::from_millis(50));
+            *parked = true;
+            // The timeout covers what the wake rules leave to it: a push
+            // that raced this park and a sub-batch window nobody waits on.
+            let waited = self.doorbell.cv.wait_timeout(parked, DOORBELL_BACKSTOP);
+            parked = waited.unwrap().0;
+            *parked = false;
         }
         self.doorbell.sleeping.store(false, SeqCst);
     }
 
+    /// Wakes the worker. For callers that have just seen `sleeping` set.
     fn ring_doorbell(&self) {
-        if self.doorbell.sleeping.load(Relaxed) && self.doorbell.sleeping.swap(false, SeqCst) {
-            let _guard = self.doorbell.lock.lock().unwrap();
-            self.doorbell.cv.notify_all();
+        if self.doorbell.sleeping.swap(false, SeqCst) {
+            let mut parked = self.doorbell.lock.lock().unwrap();
+            if std::mem::take(&mut *parked) {
+                self.doorbell.wakes.fetch_add(1, Relaxed);
+                self.doorbell.cv.notify_all();
+            }
+        }
+    }
+
+    /// Wakes the worker if it sleeps on queued commands: called by whoever
+    /// needs them to run — `Client::drain` once per shard of its window, a
+    /// reply wait before every yield or park, a producer facing a full
+    /// ring. The fence orders the caller's pushes before its `sleeping`
+    /// load, as the worker's SeqCst store orders `sleeping` before its last
+    /// look at the ring: one side sees the other, so a caller that waits
+    /// loses no doorbell. An empty ring means the caller's commands were
+    /// popped; their replies need no wake.
+    pub(crate) fn flush(&self) {
+        fence(SeqCst);
+        if self.doorbell.sleeping.load(Relaxed)
+            && self.head.load(Relaxed) != self.tail.load(Relaxed)
+        {
+            self.ring_doorbell();
         }
     }
 
@@ -619,24 +696,19 @@ impl Ring {
     }
 
     /// Client-side wait for a response on `slot`, rescuing the ring if the
-    /// worker died underneath us.
-    #[cfg(test)]
-    pub(crate) fn wait_response(&self, slot: &ResponseSlot) -> Result<Option<u64>, ShardDown> {
-        self.wait_response_deadline(slot, None).map_err(|_| ShardDown)
-    }
-
-    /// [`wait_response`](Self::wait_response) with an optional deadline. A
-    /// [`WaitError::TimedOut`] slot may still be completed by the worker
-    /// later — the caller must abandon it, not pool it.
+    /// worker died underneath us. A [`WaitError::TimedOut`] slot may still
+    /// be completed by the worker later — the caller must abandon it, not
+    /// pool it.
     ///
     /// Spin, then yield, then park *on the slot*: the resolver's swap sees
     /// the registration and unparks this thread, so a parked wait ends with
-    /// the reply, not with a timer. The spin phase reads no clock and does
-    /// not look for a dead worker; both checks start with the first yield.
+    /// the reply, not with a timer. The spin phase reads no clock, does not
+    /// look for a dead worker and rings no doorbell; all three start with
+    /// the first yield.
     pub(crate) fn wait_response_deadline(
         &self,
         slot: &ResponseSlot,
-        deadline: Option<Instant>,
+        deadline: &mut Deadline,
     ) -> Result<Option<u64>, WaitError> {
         let mut backoff = Backoff::new();
         let mut polls = 0u32;
@@ -660,12 +732,14 @@ impl Ring {
                     return result.map_err(|ShardDown| WaitError::Down);
                 }
             }
+            // From here on every step is a syscall: make sure the worker is
+            // not asleep on the command this wait is for.
+            self.flush();
             let now = Instant::now();
-            let park_for = match deadline {
-                Some(d) if now >= d => return Err(WaitError::TimedOut),
-                Some(d) => REPLY_BACKSTOP.min(d - now),
-                None => REPLY_BACKSTOP,
+            let Some(left) = deadline.left(now) else {
+                return Err(WaitError::TimedOut);
             };
+            let park_for = REPLY_BACKSTOP.min(left);
             if !backoff.is_parking() {
                 backoff.snooze();
                 continue;
@@ -704,13 +778,28 @@ impl Drop for Ring {
 mod tests {
     use super::*;
 
+    /// The deadline of a test that means not to have one.
+    const FOREVER: Duration = Duration::from_secs(3600);
+
+    impl Ring {
+        /// Enqueues a command nobody is blocked on.
+        fn push(&self, cmd: Command, resp: Arc<ResponseSlot>) -> Result<(), PushError> {
+            self.push_deadline(cmd, resp, false, &mut Deadline::after(FOREVER))
+        }
+
+        fn wait_response(&self, slot: &ResponseSlot) -> Result<Option<u64>, ShardDown> {
+            self.wait_response_deadline(slot, &mut Deadline::after(FOREVER))
+                .map_err(|_| ShardDown)
+        }
+    }
+
     fn entry(key: u64) -> (Command, Arc<ResponseSlot>) {
         (Command::Get { key }, Arc::new(ResponseSlot::new()))
     }
 
     #[test]
     fn fifo_within_capacity_and_across_wraparound() {
-        let ring = Ring::with_capacity(8);
+        let ring = Ring::with_capacity(8, 4);
         // Three laps through an 8-slot ring.
         let mut next_push = 0u64;
         let mut next_pop = 0u64;
@@ -731,13 +820,13 @@ mod tests {
 
     #[test]
     fn capacity_rounds_up_to_power_of_two() {
-        assert_eq!(Ring::with_capacity(1000).capacity(), 1024);
-        assert_eq!(Ring::with_capacity(1).capacity(), 2);
+        assert_eq!(Ring::with_capacity(1000, 4).capacity(), 1024);
+        assert_eq!(Ring::with_capacity(1, 4).capacity(), 2);
     }
 
     #[test]
     fn push_after_close_is_rejected() {
-        let ring = Ring::with_capacity(4);
+        let ring = Ring::with_capacity(4, 4);
         ring.close();
         let (c, r) = entry(1);
         assert_eq!(ring.push(c, r), Err(PushError::Closed));
@@ -745,7 +834,7 @@ mod tests {
 
     #[test]
     fn retire_fails_queued_commands() {
-        let ring = Ring::with_capacity(8);
+        let ring = Ring::with_capacity(8, 4);
         let slots: Vec<_> = (0..4)
             .map(|k| {
                 let (c, r) = entry(k);
@@ -762,23 +851,24 @@ mod tests {
 
     #[test]
     fn push_deadline_times_out_on_full_ring() {
-        let ring = Ring::with_capacity(2);
+        let ring = Ring::with_capacity(2, 4);
         for k in 0..2 {
             let (c, r) = entry(k);
             ring.push(c, r).unwrap();
         }
         let (c, r) = entry(9);
-        let deadline = std::time::Instant::now() + Duration::from_millis(20);
+        let started = Instant::now();
+        let mut deadline = Deadline::after(Duration::from_millis(20));
         assert_eq!(
-            ring.push_deadline(c, r, Some(deadline)),
+            ring.push_deadline(c, r, false, &mut deadline),
             Err(PushError::TimedOut)
         );
-        assert!(std::time::Instant::now() >= deadline);
+        assert!(started.elapsed() >= Duration::from_millis(20));
     }
 
     #[test]
     fn close_wakes_producer_parked_on_full_ring() {
-        let ring = Arc::new(Ring::with_capacity(2));
+        let ring = Arc::new(Ring::with_capacity(2, 4));
         for k in 0..2 {
             let (c, r) = entry(k);
             ring.push(c, r).unwrap();
@@ -798,13 +888,13 @@ mod tests {
 
     #[test]
     fn wait_response_deadline_times_out_while_pending() {
-        let ring = Ring::with_capacity(4);
+        let ring = Ring::with_capacity(4, 4);
         let (c, r) = entry(1);
         ring.push(c, Arc::clone(&r)).unwrap();
         // No consumer: the wait must end at the deadline, not hang.
-        let deadline = std::time::Instant::now() + Duration::from_millis(20);
+        let mut deadline = Deadline::after(Duration::from_millis(20));
         assert_eq!(
-            ring.wait_response_deadline(&r, Some(deadline)),
+            ring.wait_response_deadline(&r, &mut deadline),
             Err(WaitError::TimedOut)
         );
     }
@@ -858,7 +948,7 @@ mod tests {
 
     #[test]
     fn resolving_a_registered_slot_unparks_its_waiter() {
-        let ring = Arc::new(Ring::with_capacity(4));
+        let ring = Arc::new(Ring::with_capacity(4, 4));
         let (c, r) = entry(1);
         ring.push(c, Arc::clone(&r)).unwrap();
         let waiter = {
@@ -876,9 +966,114 @@ mod tests {
         assert_eq!(ring.reply_backstops(), 0);
     }
 
+    /// A worker loop as bare as the protocol allows: echo the key, sleep on
+    /// the doorbell when dry.
+    fn echo_worker(ring: &Arc<Ring>) -> std::thread::JoinHandle<()> {
+        let ring = Arc::clone(ring);
+        std::thread::spawn(move || loop {
+            match ring.pop() {
+                Some((cmd, resp)) => {
+                    ReplyGuard::new(resp).complete(Some(cmd.key()));
+                }
+                None if ring.is_closed() => break,
+                None => ring.wait_for_work(),
+            }
+        })
+    }
+
+    /// Blocks until the worker has begun a park it was not in before.
+    fn await_fresh_park(ring: &Ring, parks_seen: &mut u64) {
+        while ring.worker_parks() == *parks_seen || !*ring.doorbell.lock.lock().unwrap() {
+            std::thread::yield_now();
+        }
+        *parks_seen = ring.worker_parks();
+    }
+
+    #[test]
+    fn pushes_ring_only_for_a_blocked_caller_or_a_full_batch() {
+        let ring = Arc::new(Ring::with_capacity(16, 4));
+        let worker = echo_worker(&ring);
+        let mut parks = 0;
+        // Three queued commands nobody is blocked on: under the batch of 4.
+        // (Retried if the worker's own backstop fired in the meantime.)
+        let replies = loop {
+            await_fresh_park(&ring, &mut parks);
+            let replies: Vec<_> = (0..3)
+                .map(|k| {
+                    let (c, r) = entry(k);
+                    ring.push(c, Arc::clone(&r)).unwrap();
+                    r
+                })
+                .collect();
+            if ring.worker_parks() == parks && ring.is_worker_parked() {
+                break replies;
+            }
+        };
+        assert_eq!(ring.doorbell_wakes(), 0, "a sub-batch push rang");
+        assert!(replies.iter().all(|r| r.poll().is_none()));
+        // The fourth makes a batch.
+        let (c, r) = entry(3);
+        ring.push(c, Arc::clone(&r)).unwrap();
+        assert_eq!(ring.wait_response(&r), Ok(Some(3)));
+        assert_eq!(ring.doorbell_wakes(), 1);
+        // One command whose caller is blocked on it rings at once.
+        await_fresh_park(&ring, &mut parks);
+        let (c, r) = entry(9);
+        r.arm(true);
+        ring.push_deadline(c, Arc::clone(&r), true, &mut Deadline::after(FOREVER))
+            .unwrap();
+        assert_eq!(ring.doorbell_wakes(), 2);
+        assert_eq!(ring.wait_response(&r), Ok(Some(9)));
+        assert!(ring.doorbell_wakes() <= ring.worker_parks());
+        ring.close();
+        worker.join().unwrap();
+    }
+
+    /// The push-side doorbell gap, staged: the worker is parked and an entry
+    /// is published that nobody rang for — what a push leaves behind when
+    /// its `sleeping` load overtook its own `seq` store. A caller that
+    /// waits fetches its reply with its own fenced ring, long before the
+    /// worker's backstop.
+    #[test]
+    fn a_waiter_rings_for_an_entry_published_behind_a_parked_worker() {
+        let ring = Arc::new(Ring::with_capacity(8, 4));
+        let worker = echo_worker(&ring);
+        let mut parks = 0;
+        for attempt in 0.. {
+            await_fresh_park(&ring, &mut parks);
+            let wakes = ring.doorbell_wakes();
+            let (c, r) = entry(7);
+            ring.push(c, Arc::clone(&r)).unwrap();
+            assert_eq!(ring.doorbell_wakes(), wakes, "a sub-batch push rang");
+            let began = Instant::now();
+            assert_eq!(ring.wait_response(&r), Ok(Some(7)));
+            let took = began.elapsed();
+            // No wake paid: the worker's own timer beat the waiter to it.
+            if ring.doorbell_wakes() == wakes + 1 {
+                assert!(
+                    took < DOORBELL_BACKSTOP / 4,
+                    "the waiter rang, and still waited {took:?}"
+                );
+                break;
+            }
+            assert!(attempt < 8, "every reply came by the worker's backstop");
+        }
+        ring.close();
+        worker.join().unwrap();
+    }
+
+    #[test]
+    fn deadline_starts_at_its_first_reading() {
+        let mut deadline = Deadline::after(Duration::from_millis(30));
+        std::thread::sleep(Duration::from_millis(40));
+        assert!(!deadline.passed(), "the budget ran before anyone looked");
+        std::thread::sleep(Duration::from_millis(40));
+        assert!(deadline.passed());
+    }
+
     #[test]
     fn idle_spin_sees_a_push_and_gives_up_after_its_budget() {
-        let ring = Arc::new(Ring::with_capacity(4));
+        let ring = Arc::new(Ring::with_capacity(4, 4));
         let t = mono_ns();
         assert!(!ring.spin_for_work());
         let spent = mono_ns() - t;

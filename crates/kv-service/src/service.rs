@@ -10,12 +10,12 @@
 use std::sync::atomic::{fence, Ordering::Acquire};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use smr_common::policy::Verdict;
 use smr_common::Backoff;
 
-use crate::ring::{Command, PushError, ResponseSlot, WaitError};
+use crate::ring::{Command, Deadline, PushError, ResponseSlot, WaitError};
 use crate::shard::{run_worker, Shard, ShardStatsSnapshot};
 use crate::store::{HppStore, ShardStore};
 use crate::supervisor::{
@@ -103,6 +103,7 @@ impl<S: ShardStore> KvService<S> {
                     Arc::new(ShardSlot::new(Arc::new(Shard::new(
                         S::new_shard(cfg.buckets, cfg.policy),
                         cfg.ring_depth,
+                        cfg.batch,
                     ))))
                 })
                 .collect(),
@@ -112,12 +113,11 @@ impl<S: ShardStore> KvService<S> {
             .enumerate()
             .map(|(i, slot)| {
                 let shard = slot.current();
-                let batch = cfg.batch.max(1);
                 let ctl = Arc::clone(&ctl);
                 Some(
                     std::thread::Builder::new()
                         .name(format!("kv-shard-{i}-g0"))
-                        .spawn(move || run_worker(shard, batch, Some(ctl)))
+                        .spawn(move || run_worker(shard, Some(ctl)))
                         .expect("spawn shard worker"),
                 )
             })
@@ -126,7 +126,7 @@ impl<S: ShardStore> KvService<S> {
             let slots = Arc::clone(&slots);
             let ctl = Arc::clone(&ctl);
             let respawn = RespawnConfig {
-                batch: cfg.batch.max(1),
+                batch: cfg.batch,
                 ring_depth: cfg.ring_depth,
                 buckets: cfg.buckets,
                 policy: cfg.policy,
@@ -151,7 +151,11 @@ impl<S: ShardStore> KvService<S> {
             cached: self
                 .slots
                 .iter()
-                .map(|s| (s.generation(), s.current()))
+                .map(|s| Cached {
+                    generation: s.generation(),
+                    shard: s.current(),
+                    window_at: NOT_IN_WINDOW,
+                })
                 .collect(),
             slots: Arc::clone(&self.slots),
             supervised: self.cfg.supervise,
@@ -159,6 +163,7 @@ impl<S: ShardStore> KvService<S> {
             retries: self.cfg.retries,
             free: Vec::new(),
             pending: Vec::new(),
+            window: Vec::new(),
             solo: false,
         }
     }
@@ -249,13 +254,11 @@ impl<S: ShardStore> KvService<S> {
     pub fn inject_crash(&self, i: usize) -> bool {
         let shard = self.slots[i].current();
         let resp = Arc::new(ResponseSlot::new());
+        // Nobody drains this command: it rings for itself (`blocked`).
+        let mut deadline = Deadline::after(Duration::from_secs(5));
         shard
             .ring
-            .push_deadline(
-                Command::Crash { key: 0 },
-                resp,
-                Some(Instant::now() + Duration::from_secs(5)),
-            )
+            .push_deadline(Command::Crash { key: 0 }, resp, true, &mut deadline)
             .is_ok()
     }
 
@@ -315,12 +318,17 @@ impl<S: ShardStore> Drop for KvService<S> {
 pub struct Client<S: ShardStore> {
     slots: Arc<Vec<Arc<ShardSlot<S>>>>,
     /// Per-shard cached incarnation, revalidated by one generation load.
-    cached: Vec<(u64, Arc<Shard<S>>)>,
+    cached: Vec<Cached<S>>,
     supervised: bool,
     op_timeout: Duration,
     retries: u32,
     free: Vec<Arc<ResponseSlot>>,
-    pending: Vec<(usize, Arc<Shard<S>>, Arc<ResponseSlot>)>,
+    /// In-flight commands in submission order: `window` index, reply slot.
+    pending: Vec<(u32, Arc<ResponseSlot>)>,
+    /// The window table: each distinct shard incarnation the in-flight
+    /// commands went to, with its shard index — one `Arc<Shard>` clone per
+    /// incarnation per window, not one per command.
+    window: Vec<(usize, Arc<Shard<S>>)>,
     /// Whether the last drained pipeline window held a single command: the
     /// caller is using `submit` + `drain` as a one-shot call, and the next
     /// `submit` into an empty pipeline is marked blocked-caller like one.
@@ -328,6 +336,16 @@ pub struct Client<S: ShardStore> {
     /// the worker spin.
     solo: bool,
 }
+
+/// One shard's cached incarnation.
+struct Cached<S> {
+    generation: u64,
+    shard: Arc<Shard<S>>,
+    /// `shard`'s index in the client's window table, or [`NOT_IN_WINDOW`].
+    window_at: u32,
+}
+
+const NOT_IN_WINDOW: u32 = u32::MAX;
 
 impl<S: ShardStore> Client<S> {
     /// Which shard serves `key`.
@@ -379,18 +397,40 @@ impl<S: ShardStore> Client<S> {
         slot
     }
 
-    /// The cached incarnation of shard `idx`, revalidated against the
-    /// slot's generation (one relaxed load on the fast path).
-    fn current(&mut self, idx: usize) -> Arc<Shard<S>> {
-        if self.slots[idx].generation() != self.cached[idx].0 {
+    /// Shard `idx`'s cached incarnation, revalidated against the slot's
+    /// generation (one relaxed load on the fast path).
+    fn current(&mut self, idx: usize) -> &mut Cached<S> {
+        if self.slots[idx].generation() != self.cached[idx].generation {
             self.refresh(idx);
         }
-        Arc::clone(&self.cached[idx].1)
+        &mut self.cached[idx]
     }
 
     fn refresh(&mut self, idx: usize) {
         let slot = &self.slots[idx];
-        self.cached[idx] = (slot.generation(), slot.current());
+        let (generation, shard) = (slot.generation(), slot.current());
+        let cached = &mut self.cached[idx];
+        cached.generation = generation;
+        // A retired incarnation keeps its place in the window table: the
+        // replies it still owes are typed by its own ring.
+        if !Arc::ptr_eq(&cached.shard, &shard) {
+            cached.shard = shard;
+            cached.window_at = NOT_IN_WINDOW;
+        }
+    }
+
+    /// The window-table index of shard `idx`'s current incarnation,
+    /// entering it on the window's first command for it.
+    fn window_entry(&mut self, idx: usize) -> u32 {
+        let next = self.window.len() as u32;
+        let cached = self.current(idx);
+        if cached.window_at == NOT_IN_WINDOW {
+            cached.window_at = next;
+            let shard = Arc::clone(&cached.shard);
+            self.window.push((idx, shard));
+            return next;
+        }
+        cached.window_at
     }
 
     /// The error a down shard maps to for this client.
@@ -405,17 +445,17 @@ impl<S: ShardStore> Client<S> {
     /// Waits (jittered backoff) for shard `idx` to come back up after a
     /// death: either a respawned incarnation accepts commands, the service
     /// closes, or the deadline passes. Returns whether retrying is useful.
-    fn await_respawn(&mut self, idx: usize, deadline: Instant) -> bool {
+    fn await_respawn(&mut self, idx: usize, deadline: &mut Deadline) -> bool {
         let mut backoff = Backoff::new();
         loop {
             if self.slots[idx].is_closed() {
                 return false;
             }
             self.refresh(idx);
-            if !self.cached[idx].1.ring.is_closed() {
+            if !self.cached[idx].shard.ring.is_closed() {
                 return true;
             }
-            if Instant::now() >= deadline {
+            if deadline.passed() {
                 return false;
             }
             backoff.snooze();
@@ -426,16 +466,27 @@ impl<S: ShardStore> Client<S> {
     /// per-op deadline) while the target ring is full; rides out shard
     /// respawns within the retry budget. The reply is collected by
     /// [`drain`](Self::drain), in submission order.
+    ///
+    /// Who wakes the worker: a `submit` rings a sleeping worker's doorbell
+    /// only when its shard's backlog reaches one worker batch
+    /// ([`KvConfig::batch`], or the ring's capacity if smaller), or when the
+    /// caller is blocked on this command (a depth-1 window after a depth-1
+    /// window). Any other wake is owed by [`drain`](Self::drain): `submit`
+    /// alone promises execution only within the worker's 50 ms doorbell
+    /// backstop. The per-op deadline starts at the first look at the clock,
+    /// which the fast path (ring has room, shard is up) never takes.
     pub fn submit(&mut self, cmd: Command) -> Result<(), KvError> {
         let idx = self.shard_of(cmd.key());
-        let deadline = Instant::now() + self.op_timeout;
-        let slot = self.take_slot(self.solo && self.pending.is_empty());
+        let blocked = self.solo && self.pending.is_empty();
+        let slot = self.take_slot(blocked);
+        let mut deadline = Deadline::after(self.op_timeout);
         let mut attempts = 0u32;
         loop {
-            let shard = self.current(idx);
-            match shard.ring.push_deadline(cmd, Arc::clone(&slot), Some(deadline)) {
+            let at = self.window_entry(idx);
+            let ring = &self.window[at as usize].1.ring;
+            match ring.push_deadline(cmd, Arc::clone(&slot), blocked, &mut deadline) {
                 Ok(()) => {
-                    self.pending.push((idx, shard, slot));
+                    self.pending.push((at, slot));
                     return Ok(());
                 }
                 Err(PushError::TimedOut) => {
@@ -451,7 +502,7 @@ impl<S: ShardStore> Client<S> {
                         return Err(err);
                     }
                     attempts += 1;
-                    if !self.await_respawn(idx, deadline) {
+                    if !self.await_respawn(idx, &mut deadline) {
                         self.free.push(slot);
                         return Err(if self.slots[idx].is_closed() {
                             KvError::Stopped
@@ -465,30 +516,33 @@ impl<S: ShardStore> Client<S> {
     }
 
     /// Waits for every in-flight command, invoking `sink(index, reply)` in
-    /// submission order (`index` counts from 0 within this drain). Each
+    /// submission order (`index` counts from 0 within this drain). Rings
+    /// the doorbell of every shard in the window before it collects the
+    /// first reply — a window over many shards wakes them all at once —
+    /// and again before every yield or park of a reply wait. Each
     /// reply waits at most one op-timeout from the start of its wait (the
     /// clock is read only for a reply that is not there yet); a timed-out
     /// command reports
     /// [`KvError::DeadlineExceeded`] and its slot is abandoned (the worker
     /// may still complete it later). Pipelined errors are *not* retried.
     pub fn drain(&mut self, mut sink: impl FnMut(usize, Result<Option<u64>, KvError>)) {
-        let pending = std::mem::take(&mut self.pending);
+        let mut pending = std::mem::take(&mut self.pending);
+        let mut window = std::mem::take(&mut self.window);
         self.solo = pending.len() == 1;
-        for (i, (idx, shard, slot)) in pending.into_iter().enumerate() {
-            let reply = match slot.poll() {
-                Some(ready) => ready.map_err(|_| WaitError::Down),
-                None => {
-                    let deadline = Instant::now() + self.op_timeout;
-                    shard.ring.wait_response_deadline(&slot, Some(deadline))
-                }
-            };
-            match reply {
+        for (idx, shard) in &window {
+            self.cached[*idx].window_at = NOT_IN_WINDOW;
+            shard.ring.flush();
+        }
+        for (i, (at, slot)) in pending.drain(..).enumerate() {
+            let (idx, shard) = &window[at as usize];
+            let mut deadline = Deadline::after(self.op_timeout);
+            match shard.ring.wait_response_deadline(&slot, &mut deadline) {
                 Ok(reply) => {
                     sink(i, Ok(reply));
                     self.free.push(slot);
                 }
                 Err(WaitError::Down) => {
-                    sink(i, Err(self.down_error(idx)));
+                    sink(i, Err(self.down_error(*idx)));
                     self.free.push(slot);
                 }
                 Err(WaitError::TimedOut) => {
@@ -498,18 +552,23 @@ impl<S: ShardStore> Client<S> {
                 }
             }
         }
+        window.clear();
+        (self.pending, self.window) = (pending, window);
     }
 
     fn call(&mut self, cmd: Command) -> Result<Option<u64>, KvError> {
         let idx = self.shard_of(cmd.key());
-        let deadline = Instant::now() + self.op_timeout;
+        let mut deadline = Deadline::after(self.op_timeout);
         let mut attempts = 0u32;
         loop {
-            let shard = self.current(idx);
+            let shard = Arc::clone(&self.current(idx).shard);
             // A one-shot caller cannot issue anything else before this reply.
             let slot = self.take_slot(true);
-            match shard.ring.push_deadline(cmd, Arc::clone(&slot), Some(deadline)) {
-                Ok(()) => match shard.ring.wait_response_deadline(&slot, Some(deadline)) {
+            match shard
+                .ring
+                .push_deadline(cmd, Arc::clone(&slot), true, &mut deadline)
+            {
+                Ok(()) => match shard.ring.wait_response_deadline(&slot, &mut deadline) {
                     Ok(reply) => {
                         self.free.push(slot);
                         return Ok(reply);
@@ -534,7 +593,7 @@ impl<S: ShardStore> Client<S> {
                 return Err(err);
             }
             attempts += 1;
-            if !self.await_respawn(idx, deadline) {
+            if !self.await_respawn(idx, &mut deadline) {
                 return Err(if self.slots[idx].is_closed() {
                     KvError::Stopped
                 } else {
@@ -687,6 +746,44 @@ mod tests {
         // The new incarnation serves traffic.
         assert_eq!(client.insert(2, 22), Ok(true));
         assert_eq!(client.get(2), Ok(Some(22)));
+        svc.shutdown();
+    }
+
+    #[test]
+    fn window_table_holds_one_entry_per_incarnation_touched() {
+        let svc = KvService::<HppStore>::start(test_cfg());
+        let mut client = svc.client();
+        let keys: Vec<u64> = (0..64).collect();
+        let (on0, on1): (Vec<u64>, Vec<u64>) = keys.iter().partition(|&&k| svc.shard_of(k) == 0);
+        for &k in on0.iter().take(5).chain(on1.iter().take(5)) {
+            client.submit(Command::Get { key: k }).unwrap();
+        }
+        assert_eq!(
+            client.window.len(),
+            2,
+            "one entry per shard, not per command"
+        );
+        // Shard 0 dies and comes back in mid-window: its new incarnation is
+        // a third entry, and the old one keeps answering for its commands.
+        assert!(svc.inject_crash(0));
+        while svc.generation(0) == Generation(0) {
+            std::thread::yield_now();
+        }
+        client.submit(Command::Get { key: on0[0] }).unwrap();
+        assert_eq!(client.window.len(), 3);
+        assert_eq!(client.pending.last().unwrap().0, 2);
+        let mut replies = 0;
+        client.drain(|_, r| {
+            assert_eq!(r, Ok(None));
+            replies += 1;
+        });
+        assert_eq!(replies, 11);
+        assert!(client.window.is_empty() && client.pending.is_empty());
+        assert!(
+            client.pending.capacity() >= 11,
+            "drain gave the buffer away"
+        );
+        assert!(client.cached.iter().all(|c| c.window_at == NOT_IN_WINDOW));
         svc.shutdown();
     }
 

@@ -11,7 +11,10 @@
 //! nothing else in flight. That caller's next command is one reply round
 //! trip away, so the worker polls for it first (`Ring::spin_for_work`) and
 //! a ping-pong client never pays a park and a futex wake per op. The gate
-//! is what keeps pipelined traffic batched: see DESIGN.md §1.9.
+//! is what keeps pipelined traffic batched: see DESIGN.md §1.9. A parked
+//! worker is woken by a blocked caller's push, by the push that queues a
+//! whole batch, or by a caller about to wait — one futex wake per batch a
+//! pipelining client gets ahead, not one per park.
 //!
 //! Crash story: `WorkerGuard` retires the ring on *any* exit — normal
 //! shutdown or unwind — so queued commands fail fast instead of hanging
@@ -58,6 +61,10 @@ pub struct ShardStatsSnapshot {
     pub max_batch: u64,
     /// Times the worker went to sleep on the doorbell.
     pub worker_parks: u64,
+    /// Pushes and reply waits that found the worker asleep and paid the
+    /// futex wake; at most one per park. A pipelined push pays it only at
+    /// a backlog of one worker batch.
+    pub doorbell_wakes: u64,
     /// Idle spins (ring dry behind a blocked caller) that found the next
     /// command within the budget.
     pub idle_spin_hits: u64,
@@ -93,6 +100,9 @@ impl ShardStats {
 pub(crate) struct Shard<S> {
     pub(crate) ring: Ring,
     pub(crate) store: S,
+    /// Commands the worker drains per wakeup, tops; also the backlog at
+    /// which a push wakes it unasked.
+    batch: usize,
     stats: ShardStats,
     /// Latest watchdog verdict ([`Verdict::encode`]), written by the
     /// worker's sampling, read by [`KvService::health`](crate::KvService).
@@ -100,10 +110,12 @@ pub(crate) struct Shard<S> {
 }
 
 impl<S: ShardStore> Shard<S> {
-    pub(crate) fn new(store: S, ring_depth: usize) -> Self {
+    pub(crate) fn new(store: S, ring_depth: usize, batch: usize) -> Self {
+        let batch = batch.max(1);
         Self {
-            ring: Ring::with_capacity(ring_depth),
+            ring: Ring::with_capacity(ring_depth, batch),
             store,
+            batch,
             stats: ShardStats::default(),
             verdict: AtomicU8::new(Verdict::Unknown.encode()),
         }
@@ -119,6 +131,9 @@ impl<S: ShardStore> Shard<S> {
             garbage: s.garbage.load(Relaxed),
             peak_garbage: s.peak_garbage.load(Relaxed),
             max_batch: s.max_batch.load(Relaxed),
+            // Wakes before parks, so a racing reader never sees more
+            // wakes than parks.
+            doorbell_wakes: self.ring.doorbell_wakes(),
             worker_parks: self.ring.worker_parks(),
             idle_spin_hits: s.idle_spin_hits.load(Relaxed),
             idle_spin_expired: s.idle_spin_expired.load(Relaxed),
@@ -153,14 +168,10 @@ fn execute<S: ShardStore>(store: &S, handle: &mut S::Handle, (cmd, resp): Entry)
 }
 
 /// The shard worker: park-drain-execute until the ring closes, then flush
-/// reclamation and exit. `batch_max` commands per wakeup, tops. `ctl`, when
-/// present, is nudged as the worker exits so the supervisor reacts to a
-/// death immediately instead of at its next poll tick.
-pub(crate) fn run_worker<S: ShardStore>(
-    shard: Arc<Shard<S>>,
-    batch_max: usize,
-    ctl: Option<Arc<SupervisorCtl>>,
-) {
+/// reclamation and exit. `ctl`, when present, is nudged as the worker exits
+/// so the supervisor reacts to a death immediately instead of at its next
+/// poll tick.
+pub(crate) fn run_worker<S: ShardStore>(shard: Arc<Shard<S>>, ctl: Option<Arc<SupervisorCtl>>) {
     /// Retires the ring on any exit, unwind included, then wakes the
     /// supervisor (after retirement, so the death is already observable).
     struct WorkerGuard<'a>(&'a Ring, Option<&'a SupervisorCtl>);
@@ -215,7 +226,7 @@ pub(crate) fn run_worker<S: ShardStore>(
         };
         blocked_caller = execute(&shard.store, &mut handle, first);
         let mut drained = 1u64;
-        while drained < batch_max as u64 {
+        while drained < shard.batch as u64 {
             let Some(entry) = shard.ring.pop() else { break };
             blocked_caller |= execute(&shard.store, &mut handle, entry);
             drained += 1;

@@ -260,14 +260,14 @@ fn recover<S: ShardStore>(
     let fresh = Arc::new(Shard::new(
         S::new_shard(cfg.buckets, cfg.policy),
         cfg.ring_depth,
+        cfg.batch,
     ));
     let handle = {
         let shard = Arc::clone(&fresh);
         let ctl = Arc::clone(ctl);
-        let batch = cfg.batch;
         std::thread::Builder::new()
             .name(format!("kv-shard-{idx}-g{}", generation + 1))
-            .spawn(move || run_worker(shard, batch, Some(ctl)))
+            .spawn(move || run_worker(shard, Some(ctl)))
             .expect("spawn respawned shard worker")
     };
     *worker = Some(handle);

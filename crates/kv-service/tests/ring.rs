@@ -151,6 +151,46 @@ fn full_ring_backpressure_parks_producer_instead_of_busy_spinning() {
 }
 
 #[test]
+fn full_ring_behind_a_stalled_worker_times_out_from_the_first_wait() {
+    let _serial = serial();
+    // `submit` reads no clock until its ring is full; the deadline it then
+    // starts must still turn a wedged worker into `DeadlineExceeded` after
+    // one op timeout, not hang and not fail early.
+    let op_timeout = Duration::from_millis(100);
+    let svc = KvService::<GatedStore>::start(cfg(1, 4, 4).with_op_timeout(op_timeout));
+    GATE.store(true, SeqCst);
+    PANIC.store(false, SeqCst);
+    let mut client = svc.client();
+    // Four fill the ring and wake the worker, which takes the first into
+    // the gated store; the fifth takes the slot that frees.
+    for k in 0..5u64 {
+        client.submit(Command::Get { key: k }).unwrap();
+    }
+    // A client that has been idle for longer than its op timeout: only a
+    // deadline that starts at the first wait has any budget left.
+    std::thread::sleep(2 * op_timeout);
+    let started = Instant::now();
+    assert_eq!(
+        client.submit(Command::Get { key: 99 }),
+        Err(KvError::DeadlineExceeded)
+    );
+    let waited = started.elapsed();
+    assert!(waited >= op_timeout, "gave up after {waited:?}");
+    assert!(
+        waited < op_timeout + Duration::from_millis(400),
+        "a full ring held its producer for {waited:?}"
+    );
+    GATE.store(false, SeqCst);
+    let mut replies = 0;
+    client.drain(|_, r| {
+        assert_eq!(r, Ok(None));
+        replies += 1;
+    });
+    assert_eq!(replies, 5);
+    svc.shutdown();
+}
+
+#[test]
 fn retired_ring_wakes_parked_producers() {
     let _serial = serial();
     // Satellite regression: producers parked on a full ring must be woken

@@ -1,7 +1,9 @@
 //! The wake protocol through the public API: a reply wait that parks is
 //! woken by its resolver and by nothing else, an idle worker spins only
-//! behind a blocked caller and then really parks, and a pooled reply slot
-//! is never failed by the command before it.
+//! behind a blocked caller and then really parks, a pooled reply slot is
+//! never failed by the command before it, and a parked worker's doorbell is
+//! rung on demand — by the push that completes a worker batch, by `drain`,
+//! and otherwise by nobody until the 50 ms backstop.
 //!
 //! Every test reads per-shard or process-global counters, so the file
 //! serializes on a local lock.
@@ -9,19 +11,70 @@
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use kv_service::{Command, HppStore, KvConfig, KvService, ShardStatsSnapshot};
+use kv_service::{Client, Command, HppStore, KvConfig, KvError, KvService, ShardStatsSnapshot};
 
 fn serial() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn one_shard() -> KvService<HppStore> {
-    KvService::start(KvConfig {
+fn one_shard_cfg() -> KvConfig {
+    KvConfig {
         shards: 1,
         buckets: 64,
         ..KvConfig::new()
-    })
+    }
+}
+
+fn one_shard() -> KvService<HppStore> {
+    KvService::start(one_shard_cfg())
+}
+
+/// `KvConfig::new().batch`: the backlog at which a push rings unasked.
+const BATCH: u64 = 32;
+/// The worker's doorbell backstop, and how much of one park a test may use
+/// up before what it saw of a "parked" worker stops meaning anything.
+const BACKSTOP: Duration = Duration::from_millis(50);
+const QUIET: Duration = Duration::from_millis(30);
+
+/// Waits until shard `i`'s worker has just begun a park, so that its
+/// backstop is a whole [`BACKSTOP`] away, and returns the counters and the
+/// time of that moment.
+fn fresh_park(svc: &KvService<HppStore>, i: usize) -> (ShardStatsSnapshot, Instant) {
+    let parks = svc.shard_stats(i).worker_parks;
+    wait_for("the worker to park afresh", || {
+        svc.shard_stats(i).worker_parks > parks && svc.worker_parked(i)
+    });
+    (svc.shard_stats(i), Instant::now())
+}
+
+/// Runs `attempt` on a fresh service until it reports that everything it
+/// observed fell inside one park of the worker (`false`: a slow host let
+/// the backstop fire under the observation; nothing was asserted).
+fn within_one_park(cfg: KvConfig, mut attempt: impl FnMut(&KvService<HppStore>) -> bool) {
+    for _ in 0..10 {
+        let svc = KvService::start(cfg.clone());
+        let valid = attempt(&svc);
+        let stats = svc.shutdown();
+        for s in &stats {
+            assert!(
+                s.doorbell_wakes <= s.worker_parks,
+                "{} wakes for {} parks",
+                s.doorbell_wakes,
+                s.worker_parks
+            );
+        }
+        if valid {
+            return;
+        }
+    }
+    panic!("ten attempts, and the worker's backstop fired inside every one");
+}
+
+fn submit_gets(client: &mut Client<HppStore>, keys: std::ops::Range<u64>) {
+    for key in keys {
+        client.submit(Command::Get { key }).unwrap();
+    }
 }
 
 fn idle_spins(s: &ShardStatsSnapshot) -> u64 {
@@ -181,6 +234,264 @@ fn only_a_blocked_caller_makes_the_worker_spin() {
     wait_for("a depth-1 pipeline to make the worker spin", || {
         idle_spins(&svc.shard_stats(0)) > idle_spins(&before)
     });
+    svc.shutdown();
+}
+
+#[test]
+fn sub_batch_window_stays_queued_until_drain_rings() {
+    let _serial = serial();
+    within_one_park(one_shard_cfg(), |svc| {
+        let mut client = svc.client();
+        let (before, began) = fresh_park(svc, 0);
+        submit_gets(&mut client, 0..8);
+        std::thread::sleep(Duration::from_millis(2));
+        let queued = svc.shard_stats(0);
+        let still_parked = svc.worker_parked(0);
+        if began.elapsed() >= QUIET {
+            client.drain(|_, _| {});
+            return false;
+        }
+        assert!(still_parked, "a sub-batch window woke the worker");
+        assert_eq!(queued.ops, before.ops, "a parked worker ran commands");
+        assert_eq!(
+            queued.doorbell_wakes, before.doorbell_wakes,
+            "a sub-batch submit paid a wake"
+        );
+
+        let draining = Instant::now();
+        let mut replies = 0;
+        client.drain(|_, r| {
+            assert_eq!(r, Ok(None));
+            replies += 1;
+        });
+        let took = draining.elapsed();
+        assert_eq!(replies, 8);
+        let after = svc.shard_stats(0);
+        if after.doorbell_wakes != before.doorbell_wakes + 1 {
+            // The backstop fired between the check above and the drain.
+            return false;
+        }
+        assert!(took < BACKSTOP / 4, "drain rang, and still took {took:?}");
+        true
+    });
+}
+
+#[test]
+fn the_push_that_completes_a_batch_wakes_the_worker_undrained() {
+    let _serial = serial();
+    within_one_park(one_shard_cfg(), |svc| {
+        // One producer, then two whose commands only sum to a batch.
+        for producers in [1u64, 2] {
+            let mut clients: Vec<_> = (0..producers).map(|_| svc.client()).collect();
+            let (before, began) = fresh_park(svc, 0);
+            let share = BATCH / producers;
+            for (p, client) in clients.iter_mut().enumerate() {
+                let last = p as u64 + 1 == producers;
+                submit_gets(client, 0..share - last as u64);
+            }
+            let queued = svc.shard_stats(0);
+            let still_parked = svc.worker_parked(0);
+            // The batch-th command.
+            submit_gets(clients.last_mut().unwrap(), 0..1);
+            let pushed = svc.shard_stats(0);
+            if began.elapsed() >= QUIET {
+                clients.iter_mut().for_each(|c| c.drain(|_, _| {}));
+                return false;
+            }
+            assert!(
+                still_parked,
+                "{} queued commands woke the worker",
+                BATCH - 1
+            );
+            assert_eq!(queued.ops, before.ops);
+            assert_eq!(queued.doorbell_wakes, before.doorbell_wakes);
+            assert_eq!(
+                pushed.doorbell_wakes,
+                before.doorbell_wakes + 1,
+                "the batch-th push did not ring ({producers} producers)"
+            );
+            wait_for("the undrained batch to run", || {
+                svc.shard_stats(0).ops == before.ops + BATCH
+            });
+            clients
+                .iter_mut()
+                .for_each(|c| c.drain(|_, r| assert_eq!(r, Ok(None))));
+        }
+        true
+    });
+}
+
+#[test]
+fn a_full_tiny_ring_wakes_the_worker_before_its_producer_parks() {
+    let _serial = serial();
+    // Four slots under a batch of 32: the ring fills first.
+    let cfg = KvConfig {
+        ring_depth: 4,
+        ..one_shard_cfg()
+    };
+    within_one_park(cfg, |svc| {
+        let mut client = svc.client();
+        let (before, began) = fresh_park(svc, 0);
+        let parks_before = smr_common::counters::total_backoff().2;
+        submit_gets(&mut client, 0..3);
+        let queued = svc.shard_stats(0);
+        submit_gets(&mut client, 3..4);
+        let full = svc.shard_stats(0);
+        let parks_when_full = smr_common::counters::total_backoff().2;
+        if began.elapsed() >= QUIET {
+            client.drain(|_, _| {});
+            return false;
+        }
+        assert_eq!(queued.doorbell_wakes, before.doorbell_wakes);
+        assert_eq!(
+            full.doorbell_wakes,
+            before.doorbell_wakes + 1,
+            "the push that filled the ring did not ring"
+        );
+        assert_eq!(parks_when_full, parks_before, "a producer parked first");
+        // Twice the ring again, behind a worker that is already up.
+        submit_gets(&mut client, 4..12);
+        let mut replies = 0;
+        client.drain(|_, r| {
+            assert_eq!(r, Ok(None));
+            replies += 1;
+        });
+        assert_eq!(replies, 12);
+        true
+    });
+}
+
+#[test]
+fn an_undrained_window_runs_within_the_backstop() {
+    let _serial = serial();
+    let svc = one_shard();
+    let mut client = svc.client();
+    let (before, began) = fresh_park(&svc, 0);
+    submit_gets(&mut client, 0..5);
+    wait_for("the backstop to run the undrained window", || {
+        svc.shard_stats(0).ops == before.ops + 5
+    });
+    let took = began.elapsed();
+    assert!(
+        took < BACKSTOP + Duration::from_millis(200),
+        "an undrained window sat for {took:?}"
+    );
+    assert_eq!(
+        svc.shard_stats(0).doorbell_wakes,
+        before.doorbell_wakes,
+        "nobody was waiting, and somebody still paid a wake"
+    );
+    // The replies are all there: this drain waits for nothing.
+    client.drain(|_, r| assert_eq!(r, Ok(None)));
+    assert_eq!(svc.shard_stats(0).doorbell_wakes, before.doorbell_wakes);
+    svc.shutdown();
+}
+
+#[test]
+fn drain_rings_every_shard_of_its_window_before_the_first_reply() {
+    let _serial = serial();
+    const SHARDS: usize = 4;
+    const PER_SHARD: u64 = 16;
+    let cfg = KvConfig {
+        shards: SHARDS,
+        ..one_shard_cfg()
+    };
+    within_one_park(cfg, |svc| {
+        let mut client = svc.client();
+        // 16 keys per shard, interleaved shard by shard: a 64-command
+        // window that leaves every ring under the batch of 32.
+        let mut keys: Vec<Vec<u64>> = vec![Vec::new(); SHARDS];
+        for key in 0.. {
+            let of = &mut keys[svc.shard_of(key)];
+            if (of.len() as u64) < PER_SHARD {
+                of.push(key);
+            }
+            if keys.iter().all(|k| k.len() as u64 == PER_SHARD) {
+                break;
+            }
+        }
+        wait_for("every worker to park", || {
+            (0..SHARDS).all(|i| svc.worker_parked(i))
+        });
+        let before = svc.stats();
+        for n in 0..PER_SHARD as usize {
+            for of in &keys {
+                client.submit(Command::Get { key: of[n] }).unwrap();
+            }
+        }
+        let draining = Instant::now();
+        let mut all_ran_behind_first_reply = false;
+        client.drain(|i, r| {
+            assert_eq!(r, Ok(None));
+            if i == 0 {
+                // No further reply is collected while this waits, so every
+                // other shard runs only if `drain` rang it up front.
+                let deadline = Instant::now() + BACKSTOP / 4;
+                while !all_ran_behind_first_reply && Instant::now() < deadline {
+                    all_ran_behind_first_reply =
+                        (0..SHARDS).all(|s| svc.shard_stats(s).ops == before[s].ops + PER_SHARD);
+                    std::thread::yield_now();
+                }
+            }
+        });
+        let took = draining.elapsed();
+        if !all_ran_behind_first_reply && took >= QUIET {
+            return false;
+        }
+        assert!(
+            all_ran_behind_first_reply,
+            "a shard stayed asleep behind the first reply: wakes were serialised"
+        );
+        assert!(took < BACKSTOP / 2, "the whole drain took {took:?}");
+        true
+    });
+}
+
+/// A crash in mid-window: commands before it ran, commands queued behind it
+/// on the dead incarnation fail as `RetryAfter`, commands submitted after
+/// the respawn run on the new incarnation — one window, one `drain`, every
+/// reply typed by the incarnation it was sent to.
+#[test]
+fn a_crash_in_mid_window_types_every_reply_by_its_incarnation() {
+    let _serial = serial();
+    let svc = one_shard();
+    let mut client = svc.client().with_retries(0);
+    fresh_park(&svc, 0);
+    client.submit(Command::Put { key: 1, value: 10 }).unwrap();
+    // Queued, not rung: the worker dies on this one when it next wakes.
+    client.submit(Command::Crash { key: 0 }).unwrap();
+    // Behind the crash: on the dead ring, or (had the backstop fired
+    // already) turned away by it.
+    let behind = client.submit(Command::Put { key: 2, value: 20 });
+    // Rings at once; itself rescued off the dead ring.
+    svc.inject_crash(0);
+    wait_for("the respawn", || svc.generation(0).0 == 1);
+    client.submit(Command::Put { key: 3, value: 30 }).unwrap();
+    client.submit(Command::Get { key: 3 }).unwrap();
+
+    let mut replies = Vec::new();
+    client.drain(|_, r| replies.push(r));
+    let retry = |r: &Result<Option<u64>, KvError>| matches!(r, Err(KvError::RetryAfter(_)));
+    assert_eq!(replies[0], Ok(Some(10)), "queued ahead of the crash");
+    assert!(retry(&replies[1]), "the crash command: {:?}", replies[1]);
+    let rest = match behind {
+        Ok(()) => {
+            assert!(
+                retry(&replies[2]),
+                "queued behind the crash: {:?}",
+                replies[2]
+            );
+            &replies[3..]
+        }
+        Err(e) => {
+            assert!(retry(&Err(e)), "turned away by a dead shard: {e:?}");
+            &replies[2..]
+        }
+    };
+    assert_eq!(rest, [Ok(Some(30)), Ok(Some(30))], "the respawned shard");
+    // Lossy by contract: nothing from before the crash survived it.
+    assert_eq!(client.get(1), Ok(None));
+    assert_eq!(client.get(2), Ok(None));
     svc.shutdown();
 }
 

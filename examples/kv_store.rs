@@ -93,12 +93,14 @@ fn main() {
     for (i, s) in stats.iter().enumerate() {
         println!(
             "  shard {i}: {} ops in {} batches (max batch {}, peak garbage {}); \
-             idle: {} parks, {} spins hit / {} expired, {} reply backstops",
+             idle: {} parks ({} ended by a doorbell wake), {} spins hit / {} expired, \
+             {} reply backstops",
             s.ops,
             s.batches,
             s.max_batch,
             s.peak_garbage,
             s.worker_parks,
+            s.doorbell_wakes,
             s.idle_spin_hits,
             s.idle_spin_expired,
             s.reply_backstops
