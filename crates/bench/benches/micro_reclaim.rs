@@ -58,28 +58,30 @@ fn timed<W: Fn(u64) + Sync>(n: usize, per_thread: u64, work: W) -> std::time::Du
     })
 }
 
-fn bench_hp(c: &mut Criterion) {
-    let domain: &'static hp::Domain = Box::leak(Box::new(hp::Domain::new()));
-    let mut g = c.benchmark_group("reclaim/hp");
+/// One benchmark group: `work(iterations)` on each thread of 1, 4 and 16.
+fn group<W: Fn(u64) + Sync>(c: &mut Criterion, name: &str, work: W) {
+    let mut g = c.benchmark_group(name);
     for &n in &THREADS {
         g.bench_function(&n.to_string(), |b| {
-            b.iter_custom(|iters| {
-                let per = iters.div_ceil(n as u64);
-                timed(n, per, |per| {
-                    let mut t = domain.register();
-                    // A live (empty) slot per thread so scans have a
-                    // realistic hazard array to snapshot.
-                    let hp_slot = t.hazard_pointer();
-                    for i in 0..per {
-                        let p = Box::into_raw(Box::new(i));
-                        unsafe { t.retire(p) };
-                    }
-                    t.recycle(hp_slot);
-                })
-            })
+            b.iter_custom(|iters| timed(n, iters.div_ceil(n as u64), &work))
         });
     }
     g.finish();
+}
+
+fn bench_hp(c: &mut Criterion) {
+    let domain: &'static hp::Domain = Box::leak(Box::new(hp::Domain::new()));
+    group(c, "reclaim/hp", |per| {
+        let mut t = domain.register();
+        // A live (empty) slot per thread so scans have a realistic hazard
+        // array to snapshot.
+        let hp_slot = t.hazard_pointer();
+        for i in 0..per {
+            let p = Box::into_raw(Box::new(i));
+            unsafe { t.retire(p) };
+        }
+        t.recycle(hp_slot);
+    });
 }
 
 struct N(Atomic<N>);
@@ -94,92 +96,56 @@ unsafe impl hp_plus::Invalidate for N {
 
 fn bench_hpp(c: &mut Criterion) {
     let domain: &'static hp_plus::Domain = Box::leak(Box::new(hp_plus::Domain::new()));
-    let mut g = c.benchmark_group("reclaim/hp++");
-    for &n in &THREADS {
-        g.bench_function(&n.to_string(), |b| {
-            b.iter_custom(|iters| {
-                let per = iters.div_ceil(n as u64);
-                timed(n, per, |per| {
-                    let mut t = domain.register();
-                    let head: Atomic<N> = Atomic::null();
-                    for _ in 0..per {
-                        let node = Shared::from_owned(N(Atomic::null()));
-                        head.store(node, Release);
-                        let ok = unsafe {
-                            t.try_unlink(&[], || {
-                                head.compare_exchange(node, Shared::null(), AcqRel, Acquire)
-                                    .ok()
-                                    .map(|_| hp_plus::Unlinked::single(node))
-                            })
-                        };
-                        assert!(ok);
-                    }
+    group(c, "reclaim/hp++", |per| {
+        let mut t = domain.register();
+        let head: Atomic<N> = Atomic::null();
+        for _ in 0..per {
+            let node = Shared::from_owned(N(Atomic::null()));
+            head.store(node, Release);
+            let ok = unsafe {
+                t.try_unlink(&[], || {
+                    head.compare_exchange(node, Shared::null(), AcqRel, Acquire)
+                        .ok()
+                        .map(|_| hp_plus::Unlinked::single(node))
                 })
-            })
-        });
-    }
-    g.finish();
+            };
+            assert!(ok);
+        }
+    });
 }
 
 fn bench_ebr(c: &mut Criterion) {
     let collector: &'static ebr::Collector = Box::leak(Box::new(ebr::Collector::new()));
-    let mut g = c.benchmark_group("reclaim/ebr");
-    for &n in &THREADS {
-        g.bench_function(&n.to_string(), |b| {
-            b.iter_custom(|iters| {
-                let per = iters.div_ceil(n as u64);
-                timed(n, per, |per| {
-                    let mut h = collector.register();
-                    for i in 0..per {
-                        let guard = h.pin();
-                        let node = Shared::from_owned(i);
-                        unsafe { guard.defer_destroy(node) };
-                    }
-                })
-            })
-        });
-    }
-    g.finish();
+    group(c, "reclaim/ebr", |per| {
+        let mut h = collector.register();
+        for i in 0..per {
+            let guard = h.pin();
+            let node = Shared::from_owned(i);
+            unsafe { guard.defer_destroy(node) };
+        }
+    });
 }
 
 fn bench_nr(c: &mut Criterion) {
     use smr_common::{GuardedScheme, SchemeGuard};
-    let mut g = c.benchmark_group("reclaim/nr");
-    for &n in &THREADS {
-        g.bench_function(&n.to_string(), |b| {
-            b.iter_custom(|iters| {
-                let per = iters.div_ceil(n as u64);
-                timed(n, per, |per| {
-                    for i in 0..per {
-                        let guard = nr::Nr::pin(&mut nr::Nr::handle());
-                        let node = Shared::from_owned(i);
-                        unsafe { guard.defer_destroy(node) };
-                    }
-                })
-            })
-        });
-    }
-    g.finish();
+    group(c, "reclaim/nr", |per| {
+        for i in 0..per {
+            let guard = nr::Nr::pin(&mut nr::Nr::handle());
+            let node = Shared::from_owned(i);
+            unsafe { guard.defer_destroy(node) };
+        }
+    });
 }
 
 fn bench_ebr_pin(c: &mut Criterion) {
     let collector: &'static ebr::Collector = Box::leak(Box::new(ebr::Collector::new()));
-    let mut g = c.benchmark_group("pin/ebr");
-    for &n in &THREADS {
-        g.bench_function(&n.to_string(), |b| {
-            b.iter_custom(|iters| {
-                let per = iters.div_ceil(n as u64);
-                timed(n, per, |per| {
-                    let mut h = collector.register();
-                    for _ in 0..per {
-                        let guard = h.pin();
-                        criterion::black_box(&guard);
-                    }
-                })
-            })
-        });
-    }
-    g.finish();
+    group(c, "pin/ebr", |per| {
+        let mut h = collector.register();
+        for _ in 0..per {
+            let guard = h.pin();
+            criterion::black_box(&guard);
+        }
+    });
 }
 
 criterion_group! {

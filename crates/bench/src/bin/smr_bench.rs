@@ -1,75 +1,8 @@
-//! Runs a single benchmark scenario and prints one CSV row.
-//!
-//! ```text
-//! smr_bench --ds hhslist --scheme hp++ --threads 16 --key-range 10000 \
-//!           --workload rw --duration-ms 3000 [--zipf <theta>] \
-//!           [--warmup-ms <ms>] [--long-running]
-//! ```
-//!
-//! `--zipf 0` (the default) draws keys uniformly; larger thetas skew the
-//! key stream Zipfian. `--warmup-ms` runs the workload unmeasured before
-//! the timed window. `SMR_NO_PIN=1` disables worker-thread CPU pinning.
-
-use std::time::Duration;
-
-use bench::{Ds, Scenario, Scheme, Workload};
-
-fn arg_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
+//! The one benchmark binary: `smr_bench <subcommand> [flags]` (see
+//! `bench::cli::USAGE`). Sweeps re-spawn this executable as `smr_bench run …`
+//! once per scenario.
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let usage = "usage: smr_bench --ds <ds> --scheme <scheme> --threads <n> \
-                 --key-range <n> --workload <wo|rw|rm> --duration-ms <ms> \
-                 [--zipf <theta>] [--warmup-ms <ms>] [--long-running]";
-
-    let sc = Scenario {
-        ds: arg_value(&args, "--ds")
-            .expect(usage)
-            .parse::<Ds>()
-            .expect("bad --ds"),
-        scheme: arg_value(&args, "--scheme")
-            .expect(usage)
-            .parse::<Scheme>()
-            .expect("bad --scheme"),
-        threads: arg_value(&args, "--threads")
-            .expect(usage)
-            .parse()
-            .expect("bad --threads"),
-        key_range: arg_value(&args, "--key-range")
-            .expect(usage)
-            .parse()
-            .expect("bad --key-range"),
-        workload: arg_value(&args, "--workload")
-            .expect(usage)
-            .parse::<Workload>()
-            .expect("bad --workload"),
-        zipf_theta: arg_value(&args, "--zipf")
-            .map(|v| v.parse().expect("bad --zipf"))
-            .unwrap_or(0.0),
-        warmup: Duration::from_millis(
-            arg_value(&args, "--warmup-ms")
-                .map(|v| v.parse().expect("bad --warmup-ms"))
-                .unwrap_or(0),
-        ),
-        duration: Duration::from_millis(
-            arg_value(&args, "--duration-ms")
-                .expect(usage)
-                .parse()
-                .expect("bad --duration-ms"),
-        ),
-        long_running: args.iter().any(|a| a == "--long-running"),
-    };
-
-    match bench::run(&sc) {
-        Some(stats) => println!("{},{}", sc.csv_prefix(), stats.csv_suffix()),
-        None => {
-            eprintln!("scheme {} not applicable to {}", sc.scheme, sc.ds);
-            std::process::exit(2);
-        }
-    }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    std::process::exit(bench::cli::main(&args));
 }

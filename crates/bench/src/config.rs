@@ -73,41 +73,6 @@ impl Ds {
     }
 }
 
-impl fmt::Display for Ds {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            Ds::HMList => "hmlist",
-            Ds::HHSList => "hhslist",
-            Ds::HashMap => "hashmap",
-            Ds::SkipList => "skiplist",
-            Ds::NMTree => "nmtree",
-            Ds::EFRBTree => "efrbtree",
-            Ds::BonsaiTree => "bonsai",
-            Ds::Stack => "stack",
-            Ds::Queue => "queue",
-        };
-        f.write_str(s)
-    }
-}
-
-impl FromStr for Ds {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "hmlist" => Ok(Ds::HMList),
-            "hhslist" => Ok(Ds::HHSList),
-            "hashmap" => Ok(Ds::HashMap),
-            "skiplist" => Ok(Ds::SkipList),
-            "nmtree" => Ok(Ds::NMTree),
-            "efrbtree" => Ok(Ds::EFRBTree),
-            "bonsai" => Ok(Ds::BonsaiTree),
-            "stack" => Ok(Ds::Stack),
-            "queue" => Ok(Ds::Queue),
-            _ => Err(format!("unknown data structure: {s}")),
-        }
-    }
-}
-
 /// Which reclamation scheme to benchmark.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scheme {
@@ -142,37 +107,6 @@ impl Scheme {
     ];
 }
 
-impl fmt::Display for Scheme {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            Scheme::Nr => "nr",
-            Scheme::Ebr => "ebr",
-            Scheme::Pebr => "pebr",
-            Scheme::Hp => "hp",
-            Scheme::Hpp => "hp++",
-            Scheme::Rc => "rc",
-            Scheme::Hyaline => "hyaline",
-        };
-        f.write_str(s)
-    }
-}
-
-impl FromStr for Scheme {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "nr" => Ok(Scheme::Nr),
-            "ebr" => Ok(Scheme::Ebr),
-            "pebr" => Ok(Scheme::Pebr),
-            "hp" => Ok(Scheme::Hp),
-            "hp++" | "hpp" => Ok(Scheme::Hpp),
-            "rc" => Ok(Scheme::Rc),
-            "hyaline" => Ok(Scheme::Hyaline),
-            _ => Err(format!("unknown scheme: {s}")),
-        }
-    }
-}
-
 /// Operation mix (paper §5: write-only, read-write, read-most).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Workload {
@@ -185,11 +119,6 @@ pub enum Workload {
 }
 
 impl Workload {
-    /// Percentage of get operations.
-    pub fn read_pct(self) -> u32 {
-        self.mix_pcts().0
-    }
-
     /// The full (read, insert, remove) percentage split.
     pub fn mix_pcts(self) -> (u32, u32, u32) {
         match self {
@@ -200,31 +129,60 @@ impl Workload {
     }
 }
 
-impl fmt::Display for Workload {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            Workload::WriteOnly => "write-only",
-            Workload::ReadWrite => "read-write",
-            Workload::ReadMost => "read-most",
-        };
-        f.write_str(s)
-    }
+/// One name table per enum: `Display` prints the first name of a variant,
+/// `FromStr` accepts it and the aliases after `|`.
+macro_rules! names {
+    ($ty:ident, $what:literal: $($variant:ident => $name:literal $(| $alias:literal)*,)+) => {
+        impl fmt::Display for $ty {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.write_str(match self {
+                    $($ty::$variant => $name,)+
+                })
+            }
+        }
+
+        impl FromStr for $ty {
+            type Err = String;
+            fn from_str(s: &str) -> Result<Self, String> {
+                match s {
+                    $($name $(| $alias)* => Ok($ty::$variant),)+
+                    _ => Err(format!("unknown {}: {s}", $what)),
+                }
+            }
+        }
+    };
 }
 
-impl FromStr for Workload {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "write-only" | "wo" => Ok(Workload::WriteOnly),
-            "read-write" | "rw" => Ok(Workload::ReadWrite),
-            "read-most" | "rm" => Ok(Workload::ReadMost),
-            _ => Err(format!("unknown workload: {s}")),
-        }
-    }
-}
+names!(Ds, "data structure":
+    HMList => "hmlist",
+    HHSList => "hhslist",
+    HashMap => "hashmap",
+    SkipList => "skiplist",
+    NMTree => "nmtree",
+    EFRBTree => "efrbtree",
+    BonsaiTree => "bonsai",
+    Stack => "stack",
+    Queue => "queue",
+);
+
+names!(Scheme, "scheme":
+    Nr => "nr",
+    Ebr => "ebr",
+    Pebr => "pebr",
+    Hp => "hp",
+    Hpp => "hp++" | "hpp",
+    Rc => "rc",
+    Hyaline => "hyaline",
+);
+
+names!(Workload, "workload":
+    WriteOnly => "write-only" | "wo",
+    ReadWrite => "read-write" | "rw",
+    ReadMost => "read-most" | "rm",
+);
 
 /// One benchmark scenario.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Data structure under test.
     pub ds: Ds,
@@ -251,11 +209,58 @@ pub struct Scenario {
 }
 
 impl Scenario {
+    /// The one constructor: a uniform-key, no-warmup, short-operation
+    /// scenario. Callers that want skew, a warmup window or long-running
+    /// mode set those three fields with struct-update syntax.
+    pub fn new(
+        ds: Ds,
+        scheme: Scheme,
+        threads: usize,
+        key_range: u64,
+        workload: Workload,
+        duration: Duration,
+    ) -> Self {
+        Self {
+            ds,
+            scheme,
+            threads,
+            key_range,
+            workload,
+            zipf_theta: 0.0,
+            warmup: Duration::ZERO,
+            duration,
+            long_running: false,
+        }
+    }
+
     /// CSV header matching [`Scenario::csv_prefix`] plus the measured
     /// columns of `Stats`.
     pub const CSV_HEADER: &'static str = "ds,scheme,threads,key_range,workload,zipf_theta,\
          warmup_ms,throughput_mops,peak_garbage,avg_garbage,peak_rss_mb,\
          p50_ns,p90_ns,p99_ns,p999_ns";
+
+    /// The `smr_bench run` flags that reproduce this scenario in a child
+    /// process (`crate::cli` parses them back).
+    pub fn to_args(&self) -> Vec<String> {
+        let flags = format!(
+            "--ds {} --scheme {} --threads {} --key-range {} --workload {} --zipf {} \
+             --warmup-ms {} --duration-ms {}{}",
+            self.ds,
+            self.scheme,
+            self.threads,
+            self.key_range,
+            self.workload,
+            self.zipf_theta,
+            self.warmup.as_millis(),
+            self.duration.as_millis(),
+            if self.long_running {
+                " --long-running"
+            } else {
+                ""
+            },
+        );
+        flags.split(' ').map(String::from).collect()
+    }
 
     /// The scenario part of a CSV row.
     pub fn csv_prefix(&self) -> String {
@@ -272,32 +277,28 @@ impl Scenario {
     }
 }
 
+/// Hardware threads available to this process.
+pub fn cores() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(4)
+}
+
 /// Thread counts to sweep, scaled to this machine. The paper used
 /// 1,8,16,…,80 on a 64-HW-thread box; we cap at 2× available parallelism
 /// (the grey oversubscription region of Fig. 8).
 pub fn thread_sweep(quick: bool) -> Vec<usize> {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
+    let cores = cores();
     if quick {
-        let mut v = vec![1];
-        if cores >= 2 {
-            v.push(2);
-        }
-        if cores >= 4 {
-            v.push(4);
-        }
-        v
-    } else {
-        let mut v = vec![1];
-        let step = (cores / 4).max(2);
-        let mut t = step;
-        while t <= cores * 2 {
-            v.push(t);
-            t += step;
-        }
-        v
+        return [1, 2, 4]
+            .into_iter()
+            .filter(|&t| t <= cores.max(1))
+            .collect();
     }
+    let step = (cores / 4).max(2);
+    std::iter::once(1)
+        .chain((step..=cores * 2).step_by(step))
+        .collect()
 }
 
 #[cfg(test)]
@@ -340,7 +341,6 @@ mod tests {
             (Workload::ReadMost, 90),
         ] {
             assert_eq!(w.to_string().parse::<Workload>().unwrap(), w);
-            assert_eq!(w.read_pct(), pct);
             let (r, i, d) = w.mix_pcts();
             assert_eq!(r, pct);
             assert_eq!(r + i + d, 100);
@@ -368,15 +368,16 @@ mod tests {
     #[test]
     fn csv_prefix_shape() {
         let sc = Scenario {
-            ds: Ds::HHSList,
-            scheme: Scheme::Hpp,
-            threads: 8,
-            key_range: 10_000,
-            workload: Workload::ReadWrite,
             zipf_theta: 0.99,
             warmup: Duration::from_millis(500),
-            duration: Duration::from_secs(1),
-            long_running: false,
+            ..Scenario::new(
+                Ds::HHSList,
+                Scheme::Hpp,
+                8,
+                10_000,
+                Workload::ReadWrite,
+                Duration::from_secs(1),
+            )
         };
         assert_eq!(sc.csv_prefix(), "hhslist,hp++,8,10000,read-write,0.99,500");
         assert_eq!(

@@ -1,4 +1,4 @@
-//! Shared runner for the sharded KV service benchmark.
+//! The sharded KV service benchmark: the runner and the `kv` sweep.
 //!
 //! Drives [`kv_service::KvService`] with the PR-2 workload engine: client
 //! threads sample keys from a Zipfian distribution, pick operations from an
@@ -7,24 +7,43 @@
 //! (submit → reply, through the ring and doorbell) into log₂ histograms;
 //! throughput is measured worker-side from per-shard op counters sampled at
 //! the phase edges, so the reported Mops/s covers exactly the measure
-//! window. Both `kv_bench` (CSV sweeps) and `bench_snapshot` (headline
-//! metrics for the trajectory gate) call into this module.
+//! window.
+//!
+//! [`sweep`] (`smr_bench kv [--quick]`) runs two sweeps over the read-mostly
+//! Zipfian scenario (90/5/5, θ = 0.99) and prints one CSV to stdout:
+//!
+//! * `scaling` — HP++ store at 1, ⌈max/2⌉, and `max` shards: the
+//!   throughput-scaling headline (per-shard reclamation domains mean
+//!   shards add capacity without sharing a collector bottleneck). `max`
+//!   is 4, or `KV_SHARDS` when set;
+//! * `schemes` — HP++ vs per-shard EBR vs per-shard hyaline vs NR at `max`
+//!   shards: what the reclamation scheme costs end-to-end, through rings,
+//!   batching, and the map itself.
+//!
+//! Every run installs the `KV_POLICY`-selected trigger policy (default
+//! `capped`, the legacy trigger) on each shard's domain; the chosen policy
+//! is the last CSV column (columns: [`HEADER`], see EXPERIMENTS.md).
+//!
+//! The scaling verdict (max-shard ÷ 1-shard throughput) goes to stderr with
+//! the host's core count: on a 1-core host every shard multiplexes the
+//! same CPU, so the ratio measures batching overhead, not scaling — the
+//! ≥ 4-core claim in EXPERIMENTS.md must come from a ≥ 4-core host.
+//! `--quick` shrinks windows and key range for CI smoke runs.
 
 use std::sync::atomic::{AtomicU8, Ordering::SeqCst};
 use std::sync::Arc;
 use std::time::Duration;
 
+use kv_service::{available_cores, EbrStore, HppStore, HyalineStore, NrStore};
 use kv_service::{Command, KvConfig, KvError, KvService, ShardStore};
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
+use smr_common::policy::PolicyKind;
 use smr_common::time::mono_ns;
 
 use crate::metrics::LatencyHistogram;
+use crate::runner::{PHASE_MEASURE, PHASE_STOP, PHASE_WARMUP};
 use crate::workload::{Op, OpMix, ZipfSampler};
-
-const WARMUP: u8 = 0;
-const MEASURE: u8 = 1;
-const STOP: u8 = 2;
 
 /// One KV benchmark scenario.
 #[derive(Debug, Clone)]
@@ -54,43 +73,29 @@ pub struct KvRun {
     /// Measured window.
     pub duration: Duration,
     /// Reclamation-trigger policy installed on every shard's domain.
-    pub policy: smr_common::policy::PolicyKind,
+    pub policy: PolicyKind,
 }
 
 impl KvRun {
     /// The paper-style read-mostly skewed scenario (90/5/5, θ = 0.99)
-    /// over `shards` shards — the headline configuration.
-    pub fn read_mostly(shards: usize) -> Self {
+    /// over `shards` shards — the headline configuration — under `policy`,
+    /// shrunk for smoke tests and CI runs if `quick`.
+    pub fn read_mostly(shards: usize, policy: PolicyKind, quick: bool) -> Self {
         Self {
             shards,
-            clients: 4,
+            clients: if quick { 2 } else { 4 },
             pipeline: 16,
             batch: 32,
             ring_depth: 1024,
-            keys: 65_536,
+            keys: if quick { 8_192 } else { 65_536 },
             theta: 0.99,
             read_pct: 90,
             insert_pct: 5,
             remove_pct: 5,
-            warmup: Duration::from_millis(300),
-            duration: Duration::from_millis(1_500),
-            policy: smr_common::policy::PolicyKind::Capped,
+            warmup: Duration::from_millis(if quick { 50 } else { 300 }),
+            duration: Duration::from_millis(if quick { 300 } else { 1_500 }),
+            policy,
         }
-    }
-
-    /// Builder-style per-shard policy override.
-    pub fn with_policy(mut self, policy: smr_common::policy::PolicyKind) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Shrinks the scenario for smoke tests and snapshot quick runs.
-    pub fn quick(mut self) -> Self {
-        self.clients = self.clients.min(2);
-        self.keys = self.keys.min(8_192);
-        self.warmup = Duration::from_millis(50);
-        self.duration = Duration::from_millis(300);
-        self
     }
 }
 
@@ -145,7 +150,7 @@ pub fn run_kv<S: ShardStore>(rc: &KvRun) -> KvResult {
     }
 
     let zipf = Arc::new(ZipfSampler::new(rc.keys, rc.theta));
-    let phase = Arc::new(AtomicU8::new(WARMUP));
+    let phase = Arc::new(AtomicU8::new(PHASE_WARMUP));
 
     let mut hist = LatencyHistogram::new();
     let mut timeouts = 0u64;
@@ -165,7 +170,7 @@ pub fn run_kv<S: ShardStore>(rc: &KvRun) -> KvResult {
                 let mut lat = vec![0u64; rc.pipeline];
                 loop {
                     let ph = phase.load(SeqCst);
-                    if ph == STOP {
+                    if ph == PHASE_STOP {
                         break;
                     }
                     let mut n = 0;
@@ -192,7 +197,7 @@ pub fn run_kv<S: ShardStore>(rc: &KvRun) -> KvResult {
                         }
                         lat[i] = mono_ns().saturating_sub(t0[i]);
                     });
-                    if ph == MEASURE {
+                    if ph == PHASE_MEASURE {
                         for &l in &lat[..n] {
                             hist.record(l);
                         }
@@ -208,9 +213,9 @@ pub fn run_kv<S: ShardStore>(rc: &KvRun) -> KvResult {
         std::thread::sleep(rc.warmup);
         let start = svc.stats();
         let t_start = mono_ns();
-        phase.store(MEASURE, SeqCst);
+        phase.store(PHASE_MEASURE, SeqCst);
         std::thread::sleep(rc.duration);
-        phase.store(STOP, SeqCst);
+        phase.store(PHASE_STOP, SeqCst);
         let end = svc.stats();
         let elapsed_s = (mono_ns() - t_start) as f64 / 1e9;
 
@@ -244,79 +249,103 @@ pub fn run_kv<S: ShardStore>(rc: &KvRun) -> KvResult {
     }
 }
 
-/// Result of one [`run_kv_recovery`] campaign.
-#[derive(Debug, Clone, Copy)]
-pub struct KvRecoveryResult {
-    /// Crash/respawn cycles driven (and observed) by the run.
-    pub respawns: u64,
-    /// Mean time from the crash injection to the first successful op on
-    /// the respawned incarnation (ns).
-    pub mean_respawn_ns: u64,
-    /// Client op throughput over the whole campaign, crash windows
-    /// included (Mops/s) — what a caller actually gets from a service that
-    /// keeps dying and recovering.
-    pub recovery_mops: f64,
+/// Column names of the `kv` CSV.
+pub const HEADER: &str = "section,scheme,shards,clients,pipeline,batch,ring,keys,theta,read_pct,\
+warmup_ms,duration_ms,total_mops,min_shard_mops,max_shard_mops,p50_ns,p99_ns,p999_ns,\
+peak_shard_garbage,policy";
+
+fn row<S: ShardStore>(section: &str, rc: &KvRun) -> KvResult {
+    eprintln!("kv: {section} {} x{} shards…", S::SCHEME, rc.shards);
+    let r = run_kv::<S>(rc);
+    let prefix = format!(
+        "{section},{},{},{},{},{},{},{},{},{},{},{}",
+        S::SCHEME,
+        rc.shards,
+        rc.clients,
+        rc.pipeline,
+        rc.batch,
+        rc.ring_depth,
+        rc.keys,
+        rc.theta,
+        rc.read_pct,
+        rc.warmup.as_millis(),
+        rc.duration.as_millis(),
+    );
+    let stats = if r.timeouts > 0 {
+        // Ops blew their per-op deadline: the fig9 convention — keep the
+        // full column schema but put `timeout` in every stat column, so
+        // numeric consumers skip the row without losing which
+        // configuration wedged (and the bench never hangs on it).
+        eprintln!(
+            "kv: {section} {} x{}: {} ops exceeded the op deadline",
+            S::SCHEME,
+            rc.shards,
+            r.timeouts
+        );
+        ["timeout"; 7].join(",")
+    } else {
+        format!(
+            "{:.4},{:.4},{:.4},{},{},{},{}",
+            r.total_mops,
+            r.min_shard_mops,
+            r.max_shard_mops,
+            r.p50_ns,
+            r.p99_ns,
+            r.p999_ns,
+            r.peak_shard_garbage,
+        )
+    };
+    println!("{prefix},{stats},{}", rc.policy);
+    r
 }
 
-/// Drives `cycles` crash → quarantine → respawn rounds against a
-/// supervised single-shard service, measuring recovery latency
-/// (inject → first success on the bumped generation) and the throughput
-/// of a synchronous churn loop threaded through the crashes.
-pub fn run_kv_recovery<S: ShardStore>(cycles: u32, churn_per_cycle: u64) -> KvRecoveryResult {
-    let svc = KvService::<S>::start(
-        KvConfig {
-            shards: 1,
-            batch: 16,
-            ring_depth: 256,
-            buckets: 256,
-            ..KvConfig::new()
+/// `smr_bench kv`: the scaling and scheme sweeps (module docs); the exit
+/// code.
+pub fn sweep(quick: bool) -> i32 {
+    println!("{HEADER}");
+
+    // The sweep's top shard count tracks the config: `KV_SHARDS` overrides
+    // the default 4. `KV_POLICY` picks the per-shard trigger policy.
+    let max_shards = smr_common::env::parse_usize("KV_SHARDS")
+        .filter(|&n| n > 0)
+        .unwrap_or(4);
+    let policy = PolicyKind::from_env_var("KV_POLICY").unwrap_or_default();
+    let mut shard_counts = vec![1usize, max_shards.div_ceil(2), max_shards];
+    shard_counts.sort_unstable();
+    shard_counts.dedup();
+
+    let scaling: Vec<KvResult> = shard_counts
+        .iter()
+        .map(|&shards| row::<HppStore>("scaling", &KvRun::read_mostly(shards, policy, quick)))
+        .collect();
+
+    let rc = KvRun::read_mostly(max_shards, policy, quick);
+    row::<HppStore>("schemes", &rc);
+    row::<EbrStore>("schemes", &rc);
+    row::<HyalineStore>("schemes", &rc);
+    row::<NrStore>("schemes", &rc);
+
+    // `shard_counts` is sorted: first = 1 shard, last = `max_shards`.
+    let ratio = scaling[scaling.len() - 1].total_mops / scaling[0].total_mops.max(1e-9);
+    let cores = available_cores();
+    eprintln!(
+        "kv: 1→{max_shards} shard scaling {ratio:.2}x on a {cores}-core host{}",
+        if cores >= max_shards {
+            ""
+        } else {
+            " (shards time-share the same cores here; measure scaling on >=4 cores)"
         }
-        .with_op_timeout(Duration::from_secs(5))
-        .with_retries(8),
     );
-    let mut client = svc.client();
-    let mut ops = 0u64;
-    let mut respawn_ns_total = 0u64;
-    let t_campaign = mono_ns();
-    for cycle in 0..cycles as u64 {
-        // Churn so the domain holds real garbage when the crash lands.
-        for k in 0..churn_per_cycle {
-            let key = cycle * 100_000 + k;
-            let _ = client.insert(key, key);
-            let _ = client.remove(key);
-            ops += 2;
-        }
-        let gen_before = svc.generation(0).0;
-        let t0 = mono_ns();
-        assert!(svc.inject_crash(0), "crash command not accepted");
-        // The probe is queued behind the crash command, so its first
-        // success is necessarily served by the respawned incarnation.
-        while client.get(cycle).is_err() {
-            ops += 1;
-        }
-        ops += 1;
-        respawn_ns_total += mono_ns().saturating_sub(t0);
-        debug_assert!(svc.generation(0).0 > gen_before);
-    }
-    let elapsed_s = (mono_ns() - t_campaign) as f64 / 1e9;
-    let health = svc.health();
-    let respawns: u64 = health.shards.iter().map(|h| h.respawns).sum();
-    svc.shutdown();
-    KvRecoveryResult {
-        respawns,
-        mean_respawn_ns: respawn_ns_total / u64::from(cycles.max(1)),
-        recovery_mops: ops as f64 / elapsed_s / 1e6,
-    }
+    0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kv_service::HppStore;
 
     #[test]
     fn quick_run_produces_sane_numbers() {
-        let mut rc = KvRun::read_mostly(2).quick();
+        let mut rc = KvRun::read_mostly(2, PolicyKind::Capped, true);
         rc.warmup = Duration::from_millis(20);
         rc.duration = Duration::from_millis(100);
         rc.keys = 1_024;
@@ -326,13 +355,5 @@ mod tests {
         assert!(r.p50_ns > 0 && r.p50_ns <= r.p99_ns && r.p99_ns <= r.p999_ns);
         assert!(r.min_shard_mops <= r.max_shard_mops);
         assert_eq!(r.timeouts, 0, "healthy quick run must not time out");
-    }
-
-    #[test]
-    fn recovery_run_measures_respawn_latency() {
-        let r = run_kv_recovery::<HppStore>(2, 64);
-        assert_eq!(r.respawns, 2, "every injected crash must respawn: {r:?}");
-        assert!(r.mean_respawn_ns > 0, "respawn latency not measured: {r:?}");
-        assert!(r.recovery_mops > 0.0, "no throughput through the crashes: {r:?}");
     }
 }

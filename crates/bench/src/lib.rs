@@ -1,11 +1,13 @@
 //! The benchmark harness reproducing the paper's evaluation (§5).
 //!
-//! Every table and figure has a dedicated binary (see `src/bin/`): `fig8`,
-//! `fig9`, `fig10`, `fig11`, `appendix` (Figs. 12–23), `table1_bounds`,
-//! `table2`, plus `smr_bench` which runs a single scenario (the figure
-//! binaries spawn it as a subprocess so each scenario gets a clean global
-//! garbage counter and address space) and `ablation` for the design-choice
-//! experiments called out in DESIGN.md.
+//! One binary, `smr_bench <subcommand>` ([`cli`]): `fig8` (with Figure 11
+//! as its `peak_garbage` column), `fig10` and `appendix` (Figs. 12–23) are
+//! rows of the `figures` table; `fig9`, `fig12` and `ablation` (the
+//! design-choice experiments called out in DESIGN.md) print their own row
+//! shapes; `table1`, `table2`, `kv`, `verdict` and `plot` complete the
+//! evaluation. `run` executes a single scenario — every sweep spawns
+//! `smr_bench run …` per scenario (`orchestrate`), so each one gets a
+//! clean global garbage counter and address space.
 //!
 //! Scenarios follow the paper's methodology: structures prefilled to 50% of
 //! the key range, fixed-duration runs (with an unmeasured warmup window),
@@ -16,13 +18,17 @@
 
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod config;
+mod figures;
 pub mod kv_run;
 pub mod metrics;
-pub mod orchestrate;
+mod orchestrate;
+mod plot;
 pub mod runner;
 pub mod schemes;
-pub mod snapshot;
+mod table1;
+mod verdict;
 pub mod workload;
 
 pub use config::{thread_sweep, Ds, Scenario, Scheme, Workload};

@@ -1,91 +1,16 @@
-//! Spawning per-scenario subprocesses and collecting CSV rows.
+//! Per-scenario process isolation and the sweep's CSV: every scenario runs
+//! as a `smr_bench run …` child of this same executable (clean global
+//! garbage counter, fresh address space, env knobs read at startup) under a
+//! deadline, and [`Sweep`] is the one place a child's outcome is handled.
 
-use std::io::Read;
-use std::path::PathBuf;
-use std::process::{Command, Stdio};
+use std::fs::File;
+use std::io::Write;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
 use crate::config::Scenario;
 use crate::metrics::Stats;
-
-/// Common CLI options for the figure binaries.
-pub struct Opts {
-    /// CI-scale run: fewer threads, shorter durations, smaller ranges.
-    pub quick: bool,
-    /// Paper-scale run: 10 s × full sweeps.
-    pub paper: bool,
-    /// Run scenarios in-process instead of spawning `smr_bench`
-    /// (faster, but garbage counters bleed across scenarios).
-    pub in_process: bool,
-    /// Zipfian skew of the key stream (`--zipf <theta>`, default 0 =
-    /// uniform, the paper's methodology).
-    pub zipf: f64,
-}
-
-impl Opts {
-    /// Parses the standard flags from `std::env::args`.
-    pub fn parse() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        let zipf = args
-            .iter()
-            .position(|a| a == "--zipf")
-            .and_then(|i| args.get(i + 1))
-            .map(|v| v.parse().expect("bad --zipf"))
-            .unwrap_or(0.0);
-        Self {
-            quick: args.iter().any(|a| a == "--quick"),
-            paper: args.iter().any(|a| a == "--paper"),
-            in_process: args.iter().any(|a| a == "--in-process"),
-            zipf,
-        }
-    }
-
-    /// Measurement duration per scenario.
-    pub fn duration(&self) -> Duration {
-        if self.paper {
-            Duration::from_secs(10)
-        } else if self.quick {
-            Duration::from_millis(300)
-        } else {
-            Duration::from_secs(3)
-        }
-    }
-
-    /// Warmup window per scenario (excluded from measurement). Zero in
-    /// quick mode so CI sweeps stay fast.
-    pub fn warmup(&self) -> Duration {
-        if self.paper {
-            Duration::from_secs(2)
-        } else if self.quick {
-            Duration::ZERO
-        } else {
-            Duration::from_millis(500)
-        }
-    }
-}
-
-fn smr_bench_path() -> PathBuf {
-    let mut p = std::env::current_exe().expect("current_exe");
-    p.pop();
-    p.push("smr_bench");
-    p
-}
-
-/// What happened to one scenario run.
-#[derive(Debug)]
-pub enum Outcome {
-    /// Completed and produced parseable stats.
-    Done(Stats),
-    /// The subprocess exceeded its deadline twice (initial run + retry)
-    /// and was killed; `emit_timeout` records it so a wedged scheme
-    /// (e.g. a livelocked reclaimer) leaves a trace instead of hanging
-    /// the whole sweep.
-    Timeout,
-    /// The (ds, scheme) pair is inapplicable — not an error.
-    Skipped,
-    /// The subprocess exited non-zero or printed garbage.
-    Failed,
-}
 
 /// Wall-clock budget for one scenario subprocess: the measured window plus
 /// a 10x factor for slow hosts (the run itself inflates under sanitizers
@@ -94,142 +19,29 @@ pub fn scenario_deadline(sc: &Scenario) -> Duration {
     (sc.warmup + sc.duration) * 10 + Duration::from_secs(20)
 }
 
-/// Result of driving one subprocess to completion or its deadline.
-enum CmdResult {
-    Exited { success: bool, stdout: String, stderr: String },
-    TimedOut,
-}
-
-/// Spawns `cmd` and polls it against `deadline`; kills it (and reaps the
-/// zombie) if it overruns. Output is drained from readers *after* exit —
-/// safe here because smr_bench writes a single CSV line, far below pipe
-/// capacity, so it can never block on a full pipe while we poll.
-fn run_with_deadline(cmd: &mut Command, deadline: Duration) -> std::io::Result<CmdResult> {
+/// Spawns `cmd` and polls it against `deadline`; `None` = it overran and
+/// was killed (and the zombie reaped). Output is drained from the pipes
+/// *after* exit — safe here because smr_bench writes a single CSV line, far
+/// below pipe capacity, so it can never block on a full pipe while we poll.
+fn run_with_deadline(cmd: &mut Command, deadline: Duration) -> std::io::Result<Option<Output>> {
     let mut child = cmd.stdout(Stdio::piped()).stderr(Stdio::piped()).spawn()?;
     let start = Instant::now();
-    let status = loop {
-        match child.try_wait()? {
-            Some(status) => break status,
-            None if start.elapsed() > deadline => {
-                let _ = child.kill();
-                let _ = child.wait();
-                return Ok(CmdResult::TimedOut);
-            }
-            None => std::thread::sleep(Duration::from_millis(10)),
+    while child.try_wait()?.is_none() {
+        if start.elapsed() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            return Ok(None);
         }
-    };
-    let mut stdout = String::new();
-    let mut stderr = String::new();
-    if let Some(mut s) = child.stdout.take() {
-        let _ = s.read_to_string(&mut stdout);
+        std::thread::sleep(Duration::from_millis(10));
     }
-    if let Some(mut s) = child.stderr.take() {
-        let _ = s.read_to_string(&mut stderr);
-    }
-    Ok(CmdResult::Exited {
-        success: status.success(),
-        stdout,
-        stderr,
-    })
+    child.wait_with_output().map(Some)
 }
 
-/// Runs one scenario, either in a subprocess (default) or in-process.
-///
-/// Subprocess runs get a per-scenario deadline ([`scenario_deadline`]) and
-/// one retry after a short backoff; a second overrun yields
-/// [`Outcome::Timeout`].
-pub fn run_scenario(sc: &Scenario, opts: &Opts) -> Outcome {
-    run_scenario_env(sc, opts, &[])
-}
-
-/// Like [`run_scenario`], with extra environment variables for the
-/// subprocess. This is how A/B sweeps toggle process-wide knobs per run
-/// (e.g. `SMR_NO_BACKOFF=1` for the bare-CAS baseline): the knob is read
-/// once at subprocess startup, so each scenario gets a clean setting.
-///
-/// In `--in-process` mode the variables are set in this process instead —
-/// best effort only, since knobs cached in a `OnceLock` (like the backoff
-/// config) latch whatever the first scenario saw.
-pub fn run_scenario_env(sc: &Scenario, opts: &Opts, env: &[(&str, &str)]) -> Outcome {
-    if !crate::runner::applicable(sc.ds, sc.scheme) {
-        return Outcome::Skipped;
-    }
-    if opts.in_process {
-        for (k, v) in env {
-            std::env::set_var(k, v);
-        }
-        return match crate::runner::run(sc) {
-            Some(stats) => Outcome::Done(stats),
-            None => Outcome::Failed,
-        };
-    }
-    let deadline = scenario_deadline(sc);
-    for attempt in 0..2 {
-        if attempt > 0 {
-            eprintln!(
-                "smr_bench timed out for {} after {deadline:?}; retrying once",
-                sc.csv_prefix()
-            );
-            std::thread::sleep(Duration::from_millis(500));
-        }
-        let mut cmd = Command::new(smr_bench_path());
-        cmd.args([
-            "--ds",
-            &sc.ds.to_string(),
-            "--scheme",
-            &sc.scheme.to_string(),
-            "--threads",
-            &sc.threads.to_string(),
-            "--key-range",
-            &sc.key_range.to_string(),
-            "--workload",
-            &sc.workload.to_string(),
-            "--zipf",
-            &sc.zipf_theta.to_string(),
-            "--warmup-ms",
-            &sc.warmup.as_millis().to_string(),
-            "--duration-ms",
-            &sc.duration.as_millis().to_string(),
-        ])
-        .args(if sc.long_running {
-            vec!["--long-running"]
-        } else {
-            vec![]
-        });
-        cmd.envs(env.iter().map(|&(k, v)| (k, v)));
-        let result = run_with_deadline(&mut cmd, deadline)
-            .expect("failed to spawn smr_bench; run via cargo so sibling binaries are built");
-        match result {
-            CmdResult::TimedOut => continue,
-            CmdResult::Exited {
-                success: false,
-                stderr,
-                ..
-            } => {
-                eprintln!("smr_bench failed for {}: {}", sc.csv_prefix(), stderr);
-                return Outcome::Failed;
-            }
-            CmdResult::Exited { stdout, .. } => {
-                return match parse_csv_line(stdout.trim()) {
-                    Some(stats) => Outcome::Done(stats),
-                    None => Outcome::Failed,
-                };
-            }
-        }
-    }
-    eprintln!(
-        "smr_bench timed out for {} twice; recording a timeout row",
-        sc.csv_prefix()
-    );
-    Outcome::Timeout
-}
-
-fn parse_csv_line(line: &str) -> Option<Stats> {
-    // Layout per Scenario::CSV_HEADER: 7 scenario fields, then
-    // mops,peak,avg,rss,p50,p90,p99,p999.
+/// The stat columns of one sweep row (layout per [`Scenario::CSV_HEADER`]:
+/// 7 scenario fields, then mops,peak,avg,rss,p50,p90,p99,p999).
+pub(crate) fn parse_csv_line(line: &str) -> Option<Stats> {
     let fields: Vec<&str> = line.split(',').collect();
     if fields.len() != Scenario::CSV_HEADER.split(',').count() {
-        eprintln!("malformed smr_bench output: {line}");
         return None;
     }
     Some(Stats {
@@ -244,11 +56,6 @@ fn parse_csv_line(line: &str) -> Option<Stats> {
     })
 }
 
-/// Prints a row and appends it to `results/<name>.csv`.
-pub fn emit(name: &str, sc: &Scenario, stats: &Stats) {
-    emit_row(name, format!("{},{}", sc.csv_prefix(), stats.csv_suffix()));
-}
-
 /// The full CSV row for a timed-out scenario: the complete scenario prefix
 /// (ds, scheme, **threads**, key range, …) followed by `timeout` in every
 /// stat column, so the row matches [`Scenario::CSV_HEADER`] column-for-
@@ -260,22 +67,112 @@ pub fn timeout_row(sc: &Scenario) -> String {
     format!("{},{suffix}", sc.csv_prefix())
 }
 
-/// Records a timed-out scenario (see [`timeout_row`]).
-pub fn emit_timeout(name: &str, sc: &Scenario) {
-    emit_row(name, timeout_row(sc));
+/// One sweep: the child executable, `results/<name>.csv`, and the
+/// scenarios that failed so far.
+pub struct Sweep {
+    exe: PathBuf,
+    csv: File,
+    failed: Vec<String>,
 }
 
-fn emit_row(name: &str, row: String) {
-    println!("{row}");
-    let _ = std::fs::create_dir_all("results");
-    use std::io::Write;
-    let path = format!("results/{name}.csv");
-    let fresh = !std::path::Path::new(&path).exists();
-    if let Ok(mut f) = std::fs::OpenOptions::new().create(true).append(true).open(&path) {
-        if fresh {
-            let _ = writeln!(f, "{}", Scenario::CSV_HEADER);
+impl Sweep {
+    /// Starts sweep `name`: children are this executable, rows go to a
+    /// freshly truncated `results/<name>.csv`.
+    pub fn start(name: &str) -> Self {
+        let exe = std::env::current_exe().expect("current_exe");
+        Self::open(Path::new("results"), name, exe)
+    }
+
+    /// Truncates `<dir>/<name>.csv` and writes the header, so the file only
+    /// ever holds one run's rows (`verdict`'s means must not mix commits).
+    fn open(dir: &Path, name: &str, exe: PathBuf) -> Self {
+        std::fs::create_dir_all(dir).expect("create the results directory");
+        let csv = File::create(dir.join(format!("{name}.csv"))).expect("create the sweep's CSV");
+        let mut sweep = Self {
+            exe,
+            csv,
+            failed: Vec::new(),
+        };
+        sweep.write_csv(Scenario::CSV_HEADER);
+        sweep
+    }
+
+    /// Runs one scenario as `exe run …` with `env` set for the child. This
+    /// is how A/B sweeps toggle process-wide knobs per run (e.g.
+    /// `SMR_NO_BACKOFF=1` for the bare-CAS baseline): the knob is read once
+    /// at child startup, so each scenario gets a clean setting.
+    ///
+    /// `Some` = it completed; otherwise the sweep goes on. An inapplicable
+    /// (structure, scheme) pair is skipped silently. A child that exits
+    /// non-zero or prints garbage is remembered for [`Sweep::finish`]. A
+    /// child past its [`scenario_deadline`] is killed and retried once
+    /// after a short backoff; a second overrun leaves a [`timeout_row`], so
+    /// a wedged scheme (e.g. a livelocked reclaimer) leaves a trace instead
+    /// of hanging the whole sweep.
+    pub fn run(&mut self, sc: &Scenario, env: &[(&str, &str)]) -> Option<Stats> {
+        if !crate::runner::applicable(sc.ds, sc.scheme) {
+            return None;
         }
-        let _ = writeln!(f, "{row}");
+        let prefix = sc.csv_prefix();
+        let deadline = scenario_deadline(sc);
+        for attempt in 0..2 {
+            if attempt > 0 {
+                eprintln!("smr_bench timed out for {prefix} after {deadline:?}; retrying once");
+                std::thread::sleep(Duration::from_millis(500));
+            }
+            let mut cmd = Command::new(&self.exe);
+            cmd.arg("run").args(sc.to_args()).envs(env.iter().copied());
+            match run_with_deadline(&mut cmd, deadline) {
+                Ok(None) => continue,
+                Ok(Some(out)) if out.status.success() => {
+                    let stdout = String::from_utf8_lossy(&out.stdout);
+                    match parse_csv_line(stdout.trim()) {
+                        Some(stats) => return Some(stats),
+                        None => eprintln!("malformed smr_bench output for {prefix}: {stdout}"),
+                    }
+                }
+                Ok(Some(out)) => {
+                    let stderr = String::from_utf8_lossy(&out.stderr);
+                    eprintln!("smr_bench failed for {prefix}: {stderr}");
+                }
+                Err(e) => eprintln!("cannot spawn {}: {e}", self.exe.display()),
+            }
+            self.failed.push(prefix);
+            return None;
+        }
+        eprintln!("smr_bench timed out for {prefix} twice; recording a timeout row");
+        self.emit_row(timeout_row(sc));
+        None
+    }
+
+    /// Prints a finished scenario's row and appends it to the CSV.
+    pub fn emit(&mut self, sc: &Scenario, stats: &Stats) {
+        self.emit_row(format!("{},{}", sc.csv_prefix(), stats.csv_suffix()));
+    }
+
+    /// Rows append as they complete, so a killed sweep keeps its partial
+    /// evidence.
+    fn emit_row(&mut self, row: String) {
+        println!("{row}");
+        self.write_csv(&row);
+    }
+
+    fn write_csv(&mut self, line: &str) {
+        writeln!(self.csv, "{line}").expect("write the sweep's CSV");
+    }
+
+    /// The sweep's exit code: 1 — after naming them on stderr — if any
+    /// scenario's child crashed or printed garbage, so a broken `smr_bench
+    /// run` cannot pass CI with an empty CSV.
+    pub fn finish(self) -> i32 {
+        if self.failed.is_empty() {
+            return 0;
+        }
+        eprintln!("{} scenario(s) failed:", self.failed.len());
+        for prefix in &self.failed {
+            eprintln!("  {prefix}");
+        }
+        1
     }
 }
 
@@ -284,29 +181,21 @@ mod tests {
     use super::*;
     use crate::config::{Ds, Scheme, Workload};
 
+    fn scenario(ds: Ds, scheme: Scheme) -> Scenario {
+        Scenario::new(
+            ds,
+            scheme,
+            48,
+            100_000,
+            Workload::WriteOnly,
+            Duration::from_millis(50),
+        )
+    }
+
     #[test]
     fn csv_line_roundtrips_through_parse() {
-        let sc = Scenario {
-            ds: Ds::HashMap,
-            scheme: Scheme::Hpp,
-            threads: 4,
-            key_range: 1000,
-            workload: Workload::ReadMost,
-            zipf_theta: 0.99,
-            warmup: Duration::from_millis(100),
-            duration: Duration::from_secs(1),
-            long_running: false,
-        };
-        let stats = Stats {
-            throughput_mops: 2.5,
-            peak_garbage: 100,
-            avg_garbage: 40,
-            peak_rss_mb: 12.0,
-            p50_ns: 256,
-            p90_ns: 512,
-            p99_ns: 2048,
-            p999_ns: 16384,
-        };
+        let sc = scenario(Ds::HashMap, Scheme::Hpp);
+        let stats = stats();
         let line = format!("{},{}", sc.csv_prefix(), stats.csv_suffix());
         let parsed = parse_csv_line(&line).expect("roundtrip parse");
         assert_eq!(parsed.throughput_mops, stats.throughput_mops);
@@ -325,17 +214,7 @@ mod tests {
     /// index mis-parsed short timeout rows.)
     #[test]
     fn timeout_row_keeps_full_schema_and_threads() {
-        let sc = Scenario {
-            ds: Ds::SkipList,
-            scheme: Scheme::Hp,
-            threads: 48,
-            key_range: 100_000,
-            workload: Workload::WriteOnly,
-            zipf_theta: 0.6,
-            warmup: Duration::from_millis(250),
-            duration: Duration::from_secs(3),
-            long_running: false,
-        };
+        let sc = scenario(Ds::SkipList, Scheme::Hp);
         let row = timeout_row(&sc);
         let header_cols = Scenario::CSV_HEADER.split(',').count();
         let fields: Vec<&str> = row.split(',').collect();
@@ -353,10 +232,8 @@ mod tests {
         let mut cmd = Command::new("sleep");
         cmd.arg("30");
         let start = Instant::now();
-        match run_with_deadline(&mut cmd, Duration::from_millis(100)).unwrap() {
-            CmdResult::TimedOut => {}
-            CmdResult::Exited { .. } => panic!("sleep 30 cannot finish in 100ms"),
-        }
+        let out = run_with_deadline(&mut cmd, Duration::from_millis(100)).unwrap();
+        assert!(out.is_none(), "sleep 30 cannot finish in 100ms");
         assert!(
             start.elapsed() < Duration::from_secs(10),
             "the child must be killed at the deadline, not waited out"
@@ -367,27 +244,73 @@ mod tests {
     fn fast_process_output_is_collected() {
         let mut cmd = Command::new("sh");
         cmd.args(["-c", "echo out-line; echo err-line >&2"]);
-        match run_with_deadline(&mut cmd, Duration::from_secs(30)).unwrap() {
-            CmdResult::Exited {
-                success,
-                stdout,
-                stderr,
-            } => {
-                assert!(success);
-                assert_eq!(stdout.trim(), "out-line");
-                assert_eq!(stderr.trim(), "err-line");
-            }
-            CmdResult::TimedOut => panic!("echo must not time out"),
-        }
+        let out = run_with_deadline(&mut cmd, Duration::from_secs(30)).unwrap();
+        let out = out.expect("echo must not time out");
+        assert!(out.status.success());
+        assert_eq!(String::from_utf8_lossy(&out.stdout).trim(), "out-line");
+        assert_eq!(String::from_utf8_lossy(&out.stderr).trim(), "err-line");
     }
 
     #[test]
     fn failing_process_reports_not_success() {
         let mut cmd = Command::new("sh");
         cmd.args(["-c", "exit 3"]);
-        match run_with_deadline(&mut cmd, Duration::from_secs(30)).unwrap() {
-            CmdResult::Exited { success, .. } => assert!(!success),
-            CmdResult::TimedOut => panic!("exit 3 must not time out"),
+        let out = run_with_deadline(&mut cmd, Duration::from_secs(30)).unwrap();
+        assert!(!out.expect("exit 3 must not time out").status.success());
+    }
+    fn stats() -> Stats {
+        Stats {
+            throughput_mops: 2.5,
+            peak_garbage: 100,
+            avg_garbage: 40,
+            peak_rss_mb: 12.0,
+            p50_ns: 256,
+            p90_ns: 512,
+            p99_ns: 2048,
+            p999_ns: 16384,
         }
+    }
+
+    fn scratch_dir(test: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("smr_bench_{test}_{}", std::process::id()))
+    }
+
+    /// A child that crashes (`false`) or exits 0 without a CSV row (`true`)
+    /// must fail the sweep, not vanish from it; an inapplicable pair is
+    /// skipped without counting.
+    #[test]
+    fn failed_children_fail_the_sweep() {
+        let dir = scratch_dir("failed");
+        let sc = scenario(Ds::HashMap, Scheme::Hpp);
+        for exe in ["false", "true"] {
+            let mut sweep = Sweep::open(&dir, "failed", exe.into());
+            assert!(sweep.run(&sc, &[]).is_none());
+            assert!(sweep.run(&scenario(Ds::HHSList, Scheme::Hp), &[]).is_none());
+            assert_eq!(sweep.failed, [sc.csv_prefix()]);
+            assert_eq!(sweep.finish(), 1, "{exe} as the child must fail the sweep");
+        }
+        assert_eq!(Sweep::open(&dir, "failed", "false".into()).finish(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A second run must not leave the first run's rows in the file, while
+    /// rows of one run accumulate under a single header.
+    #[test]
+    fn a_sweep_truncates_its_csv_and_appends_within_a_run() {
+        let dir = scratch_dir("truncate");
+        let sc = scenario(Ds::HashMap, Scheme::Hpp);
+        let row = format!("{},{}", sc.csv_prefix(), stats().csv_suffix());
+        for rows in [2, 1] {
+            let mut sweep = Sweep::open(&dir, "fig", "false".into());
+            for _ in 0..rows {
+                sweep.emit(&sc, &stats());
+            }
+            drop(sweep);
+            let text = std::fs::read_to_string(dir.join("fig.csv")).unwrap();
+            let mut expected = vec![Scenario::CSV_HEADER];
+            expected.resize(rows + 1, &row);
+            assert_eq!(text.lines().collect::<Vec<_>>(), expected);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

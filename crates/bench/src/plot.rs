@@ -1,40 +1,35 @@
-//! Renders ASCII charts from a `results/*.csv` file produced by the figure
-//! binaries, grouped the way the paper's figures are.
+//! Renders ASCII charts from a `results/*.csv` file produced by the sweeps,
+//! grouped the way the paper's figures are.
 //!
 //! ```text
-//! plot results/fig8.csv --metric throughput_mops --x threads
-//! plot results/fig10.csv --metric throughput_mops --x key_range --log
+//! smr_bench plot results/fig8.csv --metric throughput_mops --x threads
+//! smr_bench plot results/fig8.csv --metric peak_garbage          # Figure 11
+//! smr_bench plot results/fig10.csv --metric throughput_mops --x key_range --log
 //! ```
 
 use std::collections::BTreeMap;
 
-fn arg_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
+use crate::cli::Flags;
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let path = args
-        .get(1)
-        .filter(|a| !a.starts_with("--"))
-        .expect("usage: plot <results.csv> [--metric <col>] [--x threads|key_range] [--log]");
-    let metric = arg_value(&args, "--metric").unwrap_or_else(|| "throughput_mops".into());
-    let x_col = arg_value(&args, "--x").unwrap_or_else(|| "threads".into());
-    let log = args.iter().any(|a| a == "--log");
+/// `smr_bench plot <csv> [--metric <column>] [--x threads|key_range] [--log]`.
+pub fn run(flags: &Flags) -> Result<i32, String> {
+    let path = flags.positional(0);
+    let metric: String = flags
+        .get("--metric")?
+        .unwrap_or_else(|| "throughput_mops".into());
+    let x_col: String = flags.get("--x")?.unwrap_or_else(|| "threads".into());
+    let log = flags.has("--log");
 
-    let text = std::fs::read_to_string(path).expect("read csv");
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let mut lines = text.lines().filter(|l| !l.is_empty() && !l.starts_with('#'));
-    let header: Vec<&str> = lines.next().expect("csv header").split(',').collect();
+    let header: Vec<&str> = lines.next().unwrap_or_default().split(',').collect();
     let col = |name: &str| {
         header
             .iter()
             .position(|h| *h == name)
-            .unwrap_or_else(|| panic!("column {name} not in {header:?}"))
+            .ok_or_else(|| format!("column {name} not in {header:?}"))
     };
-    let (c_ds, c_scheme, c_x, c_y) = (col("ds"), col("scheme"), col(&x_col), col(&metric));
+    let (c_ds, c_scheme, c_x, c_y) = (col("ds")?, col("scheme")?, col(&x_col)?, col(&metric)?);
 
     // ds -> scheme -> (x -> y)
     let mut data: BTreeMap<String, BTreeMap<String, BTreeMap<u64, f64>>> = BTreeMap::new();
@@ -82,4 +77,5 @@ fn main() {
             }
         }
     }
+    Ok(0)
 }

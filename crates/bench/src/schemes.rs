@@ -1,12 +1,12 @@
 //! The workspace's shared scheme registry.
 //!
-//! The broad sweeps (fig8, fig10, fig11, table2, appendix) iterate
+//! The broad sweeps (fig8, fig10, table2, appendix) iterate
 //! [`Scheme::ALL`] and filter through [`crate::applicable`], so they pick
 //! up a new scheme automatically. The *curated* subsets used to be
 //! hard-coded at each call site — fig9's scan storm, fig12's policy
-//! ablation, bench_snapshot's fig8 headline, the robustness churn tests —
-//! which is exactly how a newly added scheme would silently miss three of
-//! the four. Every curated list now lives here, next to the one mapping
+//! ablation, the robustness churn tests — which is exactly how a newly
+//! added scheme would silently miss some of them. Every curated list now
+//! lives here, next to the one mapping
 //! from a [`Scheme`] tag to its concrete [`GuardedScheme`] type, and the
 //! tests below cross-check the lists against `applicable`.
 
@@ -32,9 +32,6 @@ pub const POLICY_QUICK: [Scheme; 3] = [Scheme::Hpp, Scheme::Ebr, Scheme::Hyaline
 /// fig9 scan-storm rows: every scheme that can field the optimistic
 /// HHSList (plain HP cannot — paper §2.3).
 pub const SCAN_STORM: [Scheme; 4] = [Scheme::Ebr, Scheme::Pebr, Scheme::Hpp, Scheme::Hyaline];
-
-/// The perf-trajectory gate's fig8 headline subset (`bench_snapshot`).
-pub const FIG8_HEADLINE: [Scheme; 4] = [Scheme::Ebr, Scheme::Hp, Scheme::Hpp, Scheme::Hyaline];
 
 /// Schemes implementing [`GuardedScheme`] (whole-structure critical
 /// sections over `ds::guarded`): drives [`for_each_guarded`].
@@ -71,8 +68,8 @@ mod tests {
     #[test]
     fn curated_lists_are_applicable_subsets() {
         // Every curated entry must actually run on the structure its
-        // consumer drives: scan-storm rows on HHSList, policy and headline
-        // rows on the structures fig12/bench_snapshot use.
+        // consumer drives: scan-storm rows on HHSList, policy rows on the
+        // structures fig12 uses.
         for scheme in SCAN_STORM {
             assert!(applicable(Ds::HHSList, scheme), "{scheme} in SCAN_STORM");
         }
@@ -81,9 +78,6 @@ mod tests {
         }
         for scheme in POLICY_QUICK {
             assert!(POLICY.contains(&scheme), "{scheme} quick but not full");
-        }
-        for scheme in FIG8_HEADLINE {
-            assert!(applicable(Ds::HMList, scheme), "{scheme} in FIG8_HEADLINE");
         }
     }
 

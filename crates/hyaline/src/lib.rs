@@ -23,7 +23,7 @@
 //!   section pins garbage like a stalled EBR pin; a thread stalled
 //!   *entering* (announced, unvalidated) is ejected by the next handover
 //!   and pins nothing — the bound [`garbage_bound`] derives and
-//!   `table1_bounds` gates.
+//!   `smr_bench table1` gates.
 //!
 //! # Example
 //!

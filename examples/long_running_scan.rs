@@ -69,7 +69,7 @@ fn main() {
     // The ejection effect needs reads that are long relative to reclamation
     // pressure; scale the list so one get takes a macroscopic time. (For
     // the paper-faithful experiment at 2^18..2^26 keys, run
-    // `cargo run --release -p bench --bin fig10`.)
+    // `cargo run --release -p bench -- fig10`.)
     let range: u64 = std::env::args()
         .nth(1)
         .and_then(|a| a.parse().ok())
