@@ -57,12 +57,26 @@ where
     nap_until(stop);
 }
 
-/// Parks on validated hazard pointers: the handle keeps its hazard slots
-/// after the `get`, so the staller just never resets them.
-fn stalled_hazard<M: ConcurrentMap<u64, u64>>(map: &M, stop: &AtomicBool) {
-    let mut h = map.handle();
-    let _ = map.get(&mut h, &0);
-    nap_until(stop);
+/// The key a hazard staller parks on — far outside the churned range
+/// (`0..64`), so no churner ever removes it and it sorts last.
+const STALL_KEY: u64 = 1 << 32;
+
+/// Parks on validated hazard pointers: inserts [`STALL_KEY`] and naps
+/// inside `get_with` on it, so the hazard slots its traversal announced —
+/// the node and its predecessor, a churned node — stay announced for the
+/// whole run (a plain `get` clears them before it returns). `get_with` is
+/// inherent on the list types, hence a closure per type, not a generic fn.
+macro_rules! stalled_hazard {
+    () => {
+        |map, stop| {
+            let mut h = map.handle();
+            assert!(map.insert(&mut h, STALL_KEY, 0));
+            map.get_with(&mut h, &STALL_KEY, |value| {
+                assert!(value.is_some(), "nobody removes the staller's key");
+                nap_until(stop);
+            });
+        }
+    };
 }
 
 struct Measured {
@@ -231,11 +245,11 @@ pub fn run(quick: bool) -> i32 {
     // HP: the stalled thread parks on a validated hazard pointer —
     // only the announced nodes stay unreclaimed.
     let name = "hp-stalled-hazard";
-    let hp_run = measure::<ds::hp::HMList<u64, u64>, _>(name, window, hp_bound, stalled_hazard);
+    let hp_run = measure::<ds::hp::HMList<u64, u64>, _>(name, window, hp_bound, stalled_hazard!());
 
     // HP++: same, plus frontier protections — still bounded.
     let name = "hp++-stalled-hazard";
-    let hpp_run = measure::<ds::hpp::HHSList<u64, u64>, _>(name, window, hpp_bound, stalled_hazard);
+    let hpp_run = measure::<ds::hpp::HHSList<u64, u64>, _>(name, window, hpp_bound, stalled_hazard!());
 
     println!();
     println!("# Expectation (paper Table 1): EBR unbounded (grows with run time);");

@@ -15,7 +15,8 @@ use smr_common::{ConcurrentMap, GuardedScheme};
 
 use crate::guarded;
 use crate::hp as dshp;
-use crate::hpp;
+use crate::protect::Protect;
+use crate::stack::TreiberStack;
 
 /// A multiset of values with contended endpoints: stacks and queues.
 pub trait ConcurrentBag<T>: Sized {
@@ -35,42 +36,22 @@ pub trait ConcurrentBag<T>: Sized {
     fn take(&self, handle: &mut Self::Handle) -> Option<T>;
 }
 
-impl<T: Send> ConcurrentBag<T> for dshp::TreiberStack<T> {
-    type Handle = dshp::StackHandle;
+impl<T: Send, P: Protect> ConcurrentBag<T> for TreiberStack<T, P> {
+    type Handle = P::Handle;
 
     fn new() -> Self {
-        dshp::TreiberStack::new()
+        TreiberStack::new()
     }
 
-    fn handle(&self) -> dshp::StackHandle {
-        dshp::TreiberStack::<T>::handle(self)
+    fn handle(&self) -> P::Handle {
+        TreiberStack::handle(self)
     }
 
-    fn add(&self, _handle: &mut dshp::StackHandle, value: T) {
+    fn add(&self, _handle: &mut P::Handle, value: T) {
         self.push(value);
     }
 
-    fn take(&self, handle: &mut dshp::StackHandle) -> Option<T> {
-        self.pop(handle)
-    }
-}
-
-impl<T: Send> ConcurrentBag<T> for hpp::TreiberStack<T> {
-    type Handle = hpp::StackHandle;
-
-    fn new() -> Self {
-        hpp::TreiberStack::new()
-    }
-
-    fn handle(&self) -> hpp::StackHandle {
-        hpp::TreiberStack::<T>::handle(self)
-    }
-
-    fn add(&self, _handle: &mut hpp::StackHandle, value: T) {
-        self.push(value);
-    }
-
-    fn take(&self, handle: &mut hpp::StackHandle) -> Option<T> {
+    fn take(&self, handle: &mut P::Handle) -> Option<T> {
         self.pop(handle)
     }
 }
@@ -174,7 +155,7 @@ mod tests {
     #[test]
     fn map_adapter_over_every_bag() {
         exercise::<dshp::TreiberStack<u64>>();
-        exercise::<hpp::TreiberStack<u64>>();
+        exercise::<crate::hpp::TreiberStack<u64>>();
         exercise::<dshp::MSQueue<u64>>();
         exercise::<guarded::MSQueue<u64, ebr::Ebr>>();
         exercise::<guarded::MSQueue<u64, nr::Nr>>();

@@ -230,24 +230,3 @@ where
         self.remove_impl(handle, key)
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::test_utils;
-
-    #[test]
-    fn sequential_semantics() {
-        test_utils::check_sequential::<HHSList<u64, u64>>();
-    }
-
-    #[test]
-    fn concurrent_stress() {
-        test_utils::check_concurrent::<HHSList<u64, u64>>(8, 1024);
-    }
-
-    #[test]
-    fn striped() {
-        test_utils::check_striped::<HHSList<u64, u64>>(4, 64);
-    }
-}

@@ -238,24 +238,3 @@ where
         self.remove_impl(handle, key)
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::test_utils;
-
-    #[test]
-    fn sequential_semantics() {
-        test_utils::check_sequential::<HMList<u64, u64>>();
-    }
-
-    #[test]
-    fn concurrent_stress() {
-        test_utils::check_concurrent::<HMList<u64, u64>>(8, 512);
-    }
-
-    #[test]
-    fn striped() {
-        test_utils::check_striped::<HMList<u64, u64>>(4, 64);
-    }
-}

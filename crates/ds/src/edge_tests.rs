@@ -133,3 +133,79 @@ fn drop_destroys_contents_exactly_once() {
     run::<crate::hpp::NMTree<u64, Counted>>(128);
     run::<crate::hp::EFRBTree<u64, Counted>>(128);
 }
+
+/// A reader parked inside `get_with` still holds its protections: the node
+/// it is looking at survives being removed and any number of reclamation
+/// passes, and is freed by the first pass after the reader returns.
+#[test]
+fn get_with_keeps_the_node_protected_until_the_closure_returns() {
+    use std::sync::mpsc::channel;
+    use std::sync::Arc;
+
+    /// Counts drops of the stored value; clones (what `remove` hands back)
+    /// do not count.
+    struct Stored(Option<Arc<AtomicUsize>>);
+    impl Clone for Stored {
+        fn clone(&self) -> Self {
+            Stored(None)
+        }
+    }
+    impl Drop for Stored {
+        fn drop(&mut self) {
+            if let Some(drops) = &self.0 {
+                drops.fetch_add(1, Relaxed);
+            }
+        }
+    }
+
+    fn parked_reader<P, T>(reclaim: fn(&mut P::Handle))
+    where
+        P: crate::protect::Protect,
+        T: crate::list::Traversal<P>,
+    {
+        const KEY: u64 = 7;
+        let drops = Arc::new(AtomicUsize::new(0));
+        let m = crate::list::List::<u64, Stored, P, T>::new();
+        let mut h = m.handle();
+        assert!(m.insert(&mut h, KEY, Stored(Some(drops.clone()))));
+        std::thread::scope(|s| {
+            // Owned by this closure, so a failed assertion below hangs up
+            // on the reader instead of leaving it parked.
+            let (parked_tx, parked_rx) = channel();
+            let (resume_tx, resume_rx) = channel::<()>();
+            let m = &m;
+            s.spawn(move || {
+                let mut rh = m.handle();
+                m.get_with(&mut rh, &KEY, |value| {
+                    assert!(value.is_some());
+                    parked_tx.send(()).unwrap();
+                    resume_rx.recv().unwrap();
+                });
+                // Keep the handle (and its slots) alive: only leaving
+                // `get_with` may have released the node.
+                parked_tx.send(()).unwrap();
+                resume_rx.recv().unwrap();
+            });
+            parked_rx.recv().unwrap();
+            assert!(m.remove(&mut h, &KEY).is_some());
+            // Far past every threshold, then a forced pass.
+            for k in 100..100 + 4 * hp_plus::RECLAIM_PERIOD as u64 {
+                assert!(m.insert(&mut h, k, Stored(None)));
+                assert!(m.remove(&mut h, &k).is_some());
+            }
+            reclaim(&mut h);
+            assert_eq!(drops.load(Relaxed), 0, "freed under a parked reader");
+            resume_tx.send(()).unwrap();
+            parked_rx.recv().unwrap();
+            reclaim(&mut h);
+            assert_eq!(drops.load(Relaxed), 1, "not freed after the reader left");
+            resume_tx.send(()).unwrap();
+        });
+    }
+
+    use crate::list::{Harris, Michael};
+    use crate::protect::{Careful, Hpp};
+    parked_reader::<Careful<hp::Thread, 2>, Michael>(|h| h.thread.reclaim());
+    parked_reader::<Hpp<4>, Michael>(|h| h.reclaim());
+    parked_reader::<Hpp<4>, Harris>(|h| h.reclaim());
+}

@@ -204,34 +204,3 @@ where
         self.remove_impl(handle, key)
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::test_utils;
-
-    #[test]
-    fn sequential_semantics_ebr() {
-        test_utils::check_sequential::<BonsaiTree<u64, u64, ebr::Ebr>>();
-    }
-
-    #[test]
-    fn sequential_semantics_nr() {
-        test_utils::check_sequential::<BonsaiTree<u64, u64, nr::Nr>>();
-    }
-
-    #[test]
-    fn concurrent_stress_ebr() {
-        test_utils::check_concurrent::<BonsaiTree<u64, u64, ebr::Ebr>>(6, 512);
-    }
-
-    #[test]
-    fn concurrent_stress_pebr() {
-        test_utils::check_concurrent::<BonsaiTree<u64, u64, pebr::Pebr>>(6, 512);
-    }
-
-    #[test]
-    fn striped_ebr() {
-        test_utils::check_striped::<BonsaiTree<u64, u64, ebr::Ebr>>(4, 128);
-    }
-}

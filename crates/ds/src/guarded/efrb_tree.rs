@@ -13,7 +13,7 @@ use std::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed};
 
 use smr_common::{Atomic, Backoff, ConcurrentMap, GuardedScheme, SchemeGuard, Shared};
 
-use super::nm_tree::NmKey;
+use crate::nm_tree::NmKey;
 
 /// `update` word states (tag bits).
 pub(crate) const CLEAN: usize = 0;
@@ -456,32 +456,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_utils;
-
-    #[test]
-    fn sequential_semantics_ebr() {
-        test_utils::check_sequential::<EFRBTree<u64, u64, ebr::Ebr>>();
-    }
-
-    #[test]
-    fn sequential_semantics_nr() {
-        test_utils::check_sequential::<EFRBTree<u64, u64, nr::Nr>>();
-    }
-
-    #[test]
-    fn concurrent_stress_ebr() {
-        test_utils::check_concurrent::<EFRBTree<u64, u64, ebr::Ebr>>(8, 1024);
-    }
-
-    #[test]
-    fn concurrent_stress_pebr() {
-        test_utils::check_concurrent::<EFRBTree<u64, u64, pebr::Pebr>>(8, 512);
-    }
-
-    #[test]
-    fn striped_ebr() {
-        test_utils::check_striped::<EFRBTree<u64, u64, ebr::Ebr>>(4, 256);
-    }
 
     #[test]
     fn delete_promotes_sibling() {

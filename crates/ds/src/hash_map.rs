@@ -99,29 +99,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::guarded::{HHSList, HMList};
-    use crate::test_utils;
-
-    type EbrMap = HashMap<u64, u64, HHSList<u64, u64, ebr::Ebr>>;
-    type PebrMap = HashMap<u64, u64, HHSList<u64, u64, pebr::Pebr>>;
-    type NrMap = HashMap<u64, u64, HMList<u64, u64, nr::Nr>>;
-
-    #[test]
-    fn sequential_semantics() {
-        test_utils::check_sequential::<EbrMap>();
-        test_utils::check_sequential::<NrMap>();
-    }
-
-    #[test]
-    fn concurrent_stress() {
-        test_utils::check_concurrent::<EbrMap>(8, 512);
-        test_utils::check_concurrent::<PebrMap>(8, 512);
-    }
-
-    #[test]
-    fn striped() {
-        test_utils::check_striped::<EbrMap>(4, 128);
-    }
+    use crate::guarded::HHSList;
 
     #[test]
     fn small_bucket_count_forces_collisions() {

@@ -267,24 +267,3 @@ where
         self.remove_impl(handle, key)
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::test_utils;
-
-    #[test]
-    fn sequential_semantics() {
-        test_utils::check_sequential::<BonsaiTree<u64, u64>>();
-    }
-
-    #[test]
-    fn concurrent_stress() {
-        test_utils::check_concurrent::<BonsaiTree<u64, u64>>(6, 384);
-    }
-
-    #[test]
-    fn striped() {
-        test_utils::check_striped::<BonsaiTree<u64, u64>>(4, 96);
-    }
-}

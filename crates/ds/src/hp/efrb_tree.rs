@@ -25,7 +25,7 @@ use std::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed};
 use hp::HazardPointer;
 use smr_common::{fence, Atomic, Backoff, ConcurrentMap, Shared};
 
-use crate::guarded::nm_tree::NmKey;
+use crate::nm_tree::NmKey;
 use crate::hp_family::HpFamily;
 
 pub(crate) const CLEAN: usize = 0;
@@ -575,39 +575,5 @@ where
 
     fn remove(&self, handle: &mut Handle<T>, key: &K) -> Option<V> {
         self.remove_impl(handle, key)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::test_utils;
-
-    type HpTree = EFRBTree<u64, u64, hp::Thread>;
-    type HppTree = EFRBTree<u64, u64, hp_plus::Thread>;
-
-    #[test]
-    fn sequential_semantics_hp() {
-        test_utils::check_sequential::<HpTree>();
-    }
-
-    #[test]
-    fn sequential_semantics_hpp_hybrid() {
-        test_utils::check_sequential::<HppTree>();
-    }
-
-    #[test]
-    fn concurrent_stress_hp() {
-        test_utils::check_concurrent::<HpTree>(8, 512);
-    }
-
-    #[test]
-    fn concurrent_stress_hpp_hybrid() {
-        test_utils::check_concurrent::<HppTree>(8, 512);
-    }
-
-    #[test]
-    fn striped_hp() {
-        test_utils::check_striped::<HpTree>(4, 128);
     }
 }

@@ -3,28 +3,46 @@
 //! These use the *careful* traversal of §2.2: each step announces a hazard
 //! pointer and validates it by re-reading the source link — a protection
 //! that fails whenever the source node is marked or changed, which is a
-//! sound over-approximation of "the target may be retired". Structures that
-//! need optimistic traversal (HHSList, NMTree) have **no** implementation
-//! here; that inapplicability is the paper's starting point.
+//! sound over-approximation of "the target may be retired". The list, the
+//! skiplist and the stack are the crate's one implementation of each under
+//! `Careful`. Structures that need optimistic
+//! traversal (HHSList, NMTree) have **no** alias here: `Careful` is not
+//! `Optimistic`, and that inapplicability is
+//! the paper's starting point.
 
-// hash_map is the generic chaining map at crate root
 mod bonsai;
-mod hm_list;
-mod queue;
-mod stack;
 pub(crate) mod efrb_tree;
-pub(crate) mod skip_list;
+mod queue;
+
+use crate::list::{List, Michael};
+use crate::protect::{Careful, HpHandle};
+use crate::{skip_list, stack};
+
+pub use bonsai::{BonsaiTree, Handle as BonsaiHandle};
+pub use queue::{MSQueue, QueueHandle};
+
+/// Harris–Michael list protected by the original HP (paper Fig. 3).
+pub type HMList<K, V> = List<K, V, Careful<::hp::Thread, 2>, Michael>;
+/// Per-thread state of [`HMList`]: HP registration plus the two
+/// hand-over-hand hazard pointers of Fig. 3.
+pub type HMListHandle = HpHandle<::hp::Thread, 2>;
 
 /// Chaining hash map over HP HMList buckets (paper §5).
 pub type HashMap<K, V> = crate::hash_map::HashMap<K, V, HMList<K, V>>;
-pub use bonsai::{BonsaiTree, Handle as BonsaiHandle};
-pub use hm_list::{Handle as HMListHandle, HMList};
-pub use queue::{MSQueue, QueueHandle};
-pub use stack::{StackHandle, TreiberStack};
 
 /// Skiplist protected by the original HP (careful, restarting traversal).
-pub type SkipList<K, V> = skip_list::SkipList<K, V, ::hp::Thread>;
-pub use skip_list::Handle as SkipListHandle;
+/// `true` is `Careful`'s `LINGER`: the 41 slots are not cleared after every
+/// operation.
+pub type SkipList<K, V> =
+    skip_list::SkipList<K, V, Careful<::hp::Thread, { skip_list::SLOTS }, true>>;
+/// Per-thread state of a hazard-pointer skiplist over scheme thread `T`:
+/// per-level pred/succ hazard pointers and one for a node being inserted.
+pub type SkipListHandle<T> = HpHandle<T, { skip_list::SLOTS }>;
+
+/// Treiber's stack reclaimed with the original HP (paper Fig. 2).
+pub type TreiberStack<T> = stack::TreiberStack<T, Careful<::hp::Thread, 1>>;
+/// Per-thread state of [`TreiberStack`]: the one hazard pointer of Fig. 2.
+pub type StackHandle = HpHandle<::hp::Thread, 1>;
 
 /// Ellen et al. tree protected by the original HP.
 pub type EFRBTree<K, V> = efrb_tree::EFRBTree<K, V, ::hp::Thread>;

@@ -39,7 +39,7 @@ fn is_invalid<K, V>(node: Shared<Node<K, V>>) -> bool {
 
 /// Per-thread state: HP++ registration and a growable pool of hazard slots.
 pub struct Handle {
-    thread: hp_plus::Thread,
+    pub(crate) thread: hp_plus::Thread,
     slots: Vec<HazardPointer>,
     used: usize,
 }
@@ -324,47 +324,5 @@ where
 
     fn remove(&self, handle: &mut Handle, key: &K) -> Option<V> {
         self.remove_impl(handle, key)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::test_utils;
-
-    #[test]
-    fn sequential_semantics() {
-        test_utils::check_sequential::<BonsaiTree<u64, u64>>();
-    }
-
-    #[test]
-    fn concurrent_stress() {
-        test_utils::check_concurrent::<BonsaiTree<u64, u64>>(6, 384);
-    }
-
-    #[test]
-    fn striped() {
-        test_utils::check_striped::<BonsaiTree<u64, u64>>(4, 96);
-    }
-
-    #[test]
-    fn heavy_churn_bounded_garbage() {
-        let m: BonsaiTree<u64, u64> = BonsaiTree::new();
-        let mut h = ConcurrentMap::handle(&m);
-        for round in 0..200u64 {
-            for k in 0..16 {
-                ConcurrentMap::insert(&m, &mut h, k, round);
-            }
-            for k in 0..16 {
-                ConcurrentMap::remove(&m, &mut h, &k);
-            }
-        }
-        // The handle's own count: the process-global counters also move
-        // with every sibling test running in parallel.
-        let garbage = h.thread.garbage_count() as u64;
-        assert!(
-            garbage < 8 * hp_plus::RECLAIM_PERIOD as u64 + 512,
-            "garbage grew unboundedly: {garbage}"
-        );
     }
 }

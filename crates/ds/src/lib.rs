@@ -1,17 +1,21 @@
 //! The benchmark data-structure suite (paper §5).
 //!
-//! Every structure implements [`smr_common::ConcurrentMap`] and comes in up
-//! to three flavors, mirroring how the paper applies each reclamation
-//! scheme:
+//! Every structure implements [`smr_common::ConcurrentMap`]. The lists, the
+//! skiplist, the NM tree and the Treiber stack are each written **once**,
+//! as generic code over a crate-private protection step (`protect.rs`: how
+//! a traversal step is made safe, how a detaching CAS hands its nodes
+//! over); the three families below are that step's three implementations,
+//! exported as type aliases:
 //!
-//! * [`guarded`] — generic over [`smr_common::GuardedScheme`], usable with
-//!   NR, EBR, and PEBR (ejection checks are injected through the guard's
+//! * [`guarded`] — any [`smr_common::GuardedScheme`]: NR, EBR, PEBR,
+//!   Hyaline (ejection checks are injected through the guard's
 //!   `validate()` hook).
 //! * [`hp`] — the original hazard pointers with hand-over-hand validated
 //!   protection (careful traversal only; §2.2).
 //! * [`hpp`] — HP++ protection with optimistic traversal (`try_protect` /
 //!   `try_unlink`; §3).
-//! * [`cdrc`] — concurrent deferred reference counting (`Rc`/`AtomicRc`).
+//! * [`cdrc`] — concurrent deferred reference counting (`Rc`/`AtomicRc`),
+//!   separate code: count transfers are not a protection step.
 //!
 //! | structure | guarded | hp | hpp | cdrc |
 //! |---|---|---|---|---|
@@ -26,34 +30,44 @@
 //! | `MSQueue` | ✓ | ✓ | — | — |
 //!
 //! The missing cells are the paper's inapplicability results: HP cannot
-//! protect optimistic traversal (HHSList, NMTree — §2.3), and the paper
-//! omits the RC trees as well.
+//! protect optimistic traversal (HHSList, NMTree — §2.3; in the code, the
+//! careful protection step does not implement the `Optimistic` marker those
+//! traversals require), and the paper omits the RC trees as well. The
+//! EFRB tree, the Bonsai tree and the MS queue keep one file per family;
+//! DESIGN.md §1.3 records why.
 //!
 //! The stacks and queues are *bags*, not maps; [`bag::BagMap`] adapts them
 //! to the [`ConcurrentMap`] interface so the bench runner can drive them.
 
 #![warn(missing_docs)]
-// Closures passed to `try_unlink` sit inside an outer `unsafe` call yet keep
-// their own `unsafe` blocks for readability; silence the resulting lint.
-#![allow(unused_unsafe)]
 
 pub mod bag;
 pub(crate) mod bonsai_core;
 pub mod cdrc;
 pub mod guarded;
 pub mod hash_map;
-pub mod hp_family;
 pub mod hp;
+pub mod hp_family;
 pub mod hpp;
+// The single implementations behind the family aliases. Their types are
+// public so the aliases can name them, but only the aliases are exported.
+mod list;
+mod nm_tree;
+mod protect;
+mod skip_list;
+mod stack;
 
 pub use smr_common::{ConcurrentMap, GuardedScheme, SchemeGuard};
 
 /// Named fault-injection points compiled into this crate (each a
 /// `smr_common::fault_point!` site; no-ops without the `fault-injection`
 /// feature). DESIGN.md §1.7 documents the invariant each one attacks.
-pub const FAULT_POINTS: &[&str] = &["ds::guarded::traverse::validate"];
+pub const FAULT_POINTS: &[&str] = &[
+    "ds::guarded::traverse::validate",
+    "ds::skiplist::insert::before_level_link",
+];
 
 #[cfg(test)]
-mod edge_tests;
+mod battery;
 #[cfg(test)]
-pub(crate) mod test_utils;
+mod edge_tests;

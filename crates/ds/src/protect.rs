@@ -1,0 +1,451 @@
+//! The protection step — the one place the reclamation families differ.
+//!
+//! The paper's observation is that Harris's list, the Natarajan–Mittal tree
+//! and friends stay *the same algorithm* under every scheme: only how a
+//! traversal step is made safe ([`Protect::protect`]) and how a detaching
+//! CAS hands its nodes over ([`Protect::unlink`]) change. Every structure in
+//! `list.rs`, `skip_list.rs`, `nm_tree.rs` and `stack.rs` is written once
+//! against [`Protect`]; this file holds its three implementations, so the
+//! HP-vs-HP++ difference of any structure can be read here alone:
+//!
+//! | hook | [`Guarded<S>`] (NR, EBR, PEBR, Hyaline) | [`Careful<T, H, LINGER>`] (HP; HP++ hybrid §4.2) | [`Hpp<H>`] (HP++ §3) |
+//! |---|---|---|---|
+//! | `enter` / `exit` | pin / unpin | — / clear the `H` slots (unless `LINGER`: the skiplist) | — / clear the `H` slots |
+//! | `protect` | `validate()`, else `refresh()` and restart | announce, re-read the link: restart if it *changed or is marked* | announce, restart only if the *source node is invalidated*; a changed link retargets |
+//! | `swap` / `dup` | no-op | exchange two slots / announce an already protected pointer | same |
+//! | `unlink` | CAS, `defer_destroy` each node | CAS, `retire` each node | `try_unlink`: protect the frontier, CAS, defer invalidation |
+//! | [`Optimistic`] | ✓ | ✗ (paper Table 2) | ✓ |
+//! | [`Retire`] | ✓ | ✓ | ✗ (needs the detaching CAS) |
+
+use std::marker::PhantomData;
+use std::sync::atomic::Ordering::{AcqRel, Acquire};
+
+use hp_plus::{HazardPointer, Unlinked};
+use smr_common::{Atomic, GuardedScheme, SchemeGuard, Shared};
+
+use crate::hp_family::HpFamily;
+
+/// How an HP++ unlinker invalidates a node (§3.2); re-exported so that a
+/// structure's file names no scheme crate.
+pub use hp_plus::Invalidate;
+
+/// What the protection step needs to know about a node: its HP++
+/// invalidation bit. Only [`Hpp`] sets or reads it.
+pub trait Node: Invalidate + Sized {
+    /// Whether an unlinker has invalidated this node.
+    fn is_invalid(&self) -> bool;
+}
+
+/// Dereferences a pointer [`Protect::protect`] has just returned `true`
+/// for (`None` for null). Such a pointer is untagged by contract, which
+/// lets this skip the tag mask `Shared::as_ref` applies: that mask sits on
+/// the pointer-chasing critical path of every traversal step (load `next`,
+/// mask, dereference), and LLVM proves it redundant only in some inlining
+/// contexts — a fifth of a 512-node list `get` where it does not.
+///
+/// # Safety
+/// `ptr` is null or protected, as for [`Shared::deref`].
+#[inline]
+pub unsafe fn protected_ref<'a, N>(ptr: Shared<N>) -> Option<&'a N> {
+    debug_assert_eq!(ptr.tag(), 0, "protect returns untagged pointers");
+    // SAFETY: no tag bits are set, so the word is the pointer.
+    unsafe { (ptr.into_usize() as *const N).as_ref() }
+}
+
+/// One reclamation family's way of making a traversal safe.
+///
+/// An operation runs between [`enter`](Self::enter) and
+/// [`exit`](Self::exit) on the [`Op`](Self::Op) it got from `enter`. Slot
+/// arguments name hazard slots (`0..H`); [`Guarded`] ignores them.
+pub trait Protect: 'static {
+    /// Per-thread state, the `Handle` of every map over this family.
+    type Handle: Send;
+    /// Where handles register and garbage is charged.
+    type Domain: Copy + Send + Sync;
+    /// An operation in progress, borrowing the handle.
+    type Op<'h>;
+
+    /// The family's process-wide default domain.
+    fn default_domain() -> Self::Domain;
+
+    /// Registers the calling thread with `domain`.
+    fn handle(domain: Self::Domain) -> Self::Handle;
+
+    /// Starts an operation.
+    fn enter(handle: &mut Self::Handle) -> Self::Op<'_>;
+
+    /// Ends an operation: nothing the operation protected may be
+    /// dereferenced afterwards.
+    fn exit(op: Self::Op<'_>);
+
+    /// Makes `*ptr` — the untagged pointer just read from `link`, a field
+    /// of `src` (itself untagged; null `src` = the structure's root, never
+    /// reclaimed) — safe to dereference under `slot`. On `true`, `*ptr` is protected and is
+    /// (for the hazard families) what `link` held at validation; it may
+    /// have been retargeted. `false` means the traversal lost its footing
+    /// and must restart from the root.
+    fn protect<N: Node>(
+        op: &mut Self::Op<'_>,
+        slot: usize,
+        ptr: &mut Shared<N>,
+        link: &Atomic<N>,
+        src: Shared<N>,
+    ) -> bool;
+
+    /// Exchanges what slots `a` and `b` protect (hand-over-hand stepping).
+    fn swap(op: &mut Self::Op<'_>, a: usize, b: usize);
+
+    /// Protects `ptr`, which another slot already protects, under `slot`;
+    /// null empties the slot.
+    fn dup<N>(op: &mut Self::Op<'_>, slot: usize, ptr: Shared<N>);
+
+    /// The detaching CAS `link: from → to`. On success hands every node of
+    /// `detached` to the scheme and returns `true`; `detached` is consumed
+    /// only then.
+    ///
+    /// # Safety
+    /// * A successful CAS makes exactly the nodes of `detached` unreachable,
+    ///   once, with links that no longer change (Assumption 1), and they
+    ///   are `Box` allocations.
+    /// * `frontier` is the one node still reachable that a detached node
+    ///   links to (§3.1); the caller protects `from`'s chain up to it.
+    unsafe fn unlink<N: Node>(
+        op: &mut Self::Op<'_>,
+        link: &Atomic<N>,
+        from: Shared<N>,
+        to: Shared<N>,
+        frontier: Shared<N>,
+        detached: impl Iterator<Item = Shared<N>>,
+    ) -> bool;
+}
+
+/// Families whose [`protect`](Protect::protect) succeeds out of a logically
+/// deleted source, so a traversal may walk through marked nodes: Harris's
+/// chain search, the wait-free `get`, the NM-tree seek. [`Careful`] does not
+/// implement it — the paper's Table 2 (HP ✗ HHSList / NMTree).
+pub trait Optimistic: Protect {}
+
+/// Families that accept a node its remover detached with several plain
+/// CASes (the skip list's tower). [`Hpp`] does not: HP++ must see the
+/// detaching CAS to protect the frontier, so the skip list runs under HP++
+/// only as `Careful<hp_plus::Thread, _>` — the §4.2 hybrid.
+pub trait Retire: Protect {
+    /// Hands a fully detached node to the scheme.
+    ///
+    /// # Safety
+    /// `node` is a `Box` allocation, unreachable from the structure, and
+    /// retired once.
+    unsafe fn retire<N>(op: &mut Self::Op<'_>, node: Shared<N>);
+}
+
+/// Critical-section protection: any [`GuardedScheme`].
+pub struct Guarded<S>(PhantomData<S>);
+
+impl<S: GuardedScheme> Protect for Guarded<S> {
+    type Handle = S::Handle;
+    type Domain = ();
+    type Op<'h> = S::Guard<'h>;
+
+    fn default_domain() {}
+
+    fn handle(_: ()) -> S::Handle {
+        S::handle()
+    }
+
+    fn enter(handle: &mut S::Handle) -> S::Guard<'_> {
+        S::pin(handle)
+    }
+
+    fn exit(op: S::Guard<'_>) {
+        drop(op);
+    }
+
+    #[inline]
+    fn protect<N: Node>(
+        op: &mut S::Guard<'_>,
+        _slot: usize,
+        _ptr: &mut Shared<N>,
+        _link: &Atomic<N>,
+        _src: Shared<N>,
+    ) -> bool {
+        // A traverser preempted between validation and the dereference
+        // that follows is exactly what ejection (PEBR) must survive.
+        smr_common::fault_point!("ds::guarded::traverse::validate");
+        if op.validate() {
+            return true;
+        }
+        op.refresh();
+        false
+    }
+
+    #[inline]
+    fn swap(_: &mut S::Guard<'_>, _: usize, _: usize) {}
+
+    #[inline]
+    fn dup<N>(_: &mut S::Guard<'_>, _: usize, _: Shared<N>) {}
+
+    #[inline]
+    unsafe fn unlink<N: Node>(
+        op: &mut S::Guard<'_>,
+        link: &Atomic<N>,
+        from: Shared<N>,
+        to: Shared<N>,
+        _frontier: Shared<N>,
+        detached: impl Iterator<Item = Shared<N>>,
+    ) -> bool {
+        if link.compare_exchange(from, to, AcqRel, Acquire).is_err() {
+            return false;
+        }
+        for node in detached {
+            // SAFETY: the caller's contract is `defer_destroy`'s.
+            unsafe { op.defer_destroy(node) };
+        }
+        true
+    }
+}
+
+impl<S: GuardedScheme> Optimistic for Guarded<S> {}
+
+impl<S: GuardedScheme> Retire for Guarded<S> {
+    unsafe fn retire<N>(op: &mut S::Guard<'_>, node: Shared<N>) {
+        // SAFETY: the caller's contract is `defer_destroy`'s.
+        unsafe { op.defer_destroy(node) };
+    }
+}
+
+/// Per-thread state of the hazard-pointer families: the scheme thread and
+/// the `H` hazard slots a structure's traversal roles index into.
+pub struct HpHandle<T: HpFamily, const H: usize> {
+    pub(crate) thread: T,
+    slots: [HazardPointer; H],
+}
+
+impl<T: HpFamily, const H: usize> HpHandle<T, H> {
+    /// Registers with the scheme's default domain.
+    pub fn new() -> Self {
+        Self::over(T::register())
+    }
+
+    fn over(mut thread: T) -> Self {
+        let slots = std::array::from_fn(|_| thread.hazard_pointer());
+        Self { thread, slots }
+    }
+
+    /// Exchanges slots `a` and `b`, as two scalar moves. `slots.swap` on
+    /// adjacent slots compiles to one 16-byte shuffle, and the next step's
+    /// 8-byte slot load then waits on that store: 6 % of an HP list `get`.
+    fn swap(&mut self, a: usize, b: usize) {
+        let [a, b] = self
+            .slots
+            .get_disjoint_mut([a, b])
+            .expect("two distinct slots of the handle");
+        HazardPointer::swap(a, b);
+    }
+
+    /// Ends an operation's protections.
+    fn clear(&self) {
+        for slot in &self.slots {
+            slot.reset();
+        }
+    }
+}
+
+impl<T: HpFamily, const H: usize> Default for HpHandle<T, H> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<const H: usize> HpHandle<hp_plus::Thread, H> {
+    /// Registers with an explicit HP++ domain. Structures that carry their
+    /// own reclamation domain (one per KV shard, say) hand it in here so
+    /// garbage pressure and collector stalls stay inside that domain.
+    pub fn new_in(domain: &'static hp_plus::Domain) -> Self {
+        Self::over(domain.register())
+    }
+
+    /// Unreclaimed blocks charged to this handle's thread: retired bags
+    /// plus unlinked batches still awaiting deferred invalidation.
+    pub fn garbage_count(&self) -> usize {
+        self.thread.garbage_count()
+    }
+
+    /// Forces an invalidation + reclamation pass now (normally triggered
+    /// every `RECLAIM_PERIOD` unlinks).
+    pub fn reclaim(&mut self) {
+        self.thread.reclaim()
+    }
+}
+
+/// Original hazard pointers (§2.2): a protection is validated by re-reading
+/// the link it came from, which fails whenever the source is marked or the
+/// link moved — a sound over-approximation of "the target may be retired",
+/// and the reason a traversal under it can never leave a deleted node.
+/// `T` is `hp::Thread`, or `hp_plus::Thread` for the §4.2 hybrid.
+///
+/// `LINGER` leaves the slots announced at `exit` instead of clearing them.
+/// Only the skiplist sets it: a store per slot per operation is a few
+/// percent of an operation on its 41 slots, and what lingers until the next
+/// operation overwrites it is bounded by `H`, which every garbage bound
+/// already counts.
+pub struct Careful<T, const H: usize, const LINGER: bool = false>(PhantomData<fn() -> T>);
+
+impl<T: HpFamily, const H: usize, const LINGER: bool> Protect for Careful<T, H, LINGER> {
+    type Handle = HpHandle<T, H>;
+    type Domain = ();
+    type Op<'h> = &'h mut HpHandle<T, H>;
+
+    fn default_domain() {}
+
+    fn handle(_: ()) -> HpHandle<T, H> {
+        HpHandle::new()
+    }
+
+    fn enter(handle: &mut HpHandle<T, H>) -> &mut HpHandle<T, H> {
+        handle
+    }
+
+    fn exit(op: &mut HpHandle<T, H>) {
+        if !LINGER {
+            op.clear();
+        }
+    }
+
+    #[inline]
+    fn protect<N: Node>(
+        op: &mut &mut HpHandle<T, H>,
+        slot: usize,
+        ptr: &mut Shared<N>,
+        link: &Atomic<N>,
+        _src: Shared<N>,
+    ) -> bool {
+        // Nothing to protect at the end of a chain; the null was read from
+        // a link whose owner the previous step validated.
+        ptr.is_null() || op.slots[slot].try_protect(*ptr, link).is_ok()
+    }
+
+    #[inline]
+    fn swap(op: &mut &mut HpHandle<T, H>, a: usize, b: usize) {
+        op.swap(a, b);
+    }
+
+    #[inline]
+    fn dup<N>(op: &mut &mut HpHandle<T, H>, slot: usize, ptr: Shared<N>) {
+        op.slots[slot].protect_raw(ptr.as_raw());
+    }
+
+    #[inline]
+    unsafe fn unlink<N: Node>(
+        op: &mut &mut HpHandle<T, H>,
+        link: &Atomic<N>,
+        from: Shared<N>,
+        to: Shared<N>,
+        _frontier: Shared<N>,
+        detached: impl Iterator<Item = Shared<N>>,
+    ) -> bool {
+        if link.compare_exchange(from, to, AcqRel, Acquire).is_err() {
+            return false;
+        }
+        for node in detached {
+            // SAFETY: the caller's contract is `retire`'s; every reader
+            // validated its protection against a link that no longer
+            // leads here.
+            unsafe { op.thread.retire(node.as_raw()) };
+        }
+        true
+    }
+}
+
+impl<T: HpFamily, const H: usize, const LINGER: bool> Retire for Careful<T, H, LINGER> {
+    unsafe fn retire<N>(op: &mut &mut HpHandle<T, H>, node: Shared<N>) {
+        // SAFETY: the caller's contract is `HpFamily::retire`'s.
+        unsafe { op.thread.retire(node.as_raw()) };
+    }
+}
+
+/// HP++ (§3): validation fails only when the *source node* has been
+/// invalidated by its unlinker, so marked nodes are walked straight
+/// through; in exchange every detaching CAS goes through `try_unlink`,
+/// which protects the frontier and invalidates before anything is freed.
+pub struct Hpp<const H: usize>;
+
+impl<const H: usize> Protect for Hpp<H> {
+    type Handle = HpHandle<hp_plus::Thread, H>;
+    type Domain = &'static hp_plus::Domain;
+    type Op<'h> = &'h mut HpHandle<hp_plus::Thread, H>;
+
+    fn default_domain() -> &'static hp_plus::Domain {
+        hp_plus::default_domain()
+    }
+
+    fn handle(domain: &'static hp_plus::Domain) -> Self::Handle {
+        HpHandle::new_in(domain)
+    }
+
+    fn enter(handle: &mut Self::Handle) -> &mut Self::Handle {
+        handle
+    }
+
+    fn exit(op: &mut Self::Handle) {
+        op.clear();
+    }
+
+    #[inline]
+    fn protect<N: Node>(
+        op: &mut &mut Self::Handle,
+        slot: usize,
+        ptr: &mut Shared<N>,
+        link: &Atomic<N>,
+        src: Shared<N>,
+    ) -> bool {
+        hp_plus::try_protect(&op.slots[slot], ptr, link, || {
+            // SAFETY: a non-null `src` is protected by the caller — it is
+            // the node `link` belongs to. Unmasked like every step's
+            // dereference, so a caller that has just dereferenced `src`
+            // pays no second null test here.
+            unsafe { protected_ref(src) }.is_some_and(N::is_invalid)
+        })
+    }
+
+    #[inline]
+    fn swap(op: &mut &mut Self::Handle, a: usize, b: usize) {
+        op.swap(a, b);
+    }
+
+    #[inline]
+    fn dup<N>(op: &mut &mut Self::Handle, slot: usize, ptr: Shared<N>) {
+        op.slots[slot].protect_raw(ptr.as_raw());
+    }
+
+    #[inline]
+    unsafe fn unlink<N: Node>(
+        op: &mut &mut Self::Handle,
+        link: &Atomic<N>,
+        from: Shared<N>,
+        to: Shared<N>,
+        frontier: Shared<N>,
+        mut detached: impl Iterator<Item = Shared<N>>,
+    ) -> bool {
+        let do_unlink = || {
+            link.compare_exchange(from, to, AcqRel, Acquire).ok()?;
+            // One- and two-node batches — every list remove, an NM-tree
+            // node plus its pendant leaf — stay allocation-free.
+            let first = detached
+                .next()
+                .expect("an unlink detaches at least one node");
+            let Some(second) = detached.next() else {
+                return Some(Unlinked::single(first));
+            };
+            let Some(third) = detached.next() else {
+                return Some(Unlinked::pair(first, second));
+            };
+            let mut nodes = vec![first, second, third];
+            nodes.extend(detached);
+            Some(Unlinked::new(nodes))
+        };
+        // SAFETY: the caller's contract is `try_unlink`'s.
+        unsafe { op.thread.try_unlink(&[frontier], do_unlink) }
+    }
+}
+
+impl<const H: usize> Optimistic for Hpp<H> {}

@@ -190,10 +190,15 @@ pub fn try_protect<T>(
     src_link: &Atomic<T>,
     is_invalid: impl Fn() -> bool,
 ) -> bool {
+    // Both ways out of the straight line — an invalidated source, a link
+    // that moved under the announcement — are rare, and said to be: left to
+    // its loop heuristics the compiler lays the retry edge out as the hot
+    // one and a traversal pays two extra taken branches per node.
     loop {
         hp.protect_raw(ptr.as_raw());
         fence::light();
         if is_invalid() {
+            std::hint::cold_path();
             hp.reset();
             return false;
         }
@@ -201,6 +206,7 @@ pub fn try_protect<T>(
         if new == *ptr {
             return true;
         }
+        std::hint::cold_path();
         *ptr = new;
     }
 }

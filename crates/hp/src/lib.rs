@@ -95,7 +95,7 @@ pub fn reclaim_k() -> usize {
 
 /// HP's pre-policy trigger formula as [`policy`](smr_common::policy)
 /// parameters: `retired ≥ max(RECLAIM_THRESHOLD, reclaim_k() · H)`. This is
-/// what a [`Domain`](crate::Domain) runs when no policy is installed, and
+/// what a [`Domain`] runs when no policy is installed, and
 /// the base every other policy kind refines (kv-service builds per-shard
 /// `Adaptive` policies over it).
 pub fn legacy_trigger() -> smr_common::policy::Capped {

@@ -13,7 +13,7 @@
 //!   widening multiply ([`shard_of_key`]); the shard's own map then hashes
 //!   into its buckets independently.
 //! * **Command rings** — each shard owns one bounded MPSC ring
-//!   ([`ring::Ring`], Vyukov-style sequence slots). Producers back off via
+//!   (`ring::Ring`, Vyukov-style sequence slots). Producers back off via
 //!   [`smr_common::Backoff`] (spin → yield → park) when the ring is full;
 //!   there is no unbounded queue anywhere, so the service runs on a fixed
 //!   thread pool (one worker per shard) instead of thread-per-client.
@@ -35,7 +35,7 @@
 //! sibling shards never notice. See `tests/shard_isolation.rs`.
 //!
 //! Recovery story (on by default, [`KvConfig::supervise`]): a
-//! [`supervisor`] thread notices the death, **quarantines** the poisoned
+//! `supervisor` thread notices the death, **quarantines** the poisoned
 //! reclamation domain — leaks it, records its settled garbage against the
 //! scheme's published bound — and respawns the worker on a fresh ring +
 //! fresh store under a bumped [`Generation`]. Nothing is replayed; clients
@@ -133,7 +133,7 @@ pub struct KvConfig {
     /// `KV_BUCKETS`.
     pub buckets: usize,
     /// Reclamation-trigger policy installed on every shard's private domain.
-    /// Default [`PolicyKind::Capped`] (the scheme's own trigger),
+    /// Default [`PolicyKind::Capped`](smr_common::policy::PolicyKind::Capped) (the scheme's own trigger),
     /// `KV_POLICY` (`eager`/`capped`/`adaptive`).
     pub policy: smr_common::policy::PolicyKind,
     /// Whether the supervisor respawns dead workers (quarantining their

@@ -5,7 +5,7 @@
 //! malformed value (`HP_RECLAIM_K=two`) silently fell back to the default
 //! with no trace. These helpers centralize the chain and make the failure
 //! observable: every unparseable value bumps
-//! [`counters::env_malformed`](crate::counters::env_malformed) and logs one
+//! [`crate::counters::env_malformed`] and logs one
 //! warning line to stderr. Callers read knobs through process-lifetime
 //! `OnceLock`s, so each site parses (and warns) at most once per process.
 //!

@@ -4,12 +4,12 @@
 //! crashed threads as first-class adversaries. This module gives every
 //! scheme in the workspace a way to *become* that adversary
 //! deterministically: hot paths are annotated with named injection points
-//! ([`fault_point!`]), and a test installs a [`FaultPlan`] that makes a
+//! ([`fault_point!`](crate::fault_point)), and a test installs a `FaultPlan` that makes a
 //! specific hit of a specific point stall, delay, yield-storm, or panic.
 //!
 //! # Zero cost when disabled
 //!
-//! Without the `fault-injection` cargo feature, [`fault_point!`] expands to
+//! Without the `fault-injection` cargo feature, `fault_point!` expands to
 //! an empty block — the annotated hot paths (`hp::try_protect`, `ebr::pin`,
 //! `hpp::try_unlink`, …) compile to exactly the code they had before the
 //! points existed. Everything below this paragraph describes the engine
@@ -41,13 +41,13 @@
 //! * `SMR_FAULT_STALL_MS=<ms>` — upper bound on any single stall (default
 //!   30 000 ms) so a forgotten release can never hang CI.
 //!
-//! Every taken injection is recorded; [`take_log`] returns the log for
+//! Every taken injection is recorded; `take_log` returns the log for
 //! determinism assertions (same seed ⇒ same log).
 
 /// Marks a named fault-injection point.
 ///
 /// Expands to nothing unless the `fault-injection` feature is enabled, in
-/// which case it forwards to [`fault::hit`](crate::fault::hit). Point names
+/// which case it forwards to `fault::hit`. Point names
 /// are namespaced `crate::operation::window`, e.g.
 /// `"hp::protect::after_announce"`; DESIGN.md §1.7 lists every point and
 /// the invariant it attacks.

@@ -14,7 +14,7 @@
 //!   benchmark harness to reproduce the paper's "unreclaimed blocks"
 //!   figures and to report CAS retry/backoff rates.
 //! * [`backoff`] — the tunable spin/yield/park exponential
-//!   [`Backoff`](backoff::Backoff) threaded through every CAS retry loop
+//!   [`Backoff`] threaded through every CAS retry loop
 //!   in `crates/ds` (knobs: `SMR_BACKOFF_SPIN_LIMIT`, `SMR_BACKOFF_MAX_EXP`,
 //!   `SMR_NO_BACKOFF`).
 //! * [`map`] — the [`ConcurrentMap`] trait every
@@ -35,7 +35,7 @@
 //!   eager / capped / watchdog-adaptive) every scheme's retire path
 //!   consults with one [`PolicySlot::should_reclaim`](policy::PolicySlot)
 //!   call; knob `SMR_POLICY`.
-//! * [`env`] — shared env-var parsing with malformed-value accounting
+//! * [`mod@env`] — shared env-var parsing with malformed-value accounting
 //!   (one warning + one [`counters::env_malformed`] bump per bad value).
 
 #![warn(missing_docs)]

@@ -235,7 +235,7 @@ const ADAPTIVE_MIN_PERIOD: u64 = 8;
 ///
 /// A signed level shifts the base threshold geometrically:
 /// `eff = clamp(base · 2^level, floor-side minimum, k·slots + floor)`.
-/// [`Adaptive::on_verdict`] snaps the level to [`ADAPTIVE_LEVEL_MIN`] on
+/// [`Adaptive::on_verdict`] snaps the level to `ADAPTIVE_LEVEL_MIN` on
 /// any pressure verdict (tighten within one watchdog sample); each scan
 /// that fires while the verdict is `Healthy`/`Unknown` raises the level by
 /// one ([`counters::adaptive_relaxes`]). The upper clamp is the same

@@ -269,6 +269,99 @@ fn pebr_ejects_straggler_despite_scheduling_noise_body() {
 }
 
 #[test]
+fn pebr_ejected_traverser_restarts_under_a_fresh_pin() {
+    common::isolated(|| {
+        // The bucket list of the guarded hash maps (the benchmark's
+        // `hashmap_write_ebr`, the guarded KV stores), and the skiplist.
+        type Hhs = ds::guarded::HHSList<u64, u64, pebr::Pebr>;
+        type Skip = ds::guarded::SkipList<u64, u64, pebr::Pebr>;
+        pebr_ejected_traverser_restarts_under_a_fresh_pin_body::<Hhs>();
+        pebr_ejected_traverser_restarts_under_a_fresh_pin_body::<Skip>();
+    });
+}
+
+fn pebr_ejected_traverser_restarts_under_a_fresh_pin_body<M>()
+where
+    M: ConcurrentMap<u64, u64, Handle = pebr::LocalHandle> + Send + Sync,
+{
+    // The guarded protection step sits in `ds`'s one traversal window
+    // (`ds::guarded::traverse::validate`: validated, next dereference
+    // pending), so every guarded structure crosses it. A PEBR reader
+    // stalled there is ejected by a reclaimer under garbage pressure; on
+    // release its `validate()` must fail, and the operation must restart
+    // from the root under a fresh pin and still answer like the
+    // sequential model.
+    const POINT: &str = "ds::guarded::traverse::validate";
+    const KEYS: u64 = 32;
+    const TARGET: u64 = KEYS - 1;
+    let model: std::collections::BTreeMap<u64, u64> = (0..KEYS).map(|k| (k, k * 7)).collect();
+    let m = M::new();
+    let mut h = m.handle();
+    for (&k, &v) in &model {
+        assert!(m.insert(&mut h, k, v));
+    }
+    drop(h);
+
+    // An undisturbed `get` crosses the window this many times.
+    let undisturbed = {
+        let _plan = fault::plan().install();
+        assert_eq!(m.get(&mut m.handle(), &TARGET), model.get(&TARGET).copied());
+        fault::hits(POINT)
+    };
+    assert!(undisturbed >= 3, "the traversal must take a few steps");
+
+    // Stall the reader's first crossing and, after the restart, its third
+    // (two steps into the second attempt).
+    let plan = fault::plan()
+        .at(POINT, 1, FaultAction::Stall)
+        .at(POINT, 3, FaultAction::Stall)
+        .install();
+    let collector = pebr::default_collector();
+    // Only the reader crosses the window: the reclaimer retires raw blocks.
+    let retire = |reclaimer: &mut pebr::LocalHandle, blocks: usize| {
+        let g = reclaimer.pin();
+        for _ in 0..blocks {
+            unsafe { g.defer_destroy_inner(smr_common::Shared::from_owned(0u64)) };
+        }
+    };
+    std::thread::scope(|s| {
+        let reader = s.spawn(|| m.get(&mut m.handle(), &TARGET));
+        wait_for("the reader to stall mid-traversal", || fault::stalled_count(POINT) == 1);
+
+        let mut reclaimer = collector.register();
+        retire(&mut reclaimer, pebr::EJECT_THRESHOLD + 2 * pebr::COLLECT_THRESHOLD);
+        assert!(fault::hits("pebr::eject::after_mark") > 0, "the reader was ejected");
+        // The ejected pin still blocks the epoch (the model never frees
+        // under a live pin): one advance past it, no further.
+        let wedged = collector.epoch();
+        retire(&mut reclaimer, 2 * pebr::COLLECT_THRESHOLD);
+        assert_eq!(collector.epoch(), wedged, "the stale pin must hold the epoch");
+
+        // (`release(POINT)` would leave the gate open for the second stall.)
+        fault::release_all();
+        wait_for("the restarted reader to stall again", || {
+            fault::hits(POINT) == 3 && fault::stalled_count(POINT) == 1
+        });
+        // A fresh pin sits at the current epoch, so the next collection —
+        // over the threshold, every retire runs one — advances past it,
+        // which the stale pin did not allow. One retire only: a second
+        // collection would find the reader behind again and re-eject it.
+        retire(&mut reclaimer, 1);
+        assert_eq!(collector.epoch(), wedged + 1, "the restart must have re-pinned");
+
+        fault::release_all();
+        let got = reader.join().expect("reader panicked");
+        assert_eq!(got, model.get(&TARGET).copied(), "result differs from the model");
+    });
+    // Crossing 1 was thrown away by the ejection and the restart began at
+    // the root again: it made a full traversal's worth of crossings — the
+    // list's undisturbed count exactly, the skiplist's at least (its
+    // restart runs the helping `find`, which also descends to level 0).
+    assert!(fault::hits(POINT) > undisturbed, "the reader did not restart from the root");
+    drop(plan);
+}
+
+#[test]
 fn hpp_mid_invalidation_preemption_leaks_nothing() {
     common::isolated(hpp_mid_invalidation_preemption_leaks_nothing_body);
 }
@@ -1079,13 +1172,16 @@ fn all_fault_points_are_reachable_body() {
         }
         drop(h);
     }
-    // ds: a guarded traversal crosses the validate window.
+    // ds: any guarded traversal crosses the validate window; a skiplist
+    // insert with a tower of two or more levels (all 64 being one level
+    // high has probability 2^-64) crosses the upper-level link window.
     {
-        let m: ds::guarded::HMList<u64, u64, ebr::Ebr> = ds::guarded::HMList::new();
-        let mut h = ConcurrentMap::handle(&m);
-        m.insert(&mut h, 1, 1);
+        let m: ds::guarded::SkipList<u64, u64, ebr::Ebr> = ConcurrentMap::new();
+        let mut h = m.handle();
+        for k in 0..64 {
+            m.insert(&mut h, k, k);
+        }
         assert!(m.get(&mut h, &1).is_some());
-        m.remove(&mut h, &1);
     }
     // smr-common: escalate a tiny-config backoff into its park phase.
     {
