@@ -14,9 +14,9 @@ use crate::{kv_run, plot, table1, verdict};
 
 /// Printed to stderr with every rejected command line.
 pub const USAGE: &str = "\
-usage: smr_bench <run|fig8|fig9|fig10|fig12|appendix|table1|table2|ablation|kv|verdict|plot> [flags]
-  fig8 fig9 fig10 fig12 appendix  [--quick|--paper] [--zipf <theta>]
-  table1 ablation kv              [--quick]
+usage: smr_bench <run|fig8|fig9|fig10|appendix|table1|table2|ablation|kv|verdict|plot> [flags]
+  fig8 fig9 fig10 appendix  [--quick|--paper] [--zipf <theta>]
+  table1 ablation kv        [--quick]
   table2 verdict
   run   --ds <ds> --scheme <scheme> --threads <n> --key-range <n> --workload <wo|rw|rm>
         --duration-ms <ms> [--zipf <theta>] [--warmup-ms <ms>] [--long-running]
@@ -70,7 +70,6 @@ const SUBCOMMANDS: &[Sub] = &[
     sub("fig8", SCALE, |f| scaled(f, |o| figures::sweep(&FIG8, o))),
     sub("fig9", SCALE, |f| scaled(f, figures::fig9)),
     sub("fig10", SCALE, |f| scaled(f, |o| figures::sweep(&FIG10, o))),
-    sub("fig12", SCALE, |f| scaled(f, figures::fig12)),
     sub("appendix", SCALE, |f| {
         scaled(f, |o| figures::sweep(&APPENDIX, o))
     }),
@@ -338,7 +337,7 @@ mod tests {
         assert!(opts(&["--quick", "--paper"]).is_err());
         // End to end: no sweep starts, usage goes to stderr, exit code 2.
         assert_eq!(main(&strings(&["fig8", "--quik"])), 2);
-        assert_eq!(main(&strings(&["fig12", "--quick", "--zipf"])), 2);
+        assert_eq!(main(&strings(&["fig10", "--quick", "--zipf"])), 2);
     }
 
     /// What a sweep hands its child is what the child runs.

@@ -1,13 +1,9 @@
 //! The paper's sweeps. Figures 8, 10, 11 and the appendix are rows of one
-//! declarative table driven by [`sweep`]; Figure 9, Figure 12 and the
-//! ablations print their own row shapes but run every scenario through the
-//! same [`Sweep`].
-
-use smr_common::policy::PolicyKind;
+//! declarative table driven by [`sweep`]; Figure 9 and the ablations print
+//! their own row shapes but run every scenario through the same [`Sweep`].
 
 use crate::cli::Opts;
 use crate::config::{cores, thread_sweep, Ds, Scenario, Scheme, Workload};
-use crate::kv_run::{run_kv, KvRun};
 use crate::orchestrate::Sweep;
 use crate::schemes;
 
@@ -233,73 +229,6 @@ pub fn fig9(opts: &Opts) -> i32 {
             }
         }
     }
-    sweep.finish()
-}
-
-/// Figure 12: the reclamation-policy ablation — `eager`, `capped` (the
-/// default), `adaptive` across schemes and three workload shapes:
-///
-/// * **read-heavy** — 90/5/5 on the hash map: retires are rare, so policy
-///   overhead and missed batching show up directly in throughput;
-/// * **write-storm** — 50/50 insert/delete on a small hot range: maximum
-///   retire pressure, where the peak-garbage column shows what each policy
-///   lets accumulate;
-/// * **scan-storm** — read-mostly on the optimistic list with a
-///   long-running scanner pinned through the structure: the stalled-reader
-///   shape the `Adaptive` feedback loop is built for.
-///
-/// Scheme-level runs set `SMR_POLICY` per child (the policy config latches
-/// process-wide at first retire, so each policy needs a fresh process). The
-/// KV section runs in this process: `KvRun::policy` reaches each shard's
-/// domain as an explicit constructor parameter, bypassing the env latch.
-pub fn fig12(opts: &Opts) -> i32 {
-    let (read_most, write_only) = (Workload::ReadMost, Workload::WriteOnly);
-    let cells = [
-        ("read-heavy", Ds::HashMap, read_most, 10_000, false),
-        ("write-storm", Ds::HashMap, write_only, 1_000, false),
-        ("scan-storm", Ds::HHSList, read_most, 2_000, true),
-    ];
-    // From the shared registry, so a scheme that grows a PolicySlot joins
-    // the ablation by being listed there once.
-    let (threads, schemes) = if opts.quick {
-        (2, &schemes::POLICY_QUICK[..])
-    } else {
-        (4, &schemes::POLICY[..])
-    };
-
-    let mut sweep = Sweep::start("fig12");
-    println!("# Figure 12: reclamation-policy ablation (policy x scheme x workload)");
-    println!("workload,ds,scheme,policy,threads,throughput_mops,peak_garbage,avg_garbage");
-    for (cell, ds, workload, key_range, long_running) in cells {
-        for &scheme in schemes {
-            for policy in PolicyKind::ALL {
-                let key_range = opts.scaled(key_range);
-                let mut sc = opts.scenario(ds, scheme, threads, key_range, workload);
-                sc.long_running = long_running;
-                if let Some(stats) = sweep.run(&sc, &[("SMR_POLICY", policy.name())]) {
-                    println!(
-                        "{cell},{ds},{scheme},{policy},{threads},{:.4},{},{}",
-                        stats.throughput_mops, stats.peak_garbage, stats.avg_garbage
-                    );
-                }
-            }
-        }
-    }
-
-    println!();
-    println!("# KV service: per-shard policy through KvRun::policy (HP++ store)");
-    println!("scheme,shards,policy,total_mops,p99_ns,peak_shard_garbage");
-    for policy in PolicyKind::ALL {
-        let r = run_kv::<kv_service::HppStore>(&KvRun::read_mostly(1, policy, opts.quick));
-        let (mops, p99, peak) = (r.total_mops, r.p99_ns, r.peak_shard_garbage);
-        println!("hpp,1,{policy},{mops:.4},{p99},{peak}");
-    }
-    expectation(&[
-        "capped == the legacy trigger bit-for-bit; eager pays a scan per",
-        "retire (throughput floor, zero garbage); adaptive relaxes toward",
-        "larger batches on healthy read-heavy runs and must never exceed the",
-        "k*slots+floor bound under the write storm.",
-    ]);
     sweep.finish()
 }
 

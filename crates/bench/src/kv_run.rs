@@ -20,9 +20,7 @@
 //!   shards: what the reclamation scheme costs end-to-end, through rings,
 //!   batching, and the map itself.
 //!
-//! Every run installs the `KV_POLICY`-selected trigger policy (default
-//! `capped`, the legacy trigger) on each shard's domain; the chosen policy
-//! is the last CSV column (columns: [`HEADER`], see EXPERIMENTS.md).
+//! CSV columns: [`HEADER`] (see EXPERIMENTS.md).
 //!
 //! The scaling verdict (max-shard ÷ 1-shard throughput) goes to stderr with
 //! the host's core count: on a 1-core host every shard multiplexes the
@@ -38,7 +36,6 @@ use kv_service::{available_cores, EbrStore, HppStore, HyalineStore, NrStore};
 use kv_service::{Command, KvConfig, KvError, KvService, ShardStore};
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
-use smr_common::policy::PolicyKind;
 use smr_common::time::mono_ns;
 
 use crate::metrics::LatencyHistogram;
@@ -72,15 +69,13 @@ pub struct KvRun {
     pub warmup: Duration,
     /// Measured window.
     pub duration: Duration,
-    /// Reclamation-trigger policy installed on every shard's domain.
-    pub policy: PolicyKind,
 }
 
 impl KvRun {
     /// The paper-style read-mostly skewed scenario (90/5/5, θ = 0.99)
-    /// over `shards` shards — the headline configuration — under `policy`,
-    /// shrunk for smoke tests and CI runs if `quick`.
-    pub fn read_mostly(shards: usize, policy: PolicyKind, quick: bool) -> Self {
+    /// over `shards` shards — the headline configuration — shrunk for
+    /// smoke tests and CI runs if `quick`.
+    pub fn read_mostly(shards: usize, quick: bool) -> Self {
         Self {
             shards,
             clients: if quick { 2 } else { 4 },
@@ -94,7 +89,6 @@ impl KvRun {
             remove_pct: 5,
             warmup: Duration::from_millis(if quick { 50 } else { 300 }),
             duration: Duration::from_millis(if quick { 300 } else { 1_500 }),
-            policy,
         }
     }
 }
@@ -132,7 +126,6 @@ pub fn run_kv<S: ShardStore>(rc: &KvRun) -> KvResult {
         ring_depth: rc.ring_depth,
         // ~4 keys per bucket at 50% occupancy, floor of 64.
         buckets: ((rc.keys / 8).max(64) as usize).next_power_of_two(),
-        policy: rc.policy,
         ..KvConfig::new()
     });
 
@@ -252,7 +245,7 @@ pub fn run_kv<S: ShardStore>(rc: &KvRun) -> KvResult {
 /// Column names of the `kv` CSV.
 pub const HEADER: &str = "section,scheme,shards,clients,pipeline,batch,ring,keys,theta,read_pct,\
 warmup_ms,duration_ms,total_mops,min_shard_mops,max_shard_mops,p50_ns,p99_ns,p999_ns,\
-peak_shard_garbage,policy";
+peak_shard_garbage";
 
 fn row<S: ShardStore>(section: &str, rc: &KvRun) -> KvResult {
     eprintln!("kv: {section} {} x{} shards…", S::SCHEME, rc.shards);
@@ -295,7 +288,7 @@ fn row<S: ShardStore>(section: &str, rc: &KvRun) -> KvResult {
             r.peak_shard_garbage,
         )
     };
-    println!("{prefix},{stats},{}", rc.policy);
+    println!("{prefix},{stats}");
     r
 }
 
@@ -305,21 +298,20 @@ pub fn sweep(quick: bool) -> i32 {
     println!("{HEADER}");
 
     // The sweep's top shard count tracks the config: `KV_SHARDS` overrides
-    // the default 4. `KV_POLICY` picks the per-shard trigger policy.
+    // the default 4.
     let max_shards = smr_common::env::parse_usize("KV_SHARDS")
         .filter(|&n| n > 0)
         .unwrap_or(4);
-    let policy = PolicyKind::from_env_var("KV_POLICY").unwrap_or_default();
     let mut shard_counts = vec![1usize, max_shards.div_ceil(2), max_shards];
     shard_counts.sort_unstable();
     shard_counts.dedup();
 
     let scaling: Vec<KvResult> = shard_counts
         .iter()
-        .map(|&shards| row::<HppStore>("scaling", &KvRun::read_mostly(shards, policy, quick)))
+        .map(|&shards| row::<HppStore>("scaling", &KvRun::read_mostly(shards, quick)))
         .collect();
 
-    let rc = KvRun::read_mostly(max_shards, policy, quick);
+    let rc = KvRun::read_mostly(max_shards, quick);
     row::<HppStore>("schemes", &rc);
     row::<EbrStore>("schemes", &rc);
     row::<HyalineStore>("schemes", &rc);
@@ -345,7 +337,7 @@ mod tests {
 
     #[test]
     fn quick_run_produces_sane_numbers() {
-        let mut rc = KvRun::read_mostly(2, PolicyKind::Capped, true);
+        let mut rc = KvRun::read_mostly(2, true);
         rc.warmup = Duration::from_millis(20);
         rc.duration = Duration::from_millis(100);
         rc.keys = 1_024;

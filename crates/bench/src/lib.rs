@@ -2,12 +2,12 @@
 //!
 //! One binary, `smr_bench <subcommand>` ([`cli`]): `fig8` (with Figure 11
 //! as its `peak_garbage` column), `fig10` and `appendix` (Figs. 12–23) are
-//! rows of the `figures` table; `fig9`, `fig12` and `ablation` (the
-//! design-choice experiments called out in DESIGN.md) print their own row
-//! shapes; `table1`, `table2`, `kv`, `verdict` and `plot` complete the
-//! evaluation. `run` executes a single scenario — every sweep spawns
-//! `smr_bench run …` per scenario (`orchestrate`), so each one gets a
-//! clean global garbage counter and address space.
+//! rows of the `figures` table; `fig9` and `ablation` (the design-choice
+//! experiments called out in DESIGN.md) print their own row shapes;
+//! `table1`, `table2`, `kv`, `verdict` and `plot` complete the evaluation.
+//! `run` executes a single scenario — every sweep spawns `smr_bench run …`
+//! per scenario (`orchestrate`), so each one gets a clean global garbage
+//! counter and address space.
 //!
 //! Scenarios follow the paper's methodology: structures prefilled to 50% of
 //! the key range, fixed-duration runs (with an unmeasured warmup window),

@@ -3,31 +3,15 @@
 //! The broad sweeps (fig8, fig10, table2, appendix) iterate
 //! [`Scheme::ALL`] and filter through [`crate::applicable`], so they pick
 //! up a new scheme automatically. The *curated* subsets used to be
-//! hard-coded at each call site — fig9's scan storm, fig12's policy
-//! ablation, the robustness churn tests — which is exactly how a newly
-//! added scheme would silently miss some of them. Every curated list now
-//! lives here, next to the one mapping
+//! hard-coded at each call site — fig9's scan storm, the robustness churn
+//! tests — which is exactly how a newly added scheme would silently miss
+//! some of them. Every curated list now lives here, next to the one mapping
 //! from a [`Scheme`] tag to its concrete [`GuardedScheme`] type, and the
 //! tests below cross-check the lists against `applicable`.
 
 use smr_common::GuardedScheme;
 
 use crate::config::Scheme;
-
-/// Schemes carrying a `PolicySlot`, i.e. the `SMR_POLICY` env latch
-/// applies to them: the fig12 policy-ablation rows.
-pub const POLICY: [Scheme; 5] = [
-    Scheme::Hp,
-    Scheme::Hpp,
-    Scheme::Ebr,
-    Scheme::Pebr,
-    Scheme::Hyaline,
-];
-
-/// Quick (CI) subset of [`POLICY`]: the paper's headline scheme plus the
-/// two reclamation-driver extremes (global epoch vs. snapshot-free
-/// handover).
-pub const POLICY_QUICK: [Scheme; 3] = [Scheme::Hpp, Scheme::Ebr, Scheme::Hyaline];
 
 /// fig9 scan-storm rows: every scheme that can field the optimistic
 /// HHSList (plain HP cannot — paper §2.3).
@@ -68,16 +52,9 @@ mod tests {
     #[test]
     fn curated_lists_are_applicable_subsets() {
         // Every curated entry must actually run on the structure its
-        // consumer drives: scan-storm rows on HHSList, policy rows on the
-        // structures fig12 uses.
+        // consumer drives: scan-storm rows on HHSList.
         for scheme in SCAN_STORM {
             assert!(applicable(Ds::HHSList, scheme), "{scheme} in SCAN_STORM");
-        }
-        for scheme in POLICY {
-            assert!(applicable(Ds::HashMap, scheme), "{scheme} in POLICY");
-        }
-        for scheme in POLICY_QUICK {
-            assert!(POLICY.contains(&scheme), "{scheme} quick but not full");
         }
     }
 

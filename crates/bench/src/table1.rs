@@ -176,13 +176,13 @@ pub fn run(quick: bool) -> i32 {
     println!("scheme,unreclaimed_blocks,peak_unreclaimed,bound,watchdog");
 
     // Bounds derived from the published formulas, never hard-coded:
-    // each participant's bag stays below max(threshold, k·H); 2x margin.
+    // each participant's bag stays below `Capped::bound` = k·H + threshold
+    // (HP++: plus its deferred-invalidation slack); 2x margin.
     let hp_slots = hp::default_domain().slot_capacity();
-    let hp_bound = 2 * participants * (hp::reclaim_k() * hp_slots + hp::RECLAIM_THRESHOLD);
+    let hp_bound = 2 * participants * hp::legacy_trigger().bound(hp_slots);
     let hpp_slots = hp_plus::default_domain().hp_domain().slot_capacity();
-    let hpp_bound = 2
-        * participants
-        * (hp::reclaim_k() * hpp_slots + hp::RECLAIM_THRESHOLD + 2 * hp_plus::RECLAIM_PERIOD);
+    let hpp_bound =
+        2 * participants * (hp::legacy_trigger().bound(hpp_slots) + 2 * hp_plus::RECLAIM_PERIOD);
     // EBR has no bound; give the watchdog its collection trigger so a
     // stalled pin is classified as growth, not noise.
     let ebr_bound = 4 * ebr::default_collector().collect_threshold();

@@ -1,12 +1,17 @@
 //! The Herlihy–Shavit lock-free skiplist, written once.
 //!
-//! Removal marks the whole tower top-down (logical deletion), `find`
-//! unlinks marked nodes per level as it passes, and the thread that won the
-//! bottom-level mark runs one clean `find` pass to detach the node before
-//! retiring it. Because the node leaves the structure through up to
-//! [`MAX_HEIGHT`] plain CASes rather than one, the protection family must
-//! implement [`Retire`]: every guard-based scheme, HP, and HP++ in hybrid
-//! mode (§4.2).
+//! Removal marks the whole tower top-down (logical deletion) and `find`
+//! unlinks marked nodes per level as it passes. The node leaves the
+//! structure through up to [`MAX_HEIGHT`] plain CASes rather than one, and
+//! its inserter may still be linking upper levels while that happens, so it
+//! is retired by the *last detacher* (the crossbeam-skiplist idiom):
+//! `Node::links` counts the levels the node is linked at plus one reference
+//! the inserter holds while it builds the tower; every unlink CAS and the
+//! inserter's exit drop one, and whoever takes the count to zero retires.
+//! The remover that won the bottom-level mark runs one clean `find` pass,
+//! and an inserter that finds its node marked runs one too, so no link
+//! outlives both operations. The protection family must implement
+//! [`Retire`]: every guard-based scheme, HP, and HP++ in hybrid mode (§4.2).
 //!
 //! `get` descends without helping and answers from the first level that
 //! shows the key; a family that cannot step out of a marked node (careful
@@ -14,7 +19,8 @@
 
 use std::cmp::Ordering::{Equal, Greater, Less};
 use std::marker::PhantomData;
-use std::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed};
+use std::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed, SeqCst};
+use std::sync::atomic::{fence, AtomicUsize};
 
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use smr_common::tagged::TAG_DELETED;
@@ -47,6 +53,9 @@ struct Node<K, V> {
     key: K,
     value: V,
     height: usize,
+    /// Levels this node is linked at, plus one while its inserter is still
+    /// building the tower. Whoever takes it to zero retires the node.
+    links: AtomicUsize,
 }
 
 // SAFETY: never invalidated, and `is_invalid` says so.
@@ -129,12 +138,14 @@ impl<K: Ord, V, P: Retire> SkipList<K, V, P> {
                     };
                     let next = node.next[level].load(Acquire);
                     if is_marked(next) {
-                        // Unlink the marked node at this level only; its
-                        // remover retires it after its own clean pass.
+                        // Unlink the marked node at this level only.
                         let next = next.with_tag(0);
                         if link.compare_exchange(cur, next, AcqRel, Acquire).is_err() {
                             continue 'retry;
                         }
+                        // SAFETY: `cur` is protected, and that CAS took out
+                        // a link `links` counted.
+                        unsafe { Self::detach(op, cur) };
                         cur = next;
                     } else if node.key < *key {
                         tower = &node.next;
@@ -196,8 +207,24 @@ impl<K: Ord, V, P: Retire> SkipList<K, V, P> {
         Ok(None)
     }
 
+    /// Drops one of `node`'s counted references — a level's link, or the
+    /// inserter's hold — and retires the node with the last one.
+    ///
+    /// # Safety
+    /// `node` is protected, and the caller took out the link (or holds the
+    /// inserter's reference) it gives up.
+    unsafe fn detach(op: &mut P::Op<'_>, node: Shared<Node<K, V>>) {
+        // SAFETY: protected, per the contract.
+        if unsafe { node.deref() }.links.fetch_sub(1, AcqRel) == 1 {
+            // SAFETY: linked nowhere, and with the inserter's reference gone
+            // never again; only one thread sees the count reach zero.
+            unsafe { P::retire(op, node) };
+        }
+    }
+
     /// Links levels `1..height` of a node whose bottom level is in; stops
-    /// as soon as the node is seen to be under removal.
+    /// as soon as the node is seen to be under removal. The caller holds the
+    /// inserter's reference, so the count cannot reach zero in here.
     fn link_upper_levels(&self, op: &mut P::Op<'_>, node: Shared<Node<K, V>>, height: usize) {
         // SAFETY: `NEW` protects `node`.
         let node_ref = unsafe { node.deref() };
@@ -219,11 +246,14 @@ impl<K: Ord, V, P: Retire> SkipList<K, V, P> {
                 {
                     return; // marked meanwhile
                 }
-                // Nothing above re-checks the marks: a remover that marks,
-                // detaches and retires the node from here on is not seen
-                // by the CAS below, which then re-links a retired node
-                // (DESIGN.md §1.3, shown defect).
-                smr_common::fault_point!("ds::skiplist::insert::before_level_link");
+                // A remover that marks and detaches the node from here on
+                // is not seen by the CAS below, which then links a marked
+                // node: `insert` cleans that up before it lets go.
+                tower_build_fault_point();
+                // Count the link before anyone can see (and unlink) it.
+                // `Relaxed`: the link CAS below releases it, and a detacher
+                // decrements only after acquiring that link.
+                node_ref.links.fetch_add(1, Relaxed);
                 // SAFETY: see `insert`.
                 if unsafe { &*r.preds[level] }
                     .compare_exchange(r.succs[level], node, AcqRel, Acquire)
@@ -231,9 +261,25 @@ impl<K: Ord, V, P: Retire> SkipList<K, V, P> {
                 {
                     break;
                 }
+                // Not the last reference (the inserter's hold is out), so
+                // nothing to acquire.
+                node_ref.links.fetch_sub(1, Relaxed);
             }
         }
     }
+}
+
+/// The tower-build window's fault point. The engine counts hits
+/// process-wide, so inside this crate's own (parallel) test suite only a
+/// thread that opted in — a reproducer's inserter — crosses it, and a
+/// battery row can never take the reproducer's stall.
+#[inline(always)]
+fn tower_build_fault_point() {
+    #[cfg(all(test, feature = "fault-injection"))]
+    if !tests::relink::STALL_VICTIM.with(std::cell::Cell::get) {
+        return;
+    }
+    smr_common::fault_point!("ds::skiplist::insert::before_level_link");
 }
 
 impl<K: Ord, V, P: Retire> Default for SkipList<K, V, P> {
@@ -290,9 +336,11 @@ where
             key,
             value,
             height,
+            // Level 0, counted before its link CAS, and this thread's hold.
+            links: AtomicUsize::new(2),
         });
-        // SAFETY: `NEW` protects the node from before it is shared: once
-        // level 0 links, a concurrent remove may retire it while this
+        // SAFETY: `NEW` protects the node from before it is shared, and the
+        // reference counted above keeps it from being retired while this
         // thread is still building the tower.
         let node_ref = unsafe { node.deref() };
         P::dup(&mut op, NEW, node);
@@ -321,7 +369,18 @@ where
             backoff.cas_failed();
         };
         if inserted {
-            self.link_upper_levels(&mut op, node, height);
+            if height > 1 {
+                self.link_upper_levels(&mut op, node, height);
+                // A remover's clean pass may have run before the last level
+                // went in. Link-then-check here against mark-then-pass in
+                // `remove`: the fences make one of the two see the other.
+                fence(SeqCst);
+                if is_marked(node_ref.next[0].load(Acquire)) {
+                    let _ = self.find(&mut op, &node_ref.key);
+                }
+            }
+            // SAFETY: `NEW` protects the node; this is the inserter's hold.
+            unsafe { Self::detach(&mut op, node) };
         }
         // `exit` may leave hazard slots announced; a node others remove
         // must not stay pinned until this handle's next insert.
@@ -346,15 +405,14 @@ where
             }
             if is_marked(node.next[0].fetch_or_tag(TAG_DELETED, AcqRel)) {
                 backoff.cas_failed();
-                continue; // someone else won; re-find (they will retire it)
+                continue; // someone else won; re-find (helping detach it)
             }
             let value = node.value.clone();
-            // One clean pass detaches the node at every level it is
-            // linked at; then it is retired.
+            // One clean pass detaches the node at every level it is linked
+            // at by now (see `insert` for the fence); whoever takes out its
+            // last link — this pass, or its inserter — retires it.
+            fence(SeqCst);
             let _ = self.find(&mut op, key);
-            // SAFETY: this thread won the bottom-level mark, so it alone
-            // retires the node, after the pass above detached it.
-            unsafe { P::retire(&mut op, target) };
             break Some(value);
         };
         P::exit(op);
@@ -390,69 +448,135 @@ mod tests {
         }
     }
 
-    /// Reproducer for the tower relink (DESIGN.md §1.3): an inserter
-    /// stalled between its `find` and the upper-level link CAS re-links the
-    /// node after a remover has marked, detached and retired it. Under `Nr`
-    /// nothing is freed, so the walk below is memory-safe; under EBR/HP the
-    /// same link is a use-after-free once the node is reclaimed.
-    ///
-    /// The stall takes the first thread to cross the point, so run it
-    /// alone: `cargo test -p ds --features fault-injection -- --ignored`.
+    /// The tower relink (DESIGN.md §1.3), staged with a stall at
+    /// [`tower_build_fault_point`].
     #[cfg(feature = "fault-injection")]
-    #[test]
-    #[ignore = "tower relink after retire"]
-    fn remove_during_tower_build_leaves_the_node_unlinked() {
-        use smr_common::fault::{self, FaultAction};
-        use std::time::{Duration, Instant};
+    pub(super) mod relink {
+        use super::*;
+        use std::cell::Cell;
+        use std::sync::Arc;
 
-        const POINT: &str = "ds::skiplist::insert::before_level_link";
         const KEY: u64 = 1;
-        let m: SkipList<u64, u64, nr::Nr> = SkipList::new();
 
-        std::thread::scope(|s| {
-            // Dropped before the scope joins, so a failed assertion below
-            // cannot leave the inserter parked.
-            let _plan = fault::plan().at(POINT, 1, FaultAction::Stall).install();
-            let inserter = s.spawn(|| {
-                // Tower heights are random: insert until one is tall
-                // enough to reach the upper-level loop.
-                loop {
-                    assert!(m.insert(&mut (), KEY, 0));
-                    if fault::hits(POINT) > 0 {
-                        break;
-                    }
-                    assert_eq!(m.remove(&mut (), &KEY), Some(0));
-                }
-            });
-            let deadline = Instant::now() + Duration::from_secs(20);
-            while fault::stalled_count(POINT) == 0 {
-                assert!(
-                    Instant::now() < deadline,
-                    "the inserter never reached {POINT}"
-                );
-                std::thread::yield_now();
-            }
-            // Level 0 is linked, so the key is present: this marks the
-            // tower, detaches it everywhere it is linked, and retires it.
-            assert_eq!(m.remove(&mut (), &KEY), Some(0), "remove must win");
-            fault::release(POINT);
-            inserter.join().expect("inserter panicked");
-        });
+        thread_local! {
+            /// Opts the current thread into [`tower_build_fault_point`].
+            pub static STALL_VICTIM: Cell<bool> = const { Cell::new(false) };
+        }
 
-        let mut linked = Vec::new();
-        for (level, head) in m.head.iter().enumerate() {
-            let mut cur = head.load(Acquire).with_tag(0);
-            // SAFETY: `Nr` never frees a node.
-            while let Some(node) = unsafe { cur.as_ref() } {
-                if node.key == KEY {
-                    linked.push(level);
-                }
-                cur = node.next[level].load(Acquire).with_tag(0);
+        /// A value whose original (not its clones) counts its drop: a node's
+        /// free, as the test sees it.
+        struct Canary(Option<Arc<AtomicUsize>>);
+
+        impl Clone for Canary {
+            fn clone(&self) -> Self {
+                Canary(None)
             }
         }
-        assert!(
-            linked.is_empty(),
-            "retired node for key {KEY} still linked at levels {linked:?}"
-        );
+
+        impl Drop for Canary {
+            fn drop(&mut self) {
+                if let Some(frees) = &self.0 {
+                    frees.fetch_add(1, Relaxed);
+                }
+            }
+        }
+
+        /// The tower relink (DESIGN.md §1.3): an inserter stalled between its
+        /// `find` and the upper-level link CAS links the node after a remover
+        /// has marked it and detached it everywhere it was linked. Runs that
+        /// schedule on `m` to completion; returns how many nodes went in
+        /// (every one of them was removed again).
+        fn remove_during_tower_build<S: smr_common::GuardedScheme>(
+            m: &SkipList<u64, Canary, S>,
+            frees: &Arc<AtomicUsize>,
+        ) -> usize {
+            use smr_common::fault::{self, FaultAction};
+
+            const POINT: &str = "ds::skiplist::insert::before_level_link";
+            let mut h = ConcurrentMap::handle(m);
+            std::thread::scope(|s| {
+                // Dropped before the scope joins, so a failed assertion below
+                // cannot leave the inserter parked.
+                let _plan = fault::plan().at(POINT, 1, FaultAction::Stall).install();
+                let inserter = s.spawn(|| {
+                    // Only this thread crosses the point, so the stall is its.
+                    STALL_VICTIM.with(|v| v.set(true));
+                    let mut h = ConcurrentMap::handle(m);
+                    // Tower heights are random: insert until one is tall
+                    // enough to reach the upper-level loop.
+                    let mut inserted = 0;
+                    loop {
+                        assert!(m.insert(&mut h, KEY, Canary(Some(frees.clone()))));
+                        inserted += 1;
+                        if fault::hits(POINT) > 0 {
+                            break inserted;
+                        }
+                        assert!(m.remove(&mut h, &KEY).is_some());
+                    }
+                });
+                while fault::stalled_count(POINT) == 0 {
+                    assert!(!inserter.is_finished(), "the inserter never reached {POINT}");
+                    std::thread::yield_now();
+                }
+                // Level 0 is linked, so the key is present: this marks the
+                // tower and detaches it everywhere it is linked so far.
+                assert!(m.remove(&mut h, &KEY).is_some(), "remove must win");
+                fault::release(POINT);
+                inserter.join().expect("inserter panicked")
+            })
+        }
+
+        /// The levels at which `m` still links a node for [`KEY`].
+        fn linked_levels<S: smr_common::GuardedScheme>(m: &SkipList<u64, Canary, S>) -> Vec<usize> {
+            let mut h = ConcurrentMap::handle(m);
+            let _guard = S::pin(&mut h);
+            let mut linked = Vec::new();
+            for (level, head) in m.head.iter().enumerate() {
+                let mut cur = head.load(Acquire).with_tag(0);
+                // SAFETY: pinned, and with every operation over each node the
+                // list links is live — the property under test.
+                while let Some(node) = unsafe { cur.as_ref() } {
+                    if node.key == KEY {
+                        linked.push(level);
+                    }
+                    cur = node.next[level].load(Acquire).with_tag(0);
+                }
+            }
+            linked
+        }
+
+        /// Under `Nr` nothing is freed, so a stale link is memory-safe to walk:
+        /// this row shows the link itself.
+        #[test]
+        fn remove_during_tower_build_leaves_the_node_unlinked() {
+            let m: SkipList<u64, Canary, nr::Nr> = SkipList::new();
+            remove_during_tower_build(&m, &Default::default());
+            let linked = linked_levels(&m);
+            assert!(linked.is_empty(), "removed node still linked at levels {linked:?}");
+        }
+
+        /// The same schedule under EBR, where the removed node is reclaimed:
+        /// every node is freed exactly once, and none of them while linked —
+        /// the walk after the frees, which the ASan row turns into a report.
+        #[test]
+        fn remove_during_tower_build_frees_the_node_once_unlinked() {
+            let frees = Arc::new(AtomicUsize::new(0));
+            let m: SkipList<u64, Canary, ebr::Ebr> = SkipList::new();
+            let inserted = remove_during_tower_build(&m, &frees);
+            // The inserter's handle donated its garbage on exit; flushes adopt
+            // it and advance the epoch past it (sibling tests share the default
+            // collector and may hold it back for a while).
+            let mut h = ebr::default_collector().register();
+            for _ in 0..100_000 {
+                if frees.load(Relaxed) == inserted {
+                    break;
+                }
+                h.pin().flush();
+                std::thread::yield_now();
+            }
+            assert_eq!(frees.load(Relaxed), inserted, "every removed node is freed once");
+            let linked = linked_levels(&m);
+            assert!(linked.is_empty(), "freed node still linked at levels {linked:?}");
+        }
     }
 }

@@ -22,10 +22,10 @@
 //!   re-examining ineligible items.
 
 use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use parking_lot::Mutex;
-use smr_common::policy::{Policy, PolicySlot, Verdict};
+use smr_common::policy::PolicySlot;
 use smr_common::registry::{Node, Registry};
 use smr_common::{counters, fence as smr_fence, CachePadded, Retired};
 
@@ -52,7 +52,7 @@ fn collect_threshold_floor() -> usize {
     })
 }
 
-/// EBR's pre-policy trigger formula as [`policy`](smr_common::policy)
+/// EBR's trigger formula as [`policy`](smr_common::policy)
 /// parameters: `bags.len() ≥ max(EBR_COLLECT_THRESHOLD, 8 · participants)`
 /// (`slots` in [`RetireStats`](smr_common::policy::RetireStats) is the live
 /// participant count for this scheme).
@@ -99,9 +99,9 @@ pub struct Collector {
     /// Entry count of `orphans`, maintained under the lock. Lets collections
     /// skip the mutex entirely in the common no-orphans case.
     orphan_count: AtomicUsize,
-    /// Collection-trigger policy; unset, the env-selected default over
-    /// [`legacy_trigger`] is built lazily at the first deferred destroy.
-    policy: PolicySlot,
+    /// Collection trigger: [`legacy_trigger`], built at the first deferred
+    /// destroy.
+    trigger: PolicySlot,
 }
 
 impl Default for Collector {
@@ -119,21 +119,8 @@ impl Collector {
             registry: Registry::new(),
             orphans: Mutex::new(Vec::new()),
             orphan_count: AtomicUsize::new(0),
-            policy: PolicySlot::new(legacy_trigger),
+            trigger: PolicySlot::new(legacy_trigger),
         }
-    }
-
-    /// Installs the collection-trigger policy (must run before the
-    /// collector's first deferred destroy; the slot latches). Returns
-    /// `false` if a policy was already installed.
-    pub fn set_policy(&self, policy: Arc<Policy>) -> bool {
-        self.policy.install(policy)
-    }
-
-    /// Feeds a watchdog verdict to the trigger policy (`Adaptive` reacts;
-    /// the others ignore it).
-    pub fn report_verdict(&self, verdict: Verdict) {
-        self.policy.report_verdict(verdict);
     }
 
     /// Registers the current thread, returning its local handle.
@@ -327,11 +314,11 @@ impl LocalHandle {
         self.bags.len()
     }
 
-    /// Asks the collector's trigger policy whether a deferred destroy
-    /// should attempt a collection now.
+    /// Asks the collector's trigger whether a deferred destroy should
+    /// attempt a collection now.
     pub(crate) fn should_collect(&self) -> bool {
         let live = self.global.registry.live();
-        self.global.policy.should_reclaim(self.bags.len(), live, 0)
+        self.global.trigger.should_reclaim(self.bags.len(), live, 0)
     }
 
     /// Attempts an epoch advance and frees everything eligible.

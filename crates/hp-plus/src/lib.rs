@@ -139,11 +139,11 @@ pub(crate) fn periods() -> (usize, usize) {
     })
 }
 
-/// HP++'s pre-policy reclaim cadence as [`policy`](smr_common::policy)
-/// parameters: reclaim every `HPP_RECLAIM_PERIOD` unlinks (a cadence-only
-/// trigger — the count branch is unarmed). The invalidation cadence
-/// (`HPP_INVALIDATE_PERIOD`) is *not* policy-driven: it is a correctness
-/// batching knob, checked only when the policy skips reclamation.
+/// HP++'s reclaim cadence as [`policy`](smr_common::policy) parameters:
+/// reclaim every `HPP_RECLAIM_PERIOD` unlinks (a cadence-only trigger — the
+/// count branch is unarmed). The invalidation cadence
+/// (`HPP_INVALIDATE_PERIOD`) is a separate correctness batching knob,
+/// checked only when the trigger skips reclamation.
 pub fn legacy_unlink_trigger() -> smr_common::policy::Capped {
     smr_common::policy::Capped {
         floor: 0,

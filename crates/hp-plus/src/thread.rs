@@ -264,10 +264,9 @@ impl Thread {
                 // HP++'s deferred invalidation (Algorithm 3) leaves open.
                 smr_common::fault_point!("hpp::try_unlink::after_detach");
                 self.unlink_count += 1;
-                // The reclaim cadence is policy-driven (legacy default:
-                // every `reclaim_period` unlinks); the invalidation cadence
-                // stays fixed and is only consulted when the policy defers.
-                if self.domain.unlink_policy.should_reclaim(
+                // Reclaim every `reclaim_period` unlinks; the invalidation
+                // cadence is only consulted when the trigger defers.
+                if self.domain.unlink_trigger.should_reclaim(
                     self.unlinkeds.len() + self.inner.retired_count(),
                     self.domain.hp.slot_capacity(),
                     self.unlink_count as u64,

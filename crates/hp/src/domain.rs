@@ -1,10 +1,9 @@
 //! A reclamation domain: the global hazard-slot list plus orphaned garbage.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 use parking_lot::Mutex;
-use smr_common::policy::{Policy, PolicySlot, Verdict};
+use smr_common::policy::PolicySlot;
 use smr_common::Retired;
 
 use crate::hazard::{HazardList, HazardPointer};
@@ -22,10 +21,9 @@ pub struct Domain {
     /// reclaim hot path skip the mutex entirely in the common no-orphans
     /// case: exited threads are rare, reclaims are not.
     orphan_count: AtomicUsize,
-    /// This domain's reclamation-trigger policy + latest watchdog verdict;
-    /// defaults to the legacy `max(RECLAIM_THRESHOLD, k·H)` trigger
-    /// ([`crate::legacy_trigger`]) on first retire.
-    pub(crate) policy: PolicySlot,
+    /// This domain's reclaim trigger: `max(RECLAIM_THRESHOLD, k·H)`
+    /// ([`crate::legacy_trigger`]), built on first retire.
+    pub(crate) trigger: PolicySlot,
 }
 
 impl Default for Domain {
@@ -41,23 +39,8 @@ impl Domain {
             hazards: HazardList::new(),
             orphans: Mutex::new(Vec::new()),
             orphan_count: AtomicUsize::new(0),
-            policy: PolicySlot::new(crate::legacy_trigger),
+            trigger: PolicySlot::new(crate::legacy_trigger),
         }
-    }
-
-    /// Installs this domain's reclamation policy. Must run before the
-    /// domain's first retire (the slot latches: later installs return
-    /// `false` and change nothing). Unset, the domain lazily builds
-    /// [`smr_common::policy::PolicyConfig::from_env`] over the legacy
-    /// trigger — bit-identical decisions when no policy env vars are set.
-    pub fn set_policy(&self, policy: Arc<Policy>) -> bool {
-        self.policy.install(policy)
-    }
-
-    /// Feeds a watchdog verdict to this domain's policy (the `Adaptive`
-    /// policy tightens/relaxes its trigger on these).
-    pub fn report_verdict(&self, verdict: Verdict) {
-        self.policy.report_verdict(verdict);
     }
 
     /// Registers the current thread.

@@ -93,11 +93,11 @@ pub fn reclaim_k() -> usize {
     })
 }
 
-/// HP's pre-policy trigger formula as [`policy`](smr_common::policy)
-/// parameters: `retired ≥ max(RECLAIM_THRESHOLD, reclaim_k() · H)`. This is
-/// what a [`Domain`] runs when no policy is installed, and
-/// the base every other policy kind refines (kv-service builds per-shard
-/// `Adaptive` policies over it).
+/// HP's trigger formula as [`policy`](smr_common::policy) parameters:
+/// `retired ≥ max(RECLAIM_THRESHOLD, reclaim_k() · H)` — what every
+/// [`Domain`] runs, and through [`Capped::bound`](smr_common::policy::Capped::bound)
+/// the `k·H + RECLAIM_THRESHOLD` cap the Table-1 gate and the robustness
+/// tests assert.
 pub fn legacy_trigger() -> smr_common::policy::Capped {
     smr_common::policy::Capped {
         floor: RECLAIM_THRESHOLD,

@@ -4,7 +4,6 @@ use smr_common::{counters, fence, Retired};
 
 use crate::domain::Domain;
 use crate::hazard::{HazardPointer, HazardSlot};
-use crate::{reclaim_k, RECLAIM_THRESHOLD};
 
 /// A thread's registration with a [`Domain`].
 ///
@@ -67,7 +66,7 @@ impl Thread {
     /// the fixed floor keeps single-thread scans amortized too.
     #[inline]
     pub fn reclaim_threshold(&self) -> usize {
-        RECLAIM_THRESHOLD.max(reclaim_k() * self.domain.slot_capacity())
+        crate::legacy_trigger().threshold(self.domain.slot_capacity())
     }
 
     /// Retires `ptr`: the node becomes garbage and is freed by a later
@@ -94,11 +93,10 @@ impl Thread {
         self.maybe_reclaim();
     }
 
-    /// Consults the domain's policy (installed, or the env-built default
-    /// over [`crate::legacy_trigger`]) and scans if it says to.
+    /// Scans if the domain's trigger ([`crate::legacy_trigger`]) fires.
     fn maybe_reclaim(&mut self) {
         let slots = self.domain.slot_capacity();
-        if self.domain.policy.should_reclaim(self.retired.len(), slots, 0) {
+        if self.domain.trigger.should_reclaim(self.retired.len(), slots, 0) {
             self.reclaim();
         }
     }
@@ -199,6 +197,7 @@ impl Drop for Thread {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RECLAIM_THRESHOLD;
     use smr_common::{Atomic, Shared};
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::*};
     use std::sync::Arc;
@@ -328,7 +327,6 @@ mod tests {
         // inflating H) must each stay within k·H + RECLAIM_THRESHOLD
         // unreclaimed nodes — the bound the adaptive trigger guarantees.
         let d = new_domain();
-        let k = crate::reclaim_k();
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
@@ -337,7 +335,7 @@ mod tests {
                     for i in 0..20_000u64 {
                         let p = Box::into_raw(Box::new(i));
                         unsafe { t.retire(p) };
-                        let bound = k * d.slot_capacity() + RECLAIM_THRESHOLD;
+                        let bound = crate::legacy_trigger().bound(d.slot_capacity());
                         assert!(
                             t.retired_count() <= bound,
                             "retired {} exceeds bound {bound}",
@@ -350,6 +348,33 @@ mod tests {
                 });
             }
         });
+    }
+
+    #[test]
+    fn protected_survivor_stays_within_the_bound_and_drains_after_reset() {
+        // One live hazard slot (H = 1) protecting a retired node: every scan
+        // carries it as a survivor, the backlog still never crosses
+        // k·H + RECLAIM_THRESHOLD, and dropping the protection frees it.
+        let d = new_domain();
+        let mut t = d.register();
+        let slot = t.hazard_pointer();
+        let protected = Box::into_raw(Box::new(0xDEADu64));
+        slot.protect_raw(protected);
+        unsafe { t.retire(protected) };
+
+        let bound = crate::legacy_trigger().bound(d.slot_capacity());
+        let mut peak = 0;
+        for i in 0..8 * bound {
+            unsafe { t.retire(Box::into_raw(Box::new(i as u64))) };
+            peak = peak.max(t.retired_count());
+        }
+        assert!(peak <= bound, "churn peaked at {peak} > derived bound {bound}");
+        assert!(t.retired_count() >= 1, "the protected node must survive every scan");
+
+        slot.reset();
+        t.reclaim();
+        assert_eq!(t.retired_count(), 0, "unprotected survivor must drain");
+        t.recycle(slot);
     }
 
     #[test]

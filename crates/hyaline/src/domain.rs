@@ -18,7 +18,7 @@
 //!   batch never needs to reach that slot — this is what keeps a thread
 //!   stalled *mid-enter* from pinning garbage, unlike EBR's wedged epoch.
 //! * **Retire** pushes the node onto a thread-local batch (O(1), no fence).
-//!   When the policy fires, **handover** bumps the global era (a release RMW
+//!   When the trigger fires, **handover** bumps the global era (a release RMW
 //!   — every retired node in the batch is ordered before the new era), issues
 //!   the heavy fence, and walks the registry twice: pass 1 counts the slots
 //!   the batch must reach (ACTIVE with a pre-bump era) and ejects stale
@@ -65,10 +65,10 @@
 
 use std::ptr;
 use std::sync::atomic::{AtomicIsize, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use parking_lot::Mutex;
-use smr_common::policy::{Policy, PolicySlot, Verdict};
+use smr_common::policy::PolicySlot;
 use smr_common::registry::{Node, Registry};
 use smr_common::{counters, fence as smr_fence, CachePadded, Retired};
 
@@ -200,9 +200,9 @@ pub struct Domain {
     dead_slots: Mutex<Vec<(u64, Retired)>>,
     /// Entry count of `dead_slots` for the lock-free empty check.
     dead_count: AtomicUsize,
-    /// Handover-trigger policy; unset, the env-selected default over
-    /// [`legacy_trigger`] is built lazily at the first deferred destroy.
-    policy: PolicySlot,
+    /// Handover trigger: [`legacy_trigger`], built at the first deferred
+    /// destroy.
+    trigger: PolicySlot,
 }
 
 impl Default for Domain {
@@ -222,21 +222,8 @@ impl Domain {
             orphan_count: AtomicUsize::new(0),
             dead_slots: Mutex::new(Vec::new()),
             dead_count: AtomicUsize::new(0),
-            policy: PolicySlot::new(legacy_trigger),
+            trigger: PolicySlot::new(legacy_trigger),
         }
-    }
-
-    /// Installs the handover-trigger policy (must run before the domain's
-    /// first deferred destroy; the slot latches). Returns `false` if a
-    /// policy was already installed.
-    pub fn set_policy(&self, policy: Arc<Policy>) -> bool {
-        self.policy.install(policy)
-    }
-
-    /// Feeds a watchdog verdict to the trigger policy (`Adaptive` reacts;
-    /// the others ignore it).
-    pub fn report_verdict(&self, verdict: Verdict) {
-        self.policy.report_verdict(verdict);
     }
 
     /// Registers the current thread, returning its local handle.
@@ -471,7 +458,7 @@ impl LocalHandle {
         self.batch_len
     }
 
-    /// Links a retired payload onto the local batch and consults the policy.
+    /// Links a retired payload onto the local batch and consults the trigger.
     pub(crate) fn push_retired(&mut self, retired: Retired) {
         let node = Box::into_raw(Box::new(BatchNode {
             payload: retired,
@@ -488,11 +475,11 @@ impl LocalHandle {
         }
     }
 
-    /// Asks the domain's trigger policy whether this retire should attempt
+    /// Asks the domain's trigger whether this retire should attempt
     /// a handover now.
     pub(crate) fn should_collect(&self) -> bool {
         let live = self.global.registry.live();
-        self.global.policy.should_reclaim(self.batch_len, live, 0)
+        self.global.trigger.should_reclaim(self.batch_len, live, 0)
     }
 
     /// Adopts orphans, attempts a handover, and reaps dead slot records.
@@ -598,10 +585,11 @@ impl LocalHandle {
         );
 
         // The handover needs one carrier node per reachable slot. A small
-        // batch (eager policy, explicit flush) or a registration burst can
-        // leave fewer nodes than slots; pad with empty carriers so the
-        // handover always completes — flush must be able to drain. (The
-        // default trigger `max(floor, 8·slots)` makes this a cold path.)
+        // batch (an explicit flush, a small `HYALINE_BATCH_THRESHOLD`) or a
+        // registration burst can leave fewer nodes than slots; pad with
+        // empty carriers so the handover always completes — flush must be
+        // able to drain. (The trigger `max(floor, 8·slots)` makes this a
+        // cold path.)
         while eligible > self.batch_len {
             counters::incr_garbage(1);
             let filler = Box::into_raw(Box::new(BatchNode {

@@ -132,10 +132,6 @@ pub struct KvConfig {
     /// Hash buckets per shard's map. Default `ds::hash_map::DEFAULT_BUCKETS`,
     /// `KV_BUCKETS`.
     pub buckets: usize,
-    /// Reclamation-trigger policy installed on every shard's private domain.
-    /// Default [`PolicyKind::Capped`](smr_common::policy::PolicyKind::Capped) (the scheme's own trigger),
-    /// `KV_POLICY` (`eager`/`capped`/`adaptive`).
-    pub policy: smr_common::policy::PolicyKind,
     /// Whether the supervisor respawns dead workers (quarantining their
     /// domain) instead of leaving the shard permanently down. Default true,
     /// `KV_SUPERVISE` (`0`/`false` disables).
@@ -160,24 +156,20 @@ impl KvConfig {
             batch: 32,
             ring_depth: 1024,
             buckets: ds::hash_map::DEFAULT_BUCKETS,
-            policy: smr_common::policy::PolicyKind::Capped,
             supervise: true,
             op_timeout: std::time::Duration::from_millis(5_000),
             retries: 3,
         }
     }
 
-    /// Defaults with `KV_SHARDS` / `KV_BATCH` / `KV_RING` / `KV_BUCKETS` /
-    /// `KV_POLICY` applied. Unparseable or zero values fall back to the
-    /// default.
+    /// Defaults with `KV_SHARDS` / `KV_BATCH` / `KV_RING` / `KV_BUCKETS`
+    /// applied. Unparseable or zero values fall back to the default.
     pub fn from_env() -> Self {
         let mut cfg = Self::new();
         cfg.shards = env_usize("KV_SHARDS").unwrap_or(cfg.shards);
         cfg.batch = env_usize("KV_BATCH").unwrap_or(cfg.batch);
         cfg.ring_depth = env_usize("KV_RING").unwrap_or(cfg.ring_depth);
         cfg.buckets = env_usize("KV_BUCKETS").unwrap_or(cfg.buckets);
-        cfg.policy =
-            smr_common::policy::PolicyKind::from_env_var("KV_POLICY").unwrap_or(cfg.policy);
         cfg.supervise = smr_common::env::parse_bool("KV_SUPERVISE").unwrap_or(cfg.supervise);
         cfg.op_timeout = smr_common::env::parse_u64("KV_OP_TIMEOUT_MS")
             .filter(|&ms| ms > 0)
@@ -209,12 +201,6 @@ impl KvConfig {
     /// Builder-style retry-budget override.
     pub fn with_retries(mut self, retries: u32) -> Self {
         self.retries = retries;
-        self
-    }
-
-    /// Builder-style per-shard policy override.
-    pub fn with_policy(mut self, policy: smr_common::policy::PolicyKind) -> Self {
-        self.policy = policy;
         self
     }
 }

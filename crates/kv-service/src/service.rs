@@ -101,7 +101,7 @@ impl<S: ShardStore> KvService<S> {
             (0..shard_count)
                 .map(|_| {
                     Arc::new(ShardSlot::new(Arc::new(Shard::new(
-                        S::new_shard(cfg.buckets, cfg.policy),
+                        S::new_shard(cfg.buckets, Default::default()),
                         cfg.ring_depth,
                         cfg.batch,
                     ))))
@@ -129,7 +129,6 @@ impl<S: ShardStore> KvService<S> {
                 batch: cfg.batch,
                 ring_depth: cfg.ring_depth,
                 buckets: cfg.buckets,
-                policy: cfg.policy,
                 supervise: cfg.supervise,
             };
             std::thread::Builder::new()

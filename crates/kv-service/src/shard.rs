@@ -189,9 +189,8 @@ pub(crate) fn run_worker<S: ShardStore>(shard: Arc<Shard<S>>, ctl: Option<Arc<Su
     // Per-shard watchdog, fed every `WATCHDOG_SAMPLE_BATCHES` batches. The
     // progress token advances whenever the shard's garbage level drops (or
     // is zero) — with one worker per shard, local garbage shrinks iff this
-    // shard's collector reclaimed something. The resulting verdict feeds
-    // back into the shard's trigger policy (`Adaptive` tightens under
-    // pressure).
+    // shard's collector reclaimed something. The verdict is published as
+    // the shard's health word (`HealthSnapshot`): observability only.
     let bound = shard
         .store
         .garbage_bound()
@@ -241,9 +240,7 @@ pub(crate) fn run_worker<S: ShardStore>(shard: Arc<Shard<S>>, ctl: Option<Arc<Su
             }
             prev_garbage = garbage;
             let status = watchdog.observe(progress_token, garbage as usize);
-            let verdict = Verdict::from(&status);
-            shard.verdict.store(verdict.encode(), Relaxed);
-            shard.store.report_verdict(verdict);
+            shard.verdict.store(Verdict::from(&status).encode(), Relaxed);
         }
         shard.stats.record_batch(drained, garbage);
     }

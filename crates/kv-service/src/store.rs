@@ -18,7 +18,7 @@
 //! the epoch for all of them. The shard-isolation test runs it as the A/B
 //! control for the per-shard [`EbrStore`].
 
-use smr_common::policy::{PolicyConfig, PolicyKind, Verdict};
+use smr_common::policy::PolicyKind;
 use smr_common::{ConcurrentMap, GuardedScheme};
 
 /// One shard's map + private reclamation domain.
@@ -27,11 +27,9 @@ pub trait ShardStore: Send + Sync + Sized + 'static {
     type Handle;
 
     /// Builds the shard: fresh map, fresh domain. `buckets` sizes the
-    /// shard's hash table; `policy` selects the reclamation-trigger policy
-    /// installed on the shard's private domain (ignored by stores without
-    /// one — NR never reclaims, the shared-EBR control keeps the process
-    /// default).
-    fn new_shard(buckets: usize, policy: PolicyKind) -> Self;
+    /// shard's hash table; the second argument is ignored (it survives for
+    /// `benchmark/`, see `smr_common::policy`'s compatibility block).
+    fn new_shard(buckets: usize, _ignored: PolicyKind) -> Self;
 
     /// Registers a worker with this shard's domain.
     fn handle(&self) -> Self::Handle;
@@ -63,11 +61,6 @@ pub trait ShardStore: Send + Sync + Sized + 'static {
         0
     }
 
-    /// Feeds a per-shard watchdog verdict to the shard's trigger policy
-    /// (`Adaptive` reacts; everything else — including stores without a
-    /// private domain — ignores it).
-    fn report_verdict(&self, _verdict: Verdict) {}
-
     /// Scheme tag for stats and bench CSV rows.
     const SCHEME: &'static str;
 }
@@ -83,14 +76,11 @@ pub struct HppStore {
 impl ShardStore for HppStore {
     type Handle = ds::hpp::Handle;
 
-    fn new_shard(buckets: usize, policy: PolicyKind) -> Self {
+    fn new_shard(buckets: usize, _ignored: PolicyKind) -> Self {
         // Shards live for the service's lifetime and domains must outlive
         // every handle they registered; leaking one small Domain per shard
         // is the same idiom the fault tests use.
         let domain: &'static hp_plus::Domain = Box::leak(Box::new(hp_plus::Domain::new()));
-        let cfg = PolicyConfig::for_kind(policy);
-        domain.set_unlink_policy(cfg.build(hp_plus::legacy_unlink_trigger()));
-        domain.set_retire_policy(cfg.build(hp::legacy_trigger()));
         Self {
             domain,
             map: ds::hpp::hash_map_in(domain, buckets),
@@ -118,16 +108,12 @@ impl ShardStore for HppStore {
     }
 
     fn garbage_bound(&self) -> Option<u64> {
-        // HP's adaptive trigger is max(threshold, k·H); the bound allows
-        // their sum, plus HP++'s deferred-invalidation slack (up to
-        // RECLAIM_PERIOD unlinked batches of ≤ 2 nodes), times a 2x
-        // in-flight margin — the same derivation as tests/robustness.rs.
-        let h_slots = self.domain.hp_domain().slot_capacity() as u64;
-        Some(
-            2 * (hp::reclaim_k() as u64 * h_slots
-                + hp::RECLAIM_THRESHOLD as u64
-                + 2 * hp_plus::RECLAIM_PERIOD as u64),
-        )
+        // HP's derived cap k·H + threshold, plus HP++'s deferred-
+        // invalidation slack (up to RECLAIM_PERIOD unlinked batches of ≤ 2
+        // nodes), times a 2x in-flight margin — the same derivation as
+        // tests/robustness.rs.
+        let h_slots = self.domain.hp_domain().slot_capacity();
+        Some(2 * (hp::legacy_trigger().bound(h_slots) + 2 * hp_plus::RECLAIM_PERIOD) as u64)
     }
 
     fn quiesce(&self, handle: &mut Self::Handle) {
@@ -140,10 +126,6 @@ impl ShardStore for HppStore {
         // the time shutdown calls this).
         let mut thread = self.domain.register();
         thread.reclaim();
-    }
-
-    fn report_verdict(&self, verdict: Verdict) {
-        self.domain.report_verdict(verdict);
     }
 
     fn settled_garbage(&self) -> u64 {
@@ -169,8 +151,8 @@ pub trait GuardedDomain: Send + Sync + 'static {
     /// [`ShardStore::SCHEME`] of the store over this domain.
     const SCHEME: &'static str;
 
-    /// The shard's domain, with `policy` installed if it is private.
-    fn new_domain(policy: PolicyKind) -> Self;
+    /// The shard's domain.
+    fn new_domain() -> Self;
 
     /// Registers a worker here, bypassing `GuardedScheme::handle` (which
     /// registers with the process default).
@@ -189,9 +171,6 @@ pub trait GuardedDomain: Send + Sync + 'static {
         None
     }
 
-    /// See [`ShardStore::report_verdict`].
-    fn report_verdict(&self, _verdict: Verdict) {}
-
     /// See [`ShardStore::settled_garbage`].
     fn settled_garbage(&self) -> u64 {
         0
@@ -208,9 +187,9 @@ pub struct GuardedStore<D: GuardedDomain> {
 impl<D: GuardedDomain> ShardStore for GuardedStore<D> {
     type Handle = GuardedHandle<D>;
 
-    fn new_shard(buckets: usize, policy: PolicyKind) -> Self {
+    fn new_shard(buckets: usize, _ignored: PolicyKind) -> Self {
         Self {
-            domain: D::new_domain(policy),
+            domain: D::new_domain(),
             map: ds::hash_map::HashMap::with_buckets(buckets),
         }
     }
@@ -249,10 +228,6 @@ impl<D: GuardedDomain> ShardStore for GuardedStore<D> {
         self.quiesce(&mut self.domain.register());
     }
 
-    fn report_verdict(&self, verdict: Verdict) {
-        self.domain.report_verdict(verdict);
-    }
-
     fn settled_garbage(&self) -> u64 {
         self.domain.settled_garbage()
     }
@@ -278,12 +253,10 @@ impl GuardedDomain for &'static ebr::Collector {
     type Scheme = ebr::Ebr;
     const SCHEME: &'static str = "ebr";
 
-    fn new_domain(policy: PolicyKind) -> Self {
+    fn new_domain() -> Self {
         // Shards live for the service's lifetime and domains must outlive
         // every handle they registered: leak one small collector per shard.
-        let collector: Self = Box::leak(Box::new(ebr::Collector::new()));
-        collector.set_policy(PolicyConfig::for_kind(policy).build(ebr::legacy_trigger()));
-        collector
+        Box::leak(Box::new(ebr::Collector::new()))
     }
 
     fn register(&self) -> ebr::LocalHandle {
@@ -296,10 +269,6 @@ impl GuardedDomain for &'static ebr::Collector {
 
     fn flush(handle: &mut ebr::LocalHandle) {
         handle.pin().flush();
-    }
-
-    fn report_verdict(&self, verdict: Verdict) {
-        ebr::Collector::report_verdict(self, verdict);
     }
 
     fn settled_garbage(&self) -> u64 {
@@ -318,10 +287,8 @@ impl GuardedDomain for &'static hyaline::Domain {
     type Scheme = hyaline::Hyaline;
     const SCHEME: &'static str = "hyaline";
 
-    fn new_domain(policy: PolicyKind) -> Self {
-        let domain: Self = Box::leak(Box::new(hyaline::Domain::new()));
-        domain.set_policy(PolicyConfig::for_kind(policy).build(hyaline::legacy_trigger()));
-        domain
+    fn new_domain() -> Self {
+        Box::leak(Box::new(hyaline::Domain::new()))
     }
 
     fn register(&self) -> hyaline::LocalHandle {
@@ -345,10 +312,6 @@ impl GuardedDomain for &'static hyaline::Domain {
         Some(hyaline::garbage_bound(1) as u64)
     }
 
-    fn report_verdict(&self, verdict: Verdict) {
-        hyaline::Domain::report_verdict(self, verdict);
-    }
-
     fn settled_garbage(&self) -> u64 {
         self.orphan_count() as u64
     }
@@ -360,15 +323,15 @@ impl GuardedDomain for &'static hyaline::Domain {
 pub type EbrSharedStore = GuardedStore<SharedEbr>;
 
 /// [`EbrSharedStore`]'s domain: the process-default collector, which is
-/// shared with everything else in the process — so a per-shard policy must
-/// not latch onto it, and quarantining it leaks nothing extra.
+/// shared with everything else in the process — so quarantining it leaks
+/// nothing extra.
 pub struct SharedEbr;
 
 impl GuardedDomain for SharedEbr {
     type Scheme = ebr::Ebr;
     const SCHEME: &'static str = "ebr-shared";
 
-    fn new_domain(_policy: PolicyKind) -> Self {
+    fn new_domain() -> Self {
         SharedEbr
     }
 
@@ -392,7 +355,7 @@ impl GuardedDomain for nr::Nr {
     type Scheme = nr::Nr;
     const SCHEME: &'static str = "nr";
 
-    fn new_domain(_policy: PolicyKind) -> Self {
+    fn new_domain() -> Self {
         nr::Nr
     }
 
@@ -410,7 +373,7 @@ mod tests {
     use super::*;
 
     fn roundtrip<S: ShardStore>() {
-        let store = S::new_shard(64, PolicyKind::Capped);
+        let store = S::new_shard(64, Default::default());
         let mut h = store.handle();
         assert!(store.insert(&mut h, 1, 10));
         assert!(!store.insert(&mut h, 1, 11), "duplicate insert fails");
@@ -432,8 +395,8 @@ mod tests {
     #[test]
     fn private_domains_do_not_share_garbage() {
         // Churn in shard A must not move shard B's local garbage count.
-        let a = HppStore::new_shard(16, PolicyKind::Capped);
-        let b = HppStore::new_shard(16, PolicyKind::Capped);
+        let a = HppStore::new_shard(16, Default::default());
+        let b = HppStore::new_shard(16, Default::default());
         let mut ha = a.handle();
         let hb = b.handle();
         for k in 0..300u64 {
@@ -453,8 +416,8 @@ mod tests {
     fn private_hyaline_domains_do_not_share_garbage() {
         // Same isolation property for the hyaline store: batches retired by
         // shard A hand over within A's private domain only.
-        let a = HyalineStore::new_shard(16, PolicyKind::Capped);
-        let b = HyalineStore::new_shard(16, PolicyKind::Capped);
+        let a = HyalineStore::new_shard(16, Default::default());
+        let b = HyalineStore::new_shard(16, Default::default());
         let mut ha = a.handle();
         let hb = b.handle();
         for k in 0..300u64 {

@@ -177,7 +177,6 @@ pub(crate) struct RespawnConfig {
     pub(crate) batch: usize,
     pub(crate) ring_depth: usize,
     pub(crate) buckets: usize,
-    pub(crate) policy: smr_common::policy::PolicyKind,
     pub(crate) supervise: bool,
 }
 
@@ -258,7 +257,7 @@ fn recover<S: ShardStore>(
     }
     smr_common::fault_point!("kv::supervisor::respawn");
     let fresh = Arc::new(Shard::new(
-        S::new_shard(cfg.buckets, cfg.policy),
+        S::new_shard(cfg.buckets, Default::default()),
         cfg.ring_depth,
         cfg.batch,
     ));

@@ -251,7 +251,9 @@ fn crashed_worker_wakes_the_client_parked_on_its_reply() {
     // A one-shot caller parked on its reply slot must not sit out its op
     // deadline when the worker dies under it: the dying worker's rescue
     // drain fails the queued command and unparks the caller, and the 1 ms
-    // park backstop covers whatever that misses.
+    // park backstop covers whatever that misses. Clock-free: with a 60 s
+    // deadline and no retries the deadline path can only answer
+    // `DeadlineExceeded`, so a `RetryAfter` reply *is* the rescue.
     let op_timeout = Duration::from_secs(60);
     let svc = KvService::<GatedStore>::start(cfg(1, 4, 8).with_op_timeout(op_timeout));
     GATE.store(true, SeqCst);
@@ -269,21 +271,13 @@ fn crashed_worker_wakes_the_client_parked_on_its_reply() {
     wait_for("the caller to park on its reply slot", || {
         smr_common::counters::total_backoff().2 > parks_before
     });
-    assert!(!caller.is_finished());
+    assert!(!caller.is_finished(), "the caller must be parked before the gate opens");
 
-    let released = Instant::now();
     GATE.store(false, SeqCst);
     let reply = caller.join().unwrap();
-    let waited = released.elapsed();
     assert!(
         matches!(reply, Err(KvError::RetryAfter(_))),
-        "a supervised death reads as RetryAfter, got {reply:?}"
-    );
-    // Backstop (1 ms) + slack for the worker's unwind and a loaded host;
-    // four orders of magnitude under the op deadline it must not wait out.
-    assert!(
-        waited < Duration::from_millis(500),
-        "parked caller woke {waited:?} after its worker died"
+        "a supervised death reads as RetryAfter (the rescue drain), got {reply:?}"
     );
     client.drain(|_, r| assert_eq!(r, Ok(None)));
     svc.shutdown();

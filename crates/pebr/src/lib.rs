@@ -21,7 +21,7 @@ use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use smr_common::policy::{Policy, PolicySlot, Verdict};
+use smr_common::policy::PolicySlot;
 use smr_common::{counters, CachePadded, GuardedScheme, Retired, SchemeGuard, Shared};
 
 /// Retire this many blocks before attempting a collection. Public so tests
@@ -31,7 +31,7 @@ pub const COLLECT_THRESHOLD: usize = 128;
 /// derived-bound reason as [`COLLECT_THRESHOLD`].
 pub const EJECT_THRESHOLD: usize = 1024;
 
-/// PEBR's pre-policy trigger formula as [`policy`](smr_common::policy)
+/// PEBR's trigger formula as [`policy`](smr_common::policy)
 /// parameters: a plain fixed threshold, `garbage.len() ≥ COLLECT_THRESHOLD`
 /// (no slot-proportional term — robustness comes from ejection, not from
 /// scaling the trigger).
@@ -65,9 +65,9 @@ pub struct Collector {
     epoch: CachePadded<AtomicU64>,
     participants: Mutex<Vec<Arc<Participant>>>,
     orphans: Mutex<Vec<(u64, Retired)>>,
-    /// Collection-trigger policy; unset, the env-selected default over
-    /// [`legacy_trigger`] is built lazily at the first deferred destroy.
-    policy: PolicySlot,
+    /// Collection trigger: [`legacy_trigger`], built at the first deferred
+    /// destroy.
+    trigger: PolicySlot,
 }
 
 impl Default for Collector {
@@ -83,21 +83,8 @@ impl Collector {
             epoch: CachePadded::new(AtomicU64::new(0)),
             participants: Mutex::new(Vec::new()),
             orphans: Mutex::new(Vec::new()),
-            policy: PolicySlot::new(legacy_trigger),
+            trigger: PolicySlot::new(legacy_trigger),
         }
-    }
-
-    /// Installs the collection-trigger policy (must run before the
-    /// collector's first deferred destroy; the slot latches). Returns
-    /// `false` if a policy was already installed.
-    pub fn set_policy(&self, policy: Arc<Policy>) -> bool {
-        self.policy.install(policy)
-    }
-
-    /// Feeds a watchdog verdict to the trigger policy (`Adaptive` reacts;
-    /// the others ignore it).
-    pub fn report_verdict(&self, verdict: Verdict) {
-        self.policy.report_verdict(verdict);
     }
 
     /// Registers the current thread.
@@ -214,10 +201,10 @@ impl LocalHandle {
         self.record.state.store(0, Ordering::Release);
     }
 
-    /// Asks the collector's trigger policy whether a deferred destroy
+    /// Asks the collector's trigger whether a deferred destroy
     /// should attempt a collection now.
     fn should_collect(&self) -> bool {
-        self.global.policy.should_reclaim(self.garbage.len(), 0, 0)
+        self.global.trigger.should_reclaim(self.garbage.len(), 0, 0)
     }
 
     fn collect(&mut self) {

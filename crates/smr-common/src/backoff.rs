@@ -21,15 +21,11 @@
 //! Miri and under the fault-injection feature's replay schedules: the same
 //! thread-creation order reproduces the same backoff decisions.
 //!
-//! Knobs (read once per process):
-//!
-//! * `SMR_BACKOFF_SPIN_LIMIT` — number of doubling spin steps before the
-//!   yield phase (default 6, i.e. up to 64 spin hints per step).
-//! * `SMR_BACKOFF_MAX_EXP` — cap on the park-phase exponent; the longest
-//!   single park is `2^max_exp` µs (default 10 → ~1 ms).
-//! * `SMR_NO_BACKOFF=1` — global opt-out: every step becomes a no-op, so
-//!   the fig9 orchestrator can bench "bare" CAS loops against damped ones
-//!   in the same binary.
+//! One knob (read once per process): `SMR_NO_BACKOFF=1` — global opt-out:
+//! every step becomes a no-op, so the fig9 orchestrator can bench "bare"
+//! CAS loops against damped ones in the same binary. The phase lengths are
+//! [`BackoffConfig::default`]'s constants (6 doubling spin steps, parks of
+//! at most 2^10 µs); tests override them through [`Backoff::with_config`].
 //!
 //! Every step is reported to [`crate::counters`] so the bench harness can
 //! print retry/backoff rates next to throughput, and the park path carries
@@ -50,7 +46,7 @@ const PARK_BASE_NS: u64 = 1_000;
 /// Named fault-injection points compiled into this crate.
 pub const FAULT_POINTS: &[&str] = &["backoff::park"];
 
-/// Resolved backoff tuning (env knobs or test overrides).
+/// Resolved backoff tuning (the defaults, `SMR_NO_BACKOFF`, or test overrides).
 #[derive(Debug, Clone, Copy)]
 pub struct BackoffConfig {
     /// Doubling spin steps before escalating to the yield phase.
@@ -74,13 +70,8 @@ impl Default for BackoffConfig {
 fn process_config() -> &'static BackoffConfig {
     static CONFIG: OnceLock<BackoffConfig> = OnceLock::new();
     CONFIG.get_or_init(|| BackoffConfig {
-        spin_limit: crate::env::parse_u32("SMR_BACKOFF_SPIN_LIMIT")
-            .unwrap_or(6)
-            .min(16),
-        max_exp: crate::env::parse_u32("SMR_BACKOFF_MAX_EXP")
-            .unwrap_or(10)
-            .min(20),
         disabled: crate::env::parse_bool("SMR_NO_BACKOFF").unwrap_or(false),
+        ..BackoffConfig::default()
     })
 }
 
@@ -135,7 +126,7 @@ impl Default for Backoff {
 }
 
 impl Backoff {
-    /// A fresh backoff using the process-wide [`BackoffConfig`] (env knobs).
+    /// A fresh backoff using the process-wide [`BackoffConfig`].
     #[inline]
     pub fn new() -> Self {
         Self::with_config(*process_config(), next_seed())

@@ -31,8 +31,6 @@ struct Stripe {
     backoff_yield: AtomicU64,
     backoff_park: AtomicU64,
     policy_forced: AtomicU64,
-    adaptive_tighten: AtomicU64,
-    adaptive_relax: AtomicU64,
     env_malformed: AtomicU64,
     shard_respawn: AtomicU64,
     quarantine_domains: AtomicU64,
@@ -48,8 +46,6 @@ const STRIPE_INIT: Stripe = Stripe {
     backoff_yield: AtomicU64::new(0),
     backoff_park: AtomicU64::new(0),
     policy_forced: AtomicU64::new(0),
-    adaptive_tighten: AtomicU64::new(0),
-    adaptive_relax: AtomicU64::new(0),
     env_malformed: AtomicU64::new(0),
     shard_respawn: AtomicU64::new(0),
     quarantine_domains: AtomicU64::new(0),
@@ -155,25 +151,11 @@ pub fn total_backoff() -> (u64, u64, u64) {
     })
 }
 
-/// Records one reclamation-policy decision that triggered a scan
+/// Records one reclaim-trigger decision that fired a scan
 /// ([`crate::policy::Decision::Reclaim`]).
 #[inline]
 pub fn incr_policy_scan_forced() {
     stripe().policy_forced.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Records one `Adaptive` policy tightening step (watchdog reported
-/// pressure; the effective trigger drops to its floor).
-#[inline]
-pub fn incr_adaptive_tighten() {
-    stripe().adaptive_tighten.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Records one `Adaptive` policy relaxation step (a scan completed while
-/// the watchdog was healthy; the effective trigger doubles).
-#[inline]
-pub fn incr_adaptive_relax() {
-    stripe().adaptive_relax.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Records one malformed environment-variable value observed by
@@ -183,27 +165,11 @@ pub fn incr_env_malformed() {
     stripe().env_malformed.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Total policy decisions that forced a scan.
+/// Total trigger decisions that fired a scan.
 pub fn policy_scans_forced() -> u64 {
     STRIPES_ARR
         .iter()
         .map(|s| s.policy_forced.load(Ordering::Relaxed))
-        .sum()
-}
-
-/// Total `Adaptive` tightening steps.
-pub fn adaptive_tightens() -> u64 {
-    STRIPES_ARR
-        .iter()
-        .map(|s| s.adaptive_tighten.load(Ordering::Relaxed))
-        .sum()
-}
-
-/// Total `Adaptive` relaxation steps.
-pub fn adaptive_relaxes() -> u64 {
-    STRIPES_ARR
-        .iter()
-        .map(|s| s.adaptive_relax.load(Ordering::Relaxed))
         .sum()
 }
 
@@ -306,18 +272,10 @@ mod tests {
     fn policy_counter_deltas_are_exact() {
         let _serial = test_lock();
         let forced0 = policy_scans_forced();
-        let tight0 = adaptive_tightens();
-        let relax0 = adaptive_relaxes();
         let env0 = env_malformed();
         incr_policy_scan_forced();
-        incr_adaptive_tighten();
-        incr_adaptive_relax();
-        incr_adaptive_relax();
-        incr_adaptive_relax();
         incr_env_malformed();
         assert_eq!(policy_scans_forced() - forced0, 1);
-        assert_eq!(adaptive_tightens() - tight0, 1);
-        assert_eq!(adaptive_relaxes() - relax0, 3);
         assert_eq!(env_malformed() - env0, 1);
     }
 

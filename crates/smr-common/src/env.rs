@@ -50,10 +50,8 @@ pub fn parse_bool(name: &str) -> Option<bool> {
 
 /// Records one malformed value for `name`: bumps the
 /// [`env_malformed`](crate::counters::env_malformed) counter and writes a
-/// single warning line to stderr. Public so enum-valued knobs parsed
-/// outside this module (`SMR_POLICY`, `KV_POLICY`) report rejections the
-/// same way.
-pub fn note_malformed(name: &str, raw: &str) {
+/// single warning line to stderr.
+fn note_malformed(name: &str, raw: &str) {
     counters::incr_env_malformed();
     eprintln!("smr-common: ignoring malformed {name}={raw:?} (using default)");
 }

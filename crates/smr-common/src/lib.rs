@@ -13,10 +13,8 @@
 //! * [`counters`] — global garbage + contention accounting used by the
 //!   benchmark harness to reproduce the paper's "unreclaimed blocks"
 //!   figures and to report CAS retry/backoff rates.
-//! * [`backoff`] — the tunable spin/yield/park exponential
-//!   [`Backoff`] threaded through every CAS retry loop
-//!   in `crates/ds` (knobs: `SMR_BACKOFF_SPIN_LIMIT`, `SMR_BACKOFF_MAX_EXP`,
-//!   `SMR_NO_BACKOFF`).
+//! * [`backoff`] — the spin/yield/park exponential [`Backoff`] threaded
+//!   through every CAS retry loop in `crates/ds` (knob: `SMR_NO_BACKOFF`).
 //! * [`map`] — the [`ConcurrentMap`] trait every
 //!   benchmarked structure implements, plus the [`GuardedScheme`]
 //!   abstraction shared by the guard-based schemes (NR, EBR, PEBR).
@@ -31,10 +29,9 @@
 //! * [`watchdog`] — [`GarbageWatchdog`](watchdog::GarbageWatchdog), which
 //!   classifies a run as healthy / degraded-bounded / growing-unbounded
 //!   from sampled progress + garbage counters (the Table 1 failure modes).
-//! * [`policy`] — the reclamation-trigger enum ([`Policy`](policy::Policy):
-//!   eager / capped / watchdog-adaptive) every scheme's retire path
-//!   consults with one [`PolicySlot::should_reclaim`](policy::PolicySlot)
-//!   call; knob `SMR_POLICY`.
+//! * [`policy`] — the reclaim trigger: one [`Capped`](policy::Capped) per
+//!   domain, consulted by every scheme's retire path with one
+//!   [`PolicySlot::should_reclaim`](policy::PolicySlot) call.
 //! * [`mod@env`] — shared env-var parsing with malformed-value accounting
 //!   (one warning + one [`counters::env_malformed`] bump per bad value).
 

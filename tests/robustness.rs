@@ -50,8 +50,8 @@ fn hp_garbage_bounded_under_churn() {
     // adaptive scan trigger `max(RECLAIM_THRESHOLD, k·H)`; allow the floor
     // *plus* the k·H term (the trigger is their max) and a 2x margin for
     // garbage other threads of this process may hold.
-    let h_slots = hp::default_domain().slot_capacity() as u64;
-    let bound = 2 * (hp::reclaim_k() as u64 * h_slots + hp::RECLAIM_THRESHOLD as u64);
+    let h_slots = hp::default_domain().slot_capacity();
+    let bound = 2 * hp::legacy_trigger().bound(h_slots) as u64;
     assert!(
         grown < bound,
         "HP garbage grew to {grown}, bound {bound} (H={h_slots})"
@@ -69,11 +69,8 @@ fn hpp_garbage_bounded_under_churn() {
     // HP++ counts garbage at unlink: on top of HP's `k·H + threshold` bag
     // bound, up to RECLAIM_PERIOD unlinked batches (HHSList removes detach
     // ≤ 2 nodes each) may await deferred invalidation (Algorithm 3).
-    let h_slots = hp_plus::default_domain().hp_domain().slot_capacity() as u64;
-    let bound = 2
-        * (hp::reclaim_k() as u64 * h_slots
-            + hp::RECLAIM_THRESHOLD as u64
-            + 2 * hp_plus::RECLAIM_PERIOD as u64);
+    let h_slots = hp_plus::default_domain().hp_domain().slot_capacity();
+    let bound = 2 * (hp::legacy_trigger().bound(h_slots) + 2 * hp_plus::RECLAIM_PERIOD) as u64;
     assert!(
         grown < bound,
         "HP++ garbage grew to {grown}, bound {bound} (H={h_slots})"
