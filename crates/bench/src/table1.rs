@@ -28,7 +28,9 @@ use smr_common::{ConcurrentMap, GuardedScheme, SchemeGuard};
 /// Threads churning against the one staller.
 const CHURNERS: usize = 3;
 
-fn churn<M: ConcurrentMap<u64, u64> + Send + Sync>(map: &M, stop: &AtomicBool) {
+/// Churns until `stop`; returns the blocks left in this thread's pool —
+/// reclaimed and awaiting reuse, so never part of the garbage columns.
+fn churn<M: ConcurrentMap<u64, u64> + Send + Sync>(map: &M, stop: &AtomicBool) -> usize {
     let mut h = map.handle();
     let mut k = 0u64;
     while !stop.load(Relaxed) {
@@ -36,6 +38,7 @@ fn churn<M: ConcurrentMap<u64, u64> + Send + Sync>(map: &M, stop: &AtomicBool) {
         map.remove(&mut h, &(k % 64));
         k += 1;
     }
+    smr_common::pool::pooled_blocks()
 }
 
 /// The guarded list every pinned staller runs against.
@@ -98,11 +101,11 @@ where
     // flagged within the window, not only at the final sample.
     let mut dog = GarbageWatchdog::new(bound, window / 4);
     let mut last = WatchdogStatus::Healthy;
-    std::thread::scope(|s| {
+    let pooled: usize = std::thread::scope(|s| {
         s.spawn(|| stall(&map, &stop));
-        for _ in 0..CHURNERS {
-            s.spawn(|| churn(&map, &stop));
-        }
+        let churners: Vec<_> = (0..CHURNERS)
+            .map(|_| s.spawn(|| churn(&map, &stop)))
+            .collect();
         let deadline = std::time::Instant::now() + window;
         while std::time::Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(25));
@@ -110,6 +113,10 @@ where
             last = dog.observe(counters::total_freed(), garbage);
         }
         stop.store(true, Relaxed);
+        churners
+            .into_iter()
+            .map(|c| c.join().expect("a churner panicked"))
+            .sum()
     });
     let garbage = counters::garbage_now().saturating_sub(base) as usize;
     let verdict = match last {
@@ -123,7 +130,10 @@ where
         bound,
         verdict,
     };
-    println!("{name},{},{},{},{}", m.garbage, m.peak, m.bound, m.verdict);
+    println!(
+        "{name},{},{},{},{},{pooled}",
+        m.garbage, m.peak, m.bound, m.verdict
+    );
     m
 }
 
@@ -173,7 +183,7 @@ pub fn run(quick: bool) -> i32 {
         "# Table 1: unreclaimed blocks after {:?} of churn with one stalled thread",
         window
     );
-    println!("scheme,unreclaimed_blocks,peak_unreclaimed,bound,watchdog");
+    println!("scheme,unreclaimed_blocks,peak_unreclaimed,bound,watchdog,pooled_blocks");
 
     // Bounds derived from the published formulas, never hard-coded:
     // each participant's bag stays below `Capped::bound` = k·H + threshold

@@ -123,7 +123,8 @@ unsafe fn decr_now<T: Edges>(ptr: *mut u8) {
                     stack.push(e.as_raw());
                 }
             }
-            drop(unsafe { Box::from_raw(p) });
+            // SAFETY: the last reference is gone; `alloc` made the block.
+            unsafe { Shared::from_raw(p).drop_owned() };
         }
     }
 }

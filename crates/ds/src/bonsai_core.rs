@@ -52,6 +52,24 @@ pub fn size_of<K, V>(t: Shared<Node<K, V>>) -> usize {
     }
 }
 
+/// Frees the whole subtree under `t` (a tree being dropped).
+///
+/// # Safety
+/// The caller owns every node reachable from `t`; none was handed to a
+/// reclamation scheme.
+pub unsafe fn free_tree<K, V>(t: Shared<Node<K, V>>) {
+    if t.is_null() {
+        return;
+    }
+    // SAFETY: per the contract, for the node and both subtrees.
+    unsafe {
+        let node = t.deref();
+        free_tree(node.left.load(Relaxed).with_tag(0));
+        free_tree(node.right.load(Relaxed).with_tag(0));
+        t.drop_owned();
+    }
+}
+
 /// The protection failed; the whole operation must restart.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Restart;
@@ -379,15 +397,6 @@ mod tests {
         1 + ls + rs
     }
 
-    fn free_all<K, V>(t: Shared<Node<K, V>>) {
-        if t.is_null() {
-            return;
-        }
-        let node = unsafe { Box::from_raw(t.as_raw()) };
-        free_all(node.left.load(Relaxed).with_tag(0));
-        free_all(node.right.load(Relaxed).with_tag(0));
-    }
-
     #[test]
     fn insert_remove_roundtrip_stays_balanced() {
         let mut root: Shared<Node<u64, u64>> = Shared::null();
@@ -423,7 +432,7 @@ mod tests {
         for g in garbage {
             unsafe { g.drop_owned() };
         }
-        free_all(root);
+        unsafe { free_tree(root) };
     }
 
     #[test]
@@ -474,6 +483,6 @@ mod tests {
         let res = b.insert(&mut FailAfter(3), root, &100, &100);
         assert_eq!(res, Err(Restart));
         b.abort();
-        free_all(root);
+        unsafe { free_tree(root) };
     }
 }

@@ -5,7 +5,7 @@ use std::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed};
 
 use smr_common::{Atomic, Backoff, ConcurrentMap, GuardedScheme, SchemeGuard, Shared};
 
-use crate::bonsai_core::{Builder, Node, Protector, Restart};
+use crate::bonsai_core::{free_tree, Builder, Node, Protector, Restart};
 
 /// Protector that only checks critical-section validity (PEBR ejection).
 struct GuardProtect<'a, G> {
@@ -163,16 +163,8 @@ where
 
 impl<K, V, S> Drop for BonsaiTree<K, V, S> {
     fn drop(&mut self) {
-        fn free_rec<K, V>(t: Shared<Node<K, V>>) {
-            if t.is_null() {
-                return;
-            }
-            let node = unsafe { Box::from_raw(t.as_raw()) };
-            free_rec(node.left.load(Relaxed).with_tag(0));
-            free_rec(node.right.load(Relaxed).with_tag(0));
-        }
-        free_rec(self.root.load_mut().with_tag(0));
-        self.root.store_mut(Shared::null());
+        // SAFETY: exclusive access; reachable nodes were never retired.
+        unsafe { free_tree(self.root.load_mut().with_tag(0)) };
     }
 }
 

@@ -48,8 +48,8 @@ pub(crate) struct Node<K, V> {
 }
 
 /// Insert-retry stash: a preallocated internal node and its new leaf,
-/// reused across CAS retries instead of reallocating.
-type Stash<K, V> = Option<(Box<Node<K, V>>, Shared<Node<K, V>>)>;
+/// neither shared yet, reused across CAS retries instead of reallocating.
+type Stash<K, V> = Option<(Shared<Node<K, V>>, Shared<Node<K, V>>)>;
 
 impl<K, V> Node<K, V> {
     pub(crate) fn leaf(key: NmKey<K>, value: Option<V>) -> Self {
@@ -279,8 +279,10 @@ where
             let leaf_node = unsafe { sr.l.deref() };
             if leaf_node.key == key {
                 if let Some((internal, new_leaf)) = stash.take() {
-                    drop(internal);
-                    unsafe { new_leaf.drop_owned() };
+                    unsafe {
+                        internal.drop_owned();
+                        new_leaf.drop_owned();
+                    }
                 }
                 return false;
             }
@@ -288,14 +290,12 @@ where
                 self.help(sr.pupdate, &guard);
                 continue;
             }
-            let (mut internal, new_leaf) = match stash.take() {
-                Some(x) => x,
-                None => {
-                    let new_leaf =
-                        Shared::from_owned(Node::leaf(key.clone(), Some(value.clone())));
-                    (Box::new(Node::leaf(NmKey::NegInf, None)), new_leaf)
-                }
-            };
+            let (internal_ptr, new_leaf) = stash.take().unwrap_or_else(|| {
+                let new_leaf = Shared::from_owned(Node::leaf(key.clone(), Some(value.clone())));
+                (Shared::from_owned(Node::leaf(NmKey::NegInf, None)), new_leaf)
+            });
+            // SAFETY: not shared until the descriptor CAS below succeeds.
+            let internal = unsafe { &mut *internal_ptr.as_raw() };
             if key < leaf_node.key {
                 internal.key = leaf_node.key.clone();
                 internal.left.store_mut(new_leaf);
@@ -305,7 +305,6 @@ where
                 internal.left.store_mut(sr.l);
                 internal.right.store_mut(new_leaf);
             }
-            let internal_ptr = Shared::from_raw(Box::into_raw(internal));
             let op = Shared::from_owned(Info::Insert {
                 p: sr.p,
                 new_internal: internal_ptr,
@@ -326,8 +325,7 @@ where
                 }
                 Err(_) => {
                     unsafe { op.drop_owned() };
-                    let internal = unsafe { Box::from_raw(internal_ptr.as_raw()) };
-                    stash = Some((internal, new_leaf));
+                    stash = Some((internal_ptr, new_leaf));
                     backoff.cas_failed();
                 }
             }
@@ -404,13 +402,15 @@ impl<K, V, S> Drop for EFRBTree<K, V, S> {
             if edge.is_null() {
                 return;
             }
-            let node = unsafe { Box::from_raw(edge.with_tag(0).as_raw()) };
+            let edge = edge.with_tag(0);
+            let node = unsafe { edge.deref() };
             let u = node.update.load(Relaxed).with_tag(0);
             if !u.is_null() {
                 unsafe { u.drop_owned() };
             }
             free_rec(node.left.load(Relaxed));
             free_rec(node.right.load(Relaxed));
+            unsafe { edge.drop_owned() };
         }
         free_rec(self.root.left.load(Relaxed));
         free_rec(self.root.right.load(Relaxed));

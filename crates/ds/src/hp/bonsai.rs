@@ -12,7 +12,7 @@ use std::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed};
 use hp::HazardPointer;
 use smr_common::{fence, Atomic, Backoff, ConcurrentMap, Shared};
 
-use crate::bonsai_core::{Builder, Node, Protector, Restart};
+use crate::bonsai_core::{free_tree, Builder, Node, Protector, Restart};
 
 /// Per-thread state: HP registration and a growable pool of hazard slots
 /// (one per node dereferenced during a version build: O(tree depth)).
@@ -227,16 +227,8 @@ impl<K: Ord + Clone, V: Clone> Default for BonsaiTree<K, V> {
 
 impl<K, V> Drop for BonsaiTree<K, V> {
     fn drop(&mut self) {
-        fn free_rec<K, V>(t: Shared<Node<K, V>>) {
-            if t.is_null() {
-                return;
-            }
-            let node = unsafe { Box::from_raw(t.as_raw()) };
-            free_rec(node.left.load(Relaxed).with_tag(0));
-            free_rec(node.right.load(Relaxed).with_tag(0));
-        }
-        free_rec(self.root.load_mut().with_tag(0));
-        self.root.store_mut(Shared::null());
+        // SAFETY: exclusive access; reachable nodes were never retired.
+        unsafe { free_tree(self.root.load_mut().with_tag(0)) };
     }
 }
 

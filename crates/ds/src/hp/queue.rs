@@ -139,8 +139,12 @@ impl<T> Drop for MSQueue<T> {
     fn drop(&mut self) {
         let mut cur = self.head.load_mut();
         while !cur.is_null() {
-            let node = unsafe { Box::from_raw(cur.as_raw()) };
-            cur = node.next.load(Relaxed);
+            // SAFETY: exclusive access; linked nodes are owned by the queue.
+            unsafe {
+                let next = cur.deref().next.load(Relaxed);
+                cur.drop_owned();
+                cur = next;
+            }
         }
     }
 }

@@ -334,10 +334,13 @@ impl<K, V, P: Protect, T> Drop for List<K, V, P, T> {
         // Exclusive access: free every still-linked node.
         let mut cur = self.head.load_mut();
         while !cur.is_null() {
+            let node = cur.with_tag(0);
             // SAFETY: linked nodes are owned by the list and were never
             // handed to the scheme.
-            let node = unsafe { Box::from_raw(cur.with_tag(0).as_raw()) };
-            cur = node.next.load(Relaxed);
+            unsafe {
+                cur = node.deref().next.load(Relaxed);
+                node.drop_owned();
+            }
         }
     }
 }
@@ -365,28 +368,37 @@ where
 
     fn insert(&self, handle: &mut P::Handle, key: K, value: V) -> bool {
         let mut op = P::enter(handle);
-        let mut node = Box::new(Node {
-            next: Atomic::null(),
+        // Search first: an insert that finds its key allocates nothing.
+        let mut at = self.find(&mut op, &key);
+        if at.found {
+            P::exit(op);
+            return false;
+        }
+        let new = Shared::from_owned(Node {
+            next: Atomic::from(at.cur),
             key,
             value,
         });
+        // SAFETY: this thread's alone until a CAS below succeeds, and not
+        // used after that.
+        let node = unsafe { new.deref() };
         let mut backoff = Backoff::new();
         let inserted = loop {
-            let at = self.find(&mut op, &node.key);
+            // SAFETY: `at.link` is `head` or a field of a protected node.
+            if unsafe { &*at.link }
+                .compare_exchange(at.cur, new, AcqRel, Acquire)
+                .is_ok()
+            {
+                break true;
+            }
+            backoff.cas_failed();
+            at = self.find(&mut op, &node.key);
             if at.found {
+                // SAFETY: every CAS failed, so `new` was never shared.
+                unsafe { new.drop_owned() };
                 break false;
             }
-            node.next.store_mut(at.cur);
-            let new = Shared::from_raw(Box::into_raw(node));
-            // SAFETY: `at.link` is `head` or a field of a protected node.
-            match unsafe { &*at.link }.compare_exchange(at.cur, new, AcqRel, Acquire) {
-                Ok(_) => break true,
-                Err(_) => {
-                    // SAFETY: the CAS failed, so `new` was never shared.
-                    node = unsafe { Box::from_raw(new.as_raw()) };
-                    backoff.cas_failed();
-                }
-            }
+            node.next.store(at.cur, Relaxed);
         };
         P::exit(op);
         inserted

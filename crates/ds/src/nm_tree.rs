@@ -107,8 +107,8 @@ impl<K, V> protect::Node for Node<K, V> {
 }
 
 /// Insert-retry stash: a preallocated internal node and its new leaf,
-/// reused across CAS retries instead of reallocating.
-type Stash<K, V> = Option<(Box<Node<K, V>>, Shared<Node<K, V>>)>;
+/// neither shared yet, reused across CAS retries instead of reallocating.
+type Stash<K, V> = Option<(Shared<Node<K, V>>, Shared<Node<K, V>>)>;
 
 /// The seek record (paper [48]): the ancestor edge heading the chain of
 /// pending-delete nodes, and the parent edge to the terminal leaf.
@@ -401,11 +401,14 @@ impl<K, V, P> Drop for NMTree<K, V, P> {
             if edge.is_null() {
                 return;
             }
+            let edge = edge.with_tag(0);
             // SAFETY: exclusive access; reachable nodes are owned by the
             // tree and were never handed to the scheme.
-            let node = unsafe { Box::from_raw(edge.with_tag(0).as_raw()) };
+            let node = unsafe { edge.deref() };
             free_rec(node.left.load(Relaxed));
             free_rec(node.right.load(Relaxed));
+            // SAFETY: as above, and the subtrees are gone.
+            unsafe { edge.drop_owned() };
         }
         free_rec(self.r.left.load(Relaxed));
         free_rec(self.r.right.load(Relaxed));
@@ -462,12 +465,15 @@ where
                 break false;
             }
             // Build (or re-wire) the replacement internal node.
-            let (mut internal, new_leaf) = stash.take().unwrap_or_else(|| {
+            let (internal_ptr, new_leaf) = stash.take().unwrap_or_else(|| {
                 let new_leaf =
                     Shared::from_owned(Node::leaf(NmKey::Fin(key.clone()), Some(value.clone())));
-                // The key is patched below.
-                (Box::new(Node::leaf(NmKey::NegInf, None)), new_leaf)
+                // The internal node's key is patched below.
+                let internal = Shared::from_owned(Node::leaf(NmKey::NegInf, None));
+                (internal, new_leaf)
             });
+            // SAFETY: not shared until the CAS below succeeds.
+            let internal = unsafe { &mut *internal_ptr.as_raw() };
             let new_key = NmKey::Fin(key.clone());
             if new_key < leaf_node.key {
                 internal.key = leaf_node.key.clone();
@@ -478,7 +484,6 @@ where
                 internal.left.store_mut(leaf);
                 internal.right.store_mut(new_leaf);
             }
-            let internal_ptr = Shared::from_raw(Box::into_raw(internal));
             // SAFETY: `parent_edge` is a field of the node `PREV` protects.
             match unsafe { &*sr.parent_edge }.compare_exchange(
                 sr.leaf_word,
@@ -488,16 +493,17 @@ where
             ) {
                 Ok(_) => break true,
                 Err(_) => {
-                    // SAFETY: the CAS failed, so the node was never shared.
-                    let internal = unsafe { Box::from_raw(internal_ptr.as_raw()) };
-                    stash = Some((internal, new_leaf));
+                    stash = Some((internal_ptr, new_leaf));
                     backoff.cas_failed();
                 }
             }
         };
-        if let Some((_, new_leaf)) = stash {
-            // SAFETY: a stashed leaf was never linked.
-            unsafe { new_leaf.drop_owned() };
+        if let Some((internal, new_leaf)) = stash {
+            // SAFETY: a stashed pair was never linked.
+            unsafe {
+                internal.drop_owned();
+                new_leaf.drop_owned();
+            }
         }
         P::exit(op);
         inserted

@@ -293,9 +293,12 @@ impl<K, V, P> Drop for SkipList<K, V, P> {
         // Walk the bottom level; every node is linked there.
         let mut cur = self.head[0].load_mut();
         while !cur.is_null() {
+            let node = cur.with_tag(0);
             // SAFETY: linked nodes are owned by the list.
-            let node = unsafe { Box::from_raw(cur.with_tag(0).as_raw()) };
-            cur = node.next[0].load(Relaxed);
+            unsafe {
+                cur = node.deref().next[0].load(Relaxed);
+                node.drop_owned();
+            }
         }
     }
 }
@@ -330,6 +333,12 @@ where
 
     fn insert(&self, handle: &mut P::Handle, key: K, value: V) -> bool {
         let mut op = P::enter(handle);
+        // Search first: an insert that finds its key builds no tower.
+        let mut r = self.find(&mut op, &key);
+        if r.found.is_some() {
+            P::exit(op);
+            return false;
+        }
         let height = random_height();
         let node = Shared::from_owned(Node {
             next: [(); MAX_HEIGHT].map(|_| Atomic::null()),
@@ -347,12 +356,6 @@ where
 
         let mut backoff = Backoff::new();
         let inserted = loop {
-            let r = self.find(&mut op, &node_ref.key);
-            if r.found.is_some() {
-                // SAFETY: never linked, so still exclusively owned.
-                unsafe { node.drop_owned() };
-                break false;
-            }
             // Wire the tower to the current successors, then link level 0.
             for (level, succ) in r.succs.iter().enumerate().take(height) {
                 node_ref.next[level].store(*succ, Relaxed);
@@ -367,6 +370,12 @@ where
                 break true;
             }
             backoff.cas_failed();
+            r = self.find(&mut op, &node_ref.key);
+            if r.found.is_some() {
+                // SAFETY: never linked, so still exclusively owned.
+                unsafe { node.drop_owned() };
+                break false;
+            }
         };
         if inserted {
             if height > 1 {

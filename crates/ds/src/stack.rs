@@ -130,9 +130,12 @@ impl<T, P> Drop for TreiberStack<T, P> {
     fn drop(&mut self) {
         let mut cur = self.head.load_mut();
         while !cur.is_null() {
+            let node = cur.with_tag(0);
             // SAFETY: linked nodes are owned by the stack.
-            let node = unsafe { Box::from_raw(cur.with_tag(0).as_raw()) };
-            cur = node.next.load(Relaxed);
+            unsafe {
+                cur = node.deref().next.load(Relaxed);
+                node.drop_owned();
+            }
         }
     }
 }

@@ -12,7 +12,7 @@ use std::fmt;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use crate::tagged;
+use crate::{pool, tagged};
 
 /// An atomic word holding a tagged pointer to `T`.
 pub struct Atomic<T> {
@@ -192,10 +192,12 @@ impl<T> Shared<T> {
         Self::from_usize(ptr as usize)
     }
 
-    /// Moves `value` to the heap and returns the untagged pointer to it.
+    /// Moves `value` to the heap — a block of this thread's
+    /// [`pool`] when it has one — and returns the untagged
+    /// pointer to it. The block is interchangeable with a `Box<T>`.
     #[inline]
     pub fn from_owned(value: T) -> Self {
-        Self::from_raw(Box::into_raw(Box::new(value)))
+        Self::from_raw(pool::alloc(value))
     }
 
     /// The raw word (pointer | tag).
@@ -253,14 +255,14 @@ impl<T> Shared<T> {
         self.as_raw().as_ref()
     }
 
-    /// Reclaims the pointee.
+    /// Reclaims the pointee, into this thread's [`pool`].
     ///
     /// # Safety
     /// The caller must be the unique owner of the pointee and it must not be
     /// accessed again.
     #[inline]
     pub unsafe fn drop_owned(self) {
-        drop(Box::from_raw(self.as_raw()));
+        pool::release(self.as_raw());
     }
 }
 

@@ -32,6 +32,9 @@
 //! * [`policy`] — the reclaim trigger: one [`Capped`](policy::Capped) per
 //!   domain, consulted by every scheme's retire path with one
 //!   [`PolicySlot::should_reclaim`](policy::PolicySlot) call.
+//! * [`pool`] — the per-thread block pool node allocation and
+//!   [`Retired::free`] go through, so a reclaim pass feeds the next inserts
+//!   without the allocator.
 //! * [`mod@env`] — shared env-var parsing with malformed-value accounting
 //!   (one warning + one [`counters::env_malformed`] bump per bad value).
 
@@ -45,6 +48,7 @@ pub mod fault;
 pub mod fence;
 pub mod map;
 pub mod policy;
+pub mod pool;
 pub mod registry;
 pub mod retired;
 pub mod tagged;

@@ -1,11 +1,12 @@
 //! Type-erased retired allocations.
 
-use crate::counters;
+use crate::{counters, pool};
 
 /// A heap allocation handed to a reclamation scheme, with its deleter.
 ///
 /// The pointer is type-erased so scheme internals can batch heterogeneous
-/// nodes; the deleter restores the type and runs `Box::from_raw`.
+/// nodes; the deleter restores the type, drops the value and hands the
+/// block to the freeing thread's [`pool`].
 pub struct Retired {
     ptr: *mut u8,
     free_fn: unsafe fn(*mut u8),
@@ -15,21 +16,21 @@ pub struct Retired {
 // guarantees exclusive ownership of the pointee.
 unsafe impl Send for Retired {}
 
-unsafe fn free_boxed<T>(ptr: *mut u8) {
-    drop(unsafe { Box::from_raw(ptr.cast::<T>()) });
+unsafe fn free_pooled<T>(ptr: *mut u8) {
+    unsafe { pool::release(ptr.cast::<T>()) };
 }
 
 impl Retired {
-    /// Wraps `ptr` for later reclamation via `Box::from_raw::<T>`.
+    /// Wraps `ptr` for later reclamation via [`pool::release::<T>`].
     ///
     /// # Safety
-    /// `ptr` must come from `Box::into_raw` of a `Box<T>` and must not be
-    /// freed by anyone else.
+    /// `ptr` must come from [`Shared::from_owned`](crate::Shared::from_owned)
+    /// or `Box::into_raw` of a `Box<T>` and must not be freed by anyone else.
     pub unsafe fn new<T>(ptr: *mut T) -> Self {
         debug_assert!(!ptr.is_null());
         Self {
             ptr: ptr.cast(),
-            free_fn: free_boxed::<T>,
+            free_fn: free_pooled::<T>,
         }
     }
 
@@ -48,7 +49,8 @@ impl Retired {
         self.ptr
     }
 
-    /// Frees the allocation and decrements the global garbage counter.
+    /// Frees the allocation and decrements the global garbage counter: a
+    /// block that enters the pool is reclaimed, not garbage.
     ///
     /// # Safety
     /// No thread may dereference the pointee at or after this call.
