@@ -11,11 +11,10 @@
 //! Keys drawn by the sampler are uninterpreted payload here; contention is
 //! structural: every operation hits the head/tail words.
 
-use smr_common::{ConcurrentMap, GuardedScheme};
+use smr_common::ConcurrentMap;
 
-use crate::guarded;
-use crate::hp as dshp;
-use crate::protect::Protect;
+use crate::protect::{Protect, Retire};
+use crate::queue::MSQueue;
 use crate::stack::TreiberStack;
 
 /// A multiset of values with contended endpoints: stacks and queues.
@@ -56,42 +55,22 @@ impl<T: Send, P: Protect> ConcurrentBag<T> for TreiberStack<T, P> {
     }
 }
 
-impl<T: Send> ConcurrentBag<T> for dshp::MSQueue<T> {
-    type Handle = dshp::QueueHandle;
+impl<T: Send, P: Retire> ConcurrentBag<T> for MSQueue<T, P> {
+    type Handle = P::Handle;
 
     fn new() -> Self {
-        dshp::MSQueue::new()
+        MSQueue::new()
     }
 
-    fn handle(&self) -> dshp::QueueHandle {
-        dshp::QueueHandle::new()
+    fn handle(&self) -> P::Handle {
+        MSQueue::handle(self)
     }
 
-    fn add(&self, handle: &mut dshp::QueueHandle, value: T) {
+    fn add(&self, handle: &mut P::Handle, value: T) {
         self.enqueue(handle, value);
     }
 
-    fn take(&self, handle: &mut dshp::QueueHandle) -> Option<T> {
-        self.dequeue(handle)
-    }
-}
-
-impl<T: Send, S: GuardedScheme> ConcurrentBag<T> for guarded::MSQueue<T, S> {
-    type Handle = S::Handle;
-
-    fn new() -> Self {
-        guarded::MSQueue::new()
-    }
-
-    fn handle(&self) -> S::Handle {
-        S::handle()
-    }
-
-    fn add(&self, handle: &mut S::Handle, value: T) {
-        self.enqueue(handle, value);
-    }
-
-    fn take(&self, handle: &mut S::Handle) -> Option<T> {
+    fn take(&self, handle: &mut P::Handle) -> Option<T> {
         self.dequeue(handle)
     }
 }
@@ -137,6 +116,7 @@ impl<B: ConcurrentBag<u64>> ConcurrentMap<u64, u64> for BagMap<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{guarded, hp as dshp};
 
     fn exercise<B: ConcurrentBag<u64>>() {
         let m = BagMap::<B>::new();

@@ -5,8 +5,9 @@
 //! concrete type with fixed parameters and is one `#[test]`. Checks that
 //! need a structure's private fields stay in that structure's file.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicI64, Ordering::Relaxed};
+use std::sync::Mutex;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -222,38 +223,48 @@ fn lifo<B: ConcurrentBag<u64>>() {
     assert_eq!(s.take(&mut h), None);
 }
 
-fn conserves_sum<B: ConcurrentBag<u64> + Sync>() {
-    use std::sync::atomic::AtomicU64;
+fn fifo<B: ConcurrentBag<u64>>() {
+    let q = B::new();
+    let mut h = q.handle();
+    for i in 0..100 {
+        q.add(&mut h, i);
+    }
+    for i in 0..100 {
+        assert_eq!(q.take(&mut h), Some(i));
+    }
+    assert_eq!(q.take(&mut h), None);
+}
+
+/// Four producers of 1000 distinct values each against four consumers:
+/// every value comes out exactly once.
+fn no_loss_no_duplication<B: ConcurrentBag<u64> + Sync>() {
     let s = B::new();
-    let popped_sum = AtomicU64::new(0);
-    let pushed_sum = AtomicU64::new(0);
+    let seen = Mutex::new(HashSet::new());
     std::thread::scope(|scope| {
         for t in 0..4u64 {
-            let (s, pushed_sum) = (&s, &pushed_sum);
+            let s = &s;
             scope.spawn(move || {
                 let mut h = s.handle();
                 for i in 0..1000 {
-                    let v = t * 10_000 + i;
-                    s.add(&mut h, v);
-                    pushed_sum.fetch_add(v, Relaxed);
+                    s.add(&mut h, t * 10_000 + i);
                 }
             });
         }
         for _ in 0..4 {
-            let (s, popped_sum) = (&s, &popped_sum);
+            let (s, seen) = (&s, &seen);
             scope.spawn(move || {
                 let mut h = s.handle();
                 let mut got = 0;
                 while got < 1000 {
                     if let Some(v) = s.take(&mut h) {
-                        popped_sum.fetch_add(v, Relaxed);
+                        assert!(seen.lock().unwrap().insert(v), "duplicate {v}");
                         got += 1;
                     }
                 }
             });
         }
     });
-    assert_eq!(popped_sum.load(Relaxed), pushed_sum.load(Relaxed));
+    assert_eq!(seen.lock().unwrap().len(), 4000);
     assert_eq!(s.take(&mut s.handle()), None);
 }
 
@@ -381,9 +392,17 @@ battery_table! {
 
     // Treiber stack.
     stack_hp_lifo: lifo::<dshp::TreiberStack<u64>>();
-    stack_hp_conserves_sum: conserves_sum::<dshp::TreiberStack<u64>>();
+    stack_hp_no_loss_no_duplication: no_loss_no_duplication::<dshp::TreiberStack<u64>>();
     stack_hpp_lifo: lifo::<hpp::TreiberStack<u64>>();
-    stack_hpp_conserves_sum: conserves_sum::<hpp::TreiberStack<u64>>();
+    stack_hpp_no_loss_no_duplication: no_loss_no_duplication::<hpp::TreiberStack<u64>>();
     stack_hpp_heavy_churn: heavy_churn::<BagMap<hpp::TreiberStack<u64>>>(
         400, 8, |h| (h.garbage_count(), 2 * HPP_T + 64));
+
+    // Michael–Scott queue.
+    queue_ebr_fifo: fifo::<guarded::MSQueue<u64, Ebr>>();
+    queue_pebr_fifo: fifo::<guarded::MSQueue<u64, Pebr>>();
+    queue_hp_fifo: fifo::<dshp::MSQueue<u64>>();
+    queue_ebr_no_loss_no_duplication: no_loss_no_duplication::<guarded::MSQueue<u64, Ebr>>();
+    queue_pebr_no_loss_no_duplication: no_loss_no_duplication::<guarded::MSQueue<u64, Pebr>>();
+    queue_hp_no_loss_no_duplication: no_loss_no_duplication::<dshp::MSQueue<u64>>();
 }

@@ -4,21 +4,16 @@
 //! Every update **path-copies**: it builds a new version of the root-to-key
 //! path (rebalancing with Adams-style rotations), shares every untouched
 //! subtree, and publishes the new root with a single CAS. The scheme
-//! flavors differ only in how dereferences are protected and how replaced
+//! families differ only in how dereferences are protected and how replaced
 //! nodes are retired, so the version-building machinery lives here once,
-//! parameterized by a [`Protector`]:
-//!
-//! * guarded schemes (NR/EBR/PEBR): protection is vacuous;
-//! * HP: announce + re-validate that the root has not changed (any change
-//!   may have retired path nodes — the paper's "validate wrt the root");
-//! * HP++: announce + check the *source* node is not invalidated
-//!   (published Bonsai links are immutable, so no link re-read is needed).
+//! parameterized by a [`Protector`] (`bonsai.rs` has the three).
 //!
 //! The [`Builder`] records two sets during a build: `fresh` (nodes
 //! allocated for the new version — freed wholesale if the root CAS loses)
 //! and `replaced` (old nodes whose contents were copied — garbage once the
 //! CAS wins).
 
+use std::marker::PhantomData;
 use std::sync::atomic::Ordering::Relaxed;
 
 use smr_common::{Atomic, Shared};
@@ -74,42 +69,64 @@ pub unsafe fn free_tree<K, V>(t: Shared<Node<K, V>>) {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Restart;
 
-/// Per-dereference protection hook.
+/// One reclamation family's way of running a Bonsai operation: what the
+/// per-family copies of the tree differed in.
 pub trait Protector<K, V> {
+    /// Per-thread state, the tree's `Handle`.
+    type Handle: Send;
+    /// An operation in progress on the tree whose root link it borrows.
+    type Op<'a>
+    where
+        K: 'a,
+        V: 'a;
+
+    /// Registers the calling thread.
+    fn handle() -> Self::Handle;
+
+    /// Starts an operation on the tree rooted at `root`.
+    fn enter<'a>(handle: &'a mut Self::Handle, root: &'a Atomic<Node<K, V>>) -> Self::Op<'a>;
+
+    /// Takes the root snapshot an attempt works on: the current root,
+    /// protected. Whatever earlier attempts protected is let go.
+    fn snapshot(op: &mut Self::Op<'_>) -> Shared<Node<K, V>>;
+
     /// Makes `node` safe to dereference. `src` is the (already protected)
-    /// node whose field `node` was read from, or null when `node` was read
-    /// from the root pointer. `Err(Restart)` aborts the operation.
-    fn protect(&mut self, node: Shared<Node<K, V>>, src: Shared<Node<K, V>>)
-        -> Result<(), Restart>;
-}
+    /// node whose field `node` was read from. `false` aborts the attempt.
+    fn protect(op: &mut Self::Op<'_>, node: Shared<Node<K, V>>, src: Shared<Node<K, V>>) -> bool;
 
-/// The guarded-scheme protector: critical sections protect everything.
-#[cfg_attr(not(test), allow(dead_code))]
-pub struct NoProtect;
+    /// Publishes a version built from the snapshot `root0`: swings the root
+    /// to `new_root` and, if that wins, hands `replaced` to the scheme.
+    ///
+    /// # Safety
+    /// `new_root` heads a version built from `root0` that shares every node
+    /// it did not copy, and `replaced` are exactly the copied ones.
+    unsafe fn publish(
+        op: &mut Self::Op<'_>,
+        root0: Shared<Node<K, V>>,
+        new_root: Shared<Node<K, V>>,
+        replaced: &[Shared<Node<K, V>>],
+    ) -> bool;
 
-impl<K, V> Protector<K, V> for NoProtect {
-    fn protect(
-        &mut self,
-        _node: Shared<Node<K, V>>,
-        _src: Shared<Node<K, V>>,
-    ) -> Result<(), Restart> {
-        Ok(())
-    }
+    /// Ends the operation: nothing it protected may be dereferenced
+    /// afterwards.
+    fn release(op: Self::Op<'_>);
 }
 
 /// Tracks allocations and replacements during one version build.
-pub struct Builder<K, V> {
+pub struct Builder<K, V, P> {
     /// Nodes allocated for the new version.
     pub fresh: Vec<Shared<Node<K, V>>>,
     /// Old nodes whose contents were copied into the new version.
     pub replaced: Vec<Shared<Node<K, V>>>,
+    _family: PhantomData<fn() -> P>,
 }
 
-impl<K, V> Default for Builder<K, V> {
+impl<K, V, P> Default for Builder<K, V, P> {
     fn default() -> Self {
         Self {
             fresh: Vec::new(),
             replaced: Vec::new(),
+            _family: PhantomData,
         }
     }
 }
@@ -120,7 +137,7 @@ type Removed<K, V> = Option<(Shared<Node<K, V>>, V)>;
 /// An edge extraction: the rebuilt subtree plus the extracted key/value.
 type Extracted<K, V> = (Shared<Node<K, V>>, K, V);
 
-impl<K: Clone + Ord, V: Clone> Builder<K, V> {
+impl<K: Clone + Ord, V: Clone, P: Protector<K, V>> Builder<K, V, P> {
     /// Creates an empty builder.
     pub fn new() -> Self {
         Self::default()
@@ -145,19 +162,18 @@ impl<K: Clone + Ord, V: Clone> Builder<K, V> {
     }
 
     /// Reads out a protected node's fields, protecting both children.
-    fn read_parts<P: Protector<K, V>>(
+    fn read_parts(
         &mut self,
-        p: &mut P,
+        p: &mut P::Op<'_>,
         t: Shared<Node<K, V>>,
     ) -> Result<Parts<K, V>, Restart> {
         let node = unsafe { t.deref() };
         let l = node.left.load(Relaxed).with_tag(0);
         let r = node.right.load(Relaxed).with_tag(0);
-        if !l.is_null() {
-            p.protect(l, t)?;
-        }
-        if !r.is_null() {
-            p.protect(r, t)?;
+        for child in [l, r] {
+            if !child.is_null() && !P::protect(p, child, t) {
+                return Err(Restart);
+            }
         }
         Ok((l, node.key.clone(), node.value.clone(), r))
     }
@@ -165,9 +181,9 @@ impl<K: Clone + Ord, V: Clone> Builder<K, V> {
     /// Takes a node apart for restructuring. A *fresh* node is simply
     /// deallocated (it was never published); an *old* node is recorded as
     /// replaced.
-    fn destructure<P: Protector<K, V>>(
+    fn destructure(
         &mut self,
-        p: &mut P,
+        p: &mut P::Op<'_>,
         t: Shared<Node<K, V>>,
     ) -> Result<Parts<K, V>, Restart> {
         let parts = self.read_parts(p, t)?;
@@ -181,9 +197,9 @@ impl<K: Clone + Ord, V: Clone> Builder<K, V> {
     }
 
     /// Records `t` as copied-and-replaced and returns its fields.
-    fn replace<P: Protector<K, V>>(
+    fn replace(
         &mut self,
-        p: &mut P,
+        p: &mut P::Op<'_>,
         t: Shared<Node<K, V>>,
     ) -> Result<Parts<K, V>, Restart> {
         let parts = self.read_parts(p, t)?;
@@ -193,9 +209,9 @@ impl<K: Clone + Ord, V: Clone> Builder<K, V> {
 
     /// Adams' join: rebuilds a node from parts, rotating if one side became
     /// too heavy. `l`/`r` are protected (fresh or shared-old) subtrees.
-    fn balance<P: Protector<K, V>>(
+    fn balance(
         &mut self,
-        p: &mut P,
+        p: &mut P::Op<'_>,
         l: Shared<Node<K, V>>,
         key: K,
         value: V,
@@ -236,9 +252,9 @@ impl<K: Clone + Ord, V: Clone> Builder<K, V> {
 
     /// Builds the insert version. `Ok(None)` if the key already exists.
     /// `t` must be protected by the caller.
-    pub fn insert<P: Protector<K, V>>(
+    pub fn insert(
         &mut self,
-        p: &mut P,
+        p: &mut P::Op<'_>,
         t: Shared<Node<K, V>>,
         key: &K,
         value: &V,
@@ -273,9 +289,9 @@ impl<K: Clone + Ord, V: Clone> Builder<K, V> {
 
     /// Builds the remove version. `Ok(None)` if the key is absent.
     /// `t` must be protected by the caller.
-    pub fn remove<P: Protector<K, V>>(
+    pub fn remove(
         &mut self,
-        p: &mut P,
+        p: &mut P::Op<'_>,
         t: Shared<Node<K, V>>,
         key: &K,
     ) -> Result<Removed<K, V>, Restart> {
@@ -312,9 +328,9 @@ impl<K: Clone + Ord, V: Clone> Builder<K, V> {
     }
 
     /// Joins two sibling subtrees after their parent's removal.
-    fn glue<P: Protector<K, V>>(
+    fn glue(
         &mut self,
-        p: &mut P,
+        p: &mut P::Op<'_>,
         l: Shared<Node<K, V>>,
         r: Shared<Node<K, V>>,
     ) -> Result<Shared<Node<K, V>>, Restart> {
@@ -333,9 +349,9 @@ impl<K: Clone + Ord, V: Clone> Builder<K, V> {
         }
     }
 
-    fn extract_min<P: Protector<K, V>>(
+    fn extract_min(
         &mut self,
-        p: &mut P,
+        p: &mut P::Op<'_>,
         t: Shared<Node<K, V>>,
     ) -> Result<Extracted<K, V>, Restart> {
         let (l, k, v, r) = self.destructure(p, t)?;
@@ -347,9 +363,9 @@ impl<K: Clone + Ord, V: Clone> Builder<K, V> {
         }
     }
 
-    fn extract_max<P: Protector<K, V>>(
+    fn extract_max(
         &mut self,
-        p: &mut P,
+        p: &mut P::Op<'_>,
         t: Shared<Node<K, V>>,
     ) -> Result<Extracted<K, V>, Restart> {
         let (l, k, v, r) = self.destructure(p, t)?;
@@ -373,6 +389,48 @@ impl<K: Clone + Ord, V: Clone> Builder<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A family over trees the test owns: protects nothing, and fails the
+    /// protection after the count in its handle runs out.
+    struct FailAfter;
+
+    impl Protector<u64, u64> for FailAfter {
+        type Handle = usize;
+        type Op<'a> = &'a mut usize;
+
+        fn handle() -> usize {
+            usize::MAX
+        }
+
+        fn enter<'a>(left: &'a mut usize, _root: &'a Atomic<Node<u64, u64>>) -> &'a mut usize {
+            left
+        }
+
+        fn snapshot(_: &mut &mut usize) -> Shared<Node<u64, u64>> {
+            unreachable!("builds start from roots the test owns")
+        }
+
+        fn protect(
+            left: &mut &mut usize,
+            _node: Shared<Node<u64, u64>>,
+            _src: Shared<Node<u64, u64>>,
+        ) -> bool {
+            left.checked_sub(1).map(|rest| **left = rest).is_some()
+        }
+
+        unsafe fn publish(
+            _: &mut &mut usize,
+            _root0: Shared<Node<u64, u64>>,
+            _new_root: Shared<Node<u64, u64>>,
+            _replaced: &[Shared<Node<u64, u64>>],
+        ) -> bool {
+            unreachable!("nothing is published")
+        }
+
+        fn release(_: &mut usize) {}
+    }
+
+    type Builder = super::Builder<u64, u64, FailAfter>;
 
     fn check_invariants<K: Ord, V>(t: Shared<Node<K, V>>, lo: Option<&K>, hi: Option<&K>) -> usize {
         if t.is_null() {
@@ -406,7 +464,7 @@ mod tests {
             let key = (i * 167) % 256;
             let mut b = Builder::new();
             let new_root = b
-                .insert(&mut NoProtect, root, &key, &(key * 10))
+                .insert(&mut &mut FailAfter::handle(), root, &key, &(key * 10))
                 .unwrap()
                 .expect("fresh key");
             garbage.extend(b.replaced);
@@ -417,7 +475,10 @@ mod tests {
 
         for key in (1..256u64).step_by(2) {
             let mut b = Builder::new();
-            let (new_root, v) = b.remove(&mut NoProtect, root, &key).unwrap().expect("present");
+            let (new_root, v) = b
+                .remove(&mut &mut FailAfter::handle(), root, &key)
+                .unwrap()
+                .expect("present");
             assert_eq!(v, key * 10);
             garbage.extend(b.replaced);
             root = new_root;
@@ -426,7 +487,10 @@ mod tests {
         assert_eq!(size_of(root), 128);
 
         let mut b = Builder::new();
-        assert!(b.remove(&mut NoProtect, root, &1).unwrap().is_none());
+        assert!(b
+            .remove(&mut &mut FailAfter::handle(), root, &1)
+            .unwrap()
+            .is_none());
         b.abort();
 
         for g in garbage {
@@ -439,39 +503,30 @@ mod tests {
     fn duplicate_insert_builds_nothing_permanent() {
         let mut b = Builder::new();
         let root = b
-            .insert(&mut NoProtect, Shared::null(), &5u64, &50u64)
+            .insert(&mut &mut FailAfter::handle(), Shared::null(), &5u64, &50u64)
             .unwrap()
             .unwrap();
         assert_eq!(b.fresh.len(), 1);
 
-        let mut b2 = Builder::<u64, u64>::new();
-        assert!(b2.insert(&mut NoProtect, root, &5, &50).unwrap().is_none());
+        let mut b2 = Builder::new();
+        assert!(b2
+            .insert(&mut &mut FailAfter::handle(), root, &5, &50)
+            .unwrap()
+            .is_none());
         b2.abort();
         unsafe { root.drop_owned() };
     }
 
     #[test]
     fn restarting_protector_aborts_cleanly() {
-        struct FailAfter(usize);
-        impl Protector<u64, u64> for FailAfter {
-            fn protect(
-                &mut self,
-                _n: Shared<Node<u64, u64>>,
-                _s: Shared<Node<u64, u64>>,
-            ) -> Result<(), Restart> {
-                if self.0 == 0 {
-                    return Err(Restart);
-                }
-                self.0 -= 1;
-                Ok(())
-            }
-        }
-
         // Build a small tree first.
         let mut root: Shared<Node<u64, u64>> = Shared::null();
         for key in 0..32u64 {
             let mut b = Builder::new();
-            root = b.insert(&mut NoProtect, root, &key, &key).unwrap().unwrap();
+            root = b
+                .insert(&mut &mut FailAfter::handle(), root, &key, &key)
+                .unwrap()
+                .unwrap();
             for g in b.replaced {
                 unsafe { g.drop_owned() };
             }
@@ -480,7 +535,7 @@ mod tests {
         // all fresh nodes (no leak, no double free — exercised under the
         // test allocator by simply running).
         let mut b = Builder::new();
-        let res = b.insert(&mut FailAfter(3), root, &100, &100);
+        let res = b.insert(&mut &mut 3, root, &100, &100);
         assert_eq!(res, Err(Restart));
         b.abort();
         unsafe { free_tree(root) };

@@ -3,23 +3,15 @@
 //! These use the *careful* traversal of §2.2: each step announces a hazard
 //! pointer and validates it by re-reading the source link — a protection
 //! that fails whenever the source node is marked or changed, which is a
-//! sound over-approximation of "the target may be retired". The list, the
-//! skiplist and the stack are the crate's one implementation of each under
-//! `Careful`. Structures that need optimistic
-//! traversal (HHSList, NMTree) have **no** alias here: `Careful` is not
-//! `Optimistic`, and that inapplicability is
-//! the paper's starting point.
-
-mod bonsai;
-pub(crate) mod efrb_tree;
-mod queue;
+//! sound over-approximation of "the target may be retired". Every structure
+//! is the crate's one implementation of it under `Careful` (the Bonsai
+//! tree: under `RootCheck`). Structures that need optimistic traversal
+//! (HHSList, NMTree) have **no** alias here: `Careful` is not `Optimistic`,
+//! and that inapplicability is the paper's starting point.
 
 use crate::list::{List, Michael};
 use crate::protect::{Careful, HpHandle};
-use crate::{skip_list, stack};
-
-pub use bonsai::{BonsaiTree, Handle as BonsaiHandle};
-pub use queue::{MSQueue, QueueHandle};
+use crate::{bonsai, efrb_tree, queue, skip_list, stack};
 
 /// Harris–Michael list protected by the original HP (paper Fig. 3).
 pub type HMList<K, V> = List<K, V, Careful<::hp::Thread, 2>, Michael>;
@@ -45,5 +37,22 @@ pub type TreiberStack<T> = stack::TreiberStack<T, Careful<::hp::Thread, 1>>;
 pub type StackHandle = HpHandle<::hp::Thread, 1>;
 
 /// Ellen et al. tree protected by the original HP.
-pub type EFRBTree<K, V> = efrb_tree::EFRBTree<K, V, ::hp::Thread>;
-pub use efrb_tree::Handle as EFRBTreeHandle;
+pub type EFRBTree<K, V> = efrb_tree::EFRBTree<K, V, Careful<::hp::Thread, { efrb_tree::SLOTS }>>;
+/// Per-thread state of an Ellen et al. tree over scheme thread `T`: the
+/// search window (gp, p, l), the descriptors of gp and p, the operation's
+/// own descriptor and a helper's node.
+pub type EFRBTreeHandle<T> = HpHandle<T, { efrb_tree::SLOTS }>;
+
+/// Bonsai tree protected by the original HP, every node validated against
+/// the root.
+pub type BonsaiTree<K, V> = bonsai::BonsaiTree<K, V, bonsai::RootCheck>;
+/// Per-thread state of [`BonsaiTree`]: HP registration and a growable pool
+/// of hazard slots.
+pub type BonsaiHandle = bonsai::Slots<::hp::Thread>;
+
+/// Michael–Scott queue reclaimed with the original HP (Michael 2004's
+/// running example).
+pub type MSQueue<T> = queue::MSQueue<T, Careful<::hp::Thread, { queue::SLOTS }>>;
+/// Per-thread state of [`MSQueue`]: two hazard pointers (head or tail,
+/// next).
+pub type QueueHandle = HpHandle<::hp::Thread, { queue::SLOTS }>;

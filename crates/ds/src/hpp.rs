@@ -6,15 +6,12 @@
 //! original HP cannot support. Physical deletion goes through
 //! `hp_plus::Thread::try_unlink`, which protects the unlink frontier and
 //! defers invalidation. The lists, the NM tree and the stack are the
-//! crate's one implementation of each under `Hpp`.
-
-mod bonsai;
+//! crate's one implementation of each under `Hpp`, the Bonsai tree under
+//! `SrcCheck`.
 
 use crate::list::{Harris, List, Michael};
 use crate::protect::{Careful, HpHandle, Hpp};
-use crate::{nm_tree, skip_list, stack};
-
-pub use bonsai::{BonsaiTree, Handle as BonsaiHandle};
+use crate::{bonsai, efrb_tree, nm_tree, skip_list, stack};
 
 /// Per-thread state for the HP++ lists: HP++ registration plus the four
 /// hazard pointers of Algorithm 4 (`hp_prev`, `hp_cur`, `hp_anchor`,
@@ -71,4 +68,11 @@ pub type SkipList<K, V> =
 /// Ellen et al. tree under HP++ in *hybrid* mode (§4.2): EFRB needs no
 /// optimistic traversal (HP already supports it), so HP++ adds nothing but
 /// its domain — the paper measures HP++ at 80-90% of HP here.
-pub type EFRBTree<K, V> = crate::hp::efrb_tree::EFRBTree<K, V, hp_plus::Thread>;
+pub type EFRBTree<K, V> = efrb_tree::EFRBTree<K, V, Careful<hp_plus::Thread, { efrb_tree::SLOTS }>>;
+
+/// Bonsai tree protected by HP++: a node is validated against the node it
+/// was read from, and the root CAS is a `try_unlink` of the replaced path.
+pub type BonsaiTree<K, V> = bonsai::BonsaiTree<K, V, bonsai::SrcCheck>;
+/// Per-thread state of [`BonsaiTree`]: HP++ registration and a growable
+/// pool of hazard slots.
+pub type BonsaiHandle = bonsai::Slots<hp_plus::Thread>;

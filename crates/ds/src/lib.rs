@@ -1,11 +1,11 @@
 //! The benchmark data-structure suite (paper §5).
 //!
-//! Every structure implements [`smr_common::ConcurrentMap`]. The lists, the
-//! skiplist, the NM tree and the Treiber stack are each written **once**,
-//! as generic code over a crate-private protection step (`protect.rs`: how
-//! a traversal step is made safe, how a detaching CAS hands its nodes
-//! over); the three families below are that step's three implementations,
-//! exported as type aliases:
+//! Every structure implements [`smr_common::ConcurrentMap`] and is written
+//! **once**, as generic code over a crate-private protection step
+//! (`protect.rs`: how a traversal step is made safe, how a detaching CAS
+//! hands its nodes over; the Bonsai tree: `bonsai_core.rs`); the three
+//! families below are that step's three implementations, exported as type
+//! aliases:
 //!
 //! * [`guarded`] — any [`smr_common::GuardedScheme`]: NR, EBR, PEBR,
 //!   Hyaline (ejection checks are injected through the guard's
@@ -32,9 +32,7 @@
 //! The missing cells are the paper's inapplicability results: HP cannot
 //! protect optimistic traversal (HHSList, NMTree — §2.3; in the code, the
 //! careful protection step does not implement the `Optimistic` marker those
-//! traversals require), and the paper omits the RC trees as well. The
-//! EFRB tree, the Bonsai tree and the MS queue keep one file per family;
-//! DESIGN.md §1.3 records why.
+//! traversals require), and the paper omits the RC trees as well.
 //!
 //! The stacks and queues are *bags*, not maps; [`bag::BagMap`] adapts them
 //! to the [`ConcurrentMap`] interface so the bench runner can drive them.
@@ -42,7 +40,6 @@
 #![warn(missing_docs)]
 
 pub mod bag;
-pub(crate) mod bonsai_core;
 pub mod cdrc;
 pub mod guarded;
 pub mod hash_map;
@@ -51,9 +48,13 @@ pub mod hp_family;
 pub mod hpp;
 // The single implementations behind the family aliases. Their types are
 // public so the aliases can name them, but only the aliases are exported.
+mod bonsai;
+mod bonsai_core;
+mod efrb_tree;
 mod list;
 mod nm_tree;
 mod protect;
+mod queue;
 mod skip_list;
 mod stack;
 
@@ -65,6 +66,7 @@ pub use smr_common::{ConcurrentMap, GuardedScheme, SchemeGuard};
 pub const FAULT_POINTS: &[&str] = &[
     "ds::guarded::traverse::validate",
     "ds::skiplist::insert::before_level_link",
+    "ds::efrb::help_insert::before_child_cas",
 ];
 
 #[cfg(test)]

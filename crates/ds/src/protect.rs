@@ -4,9 +4,10 @@
 //! and friends stay *the same algorithm* under every scheme: only how a
 //! traversal step is made safe ([`Protect::protect`]) and how a detaching
 //! CAS hands its nodes over ([`Protect::unlink`]) change. Every structure in
-//! `list.rs`, `skip_list.rs`, `nm_tree.rs` and `stack.rs` is written once
-//! against [`Protect`]; this file holds its three implementations, so the
-//! HP-vs-HP++ difference of any structure can be read here alone:
+//! `list.rs`, `skip_list.rs`, `nm_tree.rs`, `stack.rs`, `efrb_tree.rs` and
+//! `queue.rs` is written once against [`Protect`]; this file holds its three
+//! implementations, so the HP-vs-HP++ difference of any structure can be
+//! read here alone:
 //!
 //! | hook | [`Guarded<S>`] (NR, EBR, PEBR, Hyaline) | [`Careful<T, H, LINGER>`] (HP; HP++ hybrid §4.2) | [`Hpp<H>`] (HP++ §3) |
 //! |---|---|---|---|
@@ -16,12 +17,13 @@
 //! | `unlink` | CAS, `defer_destroy` each node | CAS, `retire` each node | `try_unlink`: protect the frontier, CAS, defer invalidation |
 //! | [`Optimistic`] | ✓ | ✗ (paper Table 2) | ✓ |
 //! | [`Retire`] | ✓ | ✓ | ✗ (needs the detaching CAS) |
+//! | [`Retire::protect_by`] | `validate()`, else `refresh()` and restart | announce, light fence, ask the *witness* | ✗ |
 
 use std::marker::PhantomData;
 use std::sync::atomic::Ordering::{AcqRel, Acquire};
 
 use hp_plus::{HazardPointer, Unlinked};
-use smr_common::{Atomic, GuardedScheme, SchemeGuard, Shared};
+use smr_common::{fence, Atomic, GuardedScheme, SchemeGuard, Shared};
 
 use crate::hp_family::HpFamily;
 
@@ -126,9 +128,10 @@ pub trait Protect: 'static {
 pub trait Optimistic: Protect {}
 
 /// Families that accept a node its remover detached with several plain
-/// CASes (the skip list's tower). [`Hpp`] does not: HP++ must see the
-/// detaching CAS to protect the frontier, so the skip list runs under HP++
-/// only as `Careful<hp_plus::Thread, _>` — the §4.2 hybrid.
+/// CASes (the skip list's tower) or away from the link a reader found it by
+/// (an EFRB leaf, a queue's `next`). [`Hpp`] does not: HP++ must see the
+/// detaching CAS to protect the frontier, so such a structure runs under
+/// HP++ only as `Careful<hp_plus::Thread, _>` — the §4.2 hybrid.
 pub trait Retire: Protect {
     /// Hands a fully detached node to the scheme.
     ///
@@ -136,6 +139,18 @@ pub trait Retire: Protect {
     /// `node` is a `Box` allocation, unreachable from the structure, and
     /// retired once.
     unsafe fn retire<N>(op: &mut Self::Op<'_>, node: Shared<N>);
+
+    /// Makes `ptr` safe to dereference under `slot` when the word that
+    /// vouches for it is not the link it was read from: `witness` re-reads
+    /// that word (tags included) and says whether `ptr` was still unretired
+    /// — the queue's `next` by `head`, an EFRB descriptor by the `update`
+    /// word it came from. `false` means restart; null empties the slot.
+    fn protect_by<N>(
+        op: &mut Self::Op<'_>,
+        slot: usize,
+        ptr: Shared<N>,
+        witness: impl FnOnce() -> bool,
+    ) -> bool;
 }
 
 /// Critical-section protection: any [`GuardedScheme`].
@@ -210,6 +225,22 @@ impl<S: GuardedScheme> Retire for Guarded<S> {
     unsafe fn retire<N>(op: &mut S::Guard<'_>, node: Shared<N>) {
         // SAFETY: the caller's contract is `defer_destroy`'s.
         unsafe { op.defer_destroy(node) };
+    }
+
+    #[inline]
+    fn protect_by<N>(
+        op: &mut S::Guard<'_>,
+        _slot: usize,
+        _ptr: Shared<N>,
+        _witness: impl FnOnce() -> bool,
+    ) -> bool {
+        // The critical section vouches for everything read inside it.
+        smr_common::fault_point!("ds::guarded::traverse::validate");
+        if op.validate() {
+            return true;
+        }
+        op.refresh();
+        false
     }
 }
 
@@ -360,6 +391,16 @@ impl<T: HpFamily, const H: usize, const LINGER: bool> Retire for Careful<T, H, L
     unsafe fn retire<N>(op: &mut &mut HpHandle<T, H>, node: Shared<N>) {
         // SAFETY: the caller's contract is `HpFamily::retire`'s.
         unsafe { op.thread.retire(node.as_raw()) };
+    }
+
+    #[inline]
+    fn protect_by<N>(
+        op: &mut &mut HpHandle<T, H>,
+        slot: usize,
+        ptr: Shared<N>,
+        witness: impl FnOnce() -> bool,
+    ) -> bool {
+        fence::announce_then_validate(|| op.slots[slot].protect_raw(ptr.as_raw()), witness)
     }
 }
 

@@ -1174,7 +1174,8 @@ fn all_fault_points_are_reachable_body() {
     }
     // ds: any guarded traversal crosses the validate window; a skiplist
     // insert with a tower of two or more levels (all 64 being one level
-    // high has probability 2^-64) crosses the upper-level link window.
+    // high has probability 2^-64) crosses the upper-level link window; an
+    // EFRB insert crosses the one before its child CAS.
     {
         let m: ds::guarded::SkipList<u64, u64, ebr::Ebr> = ConcurrentMap::new();
         let mut h = m.handle();
@@ -1182,6 +1183,8 @@ fn all_fault_points_are_reachable_body() {
             m.insert(&mut h, k, k);
         }
         assert!(m.get(&mut h, &1).is_some());
+        let m: ds::guarded::EFRBTree<u64, u64, ebr::Ebr> = ConcurrentMap::new();
+        assert!(m.insert(&mut m.handle(), 1, 1));
     }
     // smr-common: escalate a tiny-config backoff into its park phase.
     {
