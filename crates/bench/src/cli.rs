@@ -10,13 +10,13 @@ use std::time::Duration;
 
 use crate::config::{Ds, Scenario, Scheme, Workload};
 use crate::figures::{self, APPENDIX, FIG10, FIG8};
-use crate::{kv_run, plot, table1, verdict};
+use crate::{plot, table1, verdict};
 
 /// Printed to stderr with every rejected command line.
 pub const USAGE: &str = "\
-usage: smr_bench <run|fig8|fig9|fig10|appendix|table1|table2|ablation|kv|verdict|plot> [flags]
+usage: smr_bench <run|fig8|fig9|fig10|appendix|table1|table2|ablation|verdict|plot> [flags]
   fig8 fig9 fig10 appendix  [--quick|--paper] [--zipf <theta>]
-  table1 ablation kv        [--quick]
+  table1 ablation           [--quick]
   table2 verdict
   run   --ds <ds> --scheme <scheme> --threads <n> --key-range <n> --workload <wo|rw|rm>
         --duration-ms <ms> [--zipf <theta>] [--warmup-ms <ms>] [--long-running]
@@ -76,7 +76,6 @@ const SUBCOMMANDS: &[Sub] = &[
     sub("table1", QUICK, |f| Ok(table1::run(f.has("--quick")))),
     sub("table2", &[], |_| Ok(table2())),
     sub("ablation", QUICK, |f| scaled(f, figures::ablation)),
-    sub("kv", QUICK, |f| Ok(kv_run::sweep(f.has("--quick")))),
     sub("verdict", &[], |_| Ok(verdict::run())),
     Sub {
         positionals: 1,

@@ -4,7 +4,7 @@
 //! as its `peak_garbage` column), `fig10` and `appendix` (Figs. 12–23) are
 //! rows of the `figures` table; `fig9` and `ablation` (the design-choice
 //! experiments called out in DESIGN.md) print their own row shapes;
-//! `table1`, `table2`, `kv`, `verdict` and `plot` complete the evaluation.
+//! `table1`, `table2`, `verdict` and `plot` complete the evaluation.
 //! `run` executes a single scenario — every sweep spawns `smr_bench run …`
 //! per scenario (`orchestrate`), so each one gets a clean global garbage
 //! counter and address space.
@@ -21,7 +21,6 @@
 pub mod cli;
 pub mod config;
 mod figures;
-pub mod kv_run;
 pub mod metrics;
 mod orchestrate;
 mod plot;

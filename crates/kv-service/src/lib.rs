@@ -24,10 +24,8 @@
 //!   round-trip — amortizes across the batch.
 //! * **Stores** — [`store::ShardStore`] plugs schemes through the existing
 //!   `GuardedScheme`/`ConcurrentMap` plumbing: HP++ by default
-//!   ([`store::HppStore`]), per-shard EBR ([`store::EbrStore`]),
-//!   shared-collector EBR ([`store::EbrSharedStore`], deliberately
-//!   *without* isolation, as the A/B baseline) and leaking NR
-//!   ([`store::NrStore`]).
+//!   ([`store::HppStore`]), per-shard EBR ([`store::EbrStore`]) and
+//!   leaking NR ([`store::NrStore`]).
 //!
 //! Crash story: a worker that panics closes and drains its ring on the way
 //! out (every queued command resolves to a typed error), donates its
@@ -52,7 +50,7 @@ pub mod store;
 pub use ring::{Command, PushError};
 pub use service::{Client, HealthSnapshot, KvService, ShardHealth};
 pub use shard::ShardStatsSnapshot;
-pub use store::{EbrSharedStore, EbrStore, HppStore, HyalineStore, NrStore, ShardStore};
+pub use store::{EbrStore, HppStore, HyalineStore, NrStore, ShardStore};
 pub use supervisor::QuarantineRecord;
 
 /// Fault points owned by this crate (see `smr_common::fault`).
@@ -119,7 +117,8 @@ impl std::fmt::Display for KvError {
 impl std::error::Error for KvError {}
 
 /// Service configuration. Defaults come from the host shape; every field
-/// has an env override so deployments tune without recompiling.
+/// but `supervise` has an env override so deployments tune without
+/// recompiling.
 #[derive(Debug, Clone)]
 pub struct KvConfig {
     /// Number of shards (workers). Default: available cores, `KV_SHARDS`.
@@ -133,8 +132,8 @@ pub struct KvConfig {
     /// `KV_BUCKETS`.
     pub buckets: usize,
     /// Whether the supervisor respawns dead workers (quarantining their
-    /// domain) instead of leaving the shard permanently down. Default true,
-    /// `KV_SUPERVISE` (`0`/`false` disables).
+    /// domain) instead of leaving the shard permanently down. Default true;
+    /// [`with_supervision`](Self::with_supervision) turns it off.
     pub supervise: bool,
     /// Per-operation client deadline: the worst case one `get`/`insert`/
     /// `remove` call may block across pushes, waits and retries before
@@ -162,15 +161,15 @@ impl KvConfig {
         }
     }
 
-    /// Defaults with `KV_SHARDS` / `KV_BATCH` / `KV_RING` / `KV_BUCKETS`
-    /// applied. Unparseable or zero values fall back to the default.
+    /// Defaults with `KV_SHARDS` / `KV_BATCH` / `KV_RING` / `KV_BUCKETS` /
+    /// `KV_OP_TIMEOUT_MS` / `KV_OP_RETRIES` applied. Unparseable values,
+    /// and zero for all but `KV_OP_RETRIES`, fall back to the default.
     pub fn from_env() -> Self {
         let mut cfg = Self::new();
         cfg.shards = env_usize("KV_SHARDS").unwrap_or(cfg.shards);
         cfg.batch = env_usize("KV_BATCH").unwrap_or(cfg.batch);
         cfg.ring_depth = env_usize("KV_RING").unwrap_or(cfg.ring_depth);
         cfg.buckets = env_usize("KV_BUCKETS").unwrap_or(cfg.buckets);
-        cfg.supervise = smr_common::env::parse_bool("KV_SUPERVISE").unwrap_or(cfg.supervise);
         cfg.op_timeout = smr_common::env::parse_u64("KV_OP_TIMEOUT_MS")
             .filter(|&ms| ms > 0)
             .map(std::time::Duration::from_millis)

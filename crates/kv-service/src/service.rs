@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use smr_common::policy::Verdict;
+use smr_common::watchdog::WatchdogStatus;
 use smr_common::Backoff;
 
 use crate::ring::{Command, Deadline, PushError, ResponseSlot, WaitError};
@@ -32,10 +32,9 @@ pub struct ShardHealth {
     pub generation: Generation,
     /// Whether the current incarnation's worker is running.
     pub worker_alive: bool,
-    /// The worker's latest [`GarbageWatchdog`](smr_common::watchdog)
-    /// verdict for the current incarnation ([`Verdict::Unknown`] until the
-    /// first sample).
-    pub verdict: Verdict,
+    /// The supervisor's latest [`GarbageWatchdog`](smr_common::watchdog)
+    /// status for the current incarnation (`None` until its first sample).
+    pub verdict: Option<WatchdogStatus>,
     /// Supervised respawns so far.
     pub respawns: u64,
     /// Reclamation domains quarantined (leaked) by those respawns.
@@ -67,7 +66,7 @@ impl HealthSnapshot {
     pub fn all_serving(&self) -> bool {
         self.shards
             .iter()
-            .all(|s| s.worker_alive && !s.verdict.is_pressure())
+            .all(|s| s.worker_alive && matches!(s.verdict, None | Some(WatchdogStatus::Healthy)))
     }
 }
 
@@ -222,17 +221,14 @@ impl<S: ShardStore> KvService<S> {
                 .slots
                 .iter()
                 .enumerate()
-                .map(|(i, slot)| {
-                    let current = slot.current();
-                    ShardHealth {
-                        shard: i,
-                        generation: Generation(slot.generation()),
-                        worker_alive: !current.ring.is_worker_gone(),
-                        verdict: current.verdict(),
-                        respawns: slot.respawns(),
-                        quarantined_domains: slot.records().len() as u64,
-                        quarantined_garbage: slot.quarantined_garbage(),
-                    }
+                .map(|(i, slot)| ShardHealth {
+                    shard: i,
+                    generation: Generation(slot.generation()),
+                    worker_alive: !slot.current().ring.is_worker_gone(),
+                    verdict: slot.verdict(),
+                    respawns: slot.respawns(),
+                    quarantined_domains: slot.records().len() as u64,
+                    quarantined_garbage: slot.quarantined_garbage(),
                 })
                 .collect(),
         }
@@ -622,6 +618,7 @@ impl<S: ShardStore> Client<S> {
 mod tests {
     use super::*;
     use crate::store::{EbrStore, NrStore};
+    use std::time::Instant;
 
     fn test_cfg() -> KvConfig {
         KvConfig {
@@ -783,6 +780,37 @@ mod tests {
             "drain gave the buffer away"
         );
         assert!(client.cached.iter().all(|c| c.window_at == NOT_IN_WINDOW));
+        svc.shutdown();
+    }
+
+    #[test]
+    fn a_shard_serving_reads_over_leftover_garbage_or_idling_reads_healthy() {
+        let svc = KvService::<HppStore>::start(KvConfig {
+            shards: 1,
+            ..test_cfg()
+        });
+        let mut client = svc.client();
+        // 100 unlinks stay below HP++'s 128-unlink reclaim cadence: garbage
+        // that no `get` will ever free.
+        for k in 0..100u64 {
+            client.insert(k, k).unwrap();
+            client.remove(k).unwrap();
+        }
+        assert!(svc.shard_stats(0).garbage > 0, "no leftover garbage");
+        let verdict = || svc.health().shards[0].verdict;
+        while verdict().is_none() {
+            std::thread::yield_now();
+        }
+        let start = Instant::now();
+        while start.elapsed() < Duration::from_millis(400) {
+            assert_eq!(client.get(7), Ok(None));
+            assert_eq!(verdict(), Some(WatchdogStatus::Healthy), "serving");
+        }
+        let start = Instant::now();
+        while start.elapsed() < Duration::from_millis(300) {
+            std::thread::sleep(Duration::from_millis(1));
+            assert_eq!(verdict(), Some(WatchdogStatus::Healthy), "idle");
+        }
         svc.shutdown();
     }
 

@@ -23,28 +23,13 @@
 //! handle's own panic-safe teardown (donate orphans, release slots), which
 //! `KvService::shutdown` drains back via `ShardStore::drain_orphans`.
 
+use std::sync::atomic::AtomicU64;
 use std::sync::atomic::Ordering::Relaxed;
-use std::sync::atomic::{AtomicU64, AtomicU8};
 use std::sync::Arc;
-use std::time::Duration;
-
-use smr_common::policy::Verdict;
-use smr_common::watchdog::GarbageWatchdog;
 
 use crate::ring::{Command, Entry, ReplyGuard, Ring};
 use crate::store::ShardStore;
 use crate::supervisor::SupervisorCtl;
-
-/// How long the per-shard watchdog lets the garbage level sit still before
-/// calling the shard's collector stalled.
-const WATCHDOG_STALL_WINDOW: Duration = Duration::from_millis(50);
-/// Watchdog garbage ceiling for stores without a derived bound (EBR).
-const WATCHDOG_DEFAULT_BOUND: usize = 4096;
-/// Batches between watchdog samples. Sampling is clock + verdict-store
-/// traffic on the drain loop; at per-batch cadence it cost ~40% of
-/// single-shard throughput on a 1-core host, and anything far below the
-/// 50 ms stall window detects a stall just as fast.
-const WATCHDOG_SAMPLE_BATCHES: u32 = 32;
 
 /// Point-in-time view of one shard's counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -104,9 +89,6 @@ pub(crate) struct Shard<S> {
     /// which a push wakes it unasked.
     batch: usize,
     stats: ShardStats,
-    /// Latest watchdog verdict ([`Verdict::encode`]), written by the
-    /// worker's sampling, read by [`KvService::health`](crate::KvService).
-    verdict: AtomicU8,
 }
 
 impl<S: ShardStore> Shard<S> {
@@ -117,7 +99,6 @@ impl<S: ShardStore> Shard<S> {
             store,
             batch,
             stats: ShardStats::default(),
-            verdict: AtomicU8::new(Verdict::Unknown.encode()),
         }
     }
 
@@ -139,11 +120,6 @@ impl<S: ShardStore> Shard<S> {
             idle_spin_expired: s.idle_spin_expired.load(Relaxed),
             reply_backstops: self.ring.reply_backstops(),
         }
-    }
-
-    /// The worker's latest watchdog verdict for this shard incarnation.
-    pub(crate) fn verdict(&self) -> Verdict {
-        Verdict::decode(self.verdict.load(Relaxed))
     }
 }
 
@@ -186,20 +162,6 @@ pub(crate) fn run_worker<S: ShardStore>(shard: Arc<Shard<S>>, ctl: Option<Arc<Su
 
     let mut handle = shard.store.handle();
     let _guard = WorkerGuard(&shard.ring, ctl.as_deref());
-    // Per-shard watchdog, fed every `WATCHDOG_SAMPLE_BATCHES` batches. The
-    // progress token advances whenever the shard's garbage level drops (or
-    // is zero) — with one worker per shard, local garbage shrinks iff this
-    // shard's collector reclaimed something. The verdict is published as
-    // the shard's health word (`HealthSnapshot`): observability only.
-    let bound = shard
-        .store
-        .garbage_bound()
-        .map(|b| b as usize)
-        .unwrap_or(WATCHDOG_DEFAULT_BOUND);
-    let mut watchdog = GarbageWatchdog::new(bound, WATCHDOG_STALL_WINDOW);
-    let mut progress_token = 0u64;
-    let mut prev_garbage = 0u64;
-    let mut batches_since_sample = 0u32;
     // Whether the last batch resolved a command for a blocked caller.
     let mut blocked_caller = false;
     // Idle-spin outcomes. A hit sits between a command's arrival and its
@@ -231,18 +193,7 @@ pub(crate) fn run_worker<S: ShardStore>(shard: Arc<Shard<S>>, ctl: Option<Arc<Su
             drained += 1;
         }
         smr_common::fault_point!("kv::worker::batch");
-        let garbage = S::garbage(&handle);
-        batches_since_sample += 1;
-        if batches_since_sample >= WATCHDOG_SAMPLE_BATCHES {
-            batches_since_sample = 0;
-            if garbage == 0 || garbage < prev_garbage {
-                progress_token += 1;
-            }
-            prev_garbage = garbage;
-            let status = watchdog.observe(progress_token, garbage as usize);
-            shard.verdict.store(Verdict::from(&status).encode(), Relaxed);
-        }
-        shard.stats.record_batch(drained, garbage);
+        shard.stats.record_batch(drained, S::garbage(&handle));
     }
     // Closed and drained: flush what the scheme lets us flush, then let the
     // handle's teardown donate the rest (protected stragglers) as orphans.

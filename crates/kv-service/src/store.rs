@@ -12,11 +12,6 @@
 //!   (HP's `k·H + threshold` rule, plus HP++'s deferred-invalidation
 //!   slack); `None` means the scheme has no stall-proof bound (EBR);
 //! * `drain_orphans` adopts and frees what a dead worker donated.
-//!
-//! [`EbrSharedStore`] exists to *fail* isolation on purpose: all shards
-//! share the process-default collector, so a pin wedged on one shard stops
-//! the epoch for all of them. The shard-isolation test runs it as the A/B
-//! control for the per-shard [`EbrStore`].
 
 use smr_common::policy::PolicyKind;
 use smr_common::{ConcurrentMap, GuardedScheme};
@@ -55,8 +50,7 @@ pub trait ShardStore: Send + Sync + Sized + 'static {
     /// worker died and its teardown donated everything — i.e. what leaks
     /// if the domain is quarantined *instead of* drained. Only meaningful
     /// once the dead worker has been joined; stores without a private
-    /// domain (NR, the shared-EBR control) report 0, since quarantining
-    /// them leaks nothing extra.
+    /// domain (NR) report 0, since quarantining them leaks nothing extra.
     fn settled_garbage(&self) -> u64 {
         0
     }
@@ -317,37 +311,6 @@ impl GuardedDomain for &'static hyaline::Domain {
     }
 }
 
-/// EBR map over the **process-wide** default collector: no isolation, on
-/// purpose. The A/B control proving why domains must be per shard — one
-/// wedged pin here freezes reclamation for every shard.
-pub type EbrSharedStore = GuardedStore<SharedEbr>;
-
-/// [`EbrSharedStore`]'s domain: the process-default collector, which is
-/// shared with everything else in the process — so quarantining it leaks
-/// nothing extra.
-pub struct SharedEbr;
-
-impl GuardedDomain for SharedEbr {
-    type Scheme = ebr::Ebr;
-    const SCHEME: &'static str = "ebr-shared";
-
-    fn new_domain() -> Self {
-        SharedEbr
-    }
-
-    fn register(&self) -> ebr::LocalHandle {
-        ebr::default_collector().register()
-    }
-
-    fn local_garbage(handle: &ebr::LocalHandle) -> u64 {
-        handle.local_garbage() as u64
-    }
-
-    fn flush(handle: &mut ebr::LocalHandle) {
-        handle.pin().flush();
-    }
-}
-
 /// No reclamation at all: the leaking upper-bound baseline.
 pub type NrStore = GuardedStore<nr::Nr>;
 
@@ -387,7 +350,6 @@ mod tests {
     fn all_stores_roundtrip() {
         roundtrip::<HppStore>();
         roundtrip::<EbrStore>();
-        roundtrip::<EbrSharedStore>();
         roundtrip::<NrStore>();
         roundtrip::<HyalineStore>();
     }

@@ -28,12 +28,18 @@
 //! `catch_unwind` so an injected fault in the recovery path itself
 //! (`kv::quarantine::leak`, `kv::supervisor::respawn`) leaves the shard
 //! down for one tick instead of killing supervision for good.
+//!
+//! The same tick feeds one [`GarbageWatchdog`] per live shard from what the
+//! shard already publishes, so a stalled worker is judged by a thread that
+//! did not stall with it.
 
 use std::sync::atomic::Ordering::{Acquire, Relaxed, Release, SeqCst};
 use std::sync::atomic::{AtomicBool, AtomicU64};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+use smr_common::watchdog::{GarbageWatchdog, WatchdogStatus};
 
 use crate::shard::{run_worker, Shard};
 use crate::store::ShardStore;
@@ -42,6 +48,11 @@ use crate::store::ShardStore;
 /// nudge path makes detection immediate; the poll catches a nudge lost to
 /// an aborting process state.
 const POLL_INTERVAL: Duration = Duration::from_millis(5);
+/// How long a shard's progress token may sit still before its watchdog
+/// calls the shard stalled: ten poll ticks.
+const STALL_WINDOW: Duration = Duration::from_millis(50);
+/// Watchdog garbage ceiling for stores without a derived bound (EBR).
+const DEFAULT_BOUND: u64 = 4096;
 
 /// One quarantined domain: the audit trail recovery leaves behind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,6 +88,9 @@ pub(crate) struct ShardSlot<S> {
     respawns: AtomicU64,
     quarantined_garbage: AtomicU64,
     records: Mutex<Vec<QuarantineRecord>>,
+    /// The current incarnation's latest watchdog status; `None` until the
+    /// supervisor's first sample of it.
+    verdict: Mutex<Option<WatchdogStatus>>,
 }
 
 impl<S: ShardStore> ShardSlot<S> {
@@ -88,6 +102,7 @@ impl<S: ShardStore> ShardSlot<S> {
             respawns: AtomicU64::new(0),
             quarantined_garbage: AtomicU64::new(0),
             records: Mutex::new(Vec::new()),
+            verdict: Mutex::new(None),
         }
     }
 
@@ -119,6 +134,48 @@ impl<S: ShardStore> ShardSlot<S> {
 
     pub(crate) fn records(&self) -> Vec<QuarantineRecord> {
         lock_mutex(&self.records).clone()
+    }
+
+    pub(crate) fn verdict(&self) -> Option<WatchdogStatus> {
+        *lock_mutex(&self.verdict)
+    }
+}
+
+/// The supervisor's watchdog over one shard incarnation.
+struct Sampler {
+    watchdog: GarbageWatchdog,
+    token: u64,
+    /// The worker's batch and park counts at the last sample.
+    seen: (u64, u64),
+}
+
+impl Sampler {
+    fn new(bound: usize) -> Self {
+        Self {
+            watchdog: GarbageWatchdog::new(bound, STALL_WINDOW),
+            token: 0,
+            seen: (0, 0),
+        }
+    }
+
+    /// One sample of `shard`. The progress token advances when the worker
+    /// finished a batch or parked since the last sample, or is parked, *and*
+    /// garbage is within the bound. So a stuck worker reads
+    /// `DegradedBounded` after the stall window, garbage over the bound for
+    /// that long reads `GrowingUnbounded`, and an idle shard, or one serving
+    /// reads over leftover garbage, reads `Healthy`. The park count keeps a
+    /// sample that lands between an idle worker's backstop wake and its next
+    /// park, after a late tick, from reading as a stall.
+    fn sample<S: ShardStore>(&mut self, shard: &Shard<S>) -> WatchdogStatus {
+        let stats = shard.stats();
+        let garbage = stats.garbage as usize;
+        let seen = (stats.batches, stats.worker_parks);
+        let progressed = seen != self.seen || shard.ring.is_worker_parked();
+        self.seen = seen;
+        if progressed && garbage <= self.watchdog.bound() {
+            self.token += 1;
+        }
+        self.watchdog.observe(self.token, garbage)
     }
 }
 
@@ -180,10 +237,11 @@ pub(crate) struct RespawnConfig {
     pub(crate) supervise: bool,
 }
 
-/// The supervisor loop: scan, recover dead shards, sleep; on stop, join
-/// every worker (it owns all the handles). With `supervise` off it still
-/// runs — it is the joiner of last resort — but never respawns, preserving
-/// the PR-7 dead-stays-dead containment semantics.
+/// The supervisor loop: scan — sample live shards, recover dead ones —
+/// then sleep; on stop, join every worker (it owns all the handles). With
+/// `supervise` off it still runs — it is the health sampler and the joiner
+/// of last resort — but never respawns, preserving the PR-7
+/// dead-stays-dead containment semantics.
 pub(crate) fn run_supervisor<S: ShardStore>(
     slots: Arc<Vec<Arc<ShardSlot<S>>>>,
     ctl: Arc<SupervisorCtl>,
@@ -191,22 +249,29 @@ pub(crate) fn run_supervisor<S: ShardStore>(
     cfg: RespawnConfig,
 ) {
     let mut seen = 0u64;
-    loop {
-        let stopping = ctl.is_stopping();
-        if cfg.supervise && !stopping {
-            for (i, slot) in slots.iter().enumerate() {
-                if slot.is_closed() || !slot.current().ring.is_worker_gone() {
-                    continue;
-                }
+    let mut samplers: Vec<Option<Sampler>> = slots.iter().map(|_| None).collect();
+    while !ctl.is_stopping() {
+        for (i, slot) in slots.iter().enumerate() {
+            if slot.is_closed() {
+                continue;
+            }
+            let shard = slot.current();
+            if !shard.ring.is_worker_gone() {
+                let bound = shard.store.garbage_bound().unwrap_or(DEFAULT_BOUND) as usize;
+                let sampler = match &mut samplers[i] {
+                    Some(s) if s.watchdog.bound() == bound => s,
+                    s => s.insert(Sampler::new(bound)),
+                };
+                *lock_mutex(&slot.verdict) = Some(sampler.sample(&shard));
+            } else if cfg.supervise {
+                // The respawned incarnation gets a fresh watchdog.
+                samplers[i] = None;
                 // Recovery itself can take an injected fault; contain it to
                 // this tick and retry at the next scan.
                 let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     recover(i, slot, &mut workers[i], &ctl, &cfg)
                 }));
             }
-        }
-        if stopping {
-            break;
         }
         ctl.wait(&mut seen);
     }
@@ -270,6 +335,7 @@ fn recover<S: ShardStore>(
             .expect("spawn respawned shard worker")
     };
     *worker = Some(handle);
+    *lock_mutex(&slot.verdict) = None;
     *slot.current.write().unwrap_or_else(|e| e.into_inner()) = Arc::clone(&fresh);
     slot.generation.store(generation + 1, Release);
     slot.respawns.fetch_add(1, Relaxed);

@@ -9,8 +9,8 @@
 //!   of crashes aimed at it, and its records carry generations `0..n` in
 //!   order;
 //! * **undisturbed siblings** — while a shard is down and respawning, every
-//!   other shard stays `worker_alive` with a verdict in
-//!   {Unknown, Healthy}.
+//!   other shard stays `worker_alive` with a verdict of `None` (not yet
+//!   sampled) or `Some(Healthy)`.
 //!
 //! Runs in tier-1 (no fault-injection feature needed): crashes are the
 //! deterministic [`KvService::inject_crash`] vector. Cases serialize on a
@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 use kv_service::{HppStore, KvConfig, KvService, ShardStore};
 use proptest::prelude::*;
 use smr_common::counters;
-use smr_common::policy::Verdict;
+use smr_common::watchdog::WatchdogStatus;
 
 fn serial() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
@@ -78,7 +78,7 @@ fn run_campaign(shards: usize, crashes: &[usize]) {
                 if i != target {
                     assert!(h.worker_alive, "sibling shard {i} died during recovery");
                     assert!(
-                        matches!(h.verdict, Verdict::Unknown | Verdict::Healthy),
+                        matches!(h.verdict, None | Some(WatchdogStatus::Healthy)),
                         "sibling shard {i} under pressure during recovery: {:?}",
                         h.verdict
                     );

@@ -1,11 +1,13 @@
 //! Shard isolation under injected faults: the service-level payoff of
 //! per-shard reclamation domains.
 //!
-//! * Stall one shard's HP++ collector mid-reclaim → sibling shards'
-//!   watchdog verdicts stay Healthy with peak garbage inside the derived
-//!   `k·H + threshold` bound, and everything drains exactly on release.
-//! * The EBR A/B: a wedged pin on the **shared** default collector spreads
-//!   unbounded growth to sibling shards (GrowingUnbounded), while
+//! * Stall one shard's HP++ collector mid-reclaim → the supervisor reads
+//!   that shard DegradedBounded while the siblings' verdicts stay Healthy
+//!   with peak garbage inside the derived `k·H + threshold` bound, and
+//!   everything drains exactly on release.
+//! * The EBR A/B: a wedged pin on the **shared** default collector (a
+//!   store defined here, the control nothing outside this file needs)
+//!   spreads unbounded growth to sibling shards (GrowingUnbounded), while
 //!   per-shard collectors confine the same stall to the wedged shard.
 //! * A worker panic retires its ring (queued commands fail, nothing
 //!   hangs) and the scheme teardown + `drain_orphans` balance the global
@@ -21,12 +23,39 @@
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use kv_service::{
-    Command, EbrSharedStore, EbrStore, HppStore, KvConfig, KvError, KvService, ShardStore,
-};
+use kv_service::store::{GuardedDomain, GuardedStore};
+use kv_service::{Command, EbrStore, HppStore, KvConfig, KvError, KvService, ShardStore};
 use smr_common::counters;
 use smr_common::fault::{self, FaultAction};
 use smr_common::watchdog::{GarbageWatchdog, WatchdogStatus};
+
+/// EBR map over the **process-wide** default collector: no isolation, on
+/// purpose. The A/B control proving why domains must be per shard — one
+/// wedged pin here freezes reclamation for every shard.
+type EbrSharedStore = GuardedStore<SharedEbr>;
+
+struct SharedEbr;
+
+impl GuardedDomain for SharedEbr {
+    type Scheme = ebr::Ebr;
+    const SCHEME: &'static str = "ebr-shared";
+
+    fn new_domain() -> Self {
+        SharedEbr
+    }
+
+    fn register(&self) -> ebr::LocalHandle {
+        ebr::default_collector().register()
+    }
+
+    fn local_garbage(handle: &ebr::LocalHandle) -> u64 {
+        handle.local_garbage() as u64
+    }
+
+    fn flush(handle: &mut ebr::LocalHandle) {
+        handle.pin().flush();
+    }
+}
 
 fn serial() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
@@ -100,22 +129,35 @@ fn stalled_hpp_collector_leaves_sibling_shards_healthy() {
         svc.shard_stats(0).garbage
     );
 
+    // A stalled worker cannot sample itself: the supervisor does, and
+    // within 2 s (40 stall windows) reads shard 0 as degraded but bounded.
+    let stalled =
+        |verdict: Option<_>| matches!(verdict, Some(WatchdogStatus::DegradedBounded { .. }));
+    let start = Instant::now();
+    wait_for("shard 0 to read stalled", || {
+        stalled(svc.health().shards[0].verdict)
+    });
+    assert!(start.elapsed() < Duration::from_secs(2), "stall read late");
+
     // Siblings keep serving and reclaiming: their domains never see shard
-    // 0's stall. Watchdog fed with (ops progress, sampled garbage) must
-    // stay Healthy and peak garbage must respect the derived bound.
+    // 0's stall. Their verdicts stay Healthy and peak garbage respects
+    // the derived bound.
     let mut sibling_client = svc.client();
     for shard in [1usize, 2] {
+        assert_eq!(
+            svc.health().shards[shard].verdict,
+            Some(WatchdogStatus::Healthy)
+        );
         let keys = keys_for(&svc, shard, 64);
-        let mut watchdog = GarbageWatchdog::new(bound, Duration::from_secs(5));
         for round in 0..20 {
             churn(&mut sibling_client, &keys, 25);
-            let stats = svc.shard_stats(shard);
-            let status = watchdog.observe(stats.ops, stats.garbage as usize);
+            let health = svc.health();
             assert_eq!(
-                status,
-                WatchdogStatus::Healthy,
+                health.shards[shard].verdict,
+                Some(WatchdogStatus::Healthy),
                 "sibling shard {shard} unhealthy at round {round}"
             );
+            assert!(stalled(health.shards[0].verdict));
         }
         let peak = svc.shard_stats(shard).peak_garbage as usize;
         assert!(peak <= bound, "sibling shard {shard} peak {peak} > bound {bound}");

@@ -14,13 +14,11 @@
 //!
 //! There is no choice of trigger: `eager` and a watchdog-driven `adaptive`
 //! never beat `capped` in ten paired runs (EXPERIMENTS.md, "Negative
-//! result: reclaim-trigger policies"). [`Verdict`] remains as the kv-service
-//! per-shard health word — observability, not feedback.
+//! result: reclaim-trigger policies").
 
 use std::sync::OnceLock;
 
 use crate::counters;
-use crate::watchdog::WatchdogStatus;
 
 /// What the trigger tells the scheme to do right now.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -29,55 +27,6 @@ pub enum Decision {
     Reclaim,
     /// Defer; keep accumulating garbage.
     Skip,
-}
-
-/// A payload-free mirror of [`WatchdogStatus`], cheap enough to store in an
-/// atomic (the kv-service per-shard health word).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-#[repr(u8)]
-pub enum Verdict {
-    /// No watchdog has reported yet.
-    #[default]
-    Unknown,
-    /// Garbage within bound, collector making progress.
-    Healthy,
-    /// Stalled but within the derived bound.
-    DegradedBounded,
-    /// Stalled and past the bound — the Table-1 failure mode.
-    GrowingUnbounded,
-}
-
-impl Verdict {
-    /// Encodes the verdict for storage in an atomic.
-    pub fn encode(self) -> u8 {
-        self as u8
-    }
-
-    /// Inverse of [`encode`](Self::encode); unknown raw values decode to
-    /// [`Verdict::Unknown`].
-    pub fn decode(raw: u8) -> Self {
-        match raw {
-            1 => Verdict::Healthy,
-            2 => Verdict::DegradedBounded,
-            3 => Verdict::GrowingUnbounded,
-            _ => Verdict::Unknown,
-        }
-    }
-
-    /// Whether this verdict signals memory pressure rather than health.
-    pub fn is_pressure(self) -> bool {
-        matches!(self, Verdict::DegradedBounded | Verdict::GrowingUnbounded)
-    }
-}
-
-impl From<&WatchdogStatus> for Verdict {
-    fn from(status: &WatchdogStatus) -> Self {
-        match status {
-            WatchdogStatus::Healthy => Verdict::Healthy,
-            WatchdogStatus::DegradedBounded { .. } => Verdict::DegradedBounded,
-            WatchdogStatus::GrowingUnbounded { .. } => Verdict::GrowingUnbounded,
-        }
-    }
 }
 
 /// The facts a scheme hands its trigger at each opportunity.

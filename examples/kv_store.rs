@@ -11,8 +11,9 @@
 //! in batches from a bounded ring, and each shard retires into its own
 //! HP++ domain, so one slow shard cannot hold back its siblings' memory.
 //!
-//! Environment knobs (see EXPERIMENTS.md): `KV_SHARDS`, `KV_BATCH`,
-//! `KV_RING`, `KV_BUCKETS`.
+//! Environment knobs (`KvConfig::from_env`; see EXPERIMENTS.md):
+//! `KV_SHARDS`, `KV_BATCH`, `KV_RING`, `KV_BUCKETS`, `KV_OP_TIMEOUT_MS`,
+//! `KV_OP_RETRIES`.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Instant;
