@@ -7,7 +7,6 @@
 //! with one relaxed generation load per command, so the supervised fast
 //! path costs nothing measurable over the PR-7 layout.
 
-use std::sync::atomic::{fence, Ordering::Acquire};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -248,13 +247,18 @@ impl<S: ShardStore> KvService<S> {
     /// was already closed (or stayed full past a 5 s safety deadline).
     pub fn inject_crash(&self, i: usize) -> bool {
         let shard = self.slots[i].current();
-        let resp = Arc::new(ResponseSlot::new());
-        // Nobody drains this command: it rings for itself (`blocked`).
+        // Nobody drains this command: it rings for itself (`blocked`), and
+        // the ring owns its slot.
+        let slot = Arc::new(ResponseSlot::new());
+        let lent = slot.lend();
         let mut deadline = Deadline::after(Duration::from_secs(5));
-        shard
-            .ring
-            .push_deadline(Command::Crash { key: 0 }, resp, true, &mut deadline)
-            .is_ok()
+        let crash = Command::Crash { key: 0 };
+        // SAFETY: readied by `lend`, and adopted by the ring once queued.
+        let queued = unsafe { shard.ring.push_deadline(crash, &slot, true, &mut deadline) }.is_ok();
+        if queued {
+            shard.ring.adopt(slot, lent);
+        }
+        queued
     }
 
     /// Graceful stop: mark every slot closed (so clients fail with
@@ -307,9 +311,12 @@ impl<S: ShardStore> Drop for KvService<S> {
 ///   order. Pipelined replies carry typed errors but are *not* retried:
 ///   the caller owns the pipeline and decides what to re-issue.
 ///
-/// Reply slots are pooled and reused, so a steady-state client allocates
-/// nothing per command. A slot whose command timed out is abandoned, never
-/// pooled — the worker may still complete it later.
+/// Reply slots are owned by the client, pooled and reused, and only lent to
+/// the ring entry of each command, so a steady-state client allocates
+/// nothing per command and no command touches a slot's reference count. A
+/// slot whose command timed out, or that is still in flight when the client
+/// drops, is handed to the ring it went to, never pooled — the worker may
+/// still complete it later.
 pub struct Client<S: ShardStore> {
     slots: Arc<Vec<Arc<ShardSlot<S>>>>,
     /// Per-shard cached incarnation, revalidated by one generation load.
@@ -317,9 +324,12 @@ pub struct Client<S: ShardStore> {
     supervised: bool,
     op_timeout: Duration,
     retries: u32,
+    /// Slots read resolved: their resolvers have let go.
     free: Vec<Arc<ResponseSlot>>,
-    /// In-flight commands in submission order: `window` index, reply slot.
-    pending: Vec<(u32, Arc<ResponseSlot>)>,
+    /// In-flight commands in submission order: `window` index, reply slot,
+    /// the state the slot was lent in. A slot handed to its ring at its
+    /// deadline keeps its place here with the index [`NOT_IN_WINDOW`].
+    pending: Vec<(u32, Arc<ResponseSlot>, u32)>,
     /// The window table: each distinct shard incarnation the in-flight
     /// commands went to, with its shard index — one `Arc<Shard>` clone per
     /// incarnation per window, not one per command.
@@ -372,24 +382,15 @@ impl<S: ShardStore> Client<S> {
         self
     }
 
-    /// A reply slot armed for the next command; `blocked` marks a command
-    /// whose caller will have nothing else in flight.
-    fn take_slot(&mut self, blocked: bool) -> Arc<ResponseSlot> {
-        // A pooled slot is re-armed only once its resolver has let go of
-        // it: the client pools a slot as soon as it has read the reply,
-        // while the resolver may still be unparking this thread through the
-        // slot's waiter cell. One still shared is left to the resolver to
-        // free. The fence pairs with the Release decrement in the
-        // resolver's `Arc` drop, which `strong_count` alone (Relaxed) does
-        // not order.
+    /// A reply slot readied for the next command, and the state it is lent
+    /// in.
+    fn take_slot(&mut self) -> (Arc<ResponseSlot>, u32) {
         let slot = self
             .free
             .pop()
-            .filter(|slot| Arc::strong_count(slot) == 1)
             .unwrap_or_else(|| Arc::new(ResponseSlot::new()));
-        fence(Acquire);
-        slot.arm(blocked);
-        slot
+        let lent = slot.lend();
+        (slot, lent)
     }
 
     /// Shard `idx`'s cached incarnation, revalidated against the slot's
@@ -473,15 +474,19 @@ impl<S: ShardStore> Client<S> {
     pub fn submit(&mut self, cmd: Command) -> Result<(), KvError> {
         let idx = self.shard_of(cmd.key());
         let blocked = self.solo && self.pending.is_empty();
-        let slot = self.take_slot(blocked);
+        let (slot, lent) = self.take_slot();
         let mut deadline = Deadline::after(self.op_timeout);
         let mut attempts = 0u32;
         loop {
             let at = self.window_entry(idx);
             let ring = &self.window[at as usize].1.ring;
-            match ring.push_deadline(cmd, Arc::clone(&slot), blocked, &mut deadline) {
+            // SAFETY: readied by `take_slot`. Once queued, the slot stays
+            // in `pending` until `drain` reads it resolved or hands it to
+            // this ring at its deadline; a client dropped before that hands
+            // it over in `drop`.
+            match unsafe { ring.push_deadline(cmd, &slot, blocked, &mut deadline) } {
                 Ok(()) => {
-                    self.pending.push((at, slot));
+                    self.pending.push((at, slot, lent));
                     return Ok(());
                 }
                 Err(PushError::TimedOut) => {
@@ -521,34 +526,38 @@ impl<S: ShardStore> Client<S> {
     /// [`KvError::DeadlineExceeded`] and its slot is abandoned (the worker
     /// may still complete it later). Pipelined errors are *not* retried.
     pub fn drain(&mut self, mut sink: impl FnMut(usize, Result<Option<u64>, KvError>)) {
-        let mut pending = std::mem::take(&mut self.pending);
-        let mut window = std::mem::take(&mut self.window);
-        self.solo = pending.len() == 1;
-        for (idx, shard) in &window {
+        self.solo = self.pending.len() == 1;
+        for (idx, shard) in &self.window {
             self.cached[*idx].window_at = NOT_IN_WINDOW;
             shard.ring.flush();
         }
-        for (i, (at, slot)) in pending.drain(..).enumerate() {
-            let (idx, shard) = &window[at as usize];
+        // The slots stay in `pending` until every reply is out, so a `sink`
+        // that panics leaves them to `drop`.
+        for i in 0..self.pending.len() {
+            let (at, slot, lent) = &self.pending[i];
+            let (idx, shard) = &self.window[*at as usize];
             let mut deadline = Deadline::after(self.op_timeout);
-            match shard.ring.wait_response_deadline(&slot, &mut deadline) {
-                Ok(reply) => {
-                    sink(i, Ok(reply));
-                    self.free.push(slot);
-                }
-                Err(WaitError::Down) => {
-                    sink(i, Err(self.down_error(*idx)));
-                    self.free.push(slot);
-                }
+            let reply = match shard
+                .ring
+                .wait_response_deadline(slot, *lent, &mut deadline)
+            {
+                Ok(reply) => Ok(reply),
+                Err(WaitError::Down) => Err(self.down_error(*idx)),
                 Err(WaitError::TimedOut) => {
-                    sink(i, Err(KvError::DeadlineExceeded));
-                    // Abandoned: completing it later must not corrupt a
-                    // pooled reuse.
+                    // Abandoned: the worker may still complete it later.
+                    shard.ring.adopt(Arc::clone(slot), *lent);
+                    self.pending[i].0 = NOT_IN_WINDOW;
+                    Err(KvError::DeadlineExceeded)
                 }
+            };
+            sink(i, reply);
+        }
+        for (at, slot, _) in self.pending.drain(..) {
+            if at != NOT_IN_WINDOW {
+                self.free.push(slot);
             }
         }
-        window.clear();
-        (self.pending, self.window) = (pending, window);
+        self.window.clear();
     }
 
     fn call(&mut self, cmd: Command) -> Result<Option<u64>, KvError> {
@@ -557,19 +566,23 @@ impl<S: ShardStore> Client<S> {
         let mut attempts = 0u32;
         loop {
             let shard = Arc::clone(&self.current(idx).shard);
-            // A one-shot caller cannot issue anything else before this reply.
-            let slot = self.take_slot(true);
-            match shard
-                .ring
-                .push_deadline(cmd, Arc::clone(&slot), true, &mut deadline)
-            {
-                Ok(()) => match shard.ring.wait_response_deadline(&slot, &mut deadline) {
+            let (slot, lent) = self.take_slot();
+            // A one-shot caller cannot issue anything else before this reply
+            // (`blocked`).
+            // SAFETY: readied by `take_slot`. Once queued, the slot is held
+            // here until the wait reads it resolved or hands it to the ring.
+            match unsafe { shard.ring.push_deadline(cmd, &slot, true, &mut deadline) } {
+                Ok(()) => match shard
+                    .ring
+                    .wait_response_deadline(&slot, lent, &mut deadline)
+                {
                     Ok(reply) => {
                         self.free.push(slot);
                         return Ok(reply);
                     }
                     Err(WaitError::TimedOut) => {
-                        // Abandon the slot; see drain.
+                        // Abandoned; see drain.
+                        shard.ring.adopt(slot, lent);
                         return Err(KvError::DeadlineExceeded);
                     }
                     Err(WaitError::Down) => self.free.push(slot),
@@ -611,6 +624,18 @@ impl<S: ShardStore> Client<S> {
     /// Removes `key`, returning the removed value.
     pub fn remove(&mut self, key: u64) -> Result<Option<u64>, KvError> {
         self.call(Command::Del { key })
+    }
+}
+
+impl<S: ShardStore> Drop for Client<S> {
+    fn drop(&mut self) {
+        // Undrained commands may still be resolved: each slot goes to the
+        // ring its command went to. (An abandoned one is there already.)
+        for (at, slot, lent) in self.pending.drain(..) {
+            if let Some((_, shard)) = self.window.get(at as usize) {
+                shard.ring.adopt(slot, lent);
+            }
+        }
     }
 }
 

@@ -27,7 +27,7 @@ use std::sync::atomic::AtomicU64;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
-use crate::ring::{Command, Entry, ReplyGuard, Ring};
+use crate::ring::{Command, Entry, Ring};
 use crate::store::ShardStore;
 use crate::supervisor::SupervisorCtl;
 
@@ -126,8 +126,7 @@ impl<S: ShardStore> Shard<S> {
 /// Runs one command and publishes its reply; the guard fails the command
 /// instead if the store op panics. Returns whether the caller was blocked
 /// on this reply with nothing else in flight.
-fn execute<S: ShardStore>(store: &S, handle: &mut S::Handle, (cmd, resp): Entry) -> bool {
-    let mut reply = ReplyGuard::new(resp);
+fn execute<S: ShardStore>(store: &S, handle: &mut S::Handle, (cmd, mut reply): Entry) -> bool {
     let result = match cmd {
         Command::Get { key } => store.get(handle, key),
         Command::Put { key, value } => {

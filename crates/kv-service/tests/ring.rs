@@ -284,6 +284,31 @@ fn crashed_worker_wakes_the_client_parked_on_its_reply() {
 }
 
 #[test]
+fn slots_the_client_lets_go_of_live_until_their_commands_resolve() {
+    let _serial = serial();
+    // A client lends its reply slots to the ring; the two it cannot wait
+    // out — a one-shot call abandoned at its deadline, and undrained
+    // commands when it drops — must stay allocated until the worker
+    // answers them. (ASan reports the freed slot otherwise.)
+    let svc =
+        KvService::<GatedStore>::start(cfg(1, 4, 8).with_op_timeout(Duration::from_millis(50)));
+    GATE.store(true, SeqCst);
+    PANIC.store(false, SeqCst);
+    let mut client = svc.client();
+    // The worker takes the call into the gated store and stays there.
+    assert_eq!(client.get(0), Err(KvError::DeadlineExceeded));
+    for k in 1..=6u64 {
+        client.submit(Command::Get { key: k }).unwrap();
+    }
+    drop(client);
+
+    GATE.store(false, SeqCst);
+    assert_eq!(svc.client().get(7), Ok(None));
+    let stats = svc.shutdown();
+    assert_eq!(stats[0].ops, 8);
+}
+
+#[test]
 fn batch_drain_preserves_per_key_program_order() {
     let _serial = serial();
     // Dependent op chains per key, pipelined through tiny rings so batches

@@ -90,7 +90,7 @@ fn wait_for(what: &str, mut cond: impl FnMut() -> bool) {
 }
 
 /// The PR-11 reply-slot race, from the outside: one handle, so every reply
-/// slot is re-armed the moment its reply was read, while the worker is
+/// slot is reused the moment its reply was read, while the worker is
 /// still leaving `execute` for it. A stale guard write used to fail the
 /// *next* command (`RetryAfter`), and the one-shot retry then ran it twice.
 #[test]

@@ -132,6 +132,15 @@ impl Backoff {
         Self::with_config(*process_config(), next_seed())
     }
 
+    /// A fresh backoff whose spin phase is spent: for a caller that ran its
+    /// own on-core polls first, so its first [`snooze`](Backoff::snooze)
+    /// yields.
+    pub fn past_spin() -> Self {
+        let mut backoff = Self::new();
+        backoff.step = backoff.config.spin_limit;
+        backoff
+    }
+
     /// A backoff with an explicit config and jitter seed (tests, and the
     /// fault matrix's deterministic schedules).
     pub fn with_config(config: BackoffConfig, seed: u64) -> Self {
@@ -270,6 +279,20 @@ mod tests {
             (2, YIELD_STEPS as u64, 3),
             "each phase must account its own steps"
         );
+    }
+
+    #[test]
+    fn past_spin_starts_in_the_yield_phase() {
+        let _serial = crate::counters::test_lock();
+        let (s0, y0, _) = counters::total_backoff();
+        let mut b = Backoff::past_spin();
+        for _ in 0..YIELD_STEPS {
+            assert!(!b.is_parking());
+            b.snooze();
+        }
+        assert!(b.is_parking());
+        let (s1, y1, _) = counters::total_backoff();
+        assert_eq!((s1 - s0, y1 - y0), (0, YIELD_STEPS as u64));
     }
 
     #[test]

@@ -171,40 +171,56 @@ mod tests {
 
     #[test]
     fn heavy_fence_orders_across_threads() {
-        // Smoke Dekker-style test: with a heavy fence on one side and light
-        // fences on the other, at least one side must see the other's write.
-        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::*};
-        use std::sync::Arc;
+        // Dekker: each side stores round `r` to its flag, fences — one
+        // light, one heavy — and loads the other's. The pair guarantees
+        // that in no round do both loads miss. The two sides are the only
+        // threads and enter each round through a two-party spin barrier, so
+        // their fences overlap in time: with compiler fences on both sides
+        // instead, the test fails within its 200 rounds on a 2-vCPU x86-64
+        // host.
+        use std::sync::atomic::{AtomicUsize, Ordering::*};
 
-        let x = Arc::new(AtomicBool::new(false));
-        let y = Arc::new(AtomicBool::new(false));
-        let both_missed = Arc::new(AtomicUsize::new(0));
+        use crate::CachePadded;
 
-        let rounds = if cfg!(miri) { 8 } else { 200 };
-        for _ in 0..rounds {
-            x.store(false, Relaxed);
-            y.store(false, Relaxed);
-            let (x1, y1, x2, y2) = (x.clone(), y.clone(), x.clone(), y.clone());
-            let t1 = std::thread::spawn(move || {
-                x1.store(true, Relaxed);
-                super::light();
-                y1.load(Relaxed)
-            });
-            let t2 = std::thread::spawn(move || {
-                y2.store(true, Relaxed);
-                super::heavy();
-                x2.load(Relaxed)
-            });
-            let saw_y = t1.join().unwrap();
-            let saw_x = t2.join().unwrap();
-            if !saw_x && !saw_y {
-                both_missed.fetch_add(1, Relaxed);
+        fn spin_until(done: impl Fn() -> bool) {
+            for spins in 1u32.. {
+                if done() {
+                    return;
+                }
+                // Mostly on-core; a yield now and then lets a side whose
+                // peer lost its CPU get it back.
+                if spins % 1024 == 0 {
+                    std::thread::yield_now();
+                } else {
+                    std::hint::spin_loop();
+                }
             }
         }
-        // Note: this property is only guaranteed when the fences actually run
-        // concurrently; with spawn/join each thread usually finishes alone,
-        // so we just assert the test ran. The real ordering guarantees are
-        // exercised by the scheme stress tests.
-        assert!(both_missed.load(Relaxed) <= rounds);
+
+        let rounds = if cfg!(miri) { 8 } else { 200 };
+        let flags = [(); 2].map(|()| CachePadded::new(AtomicUsize::new(0)));
+        let arrived = AtomicUsize::new(0);
+        // Per round, whether `side` saw the other side's store.
+        let run = |side: usize| -> Vec<bool> {
+            (1..=rounds)
+                .map(|r| {
+                    arrived.fetch_add(1, AcqRel);
+                    spin_until(|| arrived.load(Acquire) >= 2 * r);
+                    flags[side].store(r, Relaxed);
+                    if side == 0 {
+                        light();
+                    } else {
+                        heavy();
+                    }
+                    flags[1 - side].load(Relaxed) >= r
+                })
+                .collect()
+        };
+        let (saw0, saw1) = std::thread::scope(|s| {
+            let other = s.spawn(|| run(1));
+            (run(0), other.join().unwrap())
+        });
+        let both_missed = saw0.iter().zip(&saw1).filter(|(a, b)| !**a && !**b).count();
+        assert_eq!(both_missed, 0, "a light/heavy pair missed both stores");
     }
 }
