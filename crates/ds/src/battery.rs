@@ -285,7 +285,34 @@ type Nr = nr::Nr;
 type Pebr = pebr::Pebr;
 type HpSkipList = dshp::SkipList<u64, u64>;
 type HppSkipList = hpp::SkipList<u64, u64>;
-type HashOver<L> = HashMap<u64, u64, L>;
+
+/// A hash map of seven buckets, so the rows' 64–512 keys form chains: at
+/// the default 30 029 buckets every list would hold one node.
+struct HashOver<L>(HashMap<u64, u64, L>);
+
+impl<L: ConcurrentMap<u64, u64> + Send + Sync> ConcurrentMap<u64, u64> for HashOver<L> {
+    type Handle = L::Handle;
+
+    fn new() -> Self {
+        Self(HashMap::with_buckets(7))
+    }
+
+    fn handle(&self) -> L::Handle {
+        self.0.handle()
+    }
+
+    fn get(&self, handle: &mut L::Handle, key: &u64) -> Option<u64> {
+        self.0.get(handle, key)
+    }
+
+    fn insert(&self, handle: &mut L::Handle, key: u64, value: u64) -> bool {
+        self.0.insert(handle, key, value)
+    }
+
+    fn remove(&self, handle: &mut L::Handle, key: &u64) -> Option<u64> {
+        self.0.remove(handle, key)
+    }
+}
 
 const HPP_T: usize = hp_plus::RECLAIM_PERIOD;
 

@@ -117,8 +117,8 @@ impl std::fmt::Display for KvError {
 impl std::error::Error for KvError {}
 
 /// Service configuration. Defaults come from the host shape; every field
-/// but `supervise` has an env override so deployments tune without
-/// recompiling.
+/// but `supervise` and `buckets` has an env override so deployments tune
+/// without recompiling.
 #[derive(Debug, Clone)]
 pub struct KvConfig {
     /// Number of shards (workers). Default: available cores, `KV_SHARDS`.
@@ -128,8 +128,8 @@ pub struct KvConfig {
     /// Per-shard command ring capacity, rounded up to a power of two.
     /// Default 1024, `KV_RING`.
     pub ring_depth: usize,
-    /// Hash buckets per shard's map. Default `ds::hash_map::DEFAULT_BUCKETS`,
-    /// `KV_BUCKETS`.
+    /// Hash buckets per shard's map. Default `ds::hash_map::DEFAULT_BUCKETS`;
+    /// no env override.
     pub buckets: usize,
     /// Whether the supervisor respawns dead workers (quarantining their
     /// domain) instead of leaving the shard permanently down. Default true;
@@ -161,7 +161,7 @@ impl KvConfig {
         }
     }
 
-    /// Defaults with `KV_SHARDS` / `KV_BATCH` / `KV_RING` / `KV_BUCKETS` /
+    /// Defaults with `KV_SHARDS` / `KV_BATCH` / `KV_RING` /
     /// `KV_OP_TIMEOUT_MS` / `KV_OP_RETRIES` applied. Unparseable values,
     /// and zero for all but `KV_OP_RETRIES`, fall back to the default.
     pub fn from_env() -> Self {
@@ -169,7 +169,6 @@ impl KvConfig {
         cfg.shards = env_usize("KV_SHARDS").unwrap_or(cfg.shards);
         cfg.batch = env_usize("KV_BATCH").unwrap_or(cfg.batch);
         cfg.ring_depth = env_usize("KV_RING").unwrap_or(cfg.ring_depth);
-        cfg.buckets = env_usize("KV_BUCKETS").unwrap_or(cfg.buckets);
         cfg.op_timeout = smr_common::env::parse_u64("KV_OP_TIMEOUT_MS")
             .filter(|&ms| ms > 0)
             .map(std::time::Duration::from_millis)
@@ -220,7 +219,8 @@ fn env_usize(name: &str) -> Option<usize> {
 }
 
 /// SplitMix64 finalizer: decorrelates the shard index from the maps' own
-/// bucket hash and from adversarially sequential keys.
+/// bucket hash (`ds::hash_map::bucket_of`, a Fibonacci multiply of the raw
+/// key) and from adversarially sequential keys.
 #[inline]
 pub(crate) fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -254,6 +254,29 @@ mod tests {
                 let skew = (c as f64 - expect).abs() / expect;
                 assert!(skew < 0.10, "shard {i}/{shards} skew {skew:.3} ({c} keys)");
             }
+        }
+    }
+
+    #[test]
+    fn one_shards_keys_spread_evenly_over_its_buckets() {
+        // The shard takes the high bits of `mix64(key)`, the bucket the high
+        // bits of a multiply of the raw key: one shard's keys must still
+        // fill its buckets like random keys would (χ²/n ≈ 1) or better.
+        const BUCKETS: usize = 8192;
+        const KEYS: usize = 65_536;
+        for shards in [2, 3, 4, 7] {
+            let mut chains = vec![0u32; BUCKETS];
+            let keys = (0u64..).filter(|&k| shard_of_key(k, shards) == 0);
+            for key in keys.take(KEYS) {
+                chains[ds::hash_map::bucket_of(&key, BUCKETS)] += 1;
+            }
+            let expect = (KEYS / BUCKETS) as f64;
+            let chi2: f64 = chains
+                .iter()
+                .map(|&c| (c as f64 - expect).powi(2) / expect)
+                .sum();
+            let per_bucket = chi2 / BUCKETS as f64;
+            assert!(per_bucket <= 1.2, "{shards} shards: χ²/n {per_bucket:.3}");
         }
     }
 

@@ -12,7 +12,7 @@
 //! HP++ domain, so one slow shard cannot hold back its siblings' memory.
 //!
 //! Environment knobs (`KvConfig::from_env`; see EXPERIMENTS.md):
-//! `KV_SHARDS`, `KV_BATCH`, `KV_RING`, `KV_BUCKETS`, `KV_OP_TIMEOUT_MS`,
+//! `KV_SHARDS`, `KV_BATCH`, `KV_RING`, `KV_OP_TIMEOUT_MS`,
 //! `KV_OP_RETRIES`.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};

@@ -64,11 +64,39 @@ macro_rules! trace_props {
     };
 }
 
+/// A hash map of seven buckets, so a trace's 32 keys form chains: at the
+/// default 30 029 buckets every list would hold one node.
+struct Chained<L>(ds::hash_map::HashMap<u64, u64, L>);
+
+impl<L: ConcurrentMap<u64, u64> + Send + Sync> ConcurrentMap<u64, u64> for Chained<L> {
+    type Handle = L::Handle;
+
+    fn new() -> Self {
+        Self(ds::hash_map::HashMap::with_buckets(7))
+    }
+
+    fn handle(&self) -> L::Handle {
+        self.0.handle()
+    }
+
+    fn get(&self, handle: &mut L::Handle, key: &u64) -> Option<u64> {
+        self.0.get(handle, key)
+    }
+
+    fn insert(&self, handle: &mut L::Handle, key: u64, value: u64) -> bool {
+        self.0.insert(handle, key, value)
+    }
+
+    fn remove(&self, handle: &mut L::Handle, key: &u64) -> Option<u64> {
+        self.0.remove(handle, key)
+    }
+}
+
 trace_props!(trace_hmlist_ebr, ds::guarded::HMList<u64, u64, ebr::Ebr>);
 trace_props!(trace_hmlist_hyaline, ds::guarded::HMList<u64, u64, hyaline::Hyaline>);
 trace_props!(
     trace_hashmap_hyaline,
-    ds::hash_map::HashMap<u64, u64, ds::guarded::HHSList<u64, u64, hyaline::Hyaline>>
+    Chained<ds::guarded::HHSList<u64, u64, hyaline::Hyaline>>
 );
 trace_props!(trace_hhslist_hpp, ds::hpp::HHSList<u64, u64>);
 trace_props!(trace_hmlist_hp, ds::hp::HMList<u64, u64>);
@@ -76,7 +104,7 @@ trace_props!(trace_hmlist_rc, ds::cdrc::HMList<u64, u64>);
 trace_props!(trace_skiplist_hpp, ds::hpp::SkipList<u64, u64>);
 trace_props!(trace_nmtree_hpp, ds::hpp::NMTree<u64, u64>);
 trace_props!(trace_efrbtree_hp, ds::hp::EFRBTree<u64, u64>);
-trace_props!(trace_hashmap_hpp, ds::hpp::HashMap<u64, u64>);
+trace_props!(trace_hashmap_hpp, Chained<ds::hpp::HHSList<u64, u64>>);
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
