@@ -21,9 +21,8 @@
 //!   symmetric `SeqCst` fallback.
 //!
 //! Reported per-iteration time is per retire (resp. per unlink, per pin),
-//! with the periodic scans folded in. Knobs: `HP_RECLAIM_K`,
-//! `HPP_INVALIDATE_PERIOD`, `HPP_RECLAIM_PERIOD`, `EBR_COLLECT_THRESHOLD`,
-//! `SMR_NO_MEMBARRIER`.
+//! with the periodic scans folded in. The triggers are each scheme's
+//! `TRIGGER` constant; knobs: `HPP_INVALIDATE_PERIOD`, `SMR_NO_MEMBARRIER`.
 
 use std::sync::atomic::Ordering::{AcqRel, Acquire, Release};
 use std::sync::Barrier;

@@ -189,10 +189,9 @@ pub fn run(quick: bool) -> i32 {
     // each participant's bag stays below `Capped::bound` = k·H + threshold
     // (HP++: plus its deferred-invalidation slack); 2x margin.
     let hp_slots = hp::default_domain().slot_capacity();
-    let hp_bound = 2 * participants * hp::legacy_trigger().bound(hp_slots);
+    let hp_bound = 2 * participants * hp::TRIGGER.bound(hp_slots);
     let hpp_slots = hp_plus::default_domain().hp_domain().slot_capacity();
-    let hpp_bound =
-        2 * participants * (hp::legacy_trigger().bound(hpp_slots) + 2 * hp_plus::RECLAIM_PERIOD);
+    let hpp_bound = 2 * participants * hp_plus::garbage_bound(hpp_slots);
     // EBR has no bound; give the watchdog its collection trigger so a
     // stalled pin is classified as growth, not noise.
     let ebr_bound = 4 * ebr::default_collector().collect_threshold();
@@ -203,7 +202,7 @@ pub fn run(quick: bool) -> i32 {
     // row grows like EBR's (CS-granularity protection — DESIGN.md §1.11)
     // and keeps the EBR-style watchdog trigger.
     let hyaline_coop_bound = hyaline::garbage_bound(participants);
-    let hyaline_stall_bound = 4 * hyaline::legacy_trigger().threshold(participants);
+    let hyaline_stall_bound = 4 * hyaline::TRIGGER.threshold(participants);
 
     // EBR: the stalled thread holds a pin forever — unbounded growth.
     measure::<Guarded<ebr::Ebr>, _>("ebr-stalled-pin", window, ebr_bound, stalled_pin);
@@ -259,7 +258,8 @@ pub fn run(quick: bool) -> i32 {
 
     // HP++: same, plus frontier protections — still bounded.
     let name = "hp++-stalled-hazard";
-    let hpp_run = measure::<ds::hpp::HHSList<u64, u64>, _>(name, window, hpp_bound, stalled_hazard!());
+    let hpp_run =
+        measure::<ds::hpp::HHSList<u64, u64>, _>(name, window, hpp_bound, stalled_hazard!());
 
     println!();
     println!("# Expectation (paper Table 1): EBR unbounded (grows with run time);");

@@ -17,52 +17,27 @@
 //!   are retired *through EBR itself* — stamped with the current epoch and
 //!   freed two epochs later, exactly like data-structure nodes, which is
 //!   safe because every traverser is pinned.
-//! * **Garbage lives in sealed generation bags** (`bags.rs`): a collection
+//! * **Garbage lives in sealed generation bags** (`smr_common::bags`): a collection
 //!   compares three stamps and frees whole expired bags without
 //!   re-examining ineligible items.
 
-use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 
-use parking_lot::Mutex;
-use smr_common::policy::PolicySlot;
+use smr_common::bags::GenBags;
+use smr_common::policy::Capped;
 use smr_common::registry::{Node, Registry};
-use smr_common::{counters, fence as smr_fence, CachePadded, Retired};
+use smr_common::retired::Orphans;
+use smr_common::{fence as smr_fence, CachePadded, Retired};
 
-use crate::bags::GenBags;
 use crate::guard::Guard;
 
-/// Default retire count that triggers a collection attempt
-/// (`EBR_COLLECT_THRESHOLD` overrides).
-const DEFAULT_COLLECT_THRESHOLD: usize = 128;
-
-/// Per-participant retires per collection attempt scale with the number of
-/// registered threads: each attempt traverses the whole registry, so the
-/// trigger grows as `k · participants` to keep the traversal cost per
-/// retire O(k⁻¹) — the epoch analogue of HP's `R = k·H` rule.
-const COLLECT_K: usize = 8;
-
-/// The collection trigger's fixed floor: `max(floor, k · participants)`.
-fn collect_threshold_floor() -> usize {
-    static FLOOR: OnceLock<usize> = OnceLock::new();
-    *FLOOR.get_or_init(|| {
-        smr_common::env::parse_usize("EBR_COLLECT_THRESHOLD")
-            .filter(|&n| n > 0)
-            .unwrap_or(DEFAULT_COLLECT_THRESHOLD)
-    })
-}
-
-/// EBR's trigger formula as [`policy`](smr_common::policy)
-/// parameters: `bags.len() ≥ max(EBR_COLLECT_THRESHOLD, 8 · participants)`
-/// (`slots` in [`RetireStats`](smr_common::policy::RetireStats) is the live
-/// participant count for this scheme).
-pub fn legacy_trigger() -> smr_common::policy::Capped {
-    smr_common::policy::Capped {
-        floor: collect_threshold_floor(),
-        k: COLLECT_K,
-        period: 0,
-    }
-}
+/// EBR's collection trigger: `bags.len() ≥ max(128, 8 · participants)`.
+///
+/// Each collection traverses the whole registry, so the trigger grows as
+/// `k · participants` to keep the traversal cost per retire O(k⁻¹) — the
+/// epoch analogue of HP's `R = k·H` rule; the floor keeps collections
+/// amortized at low thread counts.
+pub const TRIGGER: Capped = Capped { floor: 128, k: 8 };
 
 /// Per-participant epoch state. `state` packs `(epoch << 1) | pinned`.
 ///
@@ -94,14 +69,9 @@ pub struct Collector {
     pub(crate) epoch: CachePadded<AtomicU64>,
     /// Lock-free participant registry; one node per registered thread.
     pub(crate) registry: Registry<Participant>,
-    /// Garbage abandoned by exited threads, adopted by later collections.
-    orphans: Mutex<Vec<(u64, Retired)>>,
-    /// Entry count of `orphans`, maintained under the lock. Lets collections
-    /// skip the mutex entirely in the common no-orphans case.
-    orphan_count: AtomicUsize,
-    /// Collection trigger: [`legacy_trigger`], built at the first deferred
-    /// destroy.
-    trigger: PolicySlot,
+    /// Stamped garbage abandoned by exited threads, adopted by later
+    /// collections.
+    orphans: Orphans<(u64, Retired)>,
 }
 
 impl Default for Collector {
@@ -117,9 +87,7 @@ impl Collector {
         Self {
             epoch: CachePadded::new(AtomicU64::new(0)),
             registry: Registry::new(),
-            orphans: Mutex::new(Vec::new()),
-            orphan_count: AtomicUsize::new(0),
-            trigger: PolicySlot::new(legacy_trigger),
+            orphans: Orphans::new(),
         }
     }
 
@@ -148,14 +116,14 @@ impl Collector {
         self.registry.live()
     }
 
-    /// Retire count at which a thread attempts a collection:
-    /// `max(EBR_COLLECT_THRESHOLD, 8 · participants)`.
+    /// Retire count at which a thread attempts a collection: [`TRIGGER`]
+    /// at the current participant count.
     ///
     /// Public so tests can derive garbage bounds from the same formula the
     /// scheme enforces instead of hard-coding magic constants.
     #[inline]
     pub fn collect_threshold(&self) -> usize {
-        collect_threshold_floor().max(COLLECT_K * self.registry.live())
+        TRIGGER.threshold(self.registry.live())
     }
 
     /// Tries to advance the global epoch; returns the epoch afterwards.
@@ -178,7 +146,6 @@ impl Collector {
                 None => true,
             },
             |node| {
-                counters::incr_garbage(1);
                 // Stamped with the epoch *now*, not `e`: a traverser that
                 // pinned at `e + 1` after `e` was read may be parked on this
                 // node, and nothing pinned at `e + 1` holds back `e + 2`.
@@ -203,35 +170,11 @@ impl Collector {
         self.epoch.load(Ordering::Relaxed)
     }
 
-    /// Donates a dying thread's garbage to the orphan list.
-    fn donate_orphans(&self, donated: &mut Vec<(u64, Retired)>) {
-        if donated.is_empty() {
-            return;
-        }
-        let mut orphans = self.orphans.lock();
-        orphans.append(donated);
-        self.orphan_count.store(orphans.len(), Ordering::Release);
-    }
-
     /// Number of orphaned retired blocks awaiting adoption (diagnostics;
     /// the kv-service quarantine path records this as the settled garbage
     /// leaked with a dead shard's collector).
     pub fn orphan_count(&self) -> usize {
-        self.orphan_count.load(Ordering::Acquire)
-    }
-
-    /// Takes the orphan list if any and uncontended.
-    ///
-    /// Fast path: a single load when there are no orphans — no lock. Lock
-    /// contention is tolerated by giving up; another collector is already
-    /// adopting.
-    fn take_orphans(&self) -> Option<Vec<(u64, Retired)>> {
-        if self.orphan_count.load(Ordering::Acquire) == 0 {
-            return None;
-        }
-        let mut orphans = self.orphans.try_lock()?;
-        self.orphan_count.store(0, Ordering::Release);
-        Some(std::mem::take(&mut *orphans))
+        self.orphans.len()
     }
 }
 
@@ -317,8 +260,7 @@ impl LocalHandle {
     /// Asks the collector's trigger whether a deferred destroy should
     /// attempt a collection now.
     pub(crate) fn should_collect(&self) -> bool {
-        let live = self.global.registry.live();
-        self.global.trigger.should_reclaim(self.bags.len(), live, 0)
+        TRIGGER.should_reclaim(self.bags.len(), self.global.registry.live())
     }
 
     /// Attempts an epoch advance and frees everything eligible.
@@ -327,16 +269,9 @@ impl LocalHandle {
     /// traversal inside [`Collector::try_advance`] relies on it.
     pub(crate) fn collect(&mut self) {
         // Adopt orphans first so exited threads' garbage is not stranded.
-        if let Some(orphans) = self.global.take_orphans() {
-            let epoch = self.global.epoch.load(Ordering::Relaxed);
-            for (stamp, retired) in orphans {
-                if stamp + 2 <= epoch {
-                    // Already expired; free without touching the bags.
-                    unsafe { retired.free() };
-                } else {
-                    self.bags.push(stamp, retired);
-                }
-            }
+        if let Some(orphans) = self.global.orphans.take() {
+            self.bags
+                .adopt(orphans, self.global.epoch.load(Ordering::Relaxed));
         }
         smr_common::fault_point!("ebr::collect::after_adopt");
         let global_epoch = self.global.try_advance(&mut self.bags);
@@ -356,10 +291,10 @@ impl Drop for LocalHandle {
                 // Mark the registry node dead first so a concurrent advance
                 // is not blocked on a participant that no longer runs.
                 unsafe { h.global.registry.delete(h.record) };
-                if h.bags.len() > 0 {
+                if !h.bags.is_empty() {
                     let mut donated = Vec::new();
                     h.bags.drain_into(&mut donated);
-                    h.global.donate_orphans(&mut donated);
+                    h.global.orphans.donate(&mut donated);
                 }
             }
         }

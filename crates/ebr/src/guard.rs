@@ -3,7 +3,7 @@
 use std::marker::PhantomData;
 use std::sync::atomic::Ordering;
 
-use smr_common::{counters, Retired, Shared};
+use smr_common::{Retired, Shared};
 
 use crate::collector::LocalHandle;
 
@@ -44,14 +44,7 @@ impl<'a> Guard<'a> {
     /// `ptr` must be a `Box`-allocated node that has been unlinked from the
     /// data structure and is retired exactly once.
     pub unsafe fn defer_destroy<T>(&self, ptr: Shared<T>) {
-        let handle = unsafe { self.handle() };
-        let epoch = handle.global.epoch.load(Ordering::Relaxed);
-        counters::incr_garbage(1);
-        handle.bags.push(epoch, unsafe { Retired::new(ptr.as_raw()) });
-        smr_common::fault_point!("ebr::defer::after_push");
-        if handle.should_collect() {
-            handle.collect();
-        }
+        self.retire(unsafe { Retired::new(ptr.as_raw()) });
     }
 
     /// Retires with a custom deleter (descriptor nodes etc.).
@@ -59,12 +52,17 @@ impl<'a> Guard<'a> {
     /// # Safety
     /// Same contract as [`Guard::defer_destroy`].
     pub unsafe fn defer_destroy_with(&self, ptr: *mut u8, free_fn: unsafe fn(*mut u8)) {
+        self.retire(unsafe { Retired::with_free(ptr, free_fn) });
+    }
+
+    /// Bags `retired` under the current epoch, then collects if
+    /// [`crate::TRIGGER`] fires.
+    #[inline]
+    fn retire(&self, retired: Retired) {
         let handle = unsafe { self.handle() };
         let epoch = handle.global.epoch.load(Ordering::Relaxed);
-        counters::incr_garbage(1);
-        handle
-            .bags
-            .push(epoch, unsafe { Retired::with_free(ptr, free_fn) });
+        handle.bags.push(epoch, retired);
+        smr_common::fault_point!("ebr::defer::after_push");
         if handle.should_collect() {
             handle.collect();
         }

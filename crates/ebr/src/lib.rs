@@ -24,7 +24,7 @@
 //! a mutex-guarded vector, and garbage lives in sealed per-epoch generation
 //! bags that free whole expired generations in O(bag). See
 //! `collector.rs`'s module docs for the code-inspection notes and
-//! `EBR_COLLECT_THRESHOLD` in EXPERIMENTS.md for the collection knob.
+//! [`TRIGGER`] for the collection trigger.
 //!
 //! # Example
 //!
@@ -53,11 +53,10 @@
 
 #![warn(missing_docs)]
 
-mod bags;
 mod collector;
 mod guard;
 
-pub use collector::{legacy_trigger, Collector, LocalHandle};
+pub use collector::{Collector, LocalHandle, TRIGGER};
 pub use guard::Guard;
 
 use smr_common::{GuardedScheme, SchemeGuard, Shared};

@@ -3,7 +3,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use smr_common::fence;
-use smr_common::policy::PolicySlot;
 
 use crate::thread::Thread;
 
@@ -14,9 +13,6 @@ pub struct Domain {
     /// fences so threads can piggyback hazard revocation on each other's
     /// fences.
     pub(crate) fence_epoch: AtomicU64,
-    /// Trigger of the unlink→reclaim cadence (the inner HP domain carries
-    /// its own for the plain-retire path).
-    pub(crate) unlink_trigger: PolicySlot,
 }
 
 impl Default for Domain {
@@ -31,7 +27,6 @@ impl Domain {
         Self {
             hp: hp::Domain::new(),
             fence_epoch: AtomicU64::new(0),
-            unlink_trigger: PolicySlot::new(crate::legacy_unlink_trigger),
         }
     }
 

@@ -120,36 +120,24 @@ pub const FAULT_POINTS: &[&str] = &[
     "hpp::reclaim::before_revoke",
 ];
 
-/// The effective periods, overridable for the batching ablation via the
-/// `HPP_INVALIDATE_PERIOD` / `HPP_RECLAIM_PERIOD` environment variables
-/// (read once, at first use).
-pub(crate) fn periods() -> (usize, usize) {
+/// The invalidation period, overridable for the batching ablation via the
+/// `HPP_INVALIDATE_PERIOD` environment variable (read once, at first use).
+pub(crate) fn invalidate_period() -> usize {
     use std::sync::OnceLock;
-    static PERIODS: OnceLock<(usize, usize)> = OnceLock::new();
-    *PERIODS.get_or_init(|| {
-        let read = |name: &str, default: usize| {
-            smr_common::env::parse_usize(name)
-                .filter(|&n| n > 0)
-                .unwrap_or(default)
-        };
-        (
-            read("HPP_INVALIDATE_PERIOD", INVALIDATE_PERIOD),
-            read("HPP_RECLAIM_PERIOD", RECLAIM_PERIOD),
-        )
+    static PERIOD: OnceLock<usize> = OnceLock::new();
+    *PERIOD.get_or_init(|| {
+        smr_common::env::parse_usize("HPP_INVALIDATE_PERIOD")
+            .filter(|&n| n > 0)
+            .unwrap_or(INVALIDATE_PERIOD)
     })
 }
 
-/// HP++'s reclaim cadence as [`policy`](smr_common::policy) parameters:
-/// reclaim every `HPP_RECLAIM_PERIOD` unlinks (a cadence-only trigger — the
-/// count branch is unarmed). The invalidation cadence
-/// (`HPP_INVALIDATE_PERIOD`) is a separate correctness batching knob,
-/// checked only when the trigger skips reclamation.
-pub fn legacy_unlink_trigger() -> smr_common::policy::Capped {
-    smr_common::policy::Capped {
-        floor: 0,
-        k: 0,
-        period: periods().1 as u64,
-    }
+/// The derived cap on one thread's unreclaimed HP++ garbage at `h_slots`
+/// hazard slots: the inner HP bag's `hp::TRIGGER.bound(h_slots)`, plus up
+/// to [`RECLAIM_PERIOD`] unlinked batches of at most two nodes awaiting the
+/// next reclaim.
+pub const fn garbage_bound(h_slots: usize) -> usize {
+    hp::TRIGGER.bound(h_slots) + 2 * RECLAIM_PERIOD
 }
 
 /// A node type that can be invalidated by an HP++ unlinker.

@@ -5,7 +5,7 @@ use hp::HazardPointer;
 use smr_common::{counters, Retired, Shared};
 
 use crate::domain::Domain;
-use crate::{periods, Invalidate};
+use crate::{invalidate_period, Invalidate, RECLAIM_PERIOD};
 
 /// How many pooled spill vectors a thread keeps per pool. Beyond this,
 /// returned vectors are dropped: `try_unlink` bursts briefly needing many
@@ -126,14 +126,6 @@ impl<T> Unlinked<T> {
         Self::Pair(first, second)
     }
 
-    fn len(&self) -> usize {
-        match self {
-            Self::Single(_) => 1,
-            Self::Pair(..) => 2,
-            Self::Chain(v) => v.len(),
-        }
-    }
-
     fn for_each(&self, mut f: impl FnMut(Shared<T>)) {
         match self {
             Self::Single(s) => f(*s),
@@ -250,10 +242,12 @@ impl Thread {
 
         match do_unlink() {
             Some(unlinked) => {
-                counters::incr_garbage(unlinked.len() as u64);
                 let mut nodes = InlineBuf::new();
                 unlinked.for_each(|s| {
-                    nodes.push(unsafe { Retired::new(s.as_raw()) }, &mut self.spare_retired_vecs)
+                    nodes.push(
+                        unsafe { Retired::new(s.as_raw()) },
+                        &mut self.spare_retired_vecs,
+                    )
                 });
                 self.unlinkeds.push(UnlinkBatch {
                     nodes,
@@ -264,15 +258,12 @@ impl Thread {
                 // HP++'s deferred invalidation (Algorithm 3) leaves open.
                 smr_common::fault_point!("hpp::try_unlink::after_detach");
                 self.unlink_count += 1;
-                // Reclaim every `reclaim_period` unlinks; the invalidation
-                // cadence is only consulted when the trigger defers.
-                if self.domain.unlink_trigger.should_reclaim(
-                    self.unlinkeds.len() + self.inner.retired_count(),
-                    self.domain.hp.slot_capacity(),
-                    self.unlink_count as u64,
-                ) {
+                // Reclaim every `RECLAIM_PERIOD` unlinks; the invalidation
+                // cadence is only consulted when the reclaim defers.
+                if self.unlink_count.is_multiple_of(RECLAIM_PERIOD) {
+                    counters::incr_policy_scan_forced();
                     self.reclaim();
-                } else if self.unlink_count.is_multiple_of(periods().0) {
+                } else if self.unlink_count.is_multiple_of(invalidate_period()) {
                     self.do_invalidation();
                 }
                 true

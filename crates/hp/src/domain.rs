@@ -1,9 +1,6 @@
 //! A reclamation domain: the global hazard-slot list plus orphaned garbage.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-use parking_lot::Mutex;
-use smr_common::policy::PolicySlot;
+use smr_common::retired::Orphans;
 use smr_common::Retired;
 
 use crate::hazard::{HazardList, HazardPointer};
@@ -16,14 +13,7 @@ use crate::thread::Thread;
 pub struct Domain {
     pub(crate) hazards: HazardList,
     /// Retired nodes abandoned by exited threads; adopted by reclaimers.
-    orphans: Mutex<Vec<Retired>>,
-    /// Number of entries in `orphans`, maintained under the lock. Lets the
-    /// reclaim hot path skip the mutex entirely in the common no-orphans
-    /// case: exited threads are rare, reclaims are not.
-    orphan_count: AtomicUsize,
-    /// This domain's reclaim trigger: `max(RECLAIM_THRESHOLD, k·H)`
-    /// ([`crate::legacy_trigger`]), built on first retire.
-    pub(crate) trigger: PolicySlot,
+    pub(crate) orphans: Orphans<Retired>,
 }
 
 impl Default for Domain {
@@ -37,9 +27,7 @@ impl Domain {
     pub const fn new() -> Self {
         Self {
             hazards: HazardList::new(),
-            orphans: Mutex::new(Vec::new()),
-            orphan_count: AtomicUsize::new(0),
-            trigger: PolicySlot::new(crate::legacy_trigger),
+            orphans: Orphans::new(),
         }
     }
 
@@ -69,32 +57,7 @@ impl Domain {
 
     /// Number of orphaned retired nodes awaiting adoption (diagnostics).
     pub fn orphan_count(&self) -> usize {
-        self.orphan_count.load(Ordering::Relaxed)
-    }
-
-    /// Donates a dying thread's leftover garbage to the orphan list.
-    pub(crate) fn donate_orphans(&self, leftovers: &mut Vec<Retired>) {
-        if leftovers.is_empty() {
-            return;
-        }
-        let mut orphans = self.orphans.lock();
-        orphans.append(leftovers);
-        self.orphan_count.store(orphans.len(), Ordering::Release);
-    }
-
-    /// Moves any orphaned garbage into `into`.
-    ///
-    /// Fast path: a single relaxed load when the orphan list is empty — no
-    /// lock, no allocation. Contention on the lock is tolerated by giving
-    /// up (`try_lock`); another reclaimer is already adopting.
-    pub(crate) fn adopt_orphans(&self, into: &mut Vec<Retired>) {
-        if self.orphan_count.load(Ordering::Acquire) == 0 {
-            return;
-        }
-        if let Some(mut orphans) = self.orphans.try_lock() {
-            into.append(&mut orphans);
-            self.orphan_count.store(0, Ordering::Release);
-        }
+        self.orphans.len()
     }
 }
 

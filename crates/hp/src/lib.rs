@@ -53,22 +53,30 @@ pub use domain::{default_domain, Domain};
 pub use hazard::HazardPointer;
 pub use thread::Thread;
 
+use smr_common::policy::Capped;
+
 /// Minimum number of retires between reclamation attempts (paper §5: 128).
-///
-/// The effective trigger is adaptive: a thread scans once its retired bag
-/// reaches `max(RECLAIM_THRESHOLD, k · H)` where `H` is the number of live
-/// hazard slots in the domain and `k` is [`reclaim_k`]. The floor keeps
-/// scans amortized at low thread counts; the `k · H` term is Michael's
-/// `R = H(1 + ε)` rule, which keeps the *per-free* scan cost O(k/(k-1))
-/// instead of degrading as hazard arrays grow with thread count.
 pub const RECLAIM_THRESHOLD: usize = 128;
 
-/// Default `k` of the adaptive reclaim trigger (`R = k · H`): every scan of
-/// `H` hazard slots frees at least `(k-1) · H` nodes, so scan cost per
-/// freed node is bounded by `k/(k-1)` comparisons. 2 balances memory bound
-/// (at most `2H + RECLAIM_THRESHOLD` unreclaimed per thread) against scan
+/// `k` of the adaptive reclaim trigger (`R = k · H`): every scan of `H`
+/// hazard slots frees at least `(k-1) · H` nodes, so scan cost per freed
+/// node is bounded by `k/(k-1)` comparisons. 2 balances memory bound (at
+/// most `2H + RECLAIM_THRESHOLD` unreclaimed per thread) against scan
 /// amortization.
 pub const RECLAIM_K: usize = 2;
+
+/// HP's reclaim trigger: a thread scans once its retired bag reaches
+/// `max(RECLAIM_THRESHOLD, RECLAIM_K · H)`, where `H` is the number of
+/// hazard slots in the domain. The floor keeps scans amortized at low
+/// thread counts; the `k · H` term is Michael's `R = H(1 + ε)` rule, which
+/// keeps the *per-free* scan cost O(k/(k-1)) as hazard arrays grow.
+/// [`Capped::bound`](smr_common::policy::Capped::bound) gives the
+/// `k·H + RECLAIM_THRESHOLD` cap the Table-1 gate and the robustness tests
+/// assert.
+pub const TRIGGER: Capped = Capped {
+    floor: RECLAIM_THRESHOLD,
+    k: RECLAIM_K,
+};
 
 /// Named fault-injection points compiled into this crate (each a
 /// `smr_common::fault_point!` site; no-ops without the `fault-injection`
@@ -81,27 +89,7 @@ pub const FAULT_POINTS: &[&str] = &[
     "hp::teardown::before_reclaim",
 ];
 
-/// The effective adaptive-threshold multiplier, overridable for ablations
-/// via the `HP_RECLAIM_K` environment variable (read once, at first use).
-pub fn reclaim_k() -> usize {
-    use std::sync::OnceLock;
-    static K: OnceLock<usize> = OnceLock::new();
-    *K.get_or_init(|| {
-        smr_common::env::parse_usize("HP_RECLAIM_K")
-            .filter(|&k| k > 0)
-            .unwrap_or(RECLAIM_K)
-    })
-}
-
-/// HP's trigger formula as [`policy`](smr_common::policy) parameters:
-/// `retired ≥ max(RECLAIM_THRESHOLD, reclaim_k() · H)` — what every
-/// [`Domain`] runs, and through [`Capped::bound`](smr_common::policy::Capped::bound)
-/// the `k·H + RECLAIM_THRESHOLD` cap the Table-1 gate and the robustness
-/// tests assert.
-pub fn legacy_trigger() -> smr_common::policy::Capped {
-    smr_common::policy::Capped {
-        floor: RECLAIM_THRESHOLD,
-        k: reclaim_k(),
-        period: 0,
-    }
+/// [`TRIGGER`] under the name the stand-alone `benchmark/` package spells.
+pub const fn legacy_trigger() -> Capped {
+    TRIGGER
 }

@@ -65,12 +65,11 @@
 
 use std::ptr;
 use std::sync::atomic::{AtomicIsize, AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
 
-use parking_lot::Mutex;
-use smr_common::policy::PolicySlot;
+use smr_common::policy::Capped;
 use smr_common::registry::{Node, Registry};
-use smr_common::{counters, fence as smr_fence, CachePadded, Retired};
+use smr_common::retired::Orphans;
+use smr_common::{fence as smr_fence, CachePadded, Retired};
 
 use crate::guard::Guard;
 
@@ -85,37 +84,12 @@ const EJECTED: usize = 4;
 /// Mask extracting the batch-node head pointer from a slot word.
 const PTR_MASK: usize = !(ACTIVE | PENDING | EJECTED);
 
-/// Default batch size that triggers a handover attempt
-/// (`HYALINE_BATCH_THRESHOLD` overrides).
-const DEFAULT_BATCH_FLOOR: usize = 128;
-
-/// Per-slot batch-size multiplier: a handover must reach every active slot
-/// (one node per slot), so the trigger grows as `k · slots` to keep the
-/// traversal cost per retire O(k⁻¹) — and to guarantee the batch always has
-/// enough nodes to serve every slot it must reach.
-const BATCH_K: usize = 8;
-
-/// The handover trigger's fixed floor: `max(floor, k · slots)`.
-fn batch_threshold_floor() -> usize {
-    static FLOOR: OnceLock<usize> = OnceLock::new();
-    *FLOOR.get_or_init(|| {
-        smr_common::env::parse_usize("HYALINE_BATCH_THRESHOLD")
-            .filter(|&n| n > 0)
-            .unwrap_or(DEFAULT_BATCH_FLOOR)
-    })
-}
-
-/// Hyaline's trigger formula as [`policy`](smr_common::policy) parameters:
-/// `batch ≥ max(HYALINE_BATCH_THRESHOLD, 8 · slots)` (`slots` in
-/// [`RetireStats`](smr_common::policy::RetireStats) is the live registered
-/// handle count for this scheme).
-pub fn legacy_trigger() -> smr_common::policy::Capped {
-    smr_common::policy::Capped {
-        floor: batch_threshold_floor(),
-        k: BATCH_K,
-        period: 0,
-    }
-}
+/// Hyaline's handover trigger: `batch ≥ max(128, 8 · slots)`, `slots`
+/// being the live registered handle count. A handover must reach every
+/// active slot (one node per slot), so the trigger grows as `k · slots` to
+/// keep the traversal cost per retire O(k⁻¹) — and to guarantee the batch
+/// always has enough nodes to serve every slot it must reach.
+pub const TRIGGER: Capped = Capped { floor: 128, k: 8 };
 
 /// Derived worst-case garbage bound at `threads` registered handles when no
 /// thread stalls *inside* a validated critical section (Table-1 row).
@@ -126,8 +100,8 @@ pub fn legacy_trigger() -> smr_common::policy::Capped {
 /// overlapping handover — bounded by the same count with a 2× slack:
 /// `2 · (threads + 1) · max(floor, k · (threads + 1))`, the hyaline analogue
 /// of HP's `k·H + floor`.
-pub fn garbage_bound(threads: usize) -> usize {
-    2 * (threads + 1) * legacy_trigger().threshold(threads + 1)
+pub const fn garbage_bound(threads: usize) -> usize {
+    2 * (threads + 1) * TRIGGER.threshold(threads + 1)
 }
 
 /// One retired allocation riding a batch.
@@ -193,16 +167,9 @@ pub struct Domain {
     pub(crate) registry: Registry<Slot>,
     /// Unhanded batches donated by exited threads; adopted into the next
     /// handover so they flow through the normal grace period.
-    orphans: Mutex<Vec<Retired>>,
-    /// Entry count of `orphans` for the lock-free empty check.
-    orphan_count: AtomicUsize,
+    orphans: Orphans<Retired>,
     /// Dead registry nodes awaiting the era-based reap (stamp, node).
-    dead_slots: Mutex<Vec<(u64, Retired)>>,
-    /// Entry count of `dead_slots` for the lock-free empty check.
-    dead_count: AtomicUsize,
-    /// Handover trigger: [`legacy_trigger`], built at the first deferred
-    /// destroy.
-    trigger: PolicySlot,
+    dead_slots: Orphans<(u64, Retired)>,
 }
 
 impl Default for Domain {
@@ -218,11 +185,8 @@ impl Domain {
         Self {
             era: CachePadded::new(AtomicU64::new(0)),
             registry: Registry::new(),
-            orphans: Mutex::new(Vec::new()),
-            orphan_count: AtomicUsize::new(0),
-            dead_slots: Mutex::new(Vec::new()),
-            dead_count: AtomicUsize::new(0),
-            trigger: PolicySlot::new(legacy_trigger),
+            orphans: Orphans::new(),
+            dead_slots: Orphans::new(),
         }
     }
 
@@ -252,40 +216,20 @@ impl Domain {
         self.registry.live()
     }
 
-    /// Batch size at which a retire attempts a handover:
-    /// `max(HYALINE_BATCH_THRESHOLD, 8 · participants)`.
+    /// Batch size at which a retire attempts a handover: [`TRIGGER`] at the
+    /// current participant count.
     ///
     /// Public so tests derive garbage bounds from the same formula the
     /// scheme enforces instead of hard-coding magic constants.
     #[inline]
     pub fn handover_threshold(&self) -> usize {
-        legacy_trigger().threshold(self.registry.live())
+        TRIGGER.threshold(self.registry.live())
     }
 
     /// Number of donated payloads awaiting adoption (diagnostics and the
     /// fault-matrix teardown balance checks).
     pub fn orphan_count(&self) -> usize {
-        self.orphan_count.load(Ordering::Acquire)
-    }
-
-    /// Donates a dying thread's unhanded payloads to the orphan list.
-    fn donate_orphans(&self, donated: &mut Vec<Retired>) {
-        if donated.is_empty() {
-            return;
-        }
-        let mut orphans = self.orphans.lock();
-        orphans.append(donated);
-        self.orphan_count.store(orphans.len(), Ordering::Release);
-    }
-
-    /// Takes the orphan list if any and uncontended (single load fast path).
-    fn take_orphans(&self) -> Option<Vec<Retired>> {
-        if self.orphan_count.load(Ordering::Acquire) == 0 {
-            return None;
-        }
-        let mut orphans = self.orphans.try_lock()?;
-        self.orphan_count.store(0, Ordering::Release);
-        Some(std::mem::take(&mut *orphans))
+        self.orphans.len()
     }
 
     /// Stamps freshly unlinked registry nodes with a post-unlink era bump
@@ -299,15 +243,13 @@ impl Domain {
             return;
         }
         let stamp = self.era.fetch_add(1, Ordering::AcqRel) + 1;
-        let mut dead = self.dead_slots.lock();
-        for node in unlinked {
-            counters::incr_garbage(1);
-            // Safety: the node came from `Box::into_raw` in
-            // `Registry::insert`, and `traverse` hands each unlinked node
-            // out exactly once.
-            dead.push((stamp, unsafe { Retired::new(node) }));
-        }
-        self.dead_count.store(dead.len(), Ordering::Release);
+        // Safety: each node came from `Box::into_raw` in `Registry::insert`,
+        // and `traverse` hands each unlinked node out exactly once.
+        let mut dead = unlinked
+            .into_iter()
+            .map(|node| (stamp, unsafe { Retired::new(node) }))
+            .collect();
+        self.dead_slots.donate(&mut dead);
     }
 
     /// Frees dead registry nodes whose stamp every announced era has passed.
@@ -317,22 +259,13 @@ impl Domain {
     /// traversal runs inside a critical section, so a node stamped `≤`
     /// every announced era can no longer be reached by any walker.
     fn reap_dead_slots(&self, min_era: u64) {
-        if self.dead_count.load(Ordering::Acquire) == 0 {
-            return;
-        }
-        let Some(mut dead) = self.dead_slots.try_lock() else {
-            return; // another thread is reaping
+        let Some(mut dead) = self.dead_slots.take() else {
+            return; // none, or another thread is reaping
         };
-        let mut i = 0;
-        while i < dead.len() {
-            if dead[i].0 <= min_era {
-                let (_, retired) = dead.swap_remove(i);
-                unsafe { retired.free() };
-            } else {
-                i += 1;
-            }
+        for (_, retired) in dead.extract_if(.., |(stamp, _)| *stamp <= min_era) {
+            unsafe { retired.free() };
         }
-        self.dead_count.store(dead.len(), Ordering::Release);
+        self.dead_slots.donate(&mut dead);
     }
 }
 
@@ -412,12 +345,10 @@ impl LocalHandle {
             // Validated: upgrade unless a handover ejected us meanwhile. The
             // acquire failure load reads the ejector's release store, so the
             // retried validation observes its era bump.
-            match slot.word.compare_exchange(
-                PENDING,
-                ACTIVE,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
+            match slot
+                .word
+                .compare_exchange(PENDING, ACTIVE, Ordering::AcqRel, Ordering::Acquire)
+            {
                 Ok(_) => return,
                 Err(_) => e = self.global.era.load(Ordering::Acquire),
             }
@@ -458,28 +389,26 @@ impl LocalHandle {
         self.batch_len
     }
 
-    /// Links a retired payload onto the local batch and consults the trigger.
-    pub(crate) fn push_retired(&mut self, retired: Retired) {
-        let node = Box::into_raw(Box::new(BatchNode {
-            payload: retired,
+    /// Links a retired payload onto the local batch, then attempts a
+    /// handover if [`TRIGGER`] fires.
+    pub(crate) fn retire(&mut self, retired: Retired) {
+        self.link(retired);
+        smr_common::fault_point!("hyaline::retire::after_link");
+        if TRIGGER.should_reclaim(self.batch_len, self.global.registry.live()) {
+            self.collect();
+        }
+    }
+
+    /// Links a payload onto the local batch under assembly.
+    fn link(&mut self, payload: Retired) {
+        self.batch_head = Box::into_raw(Box::new(BatchNode {
+            payload,
             refs: AtomicIsize::new(0),
             refs_node: ptr::null_mut(),
             batch_next: self.batch_head,
             next: ptr::null_mut(),
         }));
-        self.batch_head = node;
         self.batch_len += 1;
-        smr_common::fault_point!("hyaline::retire::after_link");
-        if self.should_collect() {
-            self.collect();
-        }
-    }
-
-    /// Asks the domain's trigger whether this retire should attempt
-    /// a handover now.
-    pub(crate) fn should_collect(&self) -> bool {
-        let live = self.global.registry.live();
-        self.global.trigger.should_reclaim(self.batch_len, live, 0)
     }
 
     /// Adopts orphans, attempts a handover, and reaps dead slot records.
@@ -491,7 +420,7 @@ impl LocalHandle {
         self.adopt_orphans();
         let min_era = if !self.batch_head.is_null() {
             Some(self.handover())
-        } else if self.global.dead_count.load(Ordering::Acquire) > 0 {
+        } else if !self.global.dead_slots.is_empty() {
             Some(self.scan_min_era())
         } else {
             None
@@ -504,18 +433,8 @@ impl LocalHandle {
     /// Folds donated payloads into the local batch so exited threads'
     /// garbage flows through the normal handover grace period.
     fn adopt_orphans(&mut self) {
-        if let Some(orphans) = self.global.take_orphans() {
-            for retired in orphans {
-                let node = Box::into_raw(Box::new(BatchNode {
-                    payload: retired,
-                    refs: AtomicIsize::new(0),
-                    refs_node: ptr::null_mut(),
-                    batch_next: self.batch_head,
-                    next: ptr::null_mut(),
-                }));
-                self.batch_head = node;
-                self.batch_len += 1;
-            }
+        for retired in self.global.orphans.take().into_iter().flatten() {
+            self.link(retired);
         }
     }
 
@@ -585,13 +504,11 @@ impl LocalHandle {
         );
 
         // The handover needs one carrier node per reachable slot. A small
-        // batch (an explicit flush, a small `HYALINE_BATCH_THRESHOLD`) or a
-        // registration burst can leave fewer nodes than slots; pad with
-        // empty carriers so the handover always completes — flush must be
-        // able to drain. (The trigger `max(floor, 8·slots)` makes this a
-        // cold path.)
+        // batch (an explicit flush) or a registration burst can leave fewer
+        // nodes than slots; pad with empty carriers so the handover always
+        // completes — flush must be able to drain. (The trigger
+        // `max(floor, 8·slots)` makes this a cold path.)
         while eligible > self.batch_len {
-            counters::incr_garbage(1);
             let filler = Box::into_raw(Box::new(BatchNode {
                 // Safety: a fresh allocation, freed exactly once with the
                 // batch.
@@ -702,7 +619,7 @@ impl Drop for LocalHandle {
                     }
                     h.batch_head = ptr::null_mut();
                     h.batch_len = 0;
-                    h.global.donate_orphans(&mut donated);
+                    h.global.orphans.donate(&mut donated);
                 }
             }
         }

@@ -2,7 +2,7 @@
 
 use std::marker::PhantomData;
 
-use smr_common::{counters, Retired, Shared};
+use smr_common::{Retired, Shared};
 
 use crate::domain::LocalHandle;
 
@@ -44,9 +44,7 @@ impl<'a> Guard<'a> {
     /// `ptr` must be a `Box`-allocated node that has been unlinked from the
     /// data structure and is retired exactly once.
     pub unsafe fn defer_destroy<T>(&self, ptr: Shared<T>) {
-        let handle = unsafe { self.handle() };
-        counters::incr_garbage(1);
-        handle.push_retired(unsafe { Retired::new(ptr.as_raw()) });
+        unsafe { self.handle() }.retire(unsafe { Retired::new(ptr.as_raw()) });
     }
 
     /// Retires with a custom deleter (descriptor nodes etc.).
@@ -54,9 +52,7 @@ impl<'a> Guard<'a> {
     /// # Safety
     /// Same contract as [`Guard::defer_destroy`].
     pub unsafe fn defer_destroy_with(&self, ptr: *mut u8, free_fn: unsafe fn(*mut u8)) {
-        let handle = unsafe { self.handle() };
-        counters::incr_garbage(1);
-        handle.push_retired(unsafe { Retired::with_free(ptr, free_fn) });
+        unsafe { self.handle() }.retire(unsafe { Retired::with_free(ptr, free_fn) });
     }
 
     /// Briefly exits and re-enters the critical section.

@@ -55,7 +55,7 @@
 mod domain;
 mod guard;
 
-pub use domain::{garbage_bound, legacy_trigger, Domain, LocalHandle};
+pub use domain::{garbage_bound, Domain, LocalHandle, TRIGGER};
 pub use guard::Guard;
 
 use smr_common::{GuardedScheme, SchemeGuard, Shared};

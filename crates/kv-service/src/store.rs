@@ -102,12 +102,10 @@ impl ShardStore for HppStore {
     }
 
     fn garbage_bound(&self) -> Option<u64> {
-        // HP's derived cap k·H + threshold, plus HP++'s deferred-
-        // invalidation slack (up to RECLAIM_PERIOD unlinked batches of ≤ 2
-        // nodes), times a 2x in-flight margin — the same derivation as
-        // tests/robustness.rs.
+        // HP++'s derived per-thread cap, times a 2x in-flight margin — the
+        // same derivation as tests/robustness.rs.
         let h_slots = self.domain.hp_domain().slot_capacity();
-        Some(2 * (hp::legacy_trigger().bound(h_slots) + 2 * hp_plus::RECLAIM_PERIOD) as u64)
+        Some(2 * hp_plus::garbage_bound(h_slots) as u64)
     }
 
     fn quiesce(&self, handle: &mut Self::Handle) {

@@ -21,8 +21,10 @@ use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use smr_common::policy::PolicySlot;
-use smr_common::{counters, CachePadded, GuardedScheme, Retired, SchemeGuard, Shared};
+use smr_common::bags::GenBags;
+use smr_common::policy::Capped;
+use smr_common::retired::Orphans;
+use smr_common::{CachePadded, GuardedScheme, Retired, SchemeGuard, Shared};
 
 /// Retire this many blocks before attempting a collection. Public so tests
 /// derive garbage bounds from the same constant the scheme enforces.
@@ -31,17 +33,13 @@ pub const COLLECT_THRESHOLD: usize = 128;
 /// derived-bound reason as [`COLLECT_THRESHOLD`].
 pub const EJECT_THRESHOLD: usize = 1024;
 
-/// PEBR's trigger formula as [`policy`](smr_common::policy)
-/// parameters: a plain fixed threshold, `garbage.len() ≥ COLLECT_THRESHOLD`
-/// (no slot-proportional term — robustness comes from ejection, not from
-/// scaling the trigger).
-pub fn legacy_trigger() -> smr_common::policy::Capped {
-    smr_common::policy::Capped {
-        floor: COLLECT_THRESHOLD,
-        k: 0,
-        period: 0,
-    }
-}
+/// PEBR's collection trigger: a plain fixed threshold, `garbage.len() ≥
+/// COLLECT_THRESHOLD` (no slot-proportional term — robustness comes from
+/// ejection, not from scaling the trigger).
+pub const TRIGGER: Capped = Capped {
+    floor: COLLECT_THRESHOLD,
+    k: 0,
+};
 
 /// Named fault-injection points compiled into this crate (each a
 /// `smr_common::fault_point!` site; no-ops without the `fault-injection`
@@ -64,10 +62,8 @@ struct Participant {
 pub struct Collector {
     epoch: CachePadded<AtomicU64>,
     participants: Mutex<Vec<Arc<Participant>>>,
-    orphans: Mutex<Vec<(u64, Retired)>>,
-    /// Collection trigger: [`legacy_trigger`], built at the first deferred
-    /// destroy.
-    trigger: PolicySlot,
+    /// Stamped garbage abandoned by exited threads.
+    orphans: Orphans<(u64, Retired)>,
 }
 
 impl Default for Collector {
@@ -78,12 +74,11 @@ impl Default for Collector {
 
 impl Collector {
     /// Creates an independent collector.
-    pub fn new() -> Self {
+    pub const fn new() -> Self {
         Self {
             epoch: CachePadded::new(AtomicU64::new(0)),
             participants: Mutex::new(Vec::new()),
-            orphans: Mutex::new(Vec::new()),
-            trigger: PolicySlot::new(legacy_trigger),
+            orphans: Orphans::new(),
         }
     }
 
@@ -102,7 +97,7 @@ impl Collector {
         LocalHandle {
             global: self,
             record,
-            garbage: Vec::new(),
+            garbage: GenBags::new(),
             guard_live: false,
         }
     }
@@ -152,16 +147,16 @@ unsafe impl Sync for Collector {}
 
 /// Returns the process-wide default PEBR collector.
 pub fn default_collector() -> &'static Collector {
-    use std::sync::OnceLock;
-    static DEFAULT: OnceLock<Collector> = OnceLock::new();
-    DEFAULT.get_or_init(Collector::new)
+    static DEFAULT: Collector = Collector::new();
+    &DEFAULT
 }
 
 /// A thread's registration with a PEBR [`Collector`].
 pub struct LocalHandle {
     global: &'static Collector,
     record: Arc<Participant>,
-    garbage: Vec<(u64, Retired)>,
+    /// Epoch-stamped local garbage, freed at `stamp + 2 ≤ global` as in EBR.
+    garbage: GenBags,
     guard_live: bool,
 }
 
@@ -204,25 +199,17 @@ impl LocalHandle {
     /// Asks the collector's trigger whether a deferred destroy
     /// should attempt a collection now.
     fn should_collect(&self) -> bool {
-        self.global.trigger.should_reclaim(self.garbage.len(), 0, 0)
+        TRIGGER.should_reclaim(self.garbage.len(), 0)
     }
 
     fn collect(&mut self) {
-        if let Some(mut orphans) = self.global.orphans.try_lock() {
-            self.garbage.append(&mut orphans);
+        if let Some(orphans) = self.global.orphans.take() {
+            self.garbage.adopt(orphans, self.global.epoch());
         }
         let eject = self.garbage.len() >= EJECT_THRESHOLD;
         smr_common::fault_point!("pebr::collect::before_advance");
         let global_epoch = self.global.try_advance(eject);
-        let mut i = 0;
-        while i < self.garbage.len() {
-            if self.garbage[i].0 + 2 <= global_epoch {
-                let (_, retired) = self.garbage.swap_remove(i);
-                unsafe { retired.free() };
-            } else {
-                i += 1;
-            }
-        }
+        self.garbage.collect_expired(global_epoch);
     }
 }
 
@@ -236,7 +223,9 @@ impl Drop for LocalHandle {
                 let h = &mut *self.0;
                 h.record.dead.store(true, Ordering::Release);
                 if !h.garbage.is_empty() {
-                    h.global.orphans.lock().append(&mut h.garbage);
+                    let mut donated = Vec::new();
+                    h.garbage.drain_into(&mut donated);
+                    h.global.orphans.donate(&mut donated);
                 }
             }
         }
@@ -277,13 +266,7 @@ impl Guard<'_> {
     /// Same contract as [`ebr`-style deferred destruction]: unlinked,
     /// retired once, no new accesses.
     pub unsafe fn defer_destroy_inner<T>(&self, ptr: Shared<T>) {
-        let handle = unsafe { self.handle() };
-        let epoch = handle.global.epoch.load(Ordering::Relaxed);
-        counters::incr_garbage(1);
-        handle.garbage.push((epoch, Retired::new(ptr.as_raw())));
-        if handle.should_collect() {
-            handle.collect();
-        }
+        self.retire(unsafe { Retired::new(ptr.as_raw()) });
     }
 
     /// Retires with a custom deleter.
@@ -291,12 +274,16 @@ impl Guard<'_> {
     /// # Safety
     /// Same contract as [`Guard::defer_destroy_inner`].
     pub unsafe fn defer_destroy_with(&self, ptr: *mut u8, free_fn: unsafe fn(*mut u8)) {
+        self.retire(unsafe { Retired::with_free(ptr, free_fn) });
+    }
+
+    /// Bags `retired` under the current epoch, then collects if [`TRIGGER`]
+    /// fires.
+    #[inline]
+    fn retire(&self, retired: Retired) {
         let handle = unsafe { self.handle() };
         let epoch = handle.global.epoch.load(Ordering::Relaxed);
-        counters::incr_garbage(1);
-        handle
-            .garbage
-            .push((epoch, Retired::with_free(ptr, free_fn)));
+        handle.garbage.push(epoch, retired);
         if handle.should_collect() {
             handle.collect();
         }
@@ -422,7 +409,6 @@ mod tests {
 
     #[test]
     fn garbage_is_reclaimed_when_quiet() {
-        let before = counters::garbage_now();
         let c: &'static Collector = Box::leak(Box::new(Collector::new()));
         let mut h = c.register();
         for _ in 0..10 {
@@ -438,6 +424,5 @@ mod tests {
             remaining < 4 * COLLECT_THRESHOLD,
             "remaining garbage {remaining} should be bounded"
         );
-        let _ = before;
     }
 }

@@ -152,7 +152,7 @@ pub fn total_backoff() -> (u64, u64, u64) {
 }
 
 /// Records one reclaim-trigger decision that fired a scan
-/// ([`crate::policy::Decision::Reclaim`]).
+/// ([`crate::policy::Capped::should_reclaim`]).
 #[inline]
 pub fn incr_policy_scan_forced() {
     stripe().policy_forced.fetch_add(1, Ordering::Relaxed);

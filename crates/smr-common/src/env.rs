@@ -1,8 +1,8 @@
 //! Environment-variable parsing shared by every crate with tuning knobs.
 //!
-//! Before this module, hp, hp-plus, ebr, and kv-service each repeated the
-//! same `std::env::var(..).ok().and_then(|v| v.parse().ok())` chain — and a
-//! malformed value (`HP_RECLAIM_K=two`) silently fell back to the default
+//! Before this module, each crate with a knob repeated the same
+//! `std::env::var(..).ok().and_then(|v| v.parse().ok())` chain — and a
+//! malformed value (`KV_SHARDS=two`) silently fell back to the default
 //! with no trace. These helpers centralize the chain and make the failure
 //! observable: every unparseable value bumps
 //! [`crate::counters::env_malformed`] and logs one
@@ -15,9 +15,10 @@
 //! * set but unparseable → `None` **plus** a counted, logged warning;
 //! * set and valid → `Some(value)`.
 //!
-//! Zero/emptiness filtering stays at the call site (`HP_RECLAIM_K=0` is
-//! *rejected* by hp, while `EBR_COLLECT_THRESHOLD=0` is meaningful), so the
-//! helpers only decide "parseable or not".
+//! Zero/emptiness filtering stays at the call site (`KV_SHARDS=0` is
+//! *rejected* by kv-service, while `KV_OP_RETRIES=0` is meaningful), so the
+//! helpers only decide "parseable or not". `tests/knobs.rs` pins the set of
+//! knobs the workspace reads, so a new one is added on purpose.
 
 use crate::counters;
 

@@ -29,9 +29,15 @@
 //! * [`watchdog`] — [`GarbageWatchdog`](watchdog::GarbageWatchdog), which
 //!   classifies a run as healthy / degraded-bounded / growing-unbounded
 //!   from sampled progress + garbage counters (the Table 1 failure modes).
-//! * [`policy`] — the reclaim trigger: one [`Capped`](policy::Capped) per
-//!   domain, consulted by every scheme's retire path with one
-//!   [`PolicySlot::should_reclaim`](policy::PolicySlot) call.
+//! * [`policy`] — the reclaim trigger: each scheme's `const TRIGGER` is a
+//!   [`Capped`](policy::Capped), consulted by its retire path with one
+//!   [`Capped::should_reclaim`](policy::Capped::should_reclaim) call.
+//! * [`retired`] — [`Retired`], a type-erased block that counts itself as
+//!   garbage from construction to [`Retired::free`], and
+//!   [`Orphans`](retired::Orphans), the list a dying thread donates its
+//!   garbage to.
+//! * [`bags`] — [`GenBags`](bags::GenBags), the three sealed epoch
+//!   generations that hold `ebr`'s and `pebr`'s thread-local garbage.
 //! * [`pool`] — the per-thread block pool node allocation and
 //!   [`Retired::free`] go through, so a reclaim pass feeds the next inserts
 //!   without the allocator.
@@ -42,6 +48,7 @@
 
 pub mod atomic;
 pub mod backoff;
+pub mod bags;
 pub mod counters;
 pub mod env;
 pub mod fault;

@@ -5,9 +5,9 @@
 //! Every bound here is *derived from the schemes' published formulas*
 //! (HP's `k·H + threshold` rule, EBR's `max(floor, 8·participants)`
 //! trigger, PEBR's collect/eject thresholds, hyaline's handover trigger)
-//! rather than hard-coded, so tuning `HP_RECLAIM_K` /
-//! `EBR_COLLECT_THRESHOLD` / `HYALINE_BATCH_THRESHOLD` does not break
-//! them. The guarded schemes are enumerated by the shared registry
+//! rather than hard-coded: each scheme's `TRIGGER` constant and
+//! `hp_plus::garbage_bound`, so retuning a trigger does not break them.
+//! The guarded schemes are enumerated by the shared registry
 //! (`bench::schemes`), so a newly added scheme is churned here without
 //! touching this file — and fails until it states its derived bound.
 //! The deterministic fault-driven matrix lives in `tests/fault_matrix.rs`
@@ -51,7 +51,7 @@ fn hp_garbage_bounded_under_churn() {
     // *plus* the k·H term (the trigger is their max) and a 2x margin for
     // garbage other threads of this process may hold.
     let h_slots = hp::default_domain().slot_capacity();
-    let bound = 2 * hp::legacy_trigger().bound(h_slots) as u64;
+    let bound = 2 * hp::TRIGGER.bound(h_slots) as u64;
     assert!(
         grown < bound,
         "HP garbage grew to {grown}, bound {bound} (H={h_slots})"
@@ -68,9 +68,10 @@ fn hpp_garbage_bounded_under_churn() {
     let grown = smr_common::counters::garbage_now().saturating_sub(before);
     // HP++ counts garbage at unlink: on top of HP's `k·H + threshold` bag
     // bound, up to RECLAIM_PERIOD unlinked batches (HHSList removes detach
-    // ≤ 2 nodes each) may await deferred invalidation (Algorithm 3).
+    // ≤ 2 nodes each) may await deferred invalidation (Algorithm 3) —
+    // `hp_plus::garbage_bound`.
     let h_slots = hp_plus::default_domain().hp_domain().slot_capacity();
-    let bound = 2 * (hp::legacy_trigger().bound(h_slots) + 2 * hp_plus::RECLAIM_PERIOD) as u64;
+    let bound = 2 * hp_plus::garbage_bound(h_slots) as u64;
     assert!(
         grown < bound,
         "HP++ garbage grew to {grown}, bound {bound} (H={h_slots})"
