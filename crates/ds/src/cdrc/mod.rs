@@ -4,32 +4,14 @@
 //! transfer or adjust strong counts, with decrements deferred through EBR.
 //! The paper benchmarks RC on the list-shaped structures (and omits the
 //! trees, whose descriptor cycles need weak references — footnote 12);
-//! we implement the same subset.
+//! we implement the same subset: one list body, two searches.
 
-mod hhs_list;
-mod hm_list;
+mod list;
 
-pub use hhs_list::HHSList;
-pub use hm_list::HMList;
+use crate::list::{Harris, Michael};
 
-use cdrc::{Counted, Edges};
-use smr_common::{Atomic, Shared};
+/// Harris–Michael list, CDRC flavor.
+pub type HMList<K, V> = list::List<K, V, Michael>;
 
-/// List node with a counted next link.
-pub(crate) struct Node<K, V> {
-    pub(crate) next: Atomic<Counted<Node<K, V>>>,
-    pub(crate) key: K,
-    pub(crate) value: V,
-}
-
-unsafe impl<K: Send + Sync, V: Send + Sync> Send for Node<K, V> {}
-unsafe impl<K: Send + Sync, V: Send + Sync> Sync for Node<K, V> {}
-
-impl<K, V> Edges for Node<K, V> {
-    fn edges(&self, out: &mut Vec<Shared<Counted<Self>>>) {
-        let next = self.next.load(std::sync::atomic::Ordering::Relaxed).with_tag(0);
-        if !next.is_null() {
-            out.push(next);
-        }
-    }
-}
+/// Harris's list with wait-free get, CDRC flavor.
+pub type HHSList<K, V> = list::List<K, V, Harris>;

@@ -61,11 +61,16 @@ fn is_marked<K, V>(link: Shared<Node<K, V>>) -> bool {
     link.tag() & TAG_DELETED != 0
 }
 
-/// How a [`List`] searches; see the module docs.
-pub trait Traversal<P> {
+/// How a list searches; see the module docs. The CDRC list
+/// (`crate::cdrc`) is searched by the same markers.
+pub trait Search {
     /// Whether searches walk through marked nodes.
     const OPTIMISTIC: bool;
 }
+
+/// A [`Search`] that protection family `P` can run: Harris's needs
+/// [`Optimistic`] protection.
+pub trait Traversal<P>: Search {}
 
 /// Harris–Michael traversal.
 pub struct Michael;
@@ -73,13 +78,17 @@ pub struct Michael;
 /// Harris traversal with the wait-free `get`.
 pub struct Harris;
 
-impl<P: Protect> Traversal<P> for Michael {
+impl Search for Michael {
     const OPTIMISTIC: bool = false;
 }
 
-impl<P: Optimistic> Traversal<P> for Harris {
+impl Search for Harris {
     const OPTIMISTIC: bool = true;
 }
+
+impl<P: Protect> Traversal<P> for Michael {}
+
+impl<P: Optimistic> Traversal<P> for Harris {}
 
 /// A sorted lock-free linked-list map over protection family `P`,
 /// searched by traversal `T`.

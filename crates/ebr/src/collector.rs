@@ -24,12 +24,13 @@
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
 use smr_common::bags::GenBags;
+use smr_common::guard::CriticalSection;
 use smr_common::policy::Capped;
 use smr_common::registry::{Node, Registry};
 use smr_common::retired::Orphans;
 use smr_common::{fence as smr_fence, CachePadded, Retired};
 
-use crate::guard::Guard;
+use crate::Guard;
 
 /// EBR's collection trigger: `bags.len() ≥ max(128, 8 · participants)`.
 ///
@@ -43,8 +44,8 @@ pub const TRIGGER: Capped = Capped { floor: 128, k: 8 };
 ///
 /// Cache padding comes from the registry node (`#[repr(align(128))]`), so
 /// two participants' states never share a line.
-pub(crate) struct Participant {
-    pub(crate) state: AtomicU64,
+struct Participant {
+    state: AtomicU64,
 }
 
 impl Participant {
@@ -55,7 +56,7 @@ impl Participant {
     }
 
     #[inline]
-    pub(crate) fn pinned_epoch(state: u64) -> Option<u64> {
+    fn pinned_epoch(state: u64) -> Option<u64> {
         if state & 1 == 1 {
             Some(state >> 1)
         } else {
@@ -66,9 +67,9 @@ impl Participant {
 
 /// The global side of an EBR instance.
 pub struct Collector {
-    pub(crate) epoch: CachePadded<AtomicU64>,
+    epoch: CachePadded<AtomicU64>,
     /// Lock-free participant registry; one node per registered thread.
-    pub(crate) registry: Registry<Participant>,
+    registry: Registry<Participant>,
     /// Stamped garbage abandoned by exited threads, adopted by later
     /// collections.
     orphans: Orphans<(u64, Retired)>,
@@ -133,7 +134,7 @@ impl Collector {
     /// traversal, one CAS. Dead participants encountered on the way are
     /// unlinked and retired into `bags` (the caller's — the caller is
     /// pinned, so the registry node outlives every concurrent traverser).
-    pub(crate) fn try_advance(&self, bags: &mut GenBags) -> u64 {
+    fn try_advance(&self, bags: &mut GenBags) -> u64 {
         let e = self.epoch.load(Ordering::Relaxed);
         // Observer side of the announce/observe protocol: after this fence,
         // every participant state store made before the announcer's light
@@ -193,14 +194,24 @@ impl Drop for Collector {
 ///
 /// Not `Sync`: one handle per thread. Dropping the handle unregisters the
 /// thread and donates any unreclaimed garbage to the collector's orphan list.
+///
+/// The [`CriticalSection`] trait declares its methods `unsafe` for every
+/// scheme: only the guard calls them, so safe code cannot walk the registry
+/// unpinned:
+///
+/// ```compile_fail,E0133
+/// use smr_common::guard::CriticalSection;
+/// let mut h = ebr::default_collector().register();
+/// h.collect();
+/// ```
 pub struct LocalHandle {
-    pub(crate) global: &'static Collector,
+    global: &'static Collector,
     /// This thread's registry node; owned by the registry, valid for the
     /// handle's lifetime (only `Drop` marks it dead).
     record: *const Node<Participant>,
     /// Epoch-stamped local garbage in sealed generation bags.
-    pub(crate) bags: GenBags,
-    pub(crate) guard_live: bool,
+    bags: GenBags,
+    guard_live: bool,
 }
 
 // The handle is only a registration token plus thread-local garbage; the
@@ -216,17 +227,27 @@ impl LocalHandle {
     }
 
     /// Pins the thread, entering a critical section.
+    #[inline]
     pub fn pin(&mut self) -> Guard<'_> {
-        assert!(!self.guard_live, "EBR guards must not be nested");
-        self.pin_slow();
-        self.guard_live = true;
         Guard::new(self)
     }
 
-    /// The pin hot path: announce the observed epoch, light fence, validate
-    /// that the epoch did not move. No `SeqCst` fence, no RMW.
+    /// Number of blocks this thread has retired but not yet freed.
+    pub fn local_garbage(&self) -> usize {
+        self.bags.len()
+    }
+}
+
+unsafe impl CriticalSection for LocalHandle {
     #[inline]
-    pub(crate) fn pin_slow(&self) {
+    unsafe fn guard_live(&mut self) -> &mut bool {
+        &mut self.guard_live
+    }
+
+    /// Announces the observed epoch, light fence, validates that the epoch
+    /// did not move. No `SeqCst` fence, no RMW.
+    #[inline]
+    unsafe fn enter(&mut self) {
         let mut e = self.global.epoch.load(Ordering::Relaxed);
         loop {
             let state = &self.participant().state;
@@ -248,26 +269,27 @@ impl LocalHandle {
     }
 
     #[inline]
-    pub(crate) fn unpin_slow(&self) {
+    unsafe fn leave(&mut self) {
         self.participant().state.store(0, Ordering::Release);
     }
 
-    /// Number of blocks this thread has retired but not yet freed.
-    pub fn local_garbage(&self) -> usize {
-        self.bags.len()
+    /// Bags `retired` under the current epoch, then collects if [`TRIGGER`]
+    /// fires.
+    #[inline]
+    unsafe fn retire(&mut self, retired: Retired) {
+        let epoch = self.global.epoch.load(Ordering::Relaxed);
+        self.bags.push(epoch, retired);
+        smr_common::fault_point!("ebr::defer::after_push");
+        if TRIGGER.should_reclaim(self.bags.len(), self.global.registry.live()) {
+            // SAFETY: `retire` runs pinned, as `collect` requires.
+            unsafe { self.collect() };
+        }
     }
 
-    /// Asks the collector's trigger whether a deferred destroy should
-    /// attempt a collection now.
-    pub(crate) fn should_collect(&self) -> bool {
-        TRIGGER.should_reclaim(self.bags.len(), self.global.registry.live())
-    }
-
-    /// Attempts an epoch advance and frees everything eligible.
-    ///
-    /// Must be called pinned (all callers hold a [`Guard`]): the registry
-    /// traversal inside [`Collector::try_advance`] relies on it.
-    pub(crate) fn collect(&mut self) {
+    /// Adopts orphans, attempts an epoch advance, and frees everything
+    /// eligible. Runs pinned, as the registry traversal in `try_advance`
+    /// requires.
+    unsafe fn collect(&mut self) {
         // Adopt orphans first so exited threads' garbage is not stranded.
         if let Some(orphans) = self.global.orphans.take() {
             self.bags
@@ -300,5 +322,252 @@ impl Drop for LocalHandle {
         }
         let _g = Teardown(self);
         smr_common::fault_point!("ebr::teardown::before_donate");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use smr_common::{Atomic, Shared};
+    use std::sync::atomic::{AtomicUsize, Ordering::*};
+    use std::sync::Arc;
+
+    #[test]
+    fn pin_unpin_cycles() {
+        let c = Box::leak(Box::new(Collector::new()));
+        let mut h = c.register();
+        for _ in 0..10 {
+            let g = h.pin();
+            drop(g);
+        }
+    }
+
+    #[test]
+    fn epoch_advances_when_unpinned() {
+        let c = Box::leak(Box::new(Collector::new()));
+        let mut h = c.register();
+        let e0 = c.epoch();
+        {
+            let g = h.pin();
+            g.flush();
+            g.flush();
+            drop(g);
+        }
+        let g = h.pin();
+        g.flush();
+        g.flush();
+        drop(g);
+        assert!(c.epoch() > e0);
+    }
+
+    #[test]
+    fn pinned_thread_blocks_advance() {
+        let c = Box::leak(Box::new(Collector::new()));
+        let mut blocker = c.register();
+        let mut worker = c.register();
+        let _bg = blocker.pin(); // stays pinned
+        let e_at_pin = c.epoch();
+        for _ in 0..10 {
+            let g = worker.pin();
+            g.flush();
+            drop(g);
+        }
+        // The blocker pinned at e_at_pin; epoch may advance at most once past
+        // it before the blocker becomes a straggler.
+        assert!(c.epoch() <= e_at_pin + 1);
+    }
+
+    #[test]
+    fn deferred_destruction_runs() {
+        static DROPS: AtomicUsize = AtomicUsize::new(0);
+        struct Canary;
+        impl Drop for Canary {
+            fn drop(&mut self) {
+                DROPS.fetch_add(1, Relaxed);
+            }
+        }
+
+        let c = Box::leak(Box::new(Collector::new()));
+        let mut h = c.register();
+        {
+            let g = h.pin();
+            let node = Shared::from_owned(Canary);
+            unsafe { g.defer_destroy(node) };
+            drop(g);
+        }
+        // Two unpinned flushes advance the epoch twice, freeing the node.
+        for _ in 0..4 {
+            let g = h.pin();
+            g.flush();
+            drop(g);
+        }
+        assert_eq!(DROPS.load(Relaxed), 1);
+    }
+
+    #[test]
+    fn nothing_frees_before_two_epochs() {
+        // End-to-end bag expiry: a block retired at epoch `e` must survive
+        // the advance to `e+1` and die only when the epoch reaches `e+2`.
+        static DROPS: AtomicUsize = AtomicUsize::new(0);
+        struct Canary;
+        impl Drop for Canary {
+            fn drop(&mut self) {
+                DROPS.fetch_add(1, Relaxed);
+            }
+        }
+
+        let c = Box::leak(Box::new(Collector::new()));
+        let mut h = c.register();
+        let e = c.epoch();
+        {
+            let g = h.pin();
+            unsafe { g.defer_destroy(Shared::from_owned(Canary)) };
+        }
+        {
+            // Pinned at `e`: the flush advances to `e+1`, at which the
+            // retired block is still one epoch short of expiry.
+            let g = h.pin();
+            g.flush();
+            drop(g);
+            assert_eq!(c.epoch(), e + 1);
+            assert_eq!(DROPS.load(Relaxed), 0, "freed before epoch + 2");
+        }
+        {
+            // Pinned at `e+1`: the flush advances to `e+2` and the block
+            // becomes eligible in the same collection.
+            let g = h.pin();
+            g.flush();
+            drop(g);
+            assert_eq!(c.epoch(), e + 2);
+            assert_eq!(DROPS.load(Relaxed), 1);
+        }
+    }
+
+    #[test]
+    fn advance_resumes_after_straggler_unpins() {
+        let c = Box::leak(Box::new(Collector::new()));
+        let mut blocker = c.register();
+        let mut worker = c.register();
+        let straggler = blocker.pin();
+        let e_at_pin = c.epoch();
+        for _ in 0..6 {
+            let g = worker.pin();
+            g.flush();
+            drop(g);
+        }
+        // The straggler caps the advance at one epoch past its pin.
+        assert!(c.epoch() <= e_at_pin + 1);
+        drop(straggler);
+        for _ in 0..3 {
+            let g = worker.pin();
+            g.flush();
+            drop(g);
+        }
+        assert!(c.epoch() > e_at_pin + 1, "advance stuck after unpin");
+    }
+
+    #[test]
+    fn register_unregister_churn_balances() {
+        // Thread churn: handles come and go while retiring garbage, so
+        // every drop donates to the orphan list and leaves a dead registry
+        // node behind. Afterwards a survivor must be able to adopt and free
+        // every single orphan — nothing stranded, nothing double-freed.
+        static DROPS: AtomicUsize = AtomicUsize::new(0);
+        struct Canary;
+        impl Drop for Canary {
+            fn drop(&mut self) {
+                DROPS.fetch_add(1, Relaxed);
+            }
+        }
+
+        let c: &'static Collector = Box::leak(Box::new(Collector::new()));
+        let threads = 8;
+        let lives: usize = if cfg!(miri) { 4 } else { 64 };
+        let retires_per_life = 16;
+        std::thread::scope(|s| {
+            for _ in 0..threads {
+                s.spawn(move || {
+                    for _ in 0..lives {
+                        let mut h = c.register();
+                        let g = h.pin();
+                        for _ in 0..retires_per_life {
+                            unsafe { g.defer_destroy(Shared::from_owned(Canary)) };
+                        }
+                        drop(g);
+                        // Handle drop: donate garbage, mark registry node.
+                    }
+                });
+            }
+        });
+        assert_eq!(c.participants(), 0);
+        let expected = threads * lives * retires_per_life;
+        let mut survivor = c.register();
+        for _ in 0..8 {
+            let g = survivor.pin();
+            g.flush();
+            drop(g);
+            if DROPS.load(Relaxed) == expected {
+                break;
+            }
+        }
+        assert_eq!(DROPS.load(Relaxed), expected, "orphaned garbage stranded");
+    }
+
+    #[test]
+    fn no_premature_free_under_concurrency() {
+        // Readers hold pins while a writer swaps and retires nodes; the
+        // value read under a pin must always be intact (drop poisons it).
+        struct Node {
+            value: u64,
+        }
+        impl Drop for Node {
+            fn drop(&mut self) {
+                self.value = u64::MAX;
+            }
+        }
+
+        let c: &'static Collector = Box::leak(Box::new(Collector::new()));
+        let slot = Arc::new(Atomic::new(Node { value: 7 }));
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+
+        let mut threads = Vec::new();
+        for _ in 0..4 {
+            let slot = slot.clone();
+            let stop = stop.clone();
+            threads.push(std::thread::spawn(move || {
+                let mut h = c.register();
+                while !stop.load(Relaxed) {
+                    let g = h.pin();
+                    let s = slot.load(Acquire);
+                    let v = unsafe { s.deref() }.value;
+                    assert_eq!(v, 7, "use-after-free detected");
+                    drop(g);
+                }
+            }));
+        }
+        {
+            let slot = slot.clone();
+            let stop = stop.clone();
+            let writes: u64 = if cfg!(miri) { 300 } else { 20_000 };
+            threads.push(std::thread::spawn(move || {
+                let mut h = c.register();
+                for _ in 0..writes {
+                    let g = h.pin();
+                    let fresh = Shared::from_owned(Node { value: 7 });
+                    let old = slot.swap(fresh, AcqRel);
+                    unsafe { g.defer_destroy(old) };
+                    drop(g);
+                }
+                stop.store(true, Relaxed);
+            }));
+        }
+        for t in threads {
+            t.join().unwrap();
+        }
+        unsafe {
+            let last = slot.load(Relaxed);
+            last.drop_owned();
+            smr_common::counters::decr_garbage(0);
+        }
     }
 }

@@ -54,12 +54,14 @@
 #![warn(missing_docs)]
 
 mod collector;
-mod guard;
 
 pub use collector::{Collector, LocalHandle, TRIGGER};
-pub use guard::Guard;
 
-use smr_common::{GuardedScheme, SchemeGuard, Shared};
+use smr_common::GuardedScheme;
+
+/// An active EBR critical section: no block retired after its pin is freed
+/// while it lives.
+pub type Guard<'a> = smr_common::guard::Guard<'a, LocalHandle>;
 
 /// Returns the process-wide default collector.
 pub fn default_collector() -> &'static Collector {
@@ -92,15 +94,5 @@ impl GuardedScheme for Ebr {
 
     fn pin(handle: &mut LocalHandle) -> Guard<'_> {
         handle.pin()
-    }
-}
-
-impl SchemeGuard for Guard<'_> {
-    unsafe fn defer_destroy<T>(&self, ptr: Shared<T>) {
-        Guard::defer_destroy(self, ptr)
-    }
-
-    fn refresh(&mut self) {
-        Guard::repin(self)
     }
 }

@@ -3,9 +3,10 @@
 //! # Protocol (code-inspection notes)
 //!
 //! * **One slot per registered thread**, held in the same lock-free
-//!   [`Registry`] EBR uses for participants. A slot is a pair of words: the
-//!   packed `word` (`[batch-node head | ACTIVE/PENDING/EJECTED]`, pointers
-//!   are 8-aligned so the low bits are free) and the announced `era`. The
+//!   [`Registry`] EBR and PEBR use for participants. A slot is a pair of
+//!   words: the packed `word` (`[batch-node head | ACTIVE/PENDING/EJECTED]`,
+//!   pointers are 8-aligned so the low bits are free) and the announced
+//!   `era`. The
 //!   head pointer and the in-critical-section flag share one atomic word so
 //!   a retirer's push and the owner's leave linearize on a single CAS/swap —
 //!   no node can be pushed onto a slot that has already detached its list.
@@ -66,12 +67,13 @@
 use std::ptr;
 use std::sync::atomic::{AtomicIsize, AtomicU64, AtomicUsize, Ordering};
 
+use smr_common::guard::CriticalSection;
 use smr_common::policy::Capped;
 use smr_common::registry::{Node, Registry};
 use smr_common::retired::Orphans;
 use smr_common::{fence as smr_fence, CachePadded, Retired};
 
-use crate::guard::Guard;
+use crate::Guard;
 
 /// Slot-word flag: the owner is inside a validated critical section; the
 /// rest of the word is the head of the slot's retirement list.
@@ -138,7 +140,7 @@ unsafe fn free_batch(refs_node: *mut BatchNode) {
 }
 
 /// Per-thread slot state. Cache padding comes from the registry node.
-pub(crate) struct Slot {
+struct Slot {
     /// Packed `[head | flags]`; see the module docs.
     word: AtomicUsize,
     /// The era announced at enter; read by handovers to decide skips.
@@ -162,9 +164,9 @@ impl Slot {
 pub struct Domain {
     /// The global era; bumped by every handover (release RMW, so reading a
     /// later value happens-after every unlink in earlier batches).
-    pub(crate) era: CachePadded<AtomicU64>,
+    era: CachePadded<AtomicU64>,
     /// Lock-free slot registry; one node per registered thread.
-    pub(crate) registry: Registry<Slot>,
+    registry: Registry<Slot>,
     /// Unhanded batches donated by exited threads; adopted into the next
     /// handover so they flow through the normal grace period.
     orphans: Orphans<Retired>,
@@ -287,14 +289,14 @@ impl Drop for Domain {
 /// Not `Sync`: one handle per thread. Dropping the handle unregisters the
 /// thread and donates any unhanded batch to the domain's orphan list.
 pub struct LocalHandle {
-    pub(crate) global: &'static Domain,
+    global: &'static Domain,
     /// This thread's registry node; owned by the registry, valid for the
     /// handle's lifetime (only `Drop` marks it dead).
     record: *const Node<Slot>,
     /// The thread-local batch under assembly (linked via `batch_next`).
     batch_head: *mut BatchNode,
     batch_len: usize,
-    pub(crate) guard_live: bool,
+    guard_live: bool,
 }
 
 // The handle is only a registration token plus thread-local garbage; the
@@ -310,93 +312,14 @@ impl LocalHandle {
     }
 
     /// Enters a critical section.
+    #[inline]
     pub fn pin(&mut self) -> Guard<'_> {
-        assert!(!self.guard_live, "hyaline guards must not be nested");
-        self.enter_slow();
-        self.guard_live = true;
         Guard::new(self)
-    }
-
-    /// The enter path: announce `(era, PENDING)`, light fence, validate the
-    /// era, then CAS-upgrade to ACTIVE. The upgrade fails if a handover
-    /// ejected the stale announcement, forcing a re-validation that observes
-    /// the bumped era.
-    #[inline]
-    pub(crate) fn enter_slow(&self) {
-        let slot = self.slot();
-        let mut e = self.global.era.load(Ordering::Acquire);
-        loop {
-            let e2 = smr_fence::announce_then_validate(
-                || {
-                    slot.era.store(e, Ordering::Relaxed);
-                    slot.word.store(PENDING, Ordering::Relaxed);
-                    // The announce-to-validate window: a thread stalled here
-                    // holds no critical section yet, so handovers eject the
-                    // slot instead of handing it references — the stall EBR
-                    // cannot bound (Table 1) and hyaline does.
-                    smr_common::fault_point!("hyaline::enter::before_validate");
-                },
-                || self.global.era.load(Ordering::Acquire),
-            );
-            if e != e2 {
-                e = e2;
-                continue;
-            }
-            // Validated: upgrade unless a handover ejected us meanwhile. The
-            // acquire failure load reads the ejector's release store, so the
-            // retried validation observes its era bump.
-            match slot
-                .word
-                .compare_exchange(PENDING, ACTIVE, Ordering::AcqRel, Ordering::Acquire)
-            {
-                Ok(_) => return,
-                Err(_) => e = self.global.era.load(Ordering::Acquire),
-            }
-        }
-    }
-
-    /// The leave path: detach the retirement list and end the critical
-    /// section with one swap, then drop a reference on each traversed
-    /// node's batch, freeing batches that hit zero post-adjustment.
-    #[inline]
-    pub(crate) fn leave_slow(&self) {
-        let w = self.slot().word.swap(0, Ordering::AcqRel);
-        debug_assert!(w & ACTIVE != 0, "leave without a critical section");
-        let mut n = (w & PTR_MASK) as *mut BatchNode;
-        if n.is_null() {
-            return;
-        }
-        // A thread stalled here has detached its list but not yet released
-        // its references: every batch on the list stays pinned — the
-        // handover-decrement window Miri catches use-after-free in.
-        smr_common::fault_point!("hyaline::leave::before_decrement");
-        while !n.is_null() {
-            // Read the link and the batch pointer *before* decrementing:
-            // the decrement may free the batch, node included.
-            let next = unsafe { (*n).next };
-            let refs_node = unsafe { (*n).refs_node };
-            let old = unsafe { (*refs_node).refs.fetch_sub(1, Ordering::AcqRel) };
-            if old == 1 {
-                // Post-adjustment zero transition: last reference out.
-                unsafe { free_batch(refs_node) };
-            }
-            n = next;
-        }
     }
 
     /// Number of blocks this thread has retired but not yet handed over.
     pub fn local_garbage(&self) -> usize {
         self.batch_len
-    }
-
-    /// Links a retired payload onto the local batch, then attempts a
-    /// handover if [`TRIGGER`] fires.
-    pub(crate) fn retire(&mut self, retired: Retired) {
-        self.link(retired);
-        smr_common::fault_point!("hyaline::retire::after_link");
-        if TRIGGER.should_reclaim(self.batch_len, self.global.registry.live()) {
-            self.collect();
-        }
     }
 
     /// Links a payload onto the local batch under assembly.
@@ -409,25 +332,6 @@ impl LocalHandle {
             next: ptr::null_mut(),
         }));
         self.batch_len += 1;
-    }
-
-    /// Adopts orphans, attempts a handover, and reaps dead slot records.
-    ///
-    /// Must be called inside a critical section (all callers hold a
-    /// [`Guard`]): the registry traversals rely on the caller's own slot
-    /// being ACTIVE, and the batch is pushed to it like any other.
-    pub(crate) fn collect(&mut self) {
-        self.adopt_orphans();
-        let min_era = if !self.batch_head.is_null() {
-            Some(self.handover())
-        } else if !self.global.dead_slots.is_empty() {
-            Some(self.scan_min_era())
-        } else {
-            None
-        };
-        if let Some(min_era) = min_era {
-            self.global.reap_dead_slots(min_era);
-        }
     }
 
     /// Folds donated payloads into the local batch so exited threads'
@@ -596,6 +500,110 @@ impl LocalHandle {
     }
 }
 
+unsafe impl CriticalSection for LocalHandle {
+    #[inline]
+    unsafe fn guard_live(&mut self) -> &mut bool {
+        &mut self.guard_live
+    }
+
+    /// The enter path: announce `(era, PENDING)`, light fence, validate the
+    /// era, then CAS-upgrade to ACTIVE. The upgrade fails if a handover
+    /// ejected the stale announcement, forcing a re-validation that observes
+    /// the bumped era.
+    #[inline]
+    unsafe fn enter(&mut self) {
+        let slot = self.slot();
+        let mut e = self.global.era.load(Ordering::Acquire);
+        loop {
+            let e2 = smr_fence::announce_then_validate(
+                || {
+                    slot.era.store(e, Ordering::Relaxed);
+                    slot.word.store(PENDING, Ordering::Relaxed);
+                    // The announce-to-validate window: a thread stalled here
+                    // holds no critical section yet, so handovers eject the
+                    // slot instead of handing it references — the stall EBR
+                    // cannot bound (Table 1) and hyaline does.
+                    smr_common::fault_point!("hyaline::enter::before_validate");
+                },
+                || self.global.era.load(Ordering::Acquire),
+            );
+            if e != e2 {
+                e = e2;
+                continue;
+            }
+            // Validated: upgrade unless a handover ejected us meanwhile. The
+            // acquire failure load reads the ejector's release store, so the
+            // retried validation observes its era bump.
+            match slot
+                .word
+                .compare_exchange(PENDING, ACTIVE, Ordering::AcqRel, Ordering::Acquire)
+            {
+                Ok(_) => return,
+                Err(_) => e = self.global.era.load(Ordering::Acquire),
+            }
+        }
+    }
+
+    /// The leave path: detach the retirement list and end the critical
+    /// section with one swap, then drop a reference on each traversed
+    /// node's batch, freeing batches that hit zero post-adjustment.
+    #[inline]
+    unsafe fn leave(&mut self) {
+        let w = self.slot().word.swap(0, Ordering::AcqRel);
+        debug_assert!(w & ACTIVE != 0, "leave without a critical section");
+        let mut n = (w & PTR_MASK) as *mut BatchNode;
+        if n.is_null() {
+            return;
+        }
+        // A thread stalled here has detached its list but not yet released
+        // its references: every batch on the list stays pinned — the
+        // handover-decrement window Miri catches use-after-free in.
+        smr_common::fault_point!("hyaline::leave::before_decrement");
+        while !n.is_null() {
+            // Read the link and the batch pointer *before* decrementing:
+            // the decrement may free the batch, node included.
+            let next = unsafe { (*n).next };
+            let refs_node = unsafe { (*n).refs_node };
+            let old = unsafe { (*refs_node).refs.fetch_sub(1, Ordering::AcqRel) };
+            if old == 1 {
+                // Post-adjustment zero transition: last reference out.
+                unsafe { free_batch(refs_node) };
+            }
+            n = next;
+        }
+    }
+
+    /// Links a retired payload onto the local batch, then attempts a
+    /// handover if [`TRIGGER`] fires.
+    unsafe fn retire(&mut self, retired: Retired) {
+        self.link(retired);
+        smr_common::fault_point!("hyaline::retire::after_link");
+        if TRIGGER.should_reclaim(self.batch_len, self.global.registry.live()) {
+            // SAFETY: `retire` runs pinned, as `collect` requires.
+            unsafe { self.collect() };
+        }
+    }
+
+    /// Adopts orphans, attempts a handover, and reaps dead slot records.
+    ///
+    /// Must be called inside a critical section (all callers hold a
+    /// [`Guard`]): the registry traversals rely on the caller's own slot
+    /// being ACTIVE, and the batch is pushed to it like any other.
+    unsafe fn collect(&mut self) {
+        self.adopt_orphans();
+        let min_era = if !self.batch_head.is_null() {
+            Some(self.handover())
+        } else if !self.global.dead_slots.is_empty() {
+            Some(self.scan_min_era())
+        } else {
+            None
+        };
+        if let Some(min_era) = min_era {
+            self.global.reap_dead_slots(min_era);
+        }
+    }
+}
+
 impl Drop for LocalHandle {
     fn drop(&mut self) {
         // Unregistration and donation must run even if teardown itself
@@ -625,5 +633,244 @@ impl Drop for LocalHandle {
         }
         let _g = Teardown(self);
         smr_common::fault_point!("hyaline::teardown::before_donate");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use smr_common::{Atomic, Shared};
+    use std::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed};
+    use std::sync::Arc;
+
+    #[test]
+    fn enter_leave_cycles() {
+        let d = Box::leak(Box::new(Domain::new()));
+        let mut h = d.register();
+        for _ in 0..10 {
+            let g = h.pin();
+            drop(g);
+        }
+    }
+
+    #[test]
+    fn era_advances_on_handover() {
+        let d = Box::leak(Box::new(Domain::new()));
+        let mut h = d.register();
+        let e0 = d.era();
+        {
+            let g = h.pin();
+            unsafe { g.defer_destroy(Shared::from_owned(1u64)) };
+            g.flush();
+            drop(g);
+        }
+        assert!(d.era() > e0, "handover must bump the era");
+    }
+
+    #[test]
+    fn deferred_destruction_runs() {
+        static DROPS: AtomicUsize = AtomicUsize::new(0);
+        struct Canary;
+        impl Drop for Canary {
+            fn drop(&mut self) {
+                DROPS.fetch_add(1, Relaxed);
+            }
+        }
+
+        let d = Box::leak(Box::new(Domain::new()));
+        let mut h = d.register();
+        {
+            let g = h.pin();
+            let node = Shared::from_owned(Canary);
+            unsafe { g.defer_destroy(node) };
+            // Handover pushes the batch onto our own slot; the node stays
+            // alive until the guard leaves.
+            g.flush();
+            assert_eq!(DROPS.load(Relaxed), 0, "freed inside the retiring CS");
+            drop(g);
+        }
+        assert_eq!(DROPS.load(Relaxed), 1, "leave must release the batch");
+    }
+
+    #[test]
+    fn batch_survives_concurrent_holder() {
+        // A second slot entered before the handover must hold the batch
+        // alive until it leaves, even after the retirer is gone.
+        static DROPS: AtomicUsize = AtomicUsize::new(0);
+        struct Canary;
+        impl Drop for Canary {
+            fn drop(&mut self) {
+                DROPS.fetch_add(1, Relaxed);
+            }
+        }
+
+        let d = Box::leak(Box::new(Domain::new()));
+        let mut holder = d.register();
+        let mut retirer = d.register();
+        let held = holder.pin();
+        {
+            let g = retirer.pin();
+            unsafe { g.defer_destroy(Shared::from_owned(Canary)) };
+            g.flush();
+            drop(g);
+        }
+        assert_eq!(DROPS.load(Relaxed), 0, "holder's reference ignored");
+        drop(held);
+        assert_eq!(DROPS.load(Relaxed), 1, "holder's leave must free");
+    }
+
+    #[test]
+    fn slot_entered_after_handover_takes_no_reference() {
+        // A critical section that starts after the batch's era bump cannot
+        // reach its nodes, so it must not delay the free.
+        static DROPS: AtomicUsize = AtomicUsize::new(0);
+        struct Canary;
+        impl Drop for Canary {
+            fn drop(&mut self) {
+                DROPS.fetch_add(1, Relaxed);
+            }
+        }
+
+        let d = Box::leak(Box::new(Domain::new()));
+        let mut late = d.register();
+        let mut retirer = d.register();
+        {
+            let g = retirer.pin();
+            unsafe { g.defer_destroy(Shared::from_owned(Canary)) };
+            g.flush();
+            // Entered after the handover: skipped by era comparison.
+            let late_guard = late.pin();
+            drop(g); // retirer's own reference was the last one
+            assert_eq!(DROPS.load(Relaxed), 1, "late slot delayed the free");
+            drop(late_guard);
+        }
+    }
+
+    #[test]
+    fn register_unregister_churn_balances() {
+        // Thread churn: handles come and go while retiring garbage, so
+        // every drop donates to the orphan list and leaves a dead registry
+        // node behind. Afterwards a survivor must be able to adopt and free
+        // every single orphan — nothing stranded, nothing double-freed.
+        static DROPS: AtomicUsize = AtomicUsize::new(0);
+        struct Canary;
+        impl Drop for Canary {
+            fn drop(&mut self) {
+                DROPS.fetch_add(1, Relaxed);
+            }
+        }
+
+        let d: &'static Domain = Box::leak(Box::new(Domain::new()));
+        let threads = 8;
+        let lives: usize = if cfg!(miri) { 4 } else { 64 };
+        let retires_per_life = 16;
+        std::thread::scope(|s| {
+            for _ in 0..threads {
+                s.spawn(move || {
+                    for _ in 0..lives {
+                        let mut h = d.register();
+                        let g = h.pin();
+                        for _ in 0..retires_per_life {
+                            unsafe { g.defer_destroy(Shared::from_owned(Canary)) };
+                        }
+                        drop(g);
+                        // Handle drop: donate batch, mark registry node.
+                    }
+                });
+            }
+        });
+        assert_eq!(d.participants(), 0);
+        let expected = threads * lives * retires_per_life;
+        let mut survivor = d.register();
+        for _ in 0..8 {
+            let g = survivor.pin();
+            g.flush();
+            drop(g);
+            if DROPS.load(Relaxed) == expected {
+                break;
+            }
+        }
+        assert_eq!(DROPS.load(Relaxed), expected, "orphaned garbage stranded");
+    }
+
+    #[test]
+    fn no_premature_free_under_concurrency() {
+        // Readers hold critical sections while a writer swaps and retires
+        // nodes; the value read under a guard must always be intact (drop
+        // poisons it).
+        struct Node {
+            value: u64,
+        }
+        impl Drop for Node {
+            fn drop(&mut self) {
+                self.value = u64::MAX;
+            }
+        }
+
+        let d: &'static Domain = Box::leak(Box::new(Domain::new()));
+        let slot = Arc::new(Atomic::new(Node { value: 7 }));
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+
+        let mut threads = Vec::new();
+        for _ in 0..4 {
+            let slot = slot.clone();
+            let stop = stop.clone();
+            threads.push(std::thread::spawn(move || {
+                let mut h = d.register();
+                while !stop.load(Relaxed) {
+                    let g = h.pin();
+                    let s = slot.load(Acquire);
+                    let v = unsafe { s.deref() }.value;
+                    assert_eq!(v, 7, "use-after-free detected");
+                    drop(g);
+                }
+            }));
+        }
+        {
+            let slot = slot.clone();
+            let stop = stop.clone();
+            let writes: u64 = if cfg!(miri) { 300 } else { 20_000 };
+            threads.push(std::thread::spawn(move || {
+                let mut h = d.register();
+                for _ in 0..writes {
+                    let g = h.pin();
+                    let fresh = Shared::from_owned(Node { value: 7 });
+                    let old = slot.swap(fresh, AcqRel);
+                    unsafe { g.defer_destroy(old) };
+                    drop(g);
+                }
+                stop.store(true, Relaxed);
+            }));
+        }
+        for t in threads {
+            t.join().unwrap();
+        }
+        unsafe {
+            let last = slot.load(Relaxed);
+            last.drop_owned();
+            smr_common::counters::decr_garbage(0);
+        }
+    }
+
+    #[test]
+    fn repin_releases_references() {
+        static DROPS: AtomicUsize = AtomicUsize::new(0);
+        struct Canary;
+        impl Drop for Canary {
+            fn drop(&mut self) {
+                DROPS.fetch_add(1, Relaxed);
+            }
+        }
+
+        let d = Box::leak(Box::new(Domain::new()));
+        let mut h = d.register();
+        let mut g = h.pin();
+        unsafe { g.defer_destroy(Shared::from_owned(Canary)) };
+        g.flush();
+        assert_eq!(DROPS.load(Relaxed), 0);
+        // Leaving inside repin drops the reference the handover pushed.
+        g.repin();
+        assert_eq!(DROPS.load(Relaxed), 1, "repin must release the batch");
+        drop(g);
     }
 }

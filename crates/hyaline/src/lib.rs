@@ -53,12 +53,15 @@
 #![warn(missing_docs)]
 
 mod domain;
-mod guard;
 
 pub use domain::{garbage_bound, Domain, LocalHandle, TRIGGER};
-pub use guard::Guard;
 
-use smr_common::{GuardedScheme, SchemeGuard, Shared};
+use smr_common::GuardedScheme;
+
+/// An active hyaline critical section: every batch handed over since its
+/// enter holds a reference on this thread's slot, so no block retired after
+/// the enter is freed while it lives.
+pub type Guard<'a> = smr_common::guard::Guard<'a, LocalHandle>;
 
 /// Returns the process-wide default domain.
 pub fn default_domain() -> &'static Domain {
@@ -91,15 +94,5 @@ impl GuardedScheme for Hyaline {
 
     fn pin(handle: &mut LocalHandle) -> Guard<'_> {
         handle.pin()
-    }
-}
-
-impl SchemeGuard for Guard<'_> {
-    unsafe fn defer_destroy<T>(&self, ptr: Shared<T>) {
-        Guard::defer_destroy(self, ptr)
-    }
-
-    fn refresh(&mut self) {
-        Guard::repin(self)
     }
 }

@@ -14,17 +14,26 @@
 //! live pin — and reproduces the phenomenon the paper measures: coarse-
 //! grained neutralization forces long-running operations to restart
 //! (Fig. 10), while garbage stays bounded as long as threads validate.
+//!
+//! The rest is EBR's: participants in the lock-free [`Registry`],
+//! [`GenBags`] freed at `stamp + 2`, and the shared
+//! [`smr_common::guard::Guard`]. One difference is kept on purpose: a pin
+//! and an advance each pay a `SeqCst` fence, where EBR pays a light fence
+//! per pin and a heavy one (`membarrier`) per advance. A reader that holds
+//! the epoch makes every retire past [`TRIGGER`] attempt an advance, and a
+//! `membarrier` per attempt slows PEBR's writers to EBR's pace, erasing
+//! PEBR's Fig. 10 lead over EBR at 2^18 keys (EXPERIMENTS.md).
 
 #![warn(missing_docs)]
 
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 
-use parking_lot::Mutex;
 use smr_common::bags::GenBags;
+use smr_common::guard::CriticalSection;
 use smr_common::policy::Capped;
+use smr_common::registry::{Node, Registry};
 use smr_common::retired::Orphans;
-use smr_common::{CachePadded, GuardedScheme, Retired, SchemeGuard, Shared};
+use smr_common::{CachePadded, GuardedScheme, Retired};
 
 /// Retire this many blocks before attempting a collection. Public so tests
 /// derive garbage bounds from the same constant the scheme enforces.
@@ -51,17 +60,18 @@ pub const FAULT_POINTS: &[&str] = &[
     "pebr::teardown::before_donate",
 ];
 
+/// Per-participant state; cache padding comes from the registry node.
 struct Participant {
     /// `(epoch << 1) | pinned`.
-    state: CachePadded<AtomicU64>,
+    state: AtomicU64,
     ejected: AtomicBool,
-    dead: AtomicBool,
 }
 
 /// The global side of a PEBR instance.
 pub struct Collector {
     epoch: CachePadded<AtomicU64>,
-    participants: Mutex<Vec<Arc<Participant>>>,
+    /// Lock-free participant registry; one node per registered thread.
+    registry: Registry<Participant>,
     /// Stamped garbage abandoned by exited threads.
     orphans: Orphans<(u64, Retired)>,
 }
@@ -77,7 +87,7 @@ impl Collector {
     pub const fn new() -> Self {
         Self {
             epoch: CachePadded::new(AtomicU64::new(0)),
-            participants: Mutex::new(Vec::new()),
+            registry: Registry::new(),
             orphans: Orphans::new(),
         }
     }
@@ -85,18 +95,15 @@ impl Collector {
     /// Registers the current thread.
     ///
     /// Requires a `'static` collector (the process-wide default, or a
-    /// leaked test instance) so the handle's back-reference can never
-    /// dangle.
+    /// leaked test instance): participant records are reclaimed through the
+    /// collector's own epochs, so a handle must be unable to outlive it.
     pub fn register(&'static self) -> LocalHandle {
-        let record = Arc::new(Participant {
-            state: CachePadded::new(AtomicU64::new(0)),
-            ejected: AtomicBool::new(false),
-            dead: AtomicBool::new(false),
-        });
-        self.participants.lock().push(record.clone());
         LocalHandle {
             global: self,
-            record,
+            record: self.registry.insert(Participant {
+                state: AtomicU64::new(0),
+                ejected: AtomicBool::new(false),
+            }),
             garbage: GenBags::new(),
             guard_live: false,
         }
@@ -107,31 +114,39 @@ impl Collector {
         self.epoch.load(Ordering::Relaxed)
     }
 
-    /// Tries to advance the epoch; with `eject`, neutralizes stragglers so a
-    /// future advance can succeed.
-    fn try_advance(&self, eject: bool) -> u64 {
+    /// Tries to advance the epoch; with `eject`, marks every straggler
+    /// ejected so that a later advance can succeed. One `SeqCst` fence, one
+    /// registry traversal (stopping at the first straggler unless ejecting),
+    /// one CAS. Dead participants are unlinked and retired into `bags`, the
+    /// pinned caller's, stamped with the epoch at unlink as in EBR.
+    fn try_advance(&self, eject: bool, bags: &mut GenBags) -> u64 {
         let e = self.epoch.load(Ordering::Relaxed);
         fence(Ordering::SeqCst);
-        let mut blocked = false;
-        {
-            let mut parts = self.participants.lock();
-            parts.retain(|p| !p.dead.load(Ordering::Acquire));
-            for p in parts.iter() {
+        let mut observed = true;
+        self.registry.traverse(
+            |p| {
                 let s = p.state.load(Ordering::Relaxed);
-                if s & 1 == 1 && (s >> 1) != e {
-                    blocked = true;
-                    if eject {
-                        p.ejected.store(true, Ordering::Release);
-                        // The straggler is marked but may not have observed
-                        // it yet; its next validate() must see the ejection.
-                        smr_common::fault_point!("pebr::eject::after_mark");
-                    } else {
-                        break;
-                    }
+                if s & 1 == 0 || s >> 1 == e {
+                    return true;
                 }
-            }
-        }
-        if blocked {
+                observed = false;
+                if eject {
+                    p.ejected.store(true, Ordering::Release);
+                    // The straggler is marked but may not have observed it
+                    // yet; its next validate() must see the ejection.
+                    smr_common::fault_point!("pebr::eject::after_mark");
+                }
+                eject
+            },
+            |node| {
+                let stamp = self.epoch.load(Ordering::Relaxed);
+                // Safety: the node came from `Box::into_raw` in
+                // `Registry::insert`, and `traverse` hands each unlinked
+                // node out exactly once.
+                bags.push(stamp, unsafe { Retired::new(node) });
+            },
+        );
+        if !observed {
             return e;
         }
         fence(Ordering::SeqCst);
@@ -142,9 +157,6 @@ impl Collector {
     }
 }
 
-unsafe impl Send for Collector {}
-unsafe impl Sync for Collector {}
-
 /// Returns the process-wide default PEBR collector.
 pub fn default_collector() -> &'static Collector {
     static DEFAULT: Collector = Collector::new();
@@ -154,32 +166,48 @@ pub fn default_collector() -> &'static Collector {
 /// A thread's registration with a PEBR [`Collector`].
 pub struct LocalHandle {
     global: &'static Collector,
-    record: Arc<Participant>,
+    /// This thread's registry node; owned by the registry, valid for the
+    /// handle's lifetime (only `Drop` marks it dead).
+    record: *const Node<Participant>,
     /// Epoch-stamped local garbage, freed at `stamp + 2 ≤ global` as in EBR.
     garbage: GenBags,
     guard_live: bool,
 }
 
+// The handle is only a registration token plus thread-local garbage; the
+// registry node it points to is Sync.
 unsafe impl Send for LocalHandle {}
 
 impl LocalHandle {
-    /// Pins the thread, entering a critical section. Clears any pending
-    /// ejection: a fresh critical section starts protective again.
-    pub fn pin(&mut self) -> Guard<'_> {
-        assert!(!self.guard_live, "PEBR guards must not be nested");
-        self.record.ejected.store(false, Ordering::Relaxed);
-        self.pin_slow();
-        self.guard_live = true;
-        Guard {
-            handle: self,
-            _marker: std::marker::PhantomData,
-        }
+    #[inline]
+    fn participant(&self) -> &Participant {
+        // Valid: the node is unlinked only after `Drop` marks it dead, and
+        // freed at least two epochs later.
+        unsafe { (*self.record).data() }
     }
 
-    fn pin_slow(&self) {
+    /// Pins the thread, entering a critical section.
+    #[inline]
+    pub fn pin(&mut self) -> Guard<'_> {
+        Guard::new(self)
+    }
+}
+
+unsafe impl CriticalSection for LocalHandle {
+    #[inline]
+    unsafe fn guard_live(&mut self) -> &mut bool {
+        &mut self.guard_live
+    }
+
+    /// Clears any pending ejection — a fresh critical section starts
+    /// protective — then announces, `SeqCst` fence, validates.
+    #[inline]
+    unsafe fn enter(&mut self) {
+        let p = self.participant();
+        p.ejected.store(false, Ordering::Relaxed);
         let mut e = self.global.epoch.load(Ordering::Relaxed);
         loop {
-            self.record.state.store((e << 1) | 1, Ordering::Relaxed);
+            p.state.store((e << 1) | 1, Ordering::Relaxed);
             // A thread stalled here has announced a pin the reclaimer can
             // only get past by ejecting it — PEBR's robustness mechanism.
             smr_common::fault_point!("pebr::pin::before_validate");
@@ -192,24 +220,38 @@ impl LocalHandle {
         }
     }
 
-    fn unpin_slow(&self) {
-        self.record.state.store(0, Ordering::Release);
+    #[inline]
+    unsafe fn leave(&mut self) {
+        self.participant().state.store(0, Ordering::Release);
     }
 
-    /// Asks the collector's trigger whether a deferred destroy
-    /// should attempt a collection now.
-    fn should_collect(&self) -> bool {
-        TRIGGER.should_reclaim(self.garbage.len(), 0)
+    /// Bags `retired` under the current epoch, then collects if [`TRIGGER`]
+    /// fires.
+    #[inline]
+    unsafe fn retire(&mut self, retired: Retired) {
+        let epoch = self.global.epoch.load(Ordering::Relaxed);
+        self.garbage.push(epoch, retired);
+        if TRIGGER.should_reclaim(self.garbage.len(), 0) {
+            // SAFETY: `retire` runs pinned, as `collect` requires.
+            unsafe { self.collect() };
+        }
     }
 
-    fn collect(&mut self) {
+    /// Adopts orphans, then advances the epoch — ejecting stragglers once
+    /// garbage reaches [`EJECT_THRESHOLD`] — and frees what expired.
+    unsafe fn collect(&mut self) {
         if let Some(orphans) = self.global.orphans.take() {
             self.garbage.adopt(orphans, self.global.epoch());
         }
         let eject = self.garbage.len() >= EJECT_THRESHOLD;
         smr_common::fault_point!("pebr::collect::before_advance");
-        let global_epoch = self.global.try_advance(eject);
+        let global_epoch = self.global.try_advance(eject, &mut self.garbage);
         self.garbage.collect_expired(global_epoch);
+    }
+
+    #[inline]
+    fn is_valid(&self) -> bool {
+        !self.participant().ejected.load(Ordering::Acquire)
     }
 }
 
@@ -221,7 +263,7 @@ impl Drop for LocalHandle {
         impl Drop for Teardown<'_> {
             fn drop(&mut self) {
                 let h = &mut *self.0;
-                h.record.dead.store(true, Ordering::Release);
+                unsafe { h.global.registry.delete(h.record) };
                 if !h.garbage.is_empty() {
                     let mut donated = Vec::new();
                     h.garbage.drain_into(&mut donated);
@@ -234,69 +276,9 @@ impl Drop for LocalHandle {
     }
 }
 
-/// An active PEBR critical section.
-pub struct Guard<'a> {
-    handle: *mut LocalHandle,
-    _marker: std::marker::PhantomData<&'a mut LocalHandle>,
-}
-
-impl Guard<'_> {
-    /// Reborrows the handle the guard exclusively holds.
-    ///
-    /// # Safety
-    /// The returned reference must not outlive the statement that creates
-    /// it, and at most one may be live at a time. The guard exclusively
-    /// borrows the (non-Sync) handle for its whole lifetime, so no other
-    /// reference can exist concurrently.
-    #[inline]
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn handle(&self) -> &mut LocalHandle {
-        unsafe { &mut *self.handle }
-    }
-
-    /// Whether this critical section is still protective.
-    #[inline]
-    pub fn is_valid(&self) -> bool {
-        !unsafe { self.handle() }.record.ejected.load(Ordering::Acquire)
-    }
-
-    /// Retires `ptr`.
-    ///
-    /// # Safety
-    /// Same contract as [`ebr`-style deferred destruction]: unlinked,
-    /// retired once, no new accesses.
-    pub unsafe fn defer_destroy_inner<T>(&self, ptr: Shared<T>) {
-        self.retire(unsafe { Retired::new(ptr.as_raw()) });
-    }
-
-    /// Retires with a custom deleter.
-    ///
-    /// # Safety
-    /// Same contract as [`Guard::defer_destroy_inner`].
-    pub unsafe fn defer_destroy_with(&self, ptr: *mut u8, free_fn: unsafe fn(*mut u8)) {
-        self.retire(unsafe { Retired::with_free(ptr, free_fn) });
-    }
-
-    /// Bags `retired` under the current epoch, then collects if [`TRIGGER`]
-    /// fires.
-    #[inline]
-    fn retire(&self, retired: Retired) {
-        let handle = unsafe { self.handle() };
-        let epoch = handle.global.epoch.load(Ordering::Relaxed);
-        handle.garbage.push(epoch, retired);
-        if handle.should_collect() {
-            handle.collect();
-        }
-    }
-}
-
-impl Drop for Guard<'_> {
-    fn drop(&mut self) {
-        let handle = unsafe { self.handle() };
-        handle.unpin_slow();
-        handle.guard_live = false;
-    }
-}
+/// An active PEBR critical section; protective while
+/// [`is_valid`](smr_common::guard::Guard::is_valid).
+pub type Guard<'a> = smr_common::guard::Guard<'a, LocalHandle>;
 
 /// Marker type wiring PEBR into the [`GuardedScheme`] interface.
 pub struct Pebr;
@@ -314,27 +296,10 @@ impl GuardedScheme for Pebr {
     }
 }
 
-impl SchemeGuard for Guard<'_> {
-    unsafe fn defer_destroy<T>(&self, ptr: Shared<T>) {
-        self.defer_destroy_inner(ptr)
-    }
-
-    #[inline]
-    fn validate(&self) -> bool {
-        self.is_valid()
-    }
-
-    fn refresh(&mut self) {
-        let handle = unsafe { self.handle() };
-        handle.unpin_slow();
-        handle.record.ejected.store(false, Ordering::Relaxed);
-        handle.pin_slow();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smr_common::{SchemeGuard, Shared};
 
     #[test]
     fn pin_validate_refresh() {
@@ -359,7 +324,7 @@ mod tests {
         {
             let rg = reclaimer.pin();
             for _ in 0..(EJECT_THRESHOLD + COLLECT_THRESHOLD * 2) {
-                unsafe { rg.defer_destroy_inner(Shared::from_owned(0u64)) };
+                unsafe { rg.defer_destroy(Shared::from_owned(0u64)) };
             }
             drop(rg);
         }
@@ -380,7 +345,7 @@ mod tests {
         {
             let rg = reclaimer.pin();
             for _ in 0..(EJECT_THRESHOLD + COLLECT_THRESHOLD * 2) {
-                unsafe { rg.defer_destroy_inner(Shared::from_owned(0u64)) };
+                unsafe { rg.defer_destroy(Shared::from_owned(0u64)) };
             }
             drop(rg);
         }
@@ -394,14 +359,14 @@ mod tests {
         {
             let rg = reclaimer.pin();
             for _ in 0..COLLECT_THRESHOLD {
-                unsafe { rg.defer_destroy_inner(Shared::from_owned(0u64)) };
+                unsafe { rg.defer_destroy(Shared::from_owned(0u64)) };
             }
             drop(rg);
         }
         drop(sg);
         let rg = reclaimer.pin();
         for _ in 0..COLLECT_THRESHOLD {
-            unsafe { rg.defer_destroy_inner(Shared::from_owned(0u64)) };
+            unsafe { rg.defer_destroy(Shared::from_owned(0u64)) };
         }
         drop(rg);
         assert!(c.epoch() >= e0);
@@ -414,7 +379,7 @@ mod tests {
         for _ in 0..10 {
             let g = h.pin();
             for _ in 0..COLLECT_THRESHOLD {
-                unsafe { g.defer_destroy_inner(Shared::from_owned(0u64)) };
+                unsafe { g.defer_destroy(Shared::from_owned(0u64)) };
             }
             drop(g);
         }

@@ -17,10 +17,14 @@
 //!   through every CAS retry loop in `crates/ds` (knob: `SMR_NO_BACKOFF`).
 //! * [`map`] — the [`ConcurrentMap`] trait every
 //!   benchmarked structure implements, plus the [`GuardedScheme`]
-//!   abstraction shared by the guard-based schemes (NR, EBR, PEBR).
+//!   abstraction shared by the guard-based schemes (NR, EBR, PEBR,
+//!   Hyaline).
+//! * [`guard`] — the one critical-section [`Guard`](guard::Guard) of EBR,
+//!   PEBR and Hyaline, over each scheme's
+//!   [`CriticalSection`](guard::CriticalSection) handle.
 //! * [`registry`] — a lock-free intrusive list of per-thread records
-//!   (Harris-style mark-then-unlink deletion) backing EBR's participant
-//!   registry.
+//!   (Harris-style mark-then-unlink deletion) backing EBR's and PEBR's
+//!   participant registries and Hyaline's slots.
 //! * [`time`] — a minimal monotonic-nanosecond clock used by the benchmark
 //!   harness's per-operation latency recording.
 //! * [`fault`] — named fault-injection points (compile-time no-ops unless
@@ -53,6 +57,7 @@ pub mod counters;
 pub mod env;
 pub mod fault;
 pub mod fence;
+pub mod guard;
 pub mod map;
 pub mod policy;
 pub mod pool;

@@ -4,9 +4,10 @@ use crate::atomic::Shared;
 
 /// A guard-based protection for critical sections.
 ///
-/// NR (no-op), EBR (epoch pin) and PEBR (epoch pin + ejection) all protect
-/// *whole critical sections* rather than individual pointers; concurrent data
-/// structures written against this trait work with all three.
+/// NR (no-op), EBR (epoch pin), PEBR (epoch pin + ejection) and Hyaline
+/// (reference-counted batch handover) all protect *whole critical sections*
+/// rather than individual pointers; concurrent data structures written
+/// against this trait work with all four.
 pub trait SchemeGuard {
     /// Hands a detached node to the scheme for eventual reclamation.
     ///
@@ -18,7 +19,7 @@ pub trait SchemeGuard {
 
     /// Whether this critical section is still valid.
     ///
-    /// Always `true` for NR and EBR. For PEBR, returns `false` once the
+    /// Always `true` for NR, EBR and Hyaline. For PEBR, returns `false` once the
     /// reclaimer has ejected this thread, after which the operation must stop
     /// dereferencing protected pointers and [`refresh`](Self::refresh).
     #[inline]

@@ -172,7 +172,7 @@ fn ebr_stalled_pin_wedges_epoch_and_watchdog_reports_growth_body() {
 
     let victim = std::thread::spawn(move || {
         let mut h = c.register();
-        let g = h.pin(); // stalls inside pin_slow
+        let g = h.pin(); // stalls inside `enter`
         drop(g);
     });
     wait_for("victim stalled in pin", || {
@@ -253,7 +253,7 @@ fn pebr_ejects_straggler_despite_scheduling_noise_body() {
     {
         let rg = reclaimer.pin();
         for _ in 0..(pebr::EJECT_THRESHOLD + 2 * pebr::COLLECT_THRESHOLD) {
-            unsafe { rg.defer_destroy_inner(smr_common::Shared::from_owned(0u64)) };
+            unsafe { rg.defer_destroy(smr_common::Shared::from_owned(0u64)) };
         }
         drop(rg);
     }
@@ -321,7 +321,7 @@ where
     let retire = |reclaimer: &mut pebr::LocalHandle, blocks: usize| {
         let g = reclaimer.pin();
         for _ in 0..blocks {
-            unsafe { g.defer_destroy_inner(smr_common::Shared::from_owned(0u64)) };
+            unsafe { g.defer_destroy(smr_common::Shared::from_owned(0u64)) };
         }
     };
     std::thread::scope(|s| {
@@ -1151,7 +1151,7 @@ fn all_fault_points_are_reachable_body() {
         {
             let rg = reclaimer.pin();
             for _ in 0..(pebr::EJECT_THRESHOLD + 2 * pebr::COLLECT_THRESHOLD) {
-                unsafe { rg.defer_destroy_inner(smr_common::Shared::from_owned(4u64)) };
+                unsafe { rg.defer_destroy(smr_common::Shared::from_owned(4u64)) };
             }
             drop(rg);
         }
