@@ -24,7 +24,7 @@ use std::marker::PhantomData;
 use std::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed};
 
 use hp::HazardPointer;
-use hp_plus::{Invalidate, Unlinked};
+use hp_plus::Invalidate;
 use smr_common::tagged::TAG_INVALIDATED;
 use smr_common::{fence, Atomic, Backoff, ConcurrentMap, GuardedScheme, SchemeGuard, Shared};
 
@@ -423,13 +423,7 @@ impl<K, V> Protector<K, V> for SrcCheck {
         // never change and lead only to each other and the frontier.
         unsafe {
             op.slots.thread.try_unlink(&frontier, || {
-                swing(root, root0, new_root).then(|| match *replaced {
-                    // Point updates replace one or two path nodes; only
-                    // rebalancing rotations detach longer chains.
-                    [one] => Unlinked::single(one),
-                    [a, b] => Unlinked::pair(a, b),
-                    _ => Unlinked::new(replaced.to_vec()),
-                })
+                swing(root, root0, new_root).then(|| replaced.iter().copied())
             })
         }
     }

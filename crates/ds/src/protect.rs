@@ -22,7 +22,7 @@
 use std::marker::PhantomData;
 use std::sync::atomic::Ordering::{AcqRel, Acquire};
 
-use hp_plus::{HazardPointer, Unlinked};
+use hp_plus::HazardPointer;
 use smr_common::{fence, Atomic, GuardedScheme, SchemeGuard, Shared};
 
 use crate::hp_family::HpFamily;
@@ -296,7 +296,7 @@ impl<const H: usize> HpHandle<hp_plus::Thread, H> {
     }
 
     /// Unreclaimed blocks charged to this handle's thread: retired bags
-    /// plus unlinked batches still awaiting deferred invalidation.
+    /// plus unlinked nodes still awaiting deferred invalidation.
     pub fn garbage_count(&self) -> usize {
         self.thread.garbage_count()
     }
@@ -465,24 +465,12 @@ impl<const H: usize> Protect for Hpp<H> {
         from: Shared<N>,
         to: Shared<N>,
         frontier: Shared<N>,
-        mut detached: impl Iterator<Item = Shared<N>>,
+        detached: impl Iterator<Item = Shared<N>>,
     ) -> bool {
         let do_unlink = || {
-            link.compare_exchange(from, to, AcqRel, Acquire).ok()?;
-            // One- and two-node batches — every list remove, an NM-tree
-            // node plus its pendant leaf — stay allocation-free.
-            let first = detached
-                .next()
-                .expect("an unlink detaches at least one node");
-            let Some(second) = detached.next() else {
-                return Some(Unlinked::single(first));
-            };
-            let Some(third) = detached.next() else {
-                return Some(Unlinked::pair(first, second));
-            };
-            let mut nodes = vec![first, second, third];
-            nodes.extend(detached);
-            Some(Unlinked::new(nodes))
+            link.compare_exchange(from, to, AcqRel, Acquire)
+                .ok()
+                .map(|_| detached)
         };
         // SAFETY: the caller's contract is `try_unlink`'s.
         unsafe { op.thread.try_unlink(&[frontier], do_unlink) }

@@ -40,7 +40,7 @@
 //! # Example: a two-node chain unlink, Harris style
 //!
 //! ```
-//! use hp_plus::{try_protect, Invalidate, Unlinked};
+//! use hp_plus::{try_protect, Invalidate};
 //! use smr_common::{Atomic, Shared};
 //! use std::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed, Release};
 //!
@@ -73,12 +73,13 @@
 //! assert_eq!(unsafe { cur.deref() }.value, 1);
 //!
 //! // An unlinker detaches the whole chain [a, b]; the frontier is empty
-//! // (the chain's successor is null).
+//! // (the chain's successor is null). The closure returns the detached
+//! // nodes, here as an array.
 //! let ok = unsafe {
 //!     thread.try_unlink(&[], || {
 //!         head.compare_exchange(a, Shared::null(), AcqRel, Acquire)
 //!             .ok()
-//!             .map(|_| Unlinked::new(vec![a, b]))
+//!             .map(|_| [a, b])
 //!     })
 //! };
 //! assert!(ok);
@@ -134,7 +135,7 @@ pub(crate) fn invalidate_period() -> usize {
 
 /// The derived cap on one thread's unreclaimed HP++ garbage at `h_slots`
 /// hazard slots: the inner HP bag's `hp::TRIGGER.bound(h_slots)`, plus up
-/// to [`RECLAIM_PERIOD`] unlinked batches of at most two nodes awaiting the
+/// to [`RECLAIM_PERIOD`] unlinks of at most two nodes each awaiting the
 /// next reclaim.
 pub const fn garbage_bound(h_slots: usize) -> usize {
     hp::TRIGGER.bound(h_slots) + 2 * RECLAIM_PERIOD

@@ -185,25 +185,37 @@ fn failed_unlink_releases_frontier_protection() {
     let d = new_domain();
     let mut t = d.register();
     let (head, a, b, c) = chain3();
-
+    // An earlier unlink whose frontier protection of `c` awaits its flush.
     let ok = unsafe {
         t.try_unlink(&[c], || {
+            head.compare_exchange(a, c, AcqRel, Acquire)
+                .ok()
+                .map(|_| [a, b])
+        })
+    };
+    assert!(ok);
+    let held = d.hp_domain().protected_words();
+    assert_eq!(held, [c.as_raw() as usize]);
+
+    let x = Shared::from_owned(Node::new(9));
+    let ok = unsafe {
+        t.try_unlink(&[x], || {
             // Simulate losing the CAS race.
             None::<Unlinked<Node>>
         })
     };
     assert!(!ok);
-    assert_eq!(t.garbage_count(), 0);
-    assert!(
-        d.hp_domain().protected_words().is_empty(),
-        "frontier protection must be revoked on failure"
+    assert_eq!(t.garbage_count(), 2);
+    assert_eq!(
+        d.hp_domain().protected_words(),
+        held,
+        "a failed unlink revokes its own frontier protection, and only that"
     );
 
-    let _ = head;
+    t.reclaim();
     unsafe {
-        a.drop_owned();
-        b.drop_owned();
         c.drop_owned();
+        x.drop_owned();
     }
 }
 
@@ -287,49 +299,9 @@ fn epoched_hps_are_revoked_lazily() {
 }
 
 #[test]
-fn long_chain_unlinks_keep_spill_pools_bounded() {
+fn array_pair_unlink_frees_both() {
     let _serial = serial();
-    // Chains longer than the two inline slots spill to pooled vectors; the
-    // pools must recycle them (so long unlinks stop allocating) while never
-    // growing beyond their cap.
-    let d = new_domain();
-    let mut t = d.register();
-    for _ in 0..40 {
-        // head -> n0 -> … -> n5; unlink [n0, n1, n2] (spills the node
-        // buffer) passing frontier [n3, n4, n5] (spills the hp buffer).
-        let nodes: Vec<Shared<Node>> = (0..6)
-            .map(|i| Shared::from_owned(Node::new(10 + i as u64)))
-            .collect();
-        for w in nodes.windows(2) {
-            unsafe { w[0].deref() }.next.store(w[1], Release);
-        }
-        let head = Atomic::from(nodes[0]);
-        let frontier = [nodes[3], nodes[4], nodes[5]];
-        let ok = unsafe {
-            t.try_unlink(&frontier, || {
-                match head.compare_exchange(nodes[0], nodes[3], AcqRel, Acquire) {
-                    Ok(_) => Some(Unlinked::new(nodes[..3].to_vec())),
-                    Err(_) => None,
-                }
-            })
-        };
-        assert!(ok);
-        t.reclaim();
-        let (r, h) = t.spare_pool_sizes();
-        assert!(r <= 8 && h <= 8, "spill pools ballooned: ({r}, {h})");
-        for n in &nodes[3..] {
-            unsafe { n.drop_owned() };
-        }
-    }
-    let (r, h) = t.spare_pool_sizes();
-    assert!(r >= 1 && h >= 1, "spill vectors should be recycled: ({r}, {h})");
-}
-
-#[test]
-fn pair_unlink_is_inline() {
-    let _serial = serial();
-    // The Pair variant (chain-node + pendant, NMTree-style) uses only the
-    // inline slots: no spill vector is ever taken or pooled.
+    // A chain-node + pendant pair (NMTree-style), handed over as an array.
     let before = DROPS.load(Relaxed);
     let d = new_domain();
     let mut t = d.register();
@@ -337,7 +309,7 @@ fn pair_unlink_is_inline() {
 
     let ok = unsafe {
         t.try_unlink(&[c], || match head.compare_exchange(a, c, AcqRel, Acquire) {
-            Ok(_) => Some(Unlinked::pair(a, b)),
+            Ok(_) => Some([a, b]),
             Err(_) => None,
         })
     };
@@ -345,7 +317,6 @@ fn pair_unlink_is_inline() {
     assert_eq!(t.garbage_count(), 2);
     t.reclaim();
     assert_eq!(DROPS.load(Relaxed), before + 2);
-    assert_eq!(t.spare_pool_sizes(), (0, 0), "pair path must not spill");
 
     unsafe { c.drop_owned() };
 }

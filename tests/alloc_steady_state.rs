@@ -12,8 +12,11 @@ mod common;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use std::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed, Release};
+
 use common::isolated;
-use smr_common::ConcurrentMap;
+use smr_common::tagged::TAG_INVALIDATED;
+use smr_common::{Atomic, ConcurrentMap, Shared};
 
 struct Counting;
 
@@ -85,6 +88,82 @@ fn steady_state_pairs_make_no_allocator_calls<M: ConcurrentMap<u64, u64>>() {
 #[test]
 fn hpp_hash_map_pairs_reuse_their_own_garbage() {
     isolated(steady_state_pairs_make_no_allocator_calls::<ds::hpp::HashMap<u64, u64>>);
+}
+
+#[test]
+fn hpp_nm_tree_pairs_reuse_their_own_garbage() {
+    // Every remove detaches two nodes: the chain node and its pendant leaf.
+    isolated(steady_state_pairs_make_no_allocator_calls::<ds::hpp::NMTree<u64, u64>>);
+}
+
+#[test]
+fn hpp_chain_unlinks_make_no_allocator_calls() {
+    isolated(hpp_chain_unlinks_make_no_allocator_calls_body);
+}
+
+struct Link {
+    next: Atomic<Link>,
+}
+
+// SAFETY: sets the invalidation tag on the node's own link only.
+unsafe impl hp_plus::Invalidate for Link {
+    unsafe fn invalidate(ptr: *mut Self) {
+        let node = unsafe { &*ptr };
+        let next = node.next.load(Relaxed);
+        node.next
+            .store(next.with_tag(next.tag() | TAG_INVALIDATED), Release);
+    }
+}
+
+/// Builds `head -> n0 -> … -> n5`, unlinks the chain `[n0, n1, n2]` with
+/// the frontier `[n3, n4, n5]` (both as arrays), reclaims, and frees the
+/// frontier: every block comes from and returns to the pool, at most six
+/// per round, far below `pool::CLASS_CAP`.
+fn chain_unlink_round(t: &mut hp_plus::Thread) {
+    let n: [Shared<Link>; 6] = std::array::from_fn(|_| {
+        Shared::from_owned(Link {
+            next: Atomic::null(),
+        })
+    });
+    for w in n.windows(2) {
+        unsafe { w[0].deref() }.next.store(w[1], Relaxed);
+    }
+    let head = Atomic::from(n[0]);
+    // SAFETY: the CAS detaches exactly `[n0, n1, n2]`, whose links are
+    // frozen from here on; the frontier holds every node they reach.
+    let ok = unsafe {
+        t.try_unlink(&n[3..], || {
+            head.compare_exchange(n[0], n[3], AcqRel, Acquire)
+                .ok()
+                .map(|_| [n[0], n[1], n[2]])
+        })
+    };
+    assert!(ok);
+    t.reclaim();
+    assert_eq!(t.garbage_count(), 0);
+    for node in &n[3..] {
+        // SAFETY: never published beyond `head`, which is gone.
+        unsafe { node.drop_owned() };
+    }
+}
+
+fn hpp_chain_unlinks_make_no_allocator_calls_body() {
+    if !pooling() {
+        return;
+    }
+    let d: &'static hp_plus::Domain = Box::leak(Box::new(hp_plus::Domain::new()));
+    let mut t = d.register();
+    // Warm-up: the unlink, frontier and parked-protection vectors, the
+    // slot cache and the scan scratch reach their steady capacity.
+    for _ in 0..100 {
+        chain_unlink_round(&mut t);
+    }
+    let calls = allocator_calls(|| {
+        for _ in 0..10_000 {
+            chain_unlink_round(&mut t);
+        }
+    });
+    assert_eq!(calls, 0, "10 000 chain unlinks went to the allocator");
 }
 
 #[test]

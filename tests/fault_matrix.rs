@@ -421,6 +421,53 @@ fn hpp_mid_invalidation_preemption_leaks_nothing_body() {
 }
 
 #[test]
+fn hpp_panic_mid_invalidation_leaks_nothing() {
+    common::isolated(hpp_panic_mid_invalidation_leaks_nothing_body);
+}
+
+fn hpp_panic_mid_invalidation_leaks_nothing_body() {
+    // A thread dies on an injected panic inside its first invalidation
+    // flush, after one of its unlinked nodes is invalidated. Contract: the
+    // flush leaves every unlinked node in place, so the dying thread's
+    // teardown still invalidates and retires all of them, and a fresh
+    // thread in the same (private) domain frees every one.
+    let d: &'static hp_plus::Domain = Box::leak(Box::new(hp_plus::Domain::new()));
+    let m = ds::hpp::HHSList::<u64, u64>::new_in(d);
+    let before = smr_common::counters::garbage_now();
+    let plan = fault::plan()
+        .at("hpp::try_unlink::mid_invalidation", 2, FaultAction::Panic)
+        .install();
+    let churn = std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut h = m.handle();
+            for k in 0..64 {
+                m.insert(&mut h, k, k);
+            }
+            for k in 0..64 {
+                m.remove(&mut h, &k);
+            }
+        })
+        .join()
+    });
+    assert!(churn.is_err(), "the churner must have died mid-invalidation");
+    drop(plan);
+
+    let mut t = d.register();
+    for _ in 0..10 {
+        t.reclaim();
+        if smr_common::counters::garbage_now() <= before {
+            break;
+        }
+    }
+    let after = smr_common::counters::garbage_now();
+    assert!(
+        after <= before,
+        "a panic mid-invalidation leaked {} nodes",
+        after - before
+    );
+}
+
+#[test]
 fn hp_panicking_teardown_still_donates() {
     common::isolated(hp_panicking_teardown_still_donates_body);
 }

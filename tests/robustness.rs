@@ -61,21 +61,30 @@ fn hp_garbage_bounded_under_churn() {
 #[test]
 fn hpp_garbage_bounded_under_churn() {
     let _serial = serial();
-    let m: ds::hpp::HHSList<u64, u64> = ConcurrentMap::new();
+    // A private domain: its `H` counts only this handle's slots, and the
+    // handle's own count is the garbage measured, so no margin is needed.
+    let d: &'static hp_plus::Domain = Box::leak(Box::new(hp_plus::Domain::new()));
+    let m = ds::hpp::HHSList::<u64, u64>::new_in(d);
     let mut h = m.handle();
-    let before = smr_common::counters::garbage_now();
-    churn_n(&m, &mut h, 500);
-    let grown = smr_common::counters::garbage_now().saturating_sub(before);
-    // HP++ counts garbage at unlink: on top of HP's `k·H + threshold` bag
-    // bound, up to RECLAIM_PERIOD unlinked batches (HHSList removes detach
-    // ≤ 2 nodes each) may await deferred invalidation (Algorithm 3) —
-    // `hp_plus::garbage_bound`.
-    let h_slots = hp_plus::default_domain().hp_domain().slot_capacity();
-    let bound = 2 * hp_plus::garbage_bound(h_slots) as u64;
-    assert!(
-        grown < bound,
-        "HP++ garbage grew to {grown}, bound {bound} (H={h_slots})"
-    );
+    for r in 0..500 {
+        for k in 0..16 {
+            m.insert(&mut h, k, r);
+        }
+        for k in 0..16 {
+            m.remove(&mut h, &k);
+            // HP++ counts garbage at unlink: on top of HP's `k·H +
+            // threshold` bag bound, up to RECLAIM_PERIOD unlinks (HHSList
+            // removes detach ≤ 2 nodes each) may await deferred
+            // invalidation (Algorithm 3) — `hp_plus::garbage_bound`.
+            let h_slots = d.hp_domain().slot_capacity();
+            let bound = hp_plus::garbage_bound(h_slots);
+            let garbage = h.garbage_count();
+            assert!(
+                garbage <= bound,
+                "HP++ garbage reached {garbage}, bound {bound} (H={h_slots}, round {r})"
+            );
+        }
+    }
 }
 
 /// Registry-driven churn: every scheme in `bench::schemes::GUARDED` runs
