@@ -29,7 +29,7 @@ use std::sync::Barrier;
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use smr_common::{Atomic, Shared};
+use smr_common::{Atomic, SchemeDomain, Shared};
 
 const THREADS: [usize; 3] = [1, 4, 16];
 

@@ -26,7 +26,7 @@ mod orchestrate;
 mod plot;
 pub mod runner;
 pub mod schemes;
-mod table1;
+pub mod table1;
 mod verdict;
 pub mod workload;
 

@@ -13,7 +13,7 @@
 //!
 //! With `--quick` the churn window shrinks to 300 ms and the subcommand
 //! turns into a CI gate: it exits non-zero if the HP or HP++ peak exceeds the
-//! bound *derived from the schemes' published formulas* (Michael's
+//! bound its domain derives (`SchemeDomain::garbage_bound`: Michael's
 //! `k·H + threshold` per participant; HP++ adds its deferred-invalidation
 //! batches). The EBR/PEBR rows stay informational — their failure modes are
 //! asserted by `tests/robustness.rs`.
@@ -21,9 +21,10 @@
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::time::Duration;
 
+use ds::InDomain;
 use smr_common::counters;
 use smr_common::watchdog::{GarbageWatchdog, WatchdogStatus};
-use smr_common::{ConcurrentMap, GuardedScheme, SchemeGuard};
+use smr_common::{ConcurrentMap, GuardedScheme, SchemeDomain, SchemeGuard};
 
 /// Threads churning against the one staller.
 const CHURNERS: usize = 3;
@@ -89,12 +90,11 @@ struct Measured {
     verdict: &'static str,
 }
 
-fn measure<M, F>(name: &str, window: Duration, bound: usize, stall: F) -> Measured
+fn measure<M, F>(name: &str, window: Duration, bound: usize, map: M, stall: F) -> Measured
 where
     M: ConcurrentMap<u64, u64> + Send + Sync,
     F: FnOnce(&M, &AtomicBool) + Send,
 {
-    let map = M::new();
     let stop = AtomicBool::new(false);
     let base = counters::garbage_now();
     // The stall window is a fraction of the run so a wedged scheme is
@@ -169,6 +169,48 @@ fn gate_violations(hp: &Measured, hpp: &Measured, hyaline_coop: &Measured) -> Ve
     violations
 }
 
+/// Each row's bound, read from its domain's
+/// [`SchemeDomain::garbage_bound`] (with a 2x margin for PEBR, HP and
+/// HP++). EBR has no bound, and the non-cooperative hyaline row grows like
+/// EBR's: both give the watchdog four collection triggers, so a stalled pin
+/// reads as growth, not noise.
+#[derive(Debug, PartialEq, Eq)]
+pub struct Bounds {
+    /// `ebr-stalled-pin`'s watchdog trigger.
+    pub ebr: usize,
+    /// Both PEBR rows.
+    pub pebr: usize,
+    /// `hyaline-stalled-pin-noncooperative`'s watchdog trigger.
+    pub hyaline_stall: usize,
+    /// `hyaline-stalled-pin-cooperative`, gated on its settled count.
+    pub hyaline_coop: usize,
+    /// `hp-stalled-hazard`, gated on its peak.
+    pub hp: usize,
+    /// `hp++-stalled-hazard`, gated on its peak.
+    pub hpp: usize,
+}
+
+impl Bounds {
+    /// The bounds of a run whose HP and HP++ rows build their maps in `hp`
+    /// and `hpp`, read before the run registers a slot there: the margin
+    /// also covers the `k·H` of the slots the run then allocates.
+    pub fn derive(hp: &hp::Domain, hpp: &hp_plus::Domain) -> Self {
+        let participants = CHURNERS + 1;
+        let stated = |bound: Option<usize>| bound.expect("a robust scheme states its bound");
+        Self {
+            ebr: 4 * ebr::default_collector().collect_threshold(),
+            pebr: 2 * stated(pebr::default_collector().garbage_bound(participants)),
+            hyaline_stall: 4 * hyaline::TRIGGER.threshold(participants),
+            // The cooperative staller's row: hyaline's formula carries its
+            // own slack, so no margin, and one more handle, an adopter of
+            // the churners' orphans.
+            hyaline_coop: stated(hyaline::default_domain().garbage_bound(participants + 1)),
+            hp: 2 * stated(hp.garbage_bound(participants)),
+            hpp: 2 * stated(hpp.garbage_bound(participants)),
+        }
+    }
+}
+
 /// `smr_bench table1 [--quick]`; the exit code (1 = the `--quick` gate
 /// found a bound violation).
 pub fn run(quick: bool) -> i32 {
@@ -177,7 +219,6 @@ pub fn run(quick: bool) -> i32 {
     } else {
         Duration::from_millis(1500)
     };
-    let participants = CHURNERS + 1;
 
     println!(
         "# Table 1: unreclaimed blocks after {:?} of churn with one stalled thread",
@@ -185,38 +226,27 @@ pub fn run(quick: bool) -> i32 {
     );
     println!("scheme,unreclaimed_blocks,peak_unreclaimed,bound,watchdog,pooled_blocks");
 
-    // Bounds derived from the published formulas, never hard-coded:
-    // each participant's bag stays below `Capped::bound` = k·H + threshold
-    // (HP++: plus its deferred-invalidation slack); 2x margin.
-    let hp_slots = hp::default_domain().slot_capacity();
-    let hp_bound = 2 * participants * hp::TRIGGER.bound(hp_slots);
-    let hpp_slots = hp_plus::default_domain().hp_domain().slot_capacity();
-    let hpp_bound = 2 * participants * hp_plus::garbage_bound(hpp_slots);
-    // EBR has no bound; give the watchdog its collection trigger so a
-    // stalled pin is classified as growth, not noise.
-    let ebr_bound = 4 * ebr::default_collector().collect_threshold();
-    let pebr_bound = 2 * participants * (pebr::EJECT_THRESHOLD + 2 * pebr::COLLECT_THRESHOLD);
-    // Hyaline with a *cooperative* staller (crosses a critical-section
-    // boundary each poll): bounded by batches-in-flight x handover
-    // threshold, derived in `hyaline::garbage_bound`. Its non-cooperative
-    // row grows like EBR's (CS-granularity protection — DESIGN.md §1.11)
-    // and keeps the EBR-style watchdog trigger.
-    let hyaline_coop_bound = hyaline::garbage_bound(participants);
-    let hyaline_stall_bound = 4 * hyaline::TRIGGER.threshold(participants);
+    // Private HP and HP++ domains: `H` counts only this table's slots.
+    let (hp_domain, hpp_domain) = (hp::Domain::leak_new(), hp_plus::Domain::leak_new());
+    let bounds = Bounds::derive(hp_domain, hpp_domain);
 
     // EBR: the stalled thread holds a pin forever — unbounded growth.
-    measure::<Guarded<ebr::Ebr>, _>("ebr-stalled-pin", window, ebr_bound, stalled_pin);
+    let name = "ebr-stalled-pin";
+    let map = Guarded::<ebr::Ebr>::new();
+    measure(name, window, bounds.ebr, map, stalled_pin);
 
     // PEBR, non-cooperative staller: our behavioral model only neutralizes
     // threads at their validate() points, so this matches EBR (documented
     // deviation from real PEBR — see DESIGN.md).
     let name = "pebr-stalled-pin-noncooperative";
-    measure::<Guarded<pebr::Pebr>, _>(name, window, pebr_bound, stalled_pin);
+    let map = Guarded::<pebr::Pebr>::new();
+    measure(name, window, bounds.pebr, map, stalled_pin);
 
     // PEBR, cooperative staller: checks validate() like a slow reader
     // would; ejection lands and garbage stays bounded.
     let name = "pebr-stalled-pin-cooperative";
-    measure::<Guarded<pebr::Pebr>, _>(name, window, pebr_bound, |map, stop| {
+    let map = Guarded::<pebr::Pebr>::new();
+    measure(name, window, bounds.pebr, map, |map, stop| {
         let mut h = map.handle();
         let mut g = pebr::Pebr::pin(&mut h);
         while !stop.load(Relaxed) {
@@ -233,7 +263,8 @@ pub fn run(quick: bool) -> i32 {
     // the *mid-enter* staller is ejected and bounded — proven
     // deterministically by tests/fault_matrix.rs).
     let name = "hyaline-stalled-pin-noncooperative";
-    measure::<Guarded<hyaline::Hyaline>, _>(name, window, hyaline_stall_bound, stalled_pin);
+    let map = Guarded::<hyaline::Hyaline>::new();
+    measure(name, window, bounds.hyaline_stall, map, stalled_pin);
 
     // Hyaline, cooperative staller: re-crosses its critical-section
     // boundary on every poll (hyaline's unit of cooperation is the CS
@@ -241,25 +272,26 @@ pub fn run(quick: bool) -> i32 {
     // at most one poll plus the scheduler's whims; garbage stays near the
     // derived in-flight bound.
     let name = "hyaline-stalled-pin-cooperative";
-    let hyaline_run =
-        measure::<Guarded<hyaline::Hyaline>, _>(name, window, hyaline_coop_bound, |map, stop| {
-            let mut h = map.handle();
-            let mut g = hyaline::Hyaline::pin(&mut h);
-            while !stop.load(Relaxed) {
-                g.refresh();
-                std::thread::yield_now();
-            }
-        });
+    let map = Guarded::<hyaline::Hyaline>::new();
+    let hyaline_run = measure(name, window, bounds.hyaline_coop, map, |map, stop| {
+        let mut h = map.handle();
+        let mut g = hyaline::Hyaline::pin(&mut h);
+        while !stop.load(Relaxed) {
+            g.refresh();
+            std::thread::yield_now();
+        }
+    });
 
     // HP: the stalled thread parks on a validated hazard pointer —
     // only the announced nodes stay unreclaimed.
     let name = "hp-stalled-hazard";
-    let hp_run = measure::<ds::hp::HMList<u64, u64>, _>(name, window, hp_bound, stalled_hazard!());
+    let map = ds::hp::HMList::new_in(hp_domain);
+    let hp_run = measure(name, window, bounds.hp, map, stalled_hazard!());
 
     // HP++: same, plus frontier protections — still bounded.
     let name = "hp++-stalled-hazard";
-    let hpp_run =
-        measure::<ds::hpp::HHSList<u64, u64>, _>(name, window, hpp_bound, stalled_hazard!());
+    let map = ds::hpp::HHSList::new_in(hpp_domain);
+    let hpp_run = measure(name, window, bounds.hpp, map, stalled_hazard!());
 
     println!();
     println!("# Expectation (paper Table 1): EBR unbounded (grows with run time);");

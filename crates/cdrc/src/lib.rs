@@ -23,7 +23,7 @@
 //!
 //! ```
 //! use cdrc::{alloc, defer_decr, incr, Counted, Edges};
-//! use smr_common::Shared;
+//! use smr_common::{SchemeDomain, Shared};
 //!
 //! struct Item(u64);
 //! impl Edges for Item {
@@ -154,6 +154,7 @@ pub use ebr::{default_collector, Ebr, Guard, LocalHandle};
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smr_common::SchemeDomain;
     use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
     static DROPS: AtomicUsize = AtomicUsize::new(0);

@@ -12,7 +12,7 @@ use std::sync::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use smr_common::ConcurrentMap;
+use smr_common::{ConcurrentMap, SchemeDomain};
 
 use crate::bag::{BagMap, ConcurrentBag};
 use crate::hash_map::HashMap;
@@ -415,7 +415,7 @@ battery_table! {
     bonsai_hpp_concurrent: concurrent::<hpp::BonsaiTree<u64, u64>>(6, 384);
     bonsai_hpp_striped: striped::<hpp::BonsaiTree<u64, u64>>(4, 96);
     bonsai_hpp_heavy_churn: heavy_churn::<hpp::BonsaiTree<u64, u64>>(
-        200, 16, |h| (h.thread.garbage_count(), 8 * HPP_T + 512));
+        200, 16, |h| (hp_plus::Domain::garbage(&h.thread), 8 * HPP_T + 512));
 
     // Treiber stack.
     stack_hp_lifo: lifo::<dshp::TreiberStack<u64>>();

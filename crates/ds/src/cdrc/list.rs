@@ -17,7 +17,7 @@ use std::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed};
 
 use cdrc::{alloc, defer_decr, incr, Counted, Edges, LocalHandle};
 use smr_common::tagged::TAG_DELETED;
-use smr_common::{Atomic, Backoff, ConcurrentMap, Shared};
+use smr_common::{Atomic, Backoff, ConcurrentMap, SchemeDomain, Shared};
 
 use crate::list::Search;
 

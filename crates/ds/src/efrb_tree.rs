@@ -692,7 +692,7 @@ mod tests {
         // remove. The inserter's handle donated its garbage on exit; flushes
         // adopt it and advance the epoch past it (sibling tests share the
         // default collector and may hold it back for a while).
-        let mut flusher = ebr::default_collector().register();
+        let mut flusher = smr_common::SchemeDomain::register(ebr::default_collector());
         for _ in 0..100_000 {
             if frees.load(Relaxed) == 2 {
                 break;

@@ -154,6 +154,16 @@ mod tests {
     }
 
     #[test]
+    fn buckets_stay_one_word_under_guards_and_two_under_hpp() {
+        // The buckets of the benchmark's `hashmap_write_ebr` and
+        // `hashmap_write_hpp` maps: a guarded list keeps no domain, or
+        // EBR's 65 536-bucket array would double from 512 KiB; an HP++
+        // list keeps its domain beside its head.
+        assert_eq!(std::mem::size_of::<HHSList<u64, u64, ebr::Ebr>>(), 8);
+        assert_eq!(std::mem::size_of::<crate::hpp::HHSList<u64, u64>>(), 16);
+    }
+
+    #[test]
     fn structured_keys_spread_at_least_as_evenly_as_siphash() {
         const KEYS: u64 = 65_536;
         // Key set, and the longest chain `DefaultHasher` + `%` built from

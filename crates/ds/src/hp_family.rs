@@ -8,12 +8,18 @@
 //! instantiation is the paper's "hybrid" mode.
 
 use hp::HazardPointer;
+use smr_common::SchemeDomain;
 
 /// A per-thread hazard-pointer context: slot acquisition plus plain
 /// (over-approximation-validated) retirement.
-pub trait HpFamily: Send + 'static {
+pub trait HpFamily: Send + Sized + 'static {
+    /// Where the thread registers and its garbage is charged.
+    type Domain: SchemeDomain<Handle = Self>;
+
     /// Registers the current thread with the scheme's default domain.
-    fn register() -> Self;
+    fn register() -> Self {
+        Self::Domain::global().register()
+    }
 
     /// Acquires a hazard pointer.
     fn hazard_pointer(&mut self) -> HazardPointer;
@@ -26,9 +32,7 @@ pub trait HpFamily: Send + 'static {
 }
 
 impl HpFamily for hp::Thread {
-    fn register() -> Self {
-        hp::default_domain().register()
-    }
+    type Domain = hp::Domain;
 
     fn hazard_pointer(&mut self) -> HazardPointer {
         hp::Thread::hazard_pointer(self)
@@ -40,9 +44,7 @@ impl HpFamily for hp::Thread {
 }
 
 impl HpFamily for hp_plus::Thread {
-    fn register() -> Self {
-        hp_plus::default_domain().register()
-    }
+    type Domain = hp_plus::Domain;
 
     fn hazard_pointer(&mut self) -> HazardPointer {
         hp_plus::Thread::hazard_pointer(self)

@@ -13,11 +13,6 @@ use crate::list::{Harris, List, Michael};
 use crate::protect::{Careful, HpHandle, Hpp};
 use crate::{bonsai, efrb_tree, nm_tree, skip_list, stack};
 
-/// Per-thread state for the HP++ lists: HP++ registration plus the four
-/// hazard pointers of Algorithm 4 (`hp_prev`, `hp_cur`, `hp_anchor`,
-/// `hp_anchor_next`).
-pub type Handle = HpHandle<hp_plus::Thread, 4>;
-
 /// Harris–Michael list protected by HP++: the careful traversal, but a
 /// changed source link retargets the step instead of restarting it.
 pub type HMList<K, V> = List<K, V, Hpp<4>, Michael>;
@@ -26,25 +21,8 @@ pub type HMList<K, V> = List<K, V, Hpp<4>, Michael>;
 /// running example (Algorithm 4).
 pub type HHSList<K, V> = List<K, V, Hpp<4>, Harris>;
 
-impl<K: Ord, V> HHSList<K, V> {
-    /// Creates an empty list whose handles register with `domain`.
-    pub fn new_in(domain: &'static hp_plus::Domain) -> Self {
-        Self::in_domain(domain)
-    }
-}
-
 /// Chaining hash map over HP++ HHSList buckets (paper §5).
 pub type HashMap<K, V> = crate::hash_map::HashMap<K, V, HHSList<K, V>>;
-
-/// Builds a [`HashMap`] whose buckets all retire into `domain`, so the
-/// map's garbage is fully charged to that domain (one domain per KV shard).
-pub fn hash_map_in<K, V>(domain: &'static hp_plus::Domain, buckets: usize) -> HashMap<K, V>
-where
-    K: Ord + std::hash::Hash + Send + Sync,
-    V: Clone + Send + Sync,
-{
-    crate::hash_map::HashMap::with_buckets_by(buckets, || HHSList::new_in(domain))
-}
 
 /// Natarajan–Mittal external BST protected by HP++ (Table 2: HP ✗, HP++ ✓).
 pub type NMTree<K, V> = nm_tree::NMTree<K, V, Hpp<4>>;

@@ -60,6 +60,23 @@ mod stack;
 
 pub use smr_common::{ConcurrentMap, GuardedScheme, SchemeGuard};
 
+use smr_common::SchemeDomain;
+
+/// A map over an explicit scheme domain (one per KV shard, say), whose
+/// [`handle_in`](Self::handle_in) handles register there. So do
+/// [`ConcurrentMap::handle`]'s, except under the [`guarded`] family, whose
+/// lists keep no domain (a bucket stays one word).
+pub trait InDomain<K, V>: ConcurrentMap<K, V> {
+    /// The scheme domain.
+    type Domain: SchemeDomain;
+
+    /// An empty map over `domain`.
+    fn new_in(domain: &'static Self::Domain) -> Self;
+
+    /// Registers the calling thread with `domain`.
+    fn handle_in(domain: &'static Self::Domain) -> Self::Handle;
+}
+
 /// Named fault-injection points compiled into this crate (each a
 /// `smr_common::fault_point!` site; no-ops without the `fault-injection`
 /// feature). DESIGN.md §1.7 documents the invariant each one attacks.

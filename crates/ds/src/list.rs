@@ -22,6 +22,8 @@ use std::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed, Release};
 use smr_common::tagged::{TAG_DELETED, TAG_INVALIDATED};
 use smr_common::{Atomic, Backoff, ConcurrentMap, Shared};
 
+use crate::InDomain;
+
 use crate::protect::{self, protected_ref, Optimistic, Protect};
 
 // Hazard roles (Algorithm 4). `Michael` uses the first two.
@@ -134,8 +136,7 @@ impl<K: Ord, V, P: Protect, T: Traversal<P>> List<K, V, P, T> {
         Self::in_domain(P::default_domain())
     }
 
-    /// Creates an empty list whose handles register with `domain`.
-    pub(crate) fn in_domain(domain: P::Domain) -> Self {
+    fn in_domain(domain: P::Domain) -> Self {
         Self {
             head: Atomic::null(),
             domain,
@@ -351,6 +352,24 @@ impl<K, V, P: Protect, T> Drop for List<K, V, P, T> {
                 node.drop_owned();
             }
         }
+    }
+}
+
+impl<K, V, P, T> InDomain<K, V> for List<K, V, P, T>
+where
+    K: Ord + Send + Sync,
+    V: Clone + Send + Sync,
+    P: Protect,
+    T: Traversal<P>,
+{
+    type Domain = P::Scheme;
+
+    fn new_in(domain: &'static P::Scheme) -> Self {
+        Self::in_domain(P::domain(domain))
+    }
+
+    fn handle_in(domain: &'static P::Scheme) -> P::Handle {
+        P::register(domain)
     }
 }
 

@@ -19,11 +19,12 @@
 //! | [`Retire`] | ✓ | ✓ | ✗ (needs the detaching CAS) |
 //! | [`Retire::protect_by`] | `validate()`, else `refresh()` and restart | announce, light fence, ask the *witness* | ✗ |
 
+use std::borrow::{Borrow, BorrowMut};
 use std::marker::PhantomData;
 use std::sync::atomic::Ordering::{AcqRel, Acquire};
 
 use hp_plus::HazardPointer;
-use smr_common::{fence, Atomic, GuardedScheme, SchemeGuard, Shared};
+use smr_common::{fence, Atomic, GuardedScheme, SchemeDomain, SchemeGuard, Shared};
 
 use crate::hp_family::HpFamily;
 
@@ -63,15 +64,29 @@ pub trait Protect: 'static {
     /// Per-thread state, the `Handle` of every map over this family.
     type Handle: Send;
     /// Where handles register and garbage is charged.
+    type Scheme: SchemeDomain;
+    /// What a structure keeps to register its handles: `&'static
+    /// Self::Scheme` for the hazard families, nothing for [`Guarded`] (a
+    /// list stays one word; its handles register with the default domain).
     type Domain: Copy + Send + Sync;
     /// An operation in progress, borrowing the handle.
     type Op<'h>;
 
-    /// The family's process-wide default domain.
-    fn default_domain() -> Self::Domain;
+    /// What a structure over `scheme` keeps.
+    fn domain(scheme: &'static Self::Scheme) -> Self::Domain;
+
+    /// What a structure over the process-wide default domain keeps.
+    fn default_domain() -> Self::Domain {
+        Self::domain(Self::Scheme::global())
+    }
 
     /// Registers the calling thread with `domain`.
     fn handle(domain: Self::Domain) -> Self::Handle;
+
+    /// Registers the calling thread with `scheme`.
+    fn register(scheme: &'static Self::Scheme) -> Self::Handle {
+        Self::handle(Self::domain(scheme))
+    }
 
     /// Starts an operation.
     fn enter(handle: &mut Self::Handle) -> Self::Op<'_>;
@@ -158,13 +173,18 @@ pub struct Guarded<S>(PhantomData<S>);
 
 impl<S: GuardedScheme> Protect for Guarded<S> {
     type Handle = S::Handle;
+    type Scheme = S;
     type Domain = ();
     type Op<'h> = S::Guard<'h>;
 
-    fn default_domain() {}
+    fn domain(_: &'static S) {}
 
     fn handle(_: ()) -> S::Handle {
         S::handle()
+    }
+
+    fn register(scheme: &'static S) -> S::Handle {
+        scheme.register()
     }
 
     fn enter(handle: &mut S::Handle) -> S::Guard<'_> {
@@ -252,14 +272,23 @@ pub struct HpHandle<T: HpFamily, const H: usize> {
 }
 
 impl<T: HpFamily, const H: usize> HpHandle<T, H> {
-    /// Registers with the scheme's default domain.
-    pub fn new() -> Self {
-        Self::over(T::register())
-    }
-
-    fn over(mut thread: T) -> Self {
+    /// Registers with `domain`: the family's default, or a structure's own
+    /// (one per KV shard, say), so garbage pressure and collector stalls
+    /// stay inside it.
+    pub fn new_in(domain: &'static T::Domain) -> Self {
+        let mut thread = domain.register();
         let slots = std::array::from_fn(|_| thread.hazard_pointer());
         Self { thread, slots }
+    }
+
+    /// Unreclaimed blocks charged to this handle's thread.
+    pub fn garbage_count(&self) -> usize {
+        T::Domain::garbage(&self.thread)
+    }
+
+    /// Forces one reclamation round now (HP++: invalidation included).
+    pub fn reclaim(&mut self) {
+        T::Domain::collect(&mut self.thread)
     }
 
     /// Exchanges slots `a` and `b`, as two scalar moves. `slots.swap` on
@@ -281,30 +310,15 @@ impl<T: HpFamily, const H: usize> HpHandle<T, H> {
     }
 }
 
-impl<T: HpFamily, const H: usize> Default for HpHandle<T, H> {
-    fn default() -> Self {
-        Self::new()
+impl<T: HpFamily, const H: usize> Borrow<T> for HpHandle<T, H> {
+    fn borrow(&self) -> &T {
+        &self.thread
     }
 }
 
-impl<const H: usize> HpHandle<hp_plus::Thread, H> {
-    /// Registers with an explicit HP++ domain. Structures that carry their
-    /// own reclamation domain (one per KV shard, say) hand it in here so
-    /// garbage pressure and collector stalls stay inside that domain.
-    pub fn new_in(domain: &'static hp_plus::Domain) -> Self {
-        Self::over(domain.register())
-    }
-
-    /// Unreclaimed blocks charged to this handle's thread: retired bags
-    /// plus unlinked nodes still awaiting deferred invalidation.
-    pub fn garbage_count(&self) -> usize {
-        self.thread.garbage_count()
-    }
-
-    /// Forces an invalidation + reclamation pass now (normally triggered
-    /// every `RECLAIM_PERIOD` unlinks).
-    pub fn reclaim(&mut self) {
-        self.thread.reclaim()
+impl<T: HpFamily, const H: usize> BorrowMut<T> for HpHandle<T, H> {
+    fn borrow_mut(&mut self) -> &mut T {
+        &mut self.thread
     }
 }
 
@@ -323,13 +337,16 @@ pub struct Careful<T, const H: usize, const LINGER: bool = false>(PhantomData<fn
 
 impl<T: HpFamily, const H: usize, const LINGER: bool> Protect for Careful<T, H, LINGER> {
     type Handle = HpHandle<T, H>;
-    type Domain = ();
+    type Scheme = T::Domain;
+    type Domain = &'static T::Domain;
     type Op<'h> = &'h mut HpHandle<T, H>;
 
-    fn default_domain() {}
+    fn domain(scheme: &'static T::Domain) -> &'static T::Domain {
+        scheme
+    }
 
-    fn handle(_: ()) -> HpHandle<T, H> {
-        HpHandle::new()
+    fn handle(domain: &'static T::Domain) -> HpHandle<T, H> {
+        HpHandle::new_in(domain)
     }
 
     fn enter(handle: &mut HpHandle<T, H>) -> &mut HpHandle<T, H> {
@@ -412,11 +429,12 @@ pub struct Hpp<const H: usize>;
 
 impl<const H: usize> Protect for Hpp<H> {
     type Handle = HpHandle<hp_plus::Thread, H>;
+    type Scheme = hp_plus::Domain;
     type Domain = &'static hp_plus::Domain;
     type Op<'h> = &'h mut HpHandle<hp_plus::Thread, H>;
 
-    fn default_domain() -> &'static hp_plus::Domain {
-        hp_plus::default_domain()
+    fn domain(scheme: &'static hp_plus::Domain) -> &'static hp_plus::Domain {
+        scheme
     }
 
     fn handle(domain: &'static hp_plus::Domain) -> Self::Handle {

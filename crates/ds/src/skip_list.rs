@@ -575,7 +575,7 @@ mod tests {
             // The inserter's handle donated its garbage on exit; flushes adopt
             // it and advance the epoch past it (sibling tests share the default
             // collector and may hold it back for a while).
-            let mut h = ebr::default_collector().register();
+            let mut h = smr_common::SchemeDomain::register(ebr::default_collector());
             for _ in 0..100_000 {
                 if frees.load(Relaxed) == inserted {
                     break;

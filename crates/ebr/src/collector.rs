@@ -28,7 +28,7 @@ use smr_common::guard::CriticalSection;
 use smr_common::policy::Capped;
 use smr_common::registry::{Node, Registry};
 use smr_common::retired::Orphans;
-use smr_common::{fence as smr_fence, CachePadded, Retired};
+use smr_common::{fence as smr_fence, CachePadded, Retired, SchemeDomain};
 
 use crate::Guard;
 
@@ -92,21 +92,6 @@ impl Collector {
         }
     }
 
-    /// Registers the current thread, returning its local handle.
-    ///
-    /// Requires a `'static` collector (the process-wide default, or a
-    /// leaked test instance): participant records are linked into the
-    /// collector's registry and reclaimed through the collector's own
-    /// epochs, so a handle must be unable to outlive it.
-    pub fn register(&'static self) -> LocalHandle {
-        LocalHandle {
-            global: self,
-            record: self.registry.insert(Participant::new()),
-            bags: GenBags::new(),
-            guard_live: false,
-        }
-    }
-
     /// Current global epoch (for diagnostics and tests).
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Relaxed)
@@ -120,8 +105,9 @@ impl Collector {
     /// Retire count at which a thread attempts a collection: [`TRIGGER`]
     /// at the current participant count.
     ///
-    /// Public so tests can derive garbage bounds from the same formula the
-    /// scheme enforces instead of hard-coding magic constants.
+    /// Public so tests and Table 1 derive EBR's churn slack (a few bags in
+    /// flight) from the formula the scheme enforces. It is not a bound:
+    /// EBR has none (see its `SchemeDomain::garbage_bound`).
     #[inline]
     pub fn collect_threshold(&self) -> usize {
         TRIGGER.threshold(self.registry.live())
@@ -170,13 +156,39 @@ impl Collector {
             .compare_exchange(e, e + 1, Ordering::Release, Ordering::Relaxed);
         self.epoch.load(Ordering::Relaxed)
     }
+}
 
-    /// Number of orphaned retired blocks awaiting adoption (diagnostics;
-    /// the kv-service quarantine path records this as the settled garbage
-    /// leaked with a dead shard's collector).
-    pub fn orphan_count(&self) -> usize {
+impl SchemeDomain for Collector {
+    type Handle = LocalHandle;
+    const NAME: &'static str = "ebr";
+
+    fn global() -> &'static Collector {
+        crate::default_collector()
+    }
+
+    fn register(&'static self) -> LocalHandle {
+        LocalHandle {
+            global: self,
+            record: self.registry.insert(Participant::new()),
+            bags: GenBags::new(),
+            guard_live: false,
+        }
+    }
+
+    fn garbage(handle: &LocalHandle) -> usize {
+        handle.bags.len()
+    }
+
+    fn collect(handle: &mut LocalHandle) {
+        handle.pin().flush();
+    }
+
+    fn orphans(&self) -> usize {
         self.orphans.len()
     }
+
+    // No `garbage_bound`: one stalled pin stops the epoch, and with it
+    // every free (Table 1).
 }
 
 impl Drop for Collector {
@@ -200,7 +212,7 @@ impl Drop for Collector {
 /// unpinned:
 ///
 /// ```compile_fail,E0133
-/// use smr_common::guard::CriticalSection;
+/// use smr_common::{guard::CriticalSection, SchemeDomain};
 /// let mut h = ebr::default_collector().register();
 /// h.collect();
 /// ```
@@ -230,11 +242,6 @@ impl LocalHandle {
     #[inline]
     pub fn pin(&mut self) -> Guard<'_> {
         Guard::new(self)
-    }
-
-    /// Number of blocks this thread has retired but not yet freed.
-    pub fn local_garbage(&self) -> usize {
-        self.bags.len()
     }
 }
 

@@ -29,7 +29,7 @@
 //! # Example
 //!
 //! ```
-//! use smr_common::{Atomic, Shared};
+//! use smr_common::{Atomic, SchemeDomain, Shared};
 //! use std::sync::atomic::Ordering::{AcqRel, Acquire};
 //!
 //! let mut handle = ebr::default_collector().register();
@@ -81,16 +81,11 @@ pub const FAULT_POINTS: &[&str] = &[
     "ebr::teardown::before_donate",
 ];
 
-/// Marker type wiring EBR into the [`GuardedScheme`] interface.
-pub struct Ebr;
+/// EBR under its scheme name: the collector is its [`GuardedScheme`].
+pub type Ebr = Collector;
 
-impl GuardedScheme for Ebr {
-    type Handle = LocalHandle;
+impl GuardedScheme for Collector {
     type Guard<'a> = Guard<'a>;
-
-    fn handle() -> LocalHandle {
-        default_collector().register()
-    }
 
     fn pin(handle: &mut LocalHandle) -> Guard<'_> {
         handle.pin()

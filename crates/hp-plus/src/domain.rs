@@ -2,9 +2,10 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use smr_common::fence;
+use smr_common::{fence, SchemeDomain};
 
 use crate::thread::Thread;
+use crate::RECLAIM_PERIOD;
 
 /// The global side of an HP++ instance.
 pub struct Domain {
@@ -35,11 +36,6 @@ impl Domain {
         Thread::new(self)
     }
 
-    /// The underlying HP domain (hybrid use, diagnostics).
-    pub fn hp_domain(&'static self) -> &'static hp::Domain {
-        &self.hp
-    }
-
     /// Algorithm 5's `FenceEpoch`: issue a heavy fence and advance the
     /// global fence epoch past it.
     pub(crate) fn fence_epoch_step(&self) {
@@ -68,6 +64,40 @@ impl Domain {
     /// Current fence epoch (tests/diagnostics).
     pub fn fence_epoch_now(&self) -> u64 {
         self.fence_epoch.load(Ordering::Relaxed)
+    }
+}
+
+impl SchemeDomain for Domain {
+    type Handle = Thread;
+    const NAME: &'static str = "hpp";
+
+    fn global() -> &'static Domain {
+        default_domain()
+    }
+
+    fn register(&'static self) -> Thread {
+        Domain::register(self)
+    }
+
+    /// Counted at unlink: detached nodes awaiting invalidation, plus the
+    /// inner HP bag.
+    fn garbage(handle: &Thread) -> usize {
+        handle.unlinked.len() + handle.inner.retired_count()
+    }
+
+    fn collect(handle: &mut Thread) {
+        handle.reclaim();
+    }
+
+    fn orphans(&self) -> usize {
+        self.hp.orphans()
+    }
+
+    /// Per thread, the inner HP bag's bound plus up to [`RECLAIM_PERIOD`]
+    /// unlinks of at most two nodes each awaiting the next reclaim.
+    fn garbage_bound(&self, threads: usize) -> Option<usize> {
+        let bags = self.hp.garbage_bound(threads)?;
+        Some(bags + threads * 2 * RECLAIM_PERIOD)
     }
 }
 

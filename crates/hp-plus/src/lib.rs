@@ -133,14 +133,6 @@ pub(crate) fn invalidate_period() -> usize {
     })
 }
 
-/// The derived cap on one thread's unreclaimed HP++ garbage at `h_slots`
-/// hazard slots: the inner HP bag's `hp::TRIGGER.bound(h_slots)`, plus up
-/// to [`RECLAIM_PERIOD`] unlinks of at most two nodes each awaiting the
-/// next reclaim.
-pub const fn garbage_bound(h_slots: usize) -> usize {
-    hp::TRIGGER.bound(h_slots) + 2 * RECLAIM_PERIOD
-}
-
 /// A node type that can be invalidated by an HP++ unlinker.
 ///
 /// Invalidation typically sets the second-lowest bit of the node's link

@@ -3,7 +3,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering::*};
 
 use smr_common::tagged::{TAG_DELETED, TAG_INVALIDATED};
-use smr_common::{Atomic, Shared};
+use smr_common::{Atomic, SchemeDomain, Shared};
 
 use crate::{try_protect, Domain, HazardPointer, Invalidate, Unlinked};
 
@@ -166,7 +166,7 @@ fn unlink_invalidates_and_frees_chain() {
         })
     };
     assert!(ok);
-    assert_eq!(t.garbage_count(), 2);
+    assert_eq!(Domain::garbage(&t), 2);
 
     // Flush: invalidation then reclamation.
     t.do_invalidation();
@@ -174,7 +174,7 @@ fn unlink_invalidates_and_frees_chain() {
     assert!(unsafe { b.deref() }.is_invalid());
     t.reclaim();
     assert_eq!(DROPS.load(Relaxed), before + 2, "a and b must be freed");
-    assert_eq!(t.garbage_count(), 0);
+    assert_eq!(Domain::garbage(&t), 0);
 
     unsafe { c.drop_owned() };
 }
@@ -194,7 +194,7 @@ fn failed_unlink_releases_frontier_protection() {
         })
     };
     assert!(ok);
-    let held = d.hp_domain().protected_words();
+    let held = d.hp.protected_words();
     assert_eq!(held, [c.as_raw() as usize]);
 
     let x = Shared::from_owned(Node::new(9));
@@ -205,9 +205,9 @@ fn failed_unlink_releases_frontier_protection() {
         })
     };
     assert!(!ok);
-    assert_eq!(t.garbage_count(), 2);
+    assert_eq!(Domain::garbage(&t), 2);
     assert_eq!(
-        d.hp_domain().protected_words(),
+        d.hp.protected_words(),
         held,
         "a failed unlink revokes its own frontier protection, and only that"
     );
@@ -281,7 +281,7 @@ fn epoched_hps_are_revoked_lazily() {
     t.do_invalidation();
     // Frontier protection still parked (epoch hasn't advanced by 2).
     assert!(
-        !d.hp_domain().protected_words().is_empty(),
+        !d.hp.protected_words().is_empty(),
         "frontier protection parks in epoched_hps"
     );
 
@@ -290,7 +290,7 @@ fn epoched_hps_are_revoked_lazily() {
     d.fence_epoch_step();
     t.do_invalidation();
     assert!(
-        d.hp_domain().protected_words().is_empty(),
+        d.hp.protected_words().is_empty(),
         "stale epoched hps must be revoked after two epochs"
     );
 
@@ -314,7 +314,7 @@ fn array_pair_unlink_frees_both() {
         })
     };
     assert!(ok);
-    assert_eq!(t.garbage_count(), 2);
+    assert_eq!(Domain::garbage(&t), 2);
     t.reclaim();
     assert_eq!(DROPS.load(Relaxed), before + 2);
 

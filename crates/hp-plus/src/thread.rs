@@ -72,11 +72,11 @@ fn invalidate_all(unlinked: &[UnlinkedNode], mut after_each: impl FnMut()) {
 /// the protections taken for them. A flush invalidates the nodes, retires
 /// them, and parks `frontier` in Algorithm 5's `epoched_hps`.
 pub struct Thread {
-    inner: hp::Thread,
+    pub(crate) inner: hp::Thread,
     domain: &'static Domain,
     /// Algorithm 3's thread-local `unlinkeds`: detached, not yet
     /// invalidated nodes.
-    unlinked: Vec<UnlinkedNode>,
+    pub(crate) unlinked: Vec<UnlinkedNode>,
     /// Frontier protections of the unlinks in `unlinked`, announced until
     /// their nodes are invalidated and a fence has followed.
     frontier: Vec<HazardPointer>,
@@ -89,7 +89,7 @@ pub struct Thread {
 impl Thread {
     pub(crate) fn new(domain: &'static Domain) -> Self {
         Self {
-            inner: domain.hp_domain().register(),
+            inner: domain.hp.register(),
             domain,
             unlinked: Vec::new(),
             frontier: Vec::new(),
@@ -241,11 +241,6 @@ impl Thread {
         for (_, hp) in self.epoched_hps.drain(..) {
             self.inner.recycle(hp);
         }
-    }
-
-    /// Number of nodes unlinked/retired by this thread and not yet freed.
-    pub fn garbage_count(&self) -> usize {
-        self.unlinked.len() + self.inner.retired_count()
     }
 }
 

@@ -1,10 +1,11 @@
 //! A reclamation domain: the global hazard-slot list plus orphaned garbage.
 
 use smr_common::retired::Orphans;
-use smr_common::Retired;
+use smr_common::{Retired, SchemeDomain};
 
 use crate::hazard::{HazardList, HazardPointer};
 use crate::thread::Thread;
+use crate::TRIGGER;
 
 /// The global side of an HP instance.
 ///
@@ -54,10 +55,37 @@ impl Domain {
     pub fn slot_capacity(&self) -> usize {
         self.hazards.capacity()
     }
+}
 
-    /// Number of orphaned retired nodes awaiting adoption (diagnostics).
-    pub fn orphan_count(&self) -> usize {
+impl SchemeDomain for Domain {
+    type Handle = Thread;
+    const NAME: &'static str = "hp";
+
+    fn global() -> &'static Domain {
+        default_domain()
+    }
+
+    fn register(&'static self) -> Thread {
+        Domain::register(self)
+    }
+
+    fn garbage(handle: &Thread) -> usize {
+        handle.retired_count()
+    }
+
+    fn collect(handle: &mut Thread) {
+        handle.reclaim();
+    }
+
+    fn orphans(&self) -> usize {
         self.orphans.len()
+    }
+
+    /// Michael's bound: a thread's bag never exceeds [`TRIGGER`]`.bound(H)`
+    /// = `k·H + floor` for the `H` hazard slots allocated so far — the
+    /// trigger is the max of the two terms, the bound their sum.
+    fn garbage_bound(&self, threads: usize) -> Option<usize> {
+        Some(threads * TRIGGER.bound(self.slot_capacity()))
     }
 }
 

@@ -70,9 +70,8 @@ pub const RECLAIM_K: usize = 2;
 /// hazard slots in the domain. The floor keeps scans amortized at low
 /// thread counts; the `k · H` term is Michael's `R = H(1 + ε)` rule, which
 /// keeps the *per-free* scan cost O(k/(k-1)) as hazard arrays grow.
-/// [`Capped::bound`](smr_common::policy::Capped::bound) gives the
-/// `k·H + RECLAIM_THRESHOLD` cap the Table-1 gate and the robustness tests
-/// assert.
+/// [`Domain`]'s `SchemeDomain::garbage_bound` derives the
+/// `k·H + RECLAIM_THRESHOLD` cap from it.
 pub const TRIGGER: Capped = Capped {
     floor: RECLAIM_THRESHOLD,
     k: RECLAIM_K,

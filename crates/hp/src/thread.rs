@@ -195,7 +195,7 @@ impl Drop for Thread {
 mod tests {
     use super::*;
     use crate::RECLAIM_THRESHOLD;
-    use smr_common::{Atomic, Shared};
+    use smr_common::{Atomic, SchemeDomain, Shared};
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::*};
     use std::sync::Arc;
 
@@ -329,7 +329,7 @@ mod tests {
                     for i in 0..20_000u64 {
                         let p = Box::into_raw(Box::new(i));
                         unsafe { t.retire(p) };
-                        let bound = crate::TRIGGER.bound(d.slot_capacity());
+                        let bound = d.garbage_bound(1).unwrap();
                         assert!(
                             t.retired_count() <= bound,
                             "retired {} exceeds bound {bound}",
@@ -356,7 +356,7 @@ mod tests {
         slot.protect_raw(protected);
         unsafe { t.retire(protected) };
 
-        let bound = crate::TRIGGER.bound(d.slot_capacity());
+        let bound = d.garbage_bound(1).unwrap();
         let mut peak = 0;
         for i in 0..8 * bound {
             unsafe { t.retire(Box::into_raw(Box::new(i as u64))) };
@@ -420,12 +420,12 @@ mod tests {
         handle.join().unwrap();
 
         assert_eq!(DROPS.load(Relaxed), 0, "protected orphans must survive");
-        assert_eq!(d.orphan_count(), 10, "all garbage donated");
+        assert_eq!(d.orphans(), 10, "all garbage donated");
         // Adoption moves the orphans to the survivor without freeing them.
         survivor.reclaim();
         assert_eq!(DROPS.load(Relaxed), 0);
         assert_eq!(survivor.retired_count(), 10, "survivor owns the orphans");
-        assert_eq!(d.orphan_count(), 0, "orphan list drained");
+        assert_eq!(d.orphans(), 0, "orphan list drained");
         for hp in hps {
             survivor.recycle(hp);
         }

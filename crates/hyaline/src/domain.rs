@@ -71,7 +71,7 @@ use smr_common::guard::CriticalSection;
 use smr_common::policy::Capped;
 use smr_common::registry::{Node, Registry};
 use smr_common::retired::Orphans;
-use smr_common::{fence as smr_fence, CachePadded, Retired};
+use smr_common::{fence as smr_fence, CachePadded, Retired, SchemeDomain};
 
 use crate::Guard;
 
@@ -92,19 +92,6 @@ const PTR_MASK: usize = !(ACTIVE | PENDING | EJECTED);
 /// keep the traversal cost per retire O(k⁻¹) — and to guarantee the batch
 /// always has enough nodes to serve every slot it must reach.
 pub const TRIGGER: Capped = Capped { floor: 128, k: 8 };
-
-/// Derived worst-case garbage bound at `threads` registered handles when no
-/// thread stalls *inside* a validated critical section (Table-1 row).
-///
-/// Each of the `threads` handles (plus one adopter of orphans) accumulates
-/// at most one unhanded batch of `threshold` nodes, and each live critical
-/// section holds references that pin at most one in-flight batch per
-/// overlapping handover — bounded by the same count with a 2× slack:
-/// `2 · (threads + 1) · max(floor, k · (threads + 1))`, the hyaline analogue
-/// of HP's `k·H + floor`.
-pub const fn garbage_bound(threads: usize) -> usize {
-    2 * (threads + 1) * TRIGGER.threshold(threads + 1)
-}
 
 /// One retired allocation riding a batch.
 ///
@@ -192,22 +179,6 @@ impl Domain {
         }
     }
 
-    /// Registers the current thread, returning its local handle.
-    ///
-    /// Requires a `'static` domain (the process-wide default, or a leaked
-    /// instance): slot records are linked into the domain's registry and
-    /// reclaimed through the domain's own era machinery, so a handle must be
-    /// unable to outlive it.
-    pub fn register(&'static self) -> LocalHandle {
-        LocalHandle {
-            global: self,
-            record: self.registry.insert(Slot::new()),
-            batch_head: ptr::null_mut(),
-            batch_len: 0,
-            guard_live: false,
-        }
-    }
-
     /// Current global era (for diagnostics and tests).
     pub fn era(&self) -> u64 {
         self.era.load(Ordering::Relaxed)
@@ -216,22 +187,6 @@ impl Domain {
     /// Number of currently registered handles (approximate).
     pub fn participants(&self) -> usize {
         self.registry.live()
-    }
-
-    /// Batch size at which a retire attempts a handover: [`TRIGGER`] at the
-    /// current participant count.
-    ///
-    /// Public so tests derive garbage bounds from the same formula the
-    /// scheme enforces instead of hard-coding magic constants.
-    #[inline]
-    pub fn handover_threshold(&self) -> usize {
-        TRIGGER.threshold(self.registry.live())
-    }
-
-    /// Number of donated payloads awaiting adoption (diagnostics and the
-    /// fault-matrix teardown balance checks).
-    pub fn orphan_count(&self) -> usize {
-        self.orphans.len()
     }
 
     /// Stamps freshly unlinked registry nodes with a post-unlink era bump
@@ -268,6 +223,51 @@ impl Domain {
             unsafe { retired.free() };
         }
         self.dead_slots.donate(&mut dead);
+    }
+}
+
+impl SchemeDomain for Domain {
+    type Handle = LocalHandle;
+    const NAME: &'static str = "hyaline";
+
+    fn global() -> &'static Domain {
+        crate::default_domain()
+    }
+
+    fn register(&'static self) -> LocalHandle {
+        LocalHandle {
+            global: self,
+            record: self.registry.insert(Slot::new()),
+            batch_head: ptr::null_mut(),
+            batch_len: 0,
+            guard_live: false,
+        }
+    }
+
+    /// The batch not yet handed over.
+    fn garbage(handle: &LocalHandle) -> usize {
+        handle.batch_len
+    }
+
+    /// The guard drop releases this handle's own reference to the batch
+    /// the flush just handed over.
+    fn collect(handle: &mut LocalHandle) {
+        handle.pin().flush();
+    }
+
+    fn orphans(&self) -> usize {
+        self.orphans.len()
+    }
+
+    /// Holds when no handle stalls *inside* a validated critical section
+    /// (Table-1 row). Each of the `threads` handles accumulates at most one
+    /// unhanded batch of [`TRIGGER`]`.threshold(threads)` nodes, and each
+    /// live critical section pins at most one in-flight batch per
+    /// overlapping handover — the same count again:
+    /// `2 · threads · max(floor, k · threads)`, the hyaline analogue of
+    /// HP's `k·H + floor`.
+    fn garbage_bound(&self, threads: usize) -> Option<usize> {
+        Some(2 * threads * TRIGGER.threshold(threads))
     }
 }
 
@@ -315,11 +315,6 @@ impl LocalHandle {
     #[inline]
     pub fn pin(&mut self) -> Guard<'_> {
         Guard::new(self)
-    }
-
-    /// Number of blocks this thread has retired but not yet handed over.
-    pub fn local_garbage(&self) -> usize {
-        self.batch_len
     }
 
     /// Links a payload onto the local batch under assembly.

@@ -22,13 +22,14 @@
 //!   contract), not per access. A thread stalled *inside* a validated
 //!   section pins garbage like a stalled EBR pin; a thread stalled
 //!   *entering* (announced, unvalidated) is ejected by the next handover
-//!   and pins nothing — the bound [`garbage_bound`] derives and
-//!   `smr_bench table1` gates.
+//!   and pins nothing — the bound [`Domain`]'s
+//!   [`SchemeDomain::garbage_bound`](smr_common::SchemeDomain::garbage_bound)
+//!   derives and `smr_bench table1` gates.
 //!
 //! # Example
 //!
 //! ```
-//! use smr_common::{Atomic, Shared};
+//! use smr_common::{Atomic, SchemeDomain, Shared};
 //! use std::sync::atomic::Ordering::{AcqRel, Acquire};
 //!
 //! let mut handle = hyaline::default_domain().register();
@@ -54,7 +55,7 @@
 
 mod domain;
 
-pub use domain::{garbage_bound, Domain, LocalHandle, TRIGGER};
+pub use domain::{Domain, LocalHandle, TRIGGER};
 
 use smr_common::GuardedScheme;
 
@@ -81,16 +82,11 @@ pub const FAULT_POINTS: &[&str] = &[
     "hyaline::teardown::before_donate",
 ];
 
-/// Marker type wiring hyaline into the [`GuardedScheme`] interface.
-pub struct Hyaline;
+/// Hyaline under its scheme name: the domain is its [`GuardedScheme`].
+pub type Hyaline = Domain;
 
-impl GuardedScheme for Hyaline {
-    type Handle = LocalHandle;
+impl GuardedScheme for Domain {
     type Guard<'a> = Guard<'a>;
-
-    fn handle() -> LocalHandle {
-        default_domain().register()
-    }
 
     fn pin(handle: &mut LocalHandle) -> Guard<'_> {
         handle.pin()

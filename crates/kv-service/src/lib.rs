@@ -2,10 +2,11 @@
 //!
 //! The system-level payoff of the paper's robustness story: N shards, each
 //! wrapping an SMR-protected hash map with its **own reclamation domain**
-//! (a private [`hp_plus::Domain`] or [`ebr::Collector`] per shard), so
-//! garbage pressure and collector stalls never cross shard boundaries. One
-//! wedged shard degrades that shard alone — the scheme-level guarantee the
-//! fault matrix proves (Table 1) lifted to service scope.
+//! (a private [`hp_plus::Domain`], [`ebr::Collector`] or
+//! [`hyaline::Domain`] per shard), so garbage pressure and collector stalls
+//! never cross shard boundaries. One wedged shard degrades that shard
+//! alone — the scheme-level guarantee the fault matrix proves (Table 1)
+//! lifted to service scope.
 //!
 //! Architecture:
 //!
@@ -22,10 +23,13 @@
 //!   acquired once per worker (the handle lives for the shard's lifetime)
 //!   and per-batch bookkeeping — stats, garbage sampling, the doorbell
 //!   round-trip — amortizes across the batch.
-//! * **Stores** — [`store::ShardStore`] plugs schemes through the existing
-//!   `GuardedScheme`/`ConcurrentMap` plumbing: HP++ by default
+//! * **Stores** — [`store::ShardStore`] asks the store's domain, through
+//!   `smr_common::SchemeDomain`, for garbage, bounds and orphans;
+//!   [`store::SchemeStore`] is its one scheme-backed implementation, a hash
+//!   map of `ds` lists over a private domain: HP++ by default
 //!   ([`store::HppStore`]), per-shard EBR ([`store::EbrStore`]) and
-//!   leaking NR ([`store::NrStore`]).
+//!   Hyaline ([`store::HyalineStore`]), and leaking NR
+//!   ([`store::NrStore`]).
 //!
 //! Crash story: a worker that panics closes and drains its ring on the way
 //! out (every queued command resolves to a typed error), donates its

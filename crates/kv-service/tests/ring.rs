@@ -49,12 +49,17 @@ static GATE: AtomicBool = AtomicBool::new(false);
 static PANIC: AtomicBool = AtomicBool::new(false);
 
 impl ShardStore for GatedStore {
+    type Domain = nr::Nr;
     type Handle = ();
 
     fn new_shard(_buckets: usize, _policy: smr_common::policy::PolicyKind) -> Self {
         Self {
             inner: Mutex::new(HashMap::new()),
         }
+    }
+
+    fn domain(&self) -> &'static nr::Nr {
+        &nr::Nr
     }
 
     fn handle(&self) -> Self::Handle {}
@@ -83,20 +88,6 @@ impl ShardStore for GatedStore {
     fn remove(&self, _h: &mut Self::Handle, key: u64) -> Option<u64> {
         self.inner.lock().unwrap().remove(&key)
     }
-
-    fn garbage(_h: &Self::Handle) -> u64 {
-        0
-    }
-
-    fn garbage_bound(&self) -> Option<u64> {
-        None
-    }
-
-    fn quiesce(&self, _h: &mut Self::Handle) {}
-
-    fn drain_orphans(&self) {}
-
-    const SCHEME: &'static str = "gated";
 }
 
 #[test]

@@ -23,37 +23,58 @@
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use kv_service::store::{GuardedDomain, GuardedStore};
+use kv_service::store::SchemeStore;
 use kv_service::{Command, EbrStore, HppStore, KvConfig, KvError, KvService, ShardStore};
 use smr_common::counters;
 use smr_common::fault::{self, FaultAction};
 use smr_common::watchdog::{GarbageWatchdog, WatchdogStatus};
+use smr_common::{GuardedScheme, SchemeDomain};
 
 /// EBR map over the **process-wide** default collector: no isolation, on
 /// purpose. The A/B control proving why domains must be per shard — one
 /// wedged pin here freezes reclamation for every shard.
-type EbrSharedStore = GuardedStore<SharedEbr>;
+type EbrSharedStore = SchemeStore<ds::guarded::HHSList<u64, u64, SharedEbr>>;
 
+/// A stateless domain forwarding to the one [`ebr::default_collector`], so
+/// every shard's "private" domain is the shared collector; also the
+/// guarded scheme the shard's map runs on.
+#[derive(Default)]
 struct SharedEbr;
 
-impl GuardedDomain for SharedEbr {
-    type Scheme = ebr::Ebr;
-    const SCHEME: &'static str = "ebr-shared";
+impl SchemeDomain for SharedEbr {
+    type Handle = ebr::LocalHandle;
+    const NAME: &'static str = "ebr-shared";
 
-    fn new_domain() -> Self {
-        SharedEbr
+    fn global() -> &'static SharedEbr {
+        &SharedEbr
     }
 
-    fn register(&self) -> ebr::LocalHandle {
+    fn register(&'static self) -> ebr::LocalHandle {
         ebr::default_collector().register()
     }
 
-    fn local_garbage(handle: &ebr::LocalHandle) -> u64 {
-        handle.local_garbage() as u64
+    fn garbage(handle: &ebr::LocalHandle) -> usize {
+        ebr::Collector::garbage(handle)
     }
 
-    fn flush(handle: &mut ebr::LocalHandle) {
-        handle.pin().flush();
+    fn collect(handle: &mut ebr::LocalHandle) {
+        ebr::Collector::collect(handle);
+    }
+
+    fn orphans(&self) -> usize {
+        ebr::default_collector().orphans()
+    }
+
+    fn garbage_bound(&self, threads: usize) -> Option<usize> {
+        ebr::default_collector().garbage_bound(threads)
+    }
+}
+
+impl GuardedScheme for SharedEbr {
+    type Guard<'a> = ebr::Guard<'a>;
+
+    fn pin(handle: &mut ebr::LocalHandle) -> ebr::Guard<'_> {
+        handle.pin()
     }
 }
 
@@ -262,7 +283,7 @@ fn per_shard_ebr_collectors_confine_stall_to_wedged_shard() {
     // Same stall, same churn — but shard 1 owns its collector, so its
     // epoch advances regardless and garbage stays near the collect
     // trigger: reclamation progress never stalls.
-    let threshold = svc.with_store(1, |s| s.collect_threshold());
+    let threshold = svc.with_store(1, |s| s.domain().collect_threshold());
     let bound = 4 * threshold;
     let keys = keys_for(&svc, 1, 64);
     let mut sibling_client = svc.client();

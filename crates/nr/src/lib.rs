@@ -6,9 +6,11 @@
 
 #![warn(missing_docs)]
 
-use smr_common::{counters, GuardedScheme, SchemeGuard, Shared};
+use smr_common::{counters, GuardedScheme, SchemeDomain, SchemeGuard, Shared};
 
-/// Marker type wiring NR into the [`GuardedScheme`] interface.
+/// NR's domain, stateless since nothing is ever freed, and its
+/// [`GuardedScheme`].
+#[derive(Default)]
 pub struct Nr;
 
 /// The NR "guard": protection is vacuous because nothing is ever freed.
@@ -26,13 +28,32 @@ impl SchemeGuard for NrGuard {
 }
 
 impl GuardedScheme for Nr {
-    type Handle = ();
     type Guard<'a> = NrGuard;
-
-    fn handle() -> Self::Handle {}
 
     fn pin(_handle: &mut Self::Handle) -> NrGuard {
         NrGuard
+    }
+}
+
+impl SchemeDomain for Nr {
+    type Handle = ();
+    const NAME: &'static str = "nr";
+
+    fn global() -> &'static Nr {
+        &Nr
+    }
+
+    fn register(&'static self) {}
+
+    /// The leak is tracked only by the global counters.
+    fn garbage(_handle: &()) -> usize {
+        0
+    }
+
+    fn collect(_handle: &mut ()) {}
+
+    fn orphans(&self) -> usize {
+        0
     }
 }
 

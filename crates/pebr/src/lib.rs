@@ -33,7 +33,7 @@ use smr_common::guard::CriticalSection;
 use smr_common::policy::Capped;
 use smr_common::registry::{Node, Registry};
 use smr_common::retired::Orphans;
-use smr_common::{CachePadded, GuardedScheme, Retired};
+use smr_common::{CachePadded, GuardedScheme, Retired, SchemeDomain};
 
 /// Retire this many blocks before attempting a collection. Public so tests
 /// derive garbage bounds from the same constant the scheme enforces.
@@ -92,23 +92,6 @@ impl Collector {
         }
     }
 
-    /// Registers the current thread.
-    ///
-    /// Requires a `'static` collector (the process-wide default, or a
-    /// leaked test instance): participant records are reclaimed through the
-    /// collector's own epochs, so a handle must be unable to outlive it.
-    pub fn register(&'static self) -> LocalHandle {
-        LocalHandle {
-            global: self,
-            record: self.registry.insert(Participant {
-                state: AtomicU64::new(0),
-                ejected: AtomicBool::new(false),
-            }),
-            garbage: GenBags::new(),
-            guard_live: false,
-        }
-    }
-
     /// Current global epoch.
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Relaxed)
@@ -154,6 +137,47 @@ impl Collector {
             .epoch
             .compare_exchange(e, e + 1, Ordering::Release, Ordering::Relaxed);
         self.epoch.load(Ordering::Relaxed)
+    }
+}
+
+impl SchemeDomain for Collector {
+    type Handle = LocalHandle;
+    const NAME: &'static str = "pebr";
+
+    fn global() -> &'static Collector {
+        default_collector()
+    }
+
+    fn register(&'static self) -> LocalHandle {
+        LocalHandle {
+            global: self,
+            record: self.registry.insert(Participant {
+                state: AtomicU64::new(0),
+                ejected: AtomicBool::new(false),
+            }),
+            garbage: GenBags::new(),
+            guard_live: false,
+        }
+    }
+
+    fn garbage(handle: &LocalHandle) -> usize {
+        handle.garbage.len()
+    }
+
+    fn collect(handle: &mut LocalHandle) {
+        handle.pin().flush();
+    }
+
+    fn orphans(&self) -> usize {
+        self.orphans.len()
+    }
+
+    /// Per handle, [`EJECT_THRESHOLD`] blocks before it ejects every
+    /// straggler, plus two [`COLLECT_THRESHOLD`] batches stamped at the two
+    /// epochs not yet expired. Holds while stragglers validate: the model
+    /// ejects at `validate()` points only (DESIGN.md §4).
+    fn garbage_bound(&self, threads: usize) -> Option<usize> {
+        Some(threads * (EJECT_THRESHOLD + 2 * COLLECT_THRESHOLD))
     }
 }
 
@@ -280,16 +304,11 @@ impl Drop for LocalHandle {
 /// [`is_valid`](smr_common::guard::Guard::is_valid).
 pub type Guard<'a> = smr_common::guard::Guard<'a, LocalHandle>;
 
-/// Marker type wiring PEBR into the [`GuardedScheme`] interface.
-pub struct Pebr;
+/// PEBR under its scheme name: the collector is its [`GuardedScheme`].
+pub type Pebr = Collector;
 
-impl GuardedScheme for Pebr {
-    type Handle = LocalHandle;
+impl GuardedScheme for Collector {
     type Guard<'a> = Guard<'a>;
-
-    fn handle() -> LocalHandle {
-        default_collector().register()
-    }
 
     fn pin(handle: &mut LocalHandle) -> Guard<'_> {
         handle.pin()

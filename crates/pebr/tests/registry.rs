@@ -4,7 +4,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
-use smr_common::{counters, Shared};
+use smr_common::{counters, SchemeDomain, Shared};
 
 #[test]
 fn register_unregister_churn_balances() {

@@ -19,6 +19,9 @@
 //!   benchmarked structure implements, plus the [`GuardedScheme`]
 //!   abstraction shared by the guard-based schemes (NR, EBR, PEBR,
 //!   Hyaline).
+//! * [`domain`] — [`SchemeDomain`], the one seam between a scheme's
+//!   domain and its consumers: register, garbage, collect, orphans and the
+//!   derived garbage bound, implemented once per scheme crate.
 //! * [`guard`] — the one critical-section [`Guard`](guard::Guard) of EBR,
 //!   PEBR and Hyaline, over each scheme's
 //!   [`CriticalSection`](guard::CriticalSection) handle.
@@ -54,6 +57,7 @@ pub mod atomic;
 pub mod backoff;
 pub mod bags;
 pub mod counters;
+pub mod domain;
 pub mod env;
 pub mod fault;
 pub mod fence;
@@ -70,6 +74,7 @@ pub mod watchdog;
 
 pub use atomic::{Atomic, Shared};
 pub use backoff::Backoff;
+pub use domain::SchemeDomain;
 pub use map::{ConcurrentMap, GuardedScheme, SchemeGuard};
 pub use retired::Retired;
 pub use util::CachePadded;

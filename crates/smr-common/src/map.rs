@@ -1,6 +1,7 @@
 //! The common map interface and the guard-based scheme abstraction.
 
 use crate::atomic::Shared;
+use crate::domain::SchemeDomain;
 
 /// A guard-based protection for critical sections.
 ///
@@ -34,17 +35,18 @@ pub trait SchemeGuard {
     fn refresh(&mut self);
 }
 
-/// A reclamation scheme whose protection unit is the critical section.
-pub trait GuardedScheme: Send + Sync + 'static {
-    /// Per-thread registration handle.
-    type Handle: Send;
+/// A reclamation scheme whose protection unit is the critical section,
+/// implemented by the scheme's domain type.
+pub trait GuardedScheme: SchemeDomain<Handle: Send> {
     /// The critical-section guard, borrowing the handle.
     type Guard<'a>: SchemeGuard
     where
         Self: 'a;
 
-    /// Registers the current thread with the scheme.
-    fn handle() -> Self::Handle;
+    /// Registers the current thread with the scheme's default domain.
+    fn handle() -> Self::Handle {
+        Self::global().register()
+    }
 
     /// Enters a critical section.
     fn pin(handle: &mut Self::Handle) -> Self::Guard<'_>;

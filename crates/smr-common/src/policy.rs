@@ -6,11 +6,11 @@
 //! 8·participants)`; pebr: `garbage ≥ 128`). Table 1's bounds are derived
 //! from those formulas, and they are one parameterization, [`Capped`]: each
 //! scheme exports its own as a `pub const TRIGGER`, and every retire is one
-//! inlined [`Capped::should_reclaim`]. [`Capped::bound`] is the single
-//! definition of the cap `k·H + floor` that the Table-1 gate, the
-//! robustness tests and the KV garbage bound share. HP++'s reclaim cadence
-//! (every `hp_plus::RECLAIM_PERIOD` unlinks) counts operations, not
-//! garbage, and stays inline in `hp-plus`.
+//! inlined [`Capped::should_reclaim`]. [`Capped::bound`] is the per-thread
+//! cap `k·H + floor` from which `hp`'s
+//! [`SchemeDomain::garbage_bound`](crate::SchemeDomain::garbage_bound)
+//! derives. HP++'s reclaim cadence (every `hp_plus::RECLAIM_PERIOD`
+//! unlinks) counts operations, not garbage, and stays inline in `hp-plus`.
 //!
 //! There is no choice of trigger and no knob: `eager` and a watchdog-driven
 //! `adaptive` never beat `capped` in ten paired runs (EXPERIMENTS.md,

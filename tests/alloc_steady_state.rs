@@ -16,7 +16,7 @@ use std::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed, Release};
 
 use common::isolated;
 use smr_common::tagged::TAG_INVALIDATED;
-use smr_common::{Atomic, ConcurrentMap, Shared};
+use smr_common::{Atomic, ConcurrentMap, SchemeDomain, Shared};
 
 struct Counting;
 
@@ -140,7 +140,7 @@ fn chain_unlink_round(t: &mut hp_plus::Thread) {
     };
     assert!(ok);
     t.reclaim();
-    assert_eq!(t.garbage_count(), 0);
+    assert_eq!(hp_plus::Domain::garbage(t), 0);
     for node in &n[3..] {
         // SAFETY: never published beyond `head`, which is gone.
         unsafe { node.drop_owned() };

@@ -21,9 +21,10 @@ mod common;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::time::{Duration, Instant};
 
+use ds::InDomain;
 use smr_common::fault::{self, FaultAction};
 use smr_common::watchdog::{GarbageWatchdog, WatchdogStatus};
-use smr_common::ConcurrentMap;
+use smr_common::{ConcurrentMap, SchemeDomain};
 
 /// Spin until `cond` holds, failing the test after a generous deadline so a
 /// broken handshake cannot hang CI (the stall itself times out at 30 s).
@@ -252,7 +253,9 @@ fn pebr_ejects_straggler_despite_scheduling_noise_body() {
     assert!(sg.validate());
     {
         let rg = reclaimer.pin();
-        for _ in 0..(pebr::EJECT_THRESHOLD + 2 * pebr::COLLECT_THRESHOLD) {
+        // One handle's derived bound: past the eject threshold, then two
+        // collect batches.
+        for _ in 0..c.garbage_bound(1).unwrap() {
             unsafe { rg.defer_destroy(smr_common::Shared::from_owned(0u64)) };
         }
         drop(rg);
@@ -329,7 +332,7 @@ where
         wait_for("the reader to stall mid-traversal", || fault::stalled_count(POINT) == 1);
 
         let mut reclaimer = collector.register();
-        retire(&mut reclaimer, pebr::EJECT_THRESHOLD + 2 * pebr::COLLECT_THRESHOLD);
+        retire(&mut reclaimer, collector.garbage_bound(1).unwrap());
         assert!(fault::hits("pebr::eject::after_mark") > 0, "the reader was ejected");
         // The ejected pin still blocks the epoch (the model never frees
         // under a live pin): one advance past it, no further.
@@ -497,12 +500,12 @@ fn hp_panicking_teardown_still_donates_body() {
     let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drop(t)));
     assert!(err.is_err(), "teardown must have panicked");
     assert_eq!(DROPS.load(Relaxed), 0, "nothing freed by the dying thread");
-    assert_eq!(d.orphan_count(), N, "the Drop guard donated all {N} nodes");
+    assert_eq!(d.orphans(), N, "the Drop guard donated all {N} nodes");
 
     let mut survivor = d.register();
     survivor.reclaim();
     assert_eq!(DROPS.load(Relaxed), N, "survivor adopted and freed all {N}");
-    assert_eq!(d.orphan_count(), 0);
+    assert_eq!(d.orphans(), 0);
     assert_eq!(survivor.retired_count(), 0);
     drop(plan);
 }
@@ -748,7 +751,7 @@ fn ebr_registry_node_unlinked_behind_a_stale_epoch_waits_for_late_pinners_body()
         let mut h = c.register();
         h.pin().flush(); // reads e0, stalls; released: unlinks the dead node
         h.pin().flush(); // everyone pinned is at e0 + 1: advances to e0 + 2
-        h.local_garbage()
+        ebr::Collector::garbage(&h)
     });
     wait_for("victim stalled before its registry traversal", || {
         fault::stalled_count("ebr::advance::before_traverse") == 1
@@ -893,7 +896,9 @@ fn hyaline_stalled_enter_is_ejected_and_garbage_stays_bounded_body() {
     // through). Every handover ejects the victim and frees the batch as
     // soon as our own leave returns its reference.
     let mut worker = d.register();
-    let bound = hyaline::garbage_bound(2); // victim + worker
+    // Victim + worker, plus the adopter slack hyaline's bound has always
+    // carried.
+    let bound = d.garbage_bound(3).unwrap();
     let mut created = 0usize;
     for _ in 0..40 {
         let g = worker.pin();
@@ -994,7 +999,7 @@ fn hyaline_stalled_leaver_pins_one_batch_and_drains_exactly_body() {
 
     // Churn around the wedged leaver: its slot word is already 0, so new
     // handovers never reach it — only the first batch stays pinned.
-    let bound = FIRST + hyaline::garbage_bound(2);
+    let bound = FIRST + d.garbage_bound(3).unwrap();
     for _ in 0..30 {
         let g = worker.pin();
         for _ in 0..64 {
@@ -1124,7 +1129,7 @@ fn hyaline_panicking_teardown_still_donates_body() {
     let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drop(t)));
     assert!(err.is_err(), "teardown must have panicked");
     assert_eq!(DROPS.load(Relaxed), 0, "nothing freed by the dying thread");
-    assert_eq!(d.orphan_count(), N, "the Drop guard donated all {N} nodes");
+    assert_eq!(d.orphans(), N, "the Drop guard donated all {N} nodes");
     assert_eq!(d.participants(), 0, "the dying slot was unregistered");
 
     let mut survivor = d.register();
@@ -1134,7 +1139,7 @@ fn hyaline_panicking_teardown_still_donates_body() {
         drop(g); // the leave is the zero transition
     }
     assert_eq!(DROPS.load(Relaxed), N, "survivor adopted and freed all {N}");
-    assert_eq!(d.orphan_count(), 0);
+    assert_eq!(d.orphans(), 0);
     drop(plan);
 }
 
@@ -1197,7 +1202,7 @@ fn all_fault_points_are_reachable_body() {
         let sg = straggler.pin();
         {
             let rg = reclaimer.pin();
-            for _ in 0..(pebr::EJECT_THRESHOLD + 2 * pebr::COLLECT_THRESHOLD) {
+            for _ in 0..c.garbage_bound(1).unwrap() {
                 unsafe { rg.defer_destroy(smr_common::Shared::from_owned(4u64)) };
             }
             drop(rg);
@@ -1255,9 +1260,13 @@ fn all_fault_points_are_reachable_body() {
 
         struct SleepyStore;
         impl ShardStore for SleepyStore {
+            type Domain = nr::Nr;
             type Handle = ();
             fn new_shard(_buckets: usize, _policy: smr_common::policy::PolicyKind) -> Self {
                 SleepyStore
+            }
+            fn domain(&self) -> &'static nr::Nr {
+                &nr::Nr
             }
             fn handle(&self) -> Self::Handle {}
             fn get(&self, _h: &mut Self::Handle, _key: u64) -> Option<u64> {
@@ -1270,15 +1279,6 @@ fn all_fault_points_are_reachable_body() {
             fn remove(&self, _h: &mut Self::Handle, _key: u64) -> Option<u64> {
                 None
             }
-            fn garbage(_h: &Self::Handle) -> u64 {
-                0
-            }
-            fn garbage_bound(&self) -> Option<u64> {
-                None
-            }
-            fn quiesce(&self, _h: &mut Self::Handle) {}
-            fn drain_orphans(&self) {}
-            const SCHEME: &'static str = "sleepy";
         }
 
         let cfg = KvConfig {

@@ -3,10 +3,10 @@
 //! section makes garbage grow without bound while PEBR ejects the offender.
 //!
 //! Every bound here is *derived from the schemes' published formulas*
-//! (HP's `k·H + threshold` rule, EBR's `max(floor, 8·participants)`
-//! trigger, PEBR's collect/eject thresholds, hyaline's handover trigger)
-//! rather than hard-coded: each scheme's `TRIGGER` constant and
-//! `hp_plus::garbage_bound`, so retuning a trigger does not break them.
+//! (HP's `k·H + threshold` rule, PEBR's collect/eject thresholds,
+//! hyaline's handover trigger) rather than hard-coded: each domain's
+//! `SchemeDomain::garbage_bound`, so retuning a trigger does not break
+//! them. EBR has no bound; its churn slack is its collection trigger.
 //! The guarded schemes are enumerated by the shared registry
 //! (`bench::schemes`), so a newly added scheme is churned here without
 //! touching this file — and fails until it states its derived bound.
@@ -15,11 +15,13 @@
 
 mod common;
 
+use std::borrow::Borrow;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
 use std::time::Duration;
 
 use common::serial;
-use smr_common::{ConcurrentMap, GuardedScheme, SchemeGuard};
+use ds::InDomain;
+use smr_common::{ConcurrentMap, GuardedScheme, SchemeDomain, SchemeGuard};
 
 fn churn_n<M: ConcurrentMap<u64, u64>>(m: &M, h: &mut M::Handle, rounds: u64) {
     churn_keys(m, h, rounds, 0);
@@ -38,61 +40,56 @@ fn churn_keys<M: ConcurrentMap<u64, u64>>(m: &M, h: &mut M::Handle, rounds: u64,
     }
 }
 
-#[test]
-fn hp_garbage_bounded_under_churn() {
-    let _serial = serial();
-    let m: ds::hp::HMList<u64, u64> = ConcurrentMap::new();
-    let mut h = m.handle();
-    let before = smr_common::counters::garbage_now();
-    churn_n(&m, &mut h, 500);
-    let grown = smr_common::counters::garbage_now().saturating_sub(before);
-    // Michael's bound: a thread's unreclaimed garbage never exceeds the
-    // adaptive scan trigger `max(RECLAIM_THRESHOLD, k·H)`; allow the floor
-    // *plus* the k·H term (the trigger is their max) and a 2x margin for
-    // garbage other threads of this process may hold.
-    let h_slots = hp::default_domain().slot_capacity();
-    let bound = 2 * hp::TRIGGER.bound(h_slots) as u64;
-    assert!(
-        grown < bound,
-        "HP garbage grew to {grown}, bound {bound} (H={h_slots})"
-    );
-}
-
-#[test]
-fn hpp_garbage_bounded_under_churn() {
-    let _serial = serial();
-    // A private domain: its `H` counts only this handle's slots, and the
-    // handle's own count is the garbage measured, so no margin is needed.
-    let d: &'static hp_plus::Domain = Box::leak(Box::new(hp_plus::Domain::new()));
-    let m = ds::hpp::HHSList::<u64, u64>::new_in(d);
-    let mut h = m.handle();
+/// Churns one handle in a private domain, asserting after every remove
+/// that the handle's own garbage is within the domain's bound for one
+/// thread. `H` counts only this handle's slots, and the handle's count is
+/// the garbage measured, so no margin is needed.
+fn garbage_bounded_under_churn<L>()
+where
+    L: InDomain<u64, u64>,
+    L::Handle: Borrow<<L::Domain as SchemeDomain>::Handle>,
+{
+    let d = L::Domain::leak_new();
+    let m = L::new_in(d);
+    let mut h = L::handle_in(d);
     for r in 0..500 {
         for k in 0..16 {
             m.insert(&mut h, k, r);
         }
         for k in 0..16 {
             m.remove(&mut h, &k);
-            // HP++ counts garbage at unlink: on top of HP's `k·H +
-            // threshold` bag bound, up to RECLAIM_PERIOD unlinks (HHSList
-            // removes detach ≤ 2 nodes each) may await deferred
-            // invalidation (Algorithm 3) — `hp_plus::garbage_bound`.
-            let h_slots = d.hp_domain().slot_capacity();
-            let bound = hp_plus::garbage_bound(h_slots);
-            let garbage = h.garbage_count();
+            // HP: the bag never exceeds `k·H + threshold`. HP++ counts
+            // garbage at unlink: on top of that, up to RECLAIM_PERIOD
+            // unlinks (≤ 2 nodes each) may await deferred invalidation
+            // (Algorithm 3).
+            let bound = d.garbage_bound(1).expect("a hazard scheme is bounded");
+            let garbage = L::Domain::garbage(h.borrow());
             assert!(
                 garbage <= bound,
-                "HP++ garbage reached {garbage}, bound {bound} (H={h_slots}, round {r})"
+                "{} garbage reached {garbage}, bound {bound} (round {r})",
+                L::Domain::NAME
             );
         }
     }
 }
 
+#[test]
+fn hp_garbage_bounded_under_churn() {
+    let _serial = serial();
+    garbage_bounded_under_churn::<ds::hp::HMList<u64, u64>>();
+}
+
+#[test]
+fn hpp_garbage_bounded_under_churn() {
+    let _serial = serial();
+    garbage_bounded_under_churn::<ds::hpp::HHSList<u64, u64>>();
+}
+
 /// Registry-driven churn: every scheme in `bench::schemes::GUARDED` runs
-/// the same quiescent churn. NR must leak the whole retire volume; every
-/// other guarded scheme must stay under the bound derived from its own
-/// trigger formula. The `match` below is deliberately exhaustive over the
-/// registry — adding a guarded scheme there fails this test until the
-/// scheme's derived bound is stated.
+/// the same quiescent churn. A scheme with a derived bound must stay under
+/// it; NR must leak the whole retire volume; EBR must stay within its
+/// collection trigger. A new unbounded scheme fails this test until the
+/// `match` below states what it must do.
 #[test]
 fn guarded_registry_churn_bounds() {
     let _serial = serial();
@@ -108,32 +105,24 @@ fn guarded_registry_churn_bounds() {
             churn_n(&m, &mut h, ROUNDS);
             let grown = smr_common::counters::garbage_now().saturating_sub(before);
             drop(h);
-            match scheme {
-                bench::Scheme::Nr => assert!(
+            // Two handles: the churner, and an adopter of what exited
+            // handles left in the default domain.
+            match (scheme, S::global().garbage_bound(2)) {
+                (_, Some(bound)) => assert!(
+                    grown < bound as u64,
+                    "{scheme} churn garbage {grown} over bound {bound}"
+                ),
+                (bench::Scheme::Nr, None) => assert!(
                     grown >= TOTAL_RETIRES,
                     "NR must leak every retire: {grown} < {TOTAL_RETIRES}"
                 ),
-                bench::Scheme::Ebr => {
+                (bench::Scheme::Ebr, None) => {
                     // A quiescent single pinner collects every threshold
                     // retires; a few generation bags stay in flight.
                     let bound = 4 * ebr::default_collector().collect_threshold() as u64;
                     assert!(grown < bound, "EBR churn garbage {grown} over bound {bound}");
                 }
-                bench::Scheme::Pebr => {
-                    let bound = 2 * (pebr::EJECT_THRESHOLD + 2 * pebr::COLLECT_THRESHOLD) as u64;
-                    assert!(grown < bound, "PEBR churn garbage {grown} over bound {bound}");
-                }
-                bench::Scheme::Hyaline => {
-                    // One participant: the local batch below the handover
-                    // trigger plus the handed-over batch its own critical
-                    // section still references.
-                    let bound = hyaline::garbage_bound(1) as u64;
-                    assert!(
-                        grown < bound,
-                        "hyaline churn garbage {grown} over bound {bound}"
-                    );
-                }
-                other => panic!("registry grew {other}: state its derived churn bound here"),
+                (other, None) => panic!("registry grew {other}: state its churn bound here"),
             }
         }
     }
@@ -207,8 +196,8 @@ fn ebr_stalled_pin_grows_unboundedly_pebr_does_not() {
     // PEBR ejects the straggler once a thread's local garbage passes
     // EJECT_THRESHOLD, after which epochs advance and collections free.
     // Steady state per participant: the eject trigger plus a few collect
-    // batches in flight; 3 participants, 2x margin.
-    let pebr_bound = 2 * 3 * (pebr::EJECT_THRESHOLD + 2 * pebr::COLLECT_THRESHOLD) as u64;
+    // batches in flight (PEBR's derived bound); 3 participants, 2x margin.
+    let pebr_bound = 2 * pebr::default_collector().garbage_bound(3).unwrap() as u64;
     assert!(
         pebr_growth < pebr_bound,
         "PEBR should stay near its eject threshold: pebr={pebr_growth} bound={pebr_bound}"
@@ -295,13 +284,13 @@ fn hp_panicking_worker_donates_garbage() {
     assert!(worker.join().is_err(), "worker must have panicked");
 
     assert_eq!(DROPS.load(Relaxed), 0, "protected nodes must survive");
-    assert_eq!(d.orphan_count(), N, "panicking worker donated everything");
+    assert_eq!(d.orphans(), N, "panicking worker donated everything");
     for hp in hps {
         survivor.recycle(hp);
     }
     survivor.reclaim(); // adopts orphans and frees all of them
     assert_eq!(DROPS.load(Relaxed), N, "survivor freed every orphan");
-    assert_eq!(d.orphan_count(), 0);
+    assert_eq!(d.orphans(), 0);
     assert_eq!(survivor.retired_count(), 0);
 }
 
