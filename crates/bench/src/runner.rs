@@ -69,19 +69,26 @@ fn prefill_descending<M: ConcurrentMap<u64, u64>>(map: &M, key_range: u64) {
 }
 
 /// Paces warmup → measure → stop from the scope's main thread; returns
-/// (elapsed measured seconds, (peak garbage, avg garbage, peak RSS)).
+/// (elapsed measured seconds, (peak garbage, avg garbage, peak RSS), PEBR
+/// ejections in the measured window).
 ///
 /// The garbage/RSS sampler only runs during the measurement window, so
 /// warmup churn does not pollute the peak columns.
-fn pace_phases(phase: &AtomicU8, warmup: Duration, duration: Duration) -> (f64, (u64, u64, u64)) {
+fn pace_phases(
+    phase: &AtomicU8,
+    warmup: Duration,
+    duration: Duration,
+) -> (f64, (u64, u64, u64), u64) {
     std::thread::sleep(warmup);
     phase.store(PHASE_MEASURE, Relaxed);
+    let ejected = pebr::default_collector().ejections();
     let sampler = Sampler::start(Duration::from_millis(10));
     let started = Instant::now();
     std::thread::sleep(duration);
     phase.store(PHASE_STOP, Relaxed);
     let elapsed = started.elapsed().as_secs_f64();
-    (elapsed, sampler.finish())
+    let ejected = pebr::default_collector().ejections() - ejected;
+    (elapsed, sampler.finish(), ejected)
 }
 
 /// Runs one scenario against a concrete map type: `sc.threads` measured
@@ -112,6 +119,7 @@ where
     let latencies = Mutex::new(LatencyHistogram::new());
     let mut elapsed = 0.0f64;
     let mut garbage = (0u64, 0u64, 0u64);
+    let mut ejections = 0u64;
 
     std::thread::scope(|s| {
         for tid in 0..sc.threads {
@@ -177,13 +185,23 @@ where
                 }
             });
         }
-        (elapsed, garbage) = pace_phases(&phase, sc.warmup, sc.duration);
+        (elapsed, garbage, ejections) = pace_phases(&phase, sc.warmup, sc.duration);
     });
+    let ops = total_ops.load(Relaxed);
+    if ejections > 0 {
+        // Each ejection restarts a PEBR operation: per completed operation,
+        // they tell a Fig. 10 slowdown from restarts apart from one from
+        // slower steps.
+        eprintln!(
+            "# pebr ejections: {ejections} in the measured window, {:.5} per completed op",
+            ejections as f64 / ops.max(1) as f64
+        );
+    }
 
     let (peak_garbage, avg_garbage, peak_rss) = garbage;
     let hist = latencies.into_inner().expect("histogram lock");
     Stats {
-        throughput_mops: total_ops.load(Relaxed) as f64 / elapsed / 1e6,
+        throughput_mops: ops as f64 / elapsed / 1e6,
         peak_garbage,
         avg_garbage,
         peak_rss_mb: peak_rss as f64 / (1024.0 * 1024.0),

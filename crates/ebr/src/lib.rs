@@ -17,14 +17,9 @@
 //! pinned thread stops the epoch and garbage grows without bound (paper
 //! §2.4). The benchmark harness measures exactly this.
 //!
-//! The implementation is engineered to be competitive with
-//! `crossbeam-epoch` (the EBR the paper benchmarked against): pin/unpin
-//! uses the asymmetric light/heavy fence pair instead of a per-pin `SeqCst`
-//! fence, the participant registry is a lock-free intrusive list instead of
-//! a mutex-guarded vector, and garbage lives in sealed per-epoch generation
-//! bags that free whole expired generations in O(bag). See
-//! `collector.rs`'s module docs for the code-inspection notes and
-//! [`TRIGGER`] for the collection trigger.
+//! The collector is [`smr_common::epoch`]'s, shared with PEBR and built to
+//! compete with `crossbeam-epoch` (DESIGN.md §1.6); this crate supplies its
+//! [`Marker`]: the name, [`TRIGGER`], no ejection, and the fault points.
 //!
 //! # Example
 //!
@@ -53,21 +48,16 @@
 
 #![warn(missing_docs)]
 
-mod collector;
+use smr_common::epoch::{self, FaultPoints};
+use smr_common::policy::Capped;
 
-pub use collector::{Collector, LocalHandle, TRIGGER};
-
-use smr_common::GuardedScheme;
-
-/// An active EBR critical section: no block retired after its pin is freed
-/// while it lives.
-pub type Guard<'a> = smr_common::guard::Guard<'a, LocalHandle>;
-
-/// Returns the process-wide default collector.
-pub fn default_collector() -> &'static Collector {
-    static DEFAULT: Collector = Collector::new();
-    &DEFAULT
-}
+/// EBR's collection trigger: `bags.len() ≥ max(128, 8 · participants)`.
+///
+/// Each collection traverses the whole registry, so the trigger grows as
+/// `k · participants` to keep the traversal cost per retire O(k⁻¹) — the
+/// epoch analogue of HP's `R = k·H` rule; the floor keeps collections
+/// amortized at low thread counts.
+pub const TRIGGER: Capped = Capped { floor: 128, k: 8 };
 
 /// Named fault-injection points compiled into this crate (each a
 /// `smr_common::fault_point!` site; no-ops without the `fault-injection`
@@ -81,13 +71,54 @@ pub const FAULT_POINTS: &[&str] = &[
     "ebr::teardown::before_donate",
 ];
 
-/// EBR under its scheme name: the collector is its [`GuardedScheme`].
+/// EBR's [`epoch::Scheme`]: an epoch collector that never ejects.
+pub enum Marker {}
+
+impl epoch::Scheme for Marker {
+    const NAME: &'static str = "ebr";
+    const TRIGGER: Capped = TRIGGER;
+    const EJECT: Option<usize> = None;
+    const FAULTS: FaultPoints = FaultPoints {
+        pin_before_validate: Some(FAULT_POINTS[0]),
+        retire_after_push: Some(FAULT_POINTS[1]),
+        advance_before_traverse: Some(FAULT_POINTS[2]),
+        advance_before_publish: Some(FAULT_POINTS[3]),
+        collect_after_adopt: Some(FAULT_POINTS[4]),
+        eject_after_mark: None,
+        teardown_before_donate: Some(FAULT_POINTS[5]),
+    };
+
+    fn global() -> &'static Collector {
+        default_collector()
+    }
+}
+
+/// The global side of an EBR instance.
+pub type Collector = epoch::Collector<Marker>;
+
+/// A thread's registration with a [`Collector`].
+///
+/// The [`CriticalSection`](smr_common::guard::CriticalSection) trait
+/// declares its methods `unsafe` for every scheme: only the guard calls
+/// them, so safe code cannot walk the registry unpinned:
+///
+/// ```compile_fail,E0133
+/// use smr_common::{guard::CriticalSection, SchemeDomain};
+/// let mut h = ebr::default_collector().register();
+/// h.collect();
+/// ```
+pub type LocalHandle = epoch::LocalHandle<Marker>;
+
+/// An active EBR critical section: no block retired after its pin is freed
+/// while it lives.
+pub type Guard<'a> = smr_common::guard::Guard<'a, LocalHandle>;
+
+/// EBR under its scheme name: the collector is its
+/// [`GuardedScheme`](smr_common::GuardedScheme).
 pub type Ebr = Collector;
 
-impl GuardedScheme for Collector {
-    type Guard<'a> = Guard<'a>;
-
-    fn pin(handle: &mut LocalHandle) -> Guard<'_> {
-        handle.pin()
-    }
+/// Returns the process-wide default collector.
+pub fn default_collector() -> &'static Collector {
+    static DEFAULT: Collector = Collector::new();
+    &DEFAULT
 }

@@ -45,6 +45,9 @@
 //!   garbage to.
 //! * [`bags`] — [`GenBags`](bags::GenBags), the three sealed epoch
 //!   generations that hold `ebr`'s and `pebr`'s thread-local garbage.
+//! * [`epoch`] — the one epoch [`Collector`](epoch::Collector) of `ebr`
+//!   and `pebr`, over a zero-sized [`Scheme`](epoch::Scheme) marker whose
+//!   consts are the only per-scheme facts.
 //! * [`pool`] — the per-thread block pool node allocation and
 //!   [`Retired::free`] go through, so a reclaim pass feeds the next inserts
 //!   without the allocator.
@@ -59,6 +62,7 @@ pub mod bags;
 pub mod counters;
 pub mod domain;
 pub mod env;
+pub mod epoch;
 pub mod fault;
 pub mod fence;
 pub mod guard;

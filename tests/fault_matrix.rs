@@ -769,6 +769,135 @@ fn ebr_registry_node_unlinked_behind_a_stale_epoch_waits_for_late_pinners_body()
 }
 
 #[test]
+fn ebr_blocked_advance_is_remembered_not_rescanned() {
+    common::isolated(ebr_blocked_advance_is_remembered_not_rescanned_body);
+}
+
+fn ebr_blocked_advance_is_remembered_not_rescanned_body() {
+    // While one handle stays pinned behind the epoch, a peer's forced
+    // collections learn that from one traversal: the rest read the
+    // remembered straggler's state word and stop before the heavy fence.
+    // Once the straggler unpins, the next collection traverses and
+    // advances.
+    const POINT: &str = "ebr::advance::before_traverse";
+    const N: u64 = 16;
+    let c: &'static ebr::Collector = Box::leak(Box::new(ebr::Collector::new()));
+    let mut blocker = c.register();
+    let mut peer = c.register();
+    let straggler = blocker.pin();
+    peer.pin().flush(); // the pin is current: this advance succeeds
+    let held = c.epoch();
+
+    let plan = fault::plan().install(); // armed, no triggers: just counts
+    for _ in 0..N {
+        peer.pin().flush();
+    }
+    assert_eq!(c.epoch(), held, "the straggler holds the epoch");
+    assert_eq!(fault::hits("ebr::collect::after_adopt"), N);
+    assert_eq!(
+        fault::hits(POINT),
+        1,
+        "one traversal per straggler, not one per collection"
+    );
+
+    drop(straggler);
+    peer.pin().flush();
+    assert_eq!(
+        fault::hits(POINT),
+        2,
+        "a moved straggler is re-read by a traversal"
+    );
+    assert_eq!(c.epoch(), held + 1);
+    drop(plan);
+}
+
+#[test]
+fn pebr_unmoved_ejected_straggler_is_marked_once() {
+    common::isolated(pebr_unmoved_ejected_straggler_is_marked_once_body);
+}
+
+fn pebr_unmoved_ejected_straggler_is_marked_once_body() {
+    // Past the ejection threshold every retire collects with ejection.
+    // The first such pass marks the straggler; while it has not moved,
+    // the later ones take the memo's answer instead of re-marking it.
+    // Its refresh moves it, and the next collection advances past it.
+    use smr_common::SchemeGuard;
+
+    const POINT: &str = "pebr::eject::after_mark";
+    let c: &'static pebr::Collector = Box::leak(Box::new(pebr::Collector::new()));
+    let mut straggler = c.register();
+    let mut reclaimer = c.register();
+    let mut sg = straggler.pin();
+    let plan = fault::plan().install();
+    for _ in 0..c.garbage_bound(1).unwrap() {
+        // A fresh pin per retire: only the straggler lags.
+        let rg = reclaimer.pin();
+        unsafe { rg.defer_destroy(smr_common::Shared::from_owned(0u64)) };
+    }
+    assert!(!sg.validate(), "the straggler is ejected");
+    assert_eq!(
+        fault::hits(POINT),
+        1,
+        "one mark while the straggler has not moved"
+    );
+    assert_eq!(c.ejections(), 1);
+
+    sg.refresh();
+    let e = c.epoch();
+    let rg = reclaimer.pin();
+    unsafe { rg.defer_destroy(smr_common::Shared::from_owned(0u64)) };
+    drop(rg);
+    assert_eq!(c.epoch(), e + 1, "the refreshed straggler no longer blocks");
+    assert_eq!(fault::hits(POINT), 1);
+    drop(sg);
+    drop(plan);
+}
+
+#[test]
+fn ebr_memo_of_a_freed_straggler_is_never_read() {
+    common::isolated(ebr_memo_of_a_freed_straggler_is_never_read_body);
+}
+
+fn ebr_memo_of_a_freed_straggler_is_never_read_body() {
+    // The memoized straggler's handle drops, and a third handle unlinks its
+    // registry node and advances the epoch twice past it, freeing the node.
+    // The memo holder's next collection must not load through the memo
+    // (its epoch is gone): under ASan, a load there is a use-after-free.
+    const POINT: &str = "ebr::advance::before_traverse";
+    let c: &'static ebr::Collector = Box::leak(Box::new(ebr::Collector::new()));
+    let mut holder = c.register();
+    let mut other = c.register();
+    let mut straggler = c.register();
+    let sg = straggler.pin();
+    holder.pin().flush(); // the pin is current: this advance succeeds
+    let e = c.epoch();
+
+    let plan = fault::plan().install();
+    holder.pin().flush(); // blocked: the memo now names the straggler
+    assert_eq!(fault::hits(POINT), 1);
+    drop(sg);
+    drop(straggler);
+    for _ in 0..3 {
+        other.pin().flush(); // unlinks the dead node, stamped `e`; advances
+    }
+    assert_eq!(c.epoch(), e + 3);
+    assert_eq!(
+        ebr::Collector::garbage(&other),
+        0,
+        "the straggler's registry node is freed"
+    );
+    let before = fault::hits(POINT);
+    holder.pin().flush();
+    assert_eq!(
+        fault::hits(POINT),
+        before + 1,
+        "a stale memo must not answer"
+    );
+    assert_eq!(c.epoch(), e + 4);
+    drop(plan);
+}
+
+#[test]
 fn backoff_parked_thread_keeps_garbage_bounded_and_drains() {
     common::isolated(backoff_parked_thread_keeps_garbage_bounded_and_drains_body);
 }
