@@ -22,7 +22,8 @@
 //!
 //! Reported per-iteration time is per retire (resp. per unlink, per pin),
 //! with the periodic scans folded in. The triggers are each scheme's
-//! `TRIGGER` constant; knobs: `HPP_INVALIDATE_PERIOD`, `SMR_NO_MEMBARRIER`.
+//! `TRIGGER` constant (HP++'s cadences: `INVALIDATE_PERIOD` and
+//! `RECLAIM_PERIOD`); the one knob is `SMR_NO_MEMBARRIER`.
 
 use std::sync::atomic::Ordering::{AcqRel, Acquire, Release};
 use std::sync::Barrier;
@@ -35,7 +36,7 @@ const THREADS: [usize; 3] = [1, 4, 16];
 
 /// Runs `work` on `n` threads and returns the wall time of the parallel
 /// region (started and stopped by barrier handshakes with the measuring
-/// thread). Workers are pinned round-robin (`SMR_NO_PIN=1` opts out) so
+/// thread). Workers are pinned round-robin so
 /// cross-core migration does not add variance to the per-retire numbers.
 fn timed<W: Fn(u64) + Sync>(n: usize, per_thread: u64, work: W) -> std::time::Duration {
     let barrier = Barrier::new(n + 1);

@@ -229,7 +229,7 @@ impl Scenario {
 }
 
 /// `run`: one scenario in this process, one CSV row on stdout — what every
-/// sweep spawns per scenario. `SMR_NO_PIN=1` disables worker CPU pinning.
+/// sweep spawns per scenario.
 fn run_one(flags: &Flags) -> Result<i32, String> {
     let sc = Scenario::from_flags(flags)?;
     let Some(stats) = crate::run(&sc) else {

@@ -147,7 +147,7 @@ fn contention_threads(quick: bool) -> Vec<usize> {
 /// Figure 9: maximum throughput per category (list / tree), HP vs HP++,
 /// small and big key ranges — the contention crossover. Plus the
 /// contention-machinery sections: bags under oversubscribed write storms
-/// (bare CAS loops vs adaptive backoff) and scans racing a write storm.
+/// and scans racing a write storm.
 pub fn fig9(opts: &Opts) -> i32 {
     let mut sweep = Sweep::start("fig9");
     println!("# Figure 9: best-in-category throughput, HP vs HP++");
@@ -182,11 +182,9 @@ pub fn fig9(opts: &Opts) -> i32 {
         "HP-compatible structure by a large margin.",
     ]);
 
-    // A/B rows: the same write-only storm with backoff disabled (`bare`: the
-    // child reads `SMR_NO_BACKOFF=1` at startup) and enabled (`backoff`).
     println!();
     println!("# Contention machinery: bags under oversubscribed write storms");
-    println!("ds,scheme,threads,mode,throughput_mops");
+    println!("ds,scheme,threads,throughput_mops");
     let pairs = [
         (Ds::Stack, Scheme::Hp),
         (Ds::Stack, Scheme::Hpp),
@@ -196,18 +194,18 @@ pub fn fig9(opts: &Opts) -> i32 {
     let storm_threads = contention_threads(opts.quick);
     for &threads in &storm_threads {
         for (ds, scheme) in pairs {
-            for (mode, env) in [("bare", &[("SMR_NO_BACKOFF", "1")][..]), ("backoff", &[])] {
-                let mut sc = opts.scenario(ds, scheme, threads, 256, Workload::WriteOnly);
-                sc.zipf_theta = 0.0;
-                if let Some(stats) = sweep.run(&sc, env) {
-                    let mops = stats.throughput_mops;
-                    println!("{ds},{scheme},{threads},{mode},{mops:.4}");
-                }
+            let mut sc = opts.scenario(ds, scheme, threads, 256, Workload::WriteOnly);
+            sc.zipf_theta = 0.0;
+            if let Some(stats) = sweep.run(&sc, &[]) {
+                let mops = stats.throughput_mops;
+                println!("{ds},{scheme},{threads},{mops:.4}");
             }
         }
     }
     expectation(&[
-        "at threads > cores, backoff beats bare (a descheduled CAS winner stalls spinners)",
+        "every row runs the spin/yield/park escalator; in EXPERIMENTS.md's pairs",
+        "a bare CAS loop or a yield-only third phase read x 0.67-0.83 of it on",
+        "the stack at 1-4x cores; the queues read the same in all three.",
     ]);
 
     // Adversarial mix: read-most scans over a big range racing a write storm
@@ -232,14 +230,9 @@ pub fn fig9(opts: &Opts) -> i32 {
     sweep.finish()
 }
 
-/// Ablations for the design choices called out in DESIGN.md:
-///
-/// 1. **Asymmetric fences** (§3.4): `SMR_NO_MEMBARRIER=1` forces the
-///    symmetric SC-fence fallback; HP++ and HP run both ways.
-/// 2. **Epoched heavy fence** (Algorithm 5 vs per-invalidation fences):
-///    approximated by sweeping the invalidation batch size via
-///    `HPP_INVALIDATE_PERIOD` — period 1 ≈ a fence-equivalent flush per
-///    unlink.
+/// Ablation of the asymmetric fences (DESIGN.md, paper §3.4):
+/// `SMR_NO_MEMBARRIER=1` forces the symmetric SC-fence fallback; HP++ and
+/// HP run both ways.
 pub fn ablation(opts: &Opts) -> i32 {
     let mut sweep = Sweep::start("ablation");
     let (threads, keys) = (cores().min(8), opts.big_range(Ds::HHSList));
@@ -251,7 +244,7 @@ pub fn ablation(opts: &Opts) -> i32 {
         }
     };
 
-    println!("# Ablation 1: asymmetric vs symmetric fences (HP++ on HHSList, HP on HMList)");
+    println!("# Ablation: asymmetric vs symmetric fences (HP++ on HHSList, HP on HMList)");
     println!("variant,{}", Scenario::CSV_HEADER);
     for sc in [&hpp, &hp] {
         row("asymmetric", sc, &[]);
@@ -261,15 +254,6 @@ pub fn ablation(opts: &Opts) -> i32 {
         "the symmetric variant pays an SC fence per protection, so",
         "hazard-based schemes slow down, most visibly on read-heavy paths.",
     ]);
-
-    println!();
-    println!("# Ablation 2: invalidation batching (Algorithm 5's deferral). Period 1");
-    println!("# approximates a flush (fence-equivalent) per unlink; 32 is the paper's");
-    println!("# default.");
-    println!("invalidate_period,{}", Scenario::CSV_HEADER);
-    for period in ["1", "8", "32", "128"] {
-        row(period, &hpp, &[("HPP_INVALIDATE_PERIOD", period)]);
-    }
     sweep.finish()
 }
 

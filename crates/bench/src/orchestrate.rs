@@ -99,8 +99,8 @@ impl Sweep {
 
     /// Runs one scenario as `exe run …` with `env` set for the child. This
     /// is how A/B sweeps toggle process-wide knobs per run (e.g.
-    /// `SMR_NO_BACKOFF=1` for the bare-CAS baseline): the knob is read once
-    /// at child startup, so each scenario gets a clean setting.
+    /// `SMR_NO_MEMBARRIER=1` for the symmetric-fence ablation): the knob is
+    /// read once at child startup, so each scenario gets a clean setting.
     ///
     /// `Some` = it completed; otherwise the sweep goes on. An inapplicable
     /// (structure, scheme) pair is skipped silently. A child that exits

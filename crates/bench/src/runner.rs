@@ -7,7 +7,7 @@
 //! precomputed [`OpMix`] table (one RNG call, one 256-entry lookup, no
 //! modulo), and latency recording writes into a thread-local stack array
 //! (no allocation, no shared-cacheline traffic). Worker threads are pinned
-//! round-robin unless `SMR_NO_PIN=1`.
+//! round-robin.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering::Relaxed};
 use std::sync::Mutex;

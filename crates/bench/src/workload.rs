@@ -228,21 +228,11 @@ impl OpMix {
 // Thread pinning
 // ---------------------------------------------------------------------------
 
-/// Is pinning disabled (`SMR_NO_PIN=1`)? Read once.
-fn pin_disabled() -> bool {
-    use std::sync::OnceLock;
-    static NO_PIN: OnceLock<bool> = OnceLock::new();
-    *NO_PIN.get_or_init(|| std::env::var("SMR_NO_PIN").map(|v| v == "1").unwrap_or(false))
-}
-
 /// Pins the calling thread to CPU `tid % available_parallelism`, so a sweep
 /// of worker indices lands on distinct cores (wrapping under
 /// oversubscription). Returns whether a pin was applied — `false` when
-/// disabled via `SMR_NO_PIN=1` or unsupported on this platform.
+/// unsupported on this platform.
 pub fn pin_thread(tid: usize) -> bool {
-    if pin_disabled() {
-        return false;
-    }
     #[cfg(target_os = "linux")]
     {
         let cores = std::thread::available_parallelism()

@@ -121,18 +121,6 @@ pub const FAULT_POINTS: &[&str] = &[
     "hpp::reclaim::before_revoke",
 ];
 
-/// The invalidation period, overridable for the batching ablation via the
-/// `HPP_INVALIDATE_PERIOD` environment variable (read once, at first use).
-pub(crate) fn invalidate_period() -> usize {
-    use std::sync::OnceLock;
-    static PERIOD: OnceLock<usize> = OnceLock::new();
-    *PERIOD.get_or_init(|| {
-        smr_common::env::parse_usize("HPP_INVALIDATE_PERIOD")
-            .filter(|&n| n > 0)
-            .unwrap_or(INVALIDATE_PERIOD)
-    })
-}
-
 /// A node type that can be invalidated by an HP++ unlinker.
 ///
 /// Invalidation typically sets the second-lowest bit of the node's link

@@ -5,7 +5,7 @@ use hp::HazardPointer;
 use smr_common::{counters, Retired, Shared};
 
 use crate::domain::Domain;
-use crate::{invalidate_period, Invalidate, RECLAIM_PERIOD};
+use crate::{Invalidate, INVALIDATE_PERIOD, RECLAIM_PERIOD};
 
 /// The nodes detached by a successful unlink operation.
 ///
@@ -176,7 +176,7 @@ impl Thread {
         if self.unlink_count.is_multiple_of(RECLAIM_PERIOD) {
             counters::incr_policy_scan_forced();
             self.reclaim();
-        } else if self.unlink_count.is_multiple_of(invalidate_period()) {
+        } else if self.unlink_count.is_multiple_of(INVALIDATE_PERIOD) {
             self.do_invalidation();
         }
         true

@@ -120,20 +120,18 @@ impl std::fmt::Display for KvError {
 
 impl std::error::Error for KvError {}
 
-/// Service configuration. Defaults come from the host shape; every field
-/// but `supervise` and `buckets` has an env override so deployments tune
-/// without recompiling.
+/// Service configuration: [`KvConfig::new`]'s defaults (shards from the
+/// host shape), changed through the fields or the builders.
 #[derive(Debug, Clone)]
 pub struct KvConfig {
-    /// Number of shards (workers). Default: available cores, `KV_SHARDS`.
+    /// Number of shards (workers). Default: available cores.
     pub shards: usize,
-    /// Max commands a worker drains per wakeup. Default 32, `KV_BATCH`.
+    /// Max commands a worker drains per wakeup. Default 32.
     pub batch: usize,
     /// Per-shard command ring capacity, rounded up to a power of two.
-    /// Default 1024, `KV_RING`.
+    /// Default 1024.
     pub ring_depth: usize,
-    /// Hash buckets per shard's map. Default `ds::hash_map::DEFAULT_BUCKETS`;
-    /// no env override.
+    /// Hash buckets per shard's map. Default `ds::hash_map::DEFAULT_BUCKETS`.
     pub buckets: usize,
     /// Whether the supervisor respawns dead workers (quarantining their
     /// domain) instead of leaving the shard permanently down. Default true;
@@ -141,18 +139,17 @@ pub struct KvConfig {
     pub supervise: bool,
     /// Per-operation client deadline: the worst case one `get`/`insert`/
     /// `remove` call may block across pushes, waits and retries before
-    /// resolving to [`KvError::DeadlineExceeded`]. Default 5 s,
-    /// `KV_OP_TIMEOUT_MS`.
+    /// resolving to [`KvError::DeadlineExceeded`]. Default 5 s.
     pub op_timeout: std::time::Duration,
     /// Bounded retry budget for one-shot client calls that hit
     /// [`KvError::RetryAfter`] (shard respawning): how many times the call
     /// re-pushes, with `smr_common::Backoff`-jittered spacing, before
-    /// surfacing the error. Default 3, `KV_OP_RETRIES` (0 allowed).
+    /// surfacing the error. Default 3 (0 allowed).
     pub retries: u32,
 }
 
 impl KvConfig {
-    /// Built-in defaults for the current host (no env consulted).
+    /// Built-in defaults for the current host.
     pub fn new() -> Self {
         Self {
             shards: available_cores(),
@@ -163,22 +160,6 @@ impl KvConfig {
             op_timeout: std::time::Duration::from_millis(5_000),
             retries: 3,
         }
-    }
-
-    /// Defaults with `KV_SHARDS` / `KV_BATCH` / `KV_RING` /
-    /// `KV_OP_TIMEOUT_MS` / `KV_OP_RETRIES` applied. Unparseable values,
-    /// and zero for all but `KV_OP_RETRIES`, fall back to the default.
-    pub fn from_env() -> Self {
-        let mut cfg = Self::new();
-        cfg.shards = env_usize("KV_SHARDS").unwrap_or(cfg.shards);
-        cfg.batch = env_usize("KV_BATCH").unwrap_or(cfg.batch);
-        cfg.ring_depth = env_usize("KV_RING").unwrap_or(cfg.ring_depth);
-        cfg.op_timeout = smr_common::env::parse_u64("KV_OP_TIMEOUT_MS")
-            .filter(|&ms| ms > 0)
-            .map(std::time::Duration::from_millis)
-            .unwrap_or(cfg.op_timeout);
-        cfg.retries = smr_common::env::parse_u32("KV_OP_RETRIES").unwrap_or(cfg.retries);
-        cfg
     }
 
     /// Builder-style shard-count override.
@@ -216,10 +197,6 @@ impl Default for KvConfig {
 /// Available cores, the default shard count.
 pub fn available_cores() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-fn env_usize(name: &str) -> Option<usize> {
-    smr_common::env::parse_usize(name).filter(|&n| n > 0)
 }
 
 /// SplitMix64 finalizer: decorrelates the shard index from the maps' own

@@ -1,4 +1,4 @@
-//! Tunable exponential backoff for CAS retry loops.
+//! Exponential backoff for CAS retry loops.
 //!
 //! Every lock-free structure in `crates/ds` retries a failed
 //! `compare_exchange` by re-entering the coherence storm immediately; under
@@ -12,8 +12,8 @@
 //!    the winner is running on another core and will finish in nanoseconds),
 //! 2. **yield** — `thread::yield_now`, giving a preempted winner its quantum
 //!    back (the decisive phase when threads > cores),
-//! 3. **park** — an exponentially growing, jittered sleep, bounded by
-//!    [`BackoffConfig::max_exp`], for storms that outlast a quantum.
+//! 3. **park** — an exponentially growing, jittered sleep of at most
+//!    2^`MAX_PARK_EXP` µs, for storms that outlast a quantum.
 //!
 //! Jitter decorrelates threads that failed on the same CAS so they do not
 //! re-collide in lockstep. The jitter PRNG is seeded from a process-global
@@ -21,59 +21,33 @@
 //! Miri and under the fault-injection feature's replay schedules: the same
 //! thread-creation order reproduces the same backoff decisions.
 //!
-//! One knob (read once per process): `SMR_NO_BACKOFF=1` — global opt-out:
-//! every step becomes a no-op, so the fig9 orchestrator can bench "bare"
-//! CAS loops against damped ones in the same binary. The phase lengths are
-//! [`BackoffConfig::default`]'s constants (6 doubling spin steps, parks of
-//! at most 2^10 µs); tests override them through [`Backoff::with_config`].
+//! The phase lengths are constants (`SPIN_STEPS`, `YIELD_STEPS`,
+//! `MAX_PARK_EXP`); EXPERIMENTS.md has the pairs that keep all three
+//! phases (a bare CAS loop and a yield-only third phase both lose the
+//! stack's write storm).
 //!
 //! Every step is reported to [`crate::counters`] so the bench harness can
 //! print retry/backoff rates next to throughput, and the park path carries
 //! a [`fault_point!`](crate::fault_point) (`backoff::park`) so the fault
 //! matrix can stall a backer-off thread and prove garbage stays bounded.
 
-use std::sync::OnceLock;
-
 use crate::counters;
 
-/// Yield-phase length: steps `spin_limit .. spin_limit + YIELD_STEPS` call
+/// Spin-phase length: steps `0 .. SPIN_STEPS` spin `2^step` times.
+const SPIN_STEPS: u32 = 6;
+
+/// Yield-phase length: steps `SPIN_STEPS .. SPIN_STEPS + YIELD_STEPS` call
 /// `yield_now` before the park phase begins.
 const YIELD_STEPS: u32 = 4;
+
+/// Cap on the park-phase exponent: a park sleeps under `2^MAX_PARK_EXP` µs.
+const MAX_PARK_EXP: u32 = 10;
 
 /// Park-phase base unit: the first park is `PARK_BASE_NS << 0` = 1 µs.
 const PARK_BASE_NS: u64 = 1_000;
 
 /// Named fault-injection points compiled into this crate.
 pub const FAULT_POINTS: &[&str] = &["backoff::park"];
-
-/// Resolved backoff tuning (the defaults, `SMR_NO_BACKOFF`, or test overrides).
-#[derive(Debug, Clone, Copy)]
-pub struct BackoffConfig {
-    /// Doubling spin steps before escalating to the yield phase.
-    pub spin_limit: u32,
-    /// Cap on the park-phase exponent (`2^max_exp` µs per park at most).
-    pub max_exp: u32,
-    /// `SMR_NO_BACKOFF`: every step short-circuits to a no-op.
-    pub disabled: bool,
-}
-
-impl Default for BackoffConfig {
-    fn default() -> Self {
-        Self {
-            spin_limit: 6,
-            max_exp: 10,
-            disabled: false,
-        }
-    }
-}
-
-fn process_config() -> &'static BackoffConfig {
-    static CONFIG: OnceLock<BackoffConfig> = OnceLock::new();
-    CONFIG.get_or_init(|| BackoffConfig {
-        disabled: crate::env::parse_bool("SMR_NO_BACKOFF").unwrap_or(false),
-        ..BackoffConfig::default()
-    })
-}
 
 /// Deterministic per-thread seed sequence: each thread draws a distinct
 /// 32-bit lane from a global counter at first use, then increments a local
@@ -116,7 +90,6 @@ fn splitmix64(mut z: u64) -> u64 {
 pub struct Backoff {
     step: u32,
     rng: u64,
-    config: BackoffConfig,
 }
 
 impl Default for Backoff {
@@ -126,28 +99,27 @@ impl Default for Backoff {
 }
 
 impl Backoff {
-    /// A fresh backoff using the process-wide [`BackoffConfig`].
+    /// A fresh backoff in its cheapest spin step.
     #[inline]
     pub fn new() -> Self {
-        Self::with_config(*process_config(), next_seed())
+        Self::seeded(next_seed())
     }
 
     /// A fresh backoff whose spin phase is spent: for a caller that ran its
     /// own on-core polls first, so its first [`snooze`](Backoff::snooze)
     /// yields.
     pub fn past_spin() -> Self {
-        let mut backoff = Self::new();
-        backoff.step = backoff.config.spin_limit;
-        backoff
+        Self {
+            step: SPIN_STEPS,
+            ..Self::new()
+        }
     }
 
-    /// A backoff with an explicit config and jitter seed (tests, and the
-    /// fault matrix's deterministic schedules).
-    pub fn with_config(config: BackoffConfig, seed: u64) -> Self {
+    /// A backoff with an explicit jitter seed.
+    fn seeded(seed: u64) -> Self {
         Self {
             step: 0,
             rng: splitmix64(seed | 1),
-            config,
         }
     }
 
@@ -175,7 +147,7 @@ impl Backoff {
     /// its doorbell / reply slot instead of sleeping blind).
     #[inline]
     pub fn is_parking(&self) -> bool {
-        !self.config.disabled && self.step >= self.config.spin_limit + YIELD_STEPS
+        self.step >= SPIN_STEPS + YIELD_STEPS
     }
 
     /// Records one failed `compare_exchange` in the global counters, then
@@ -189,24 +161,21 @@ impl Backoff {
     /// Backs off one step through spin → yield → park.
     #[inline]
     pub fn snooze(&mut self) {
-        if self.config.disabled {
-            return;
-        }
         let step = self.step;
         self.step = step.saturating_add(1);
-        if step < self.config.spin_limit {
+        if step < SPIN_STEPS {
             counters::incr_backoff_spin();
             for _ in 0..(1u32 << step.min(16)) {
                 std::hint::spin_loop();
             }
-        } else if step < self.config.spin_limit + YIELD_STEPS {
+        } else if step < SPIN_STEPS + YIELD_STEPS {
             counters::incr_backoff_yield();
             std::thread::yield_now();
         } else {
-            let exp = (step - self.config.spin_limit - YIELD_STEPS).min(self.config.max_exp);
+            let exp = (step - SPIN_STEPS - YIELD_STEPS).min(MAX_PARK_EXP);
             let base = PARK_BASE_NS << exp;
             // Jitter in [base/2, base): decorrelates threads that failed on
-            // the same CAS without ever exceeding the configured cap.
+            // the same CAS without ever exceeding the cap.
             let jittered = base / 2 + self.jitter_u64() % (base / 2).max(1);
             park(jittered);
         }
@@ -235,37 +204,27 @@ pub fn park(duration_ns: u64) {
 mod tests {
     use super::*;
 
-    fn test_config() -> BackoffConfig {
-        BackoffConfig {
-            spin_limit: 2,
-            max_exp: 3,
-            disabled: false,
-        }
-    }
-
     #[test]
     fn same_seed_same_jitter_sequence() {
-        let mut a = Backoff::with_config(test_config(), 42);
-        let mut b = Backoff::with_config(test_config(), 42);
+        let mut a = Backoff::seeded(42);
+        let mut b = Backoff::seeded(42);
         for _ in 0..64 {
             assert_eq!(a.jitter_u64(), b.jitter_u64());
         }
-        let mut c = Backoff::with_config(test_config(), 43);
+        let mut c = Backoff::seeded(43);
         let diverged = (0..64).any(|_| a.jitter_u64() != c.jitter_u64());
         assert!(diverged, "different seeds must decorrelate");
     }
 
     #[test]
     fn phases_escalate_in_order_with_exact_counter_deltas() {
+        // The escalator the docs and EXPERIMENTS.md describe.
+        assert_eq!((SPIN_STEPS, YIELD_STEPS, MAX_PARK_EXP), (6, 4, 10));
         let _serial = crate::counters::test_lock();
         let (s0, y0, p0) = counters::total_backoff();
-        let mut b = Backoff::with_config(test_config(), 7);
-        // spin_limit=2 spins, YIELD_STEPS yields, then parks forever after.
-        for _ in 0..2 {
-            assert!(!b.is_parking());
-            b.snooze();
-        }
-        for _ in 0..YIELD_STEPS {
+        let mut b = Backoff::seeded(7);
+        // SPIN_STEPS spins, YIELD_STEPS yields, then parks forever after.
+        for _ in 0..SPIN_STEPS + YIELD_STEPS {
             assert!(!b.is_parking());
             b.snooze();
         }
@@ -276,7 +235,7 @@ mod tests {
         let (s1, y1, p1) = counters::total_backoff();
         assert_eq!(
             (s1 - s0, y1 - y0, p1 - p0),
-            (2, YIELD_STEPS as u64, 3),
+            (SPIN_STEPS as u64, YIELD_STEPS as u64, 3),
             "each phase must account its own steps"
         );
     }
@@ -298,25 +257,29 @@ mod tests {
     #[test]
     fn park_exponent_is_monotone_and_capped() {
         // The park duration derives from min(step - spins - yields,
-        // max_exp); replicate the arithmetic and check the cap holds.
-        let cfg = test_config();
+        // MAX_PARK_EXP); replicate the arithmetic and check the cap holds.
+        let first_park = SPIN_STEPS + YIELD_STEPS;
         let mut prev_cap = 0u64;
-        for step in (cfg.spin_limit + YIELD_STEPS)..(cfg.spin_limit + YIELD_STEPS + 10) {
-            let exp = (step - cfg.spin_limit - YIELD_STEPS).min(cfg.max_exp);
+        for step in first_park..first_park + MAX_PARK_EXP + 4 {
+            let exp = (step - SPIN_STEPS - YIELD_STEPS).min(MAX_PARK_EXP);
             let cap = PARK_BASE_NS << exp;
             assert!(cap >= prev_cap, "park bound must be monotone");
             assert!(
-                cap <= PARK_BASE_NS << cfg.max_exp,
-                "park bound must respect max_exp"
+                cap <= PARK_BASE_NS << MAX_PARK_EXP,
+                "park bound must respect MAX_PARK_EXP"
             );
             prev_cap = cap;
         }
-        assert_eq!(prev_cap, PARK_BASE_NS << cfg.max_exp, "cap must be reached");
+        assert_eq!(
+            prev_cap,
+            PARK_BASE_NS << MAX_PARK_EXP,
+            "cap must be reached"
+        );
     }
 
     #[test]
     fn jittered_park_duration_stays_in_bounds() {
-        let mut b = Backoff::with_config(test_config(), 99);
+        let mut b = Backoff::seeded(99);
         for exp in 0..4u32 {
             let base = PARK_BASE_NS << exp;
             for _ in 0..256 {
@@ -327,48 +290,15 @@ mod tests {
     }
 
     #[test]
-    fn disabled_short_circuits_everything() {
-        let _serial = crate::counters::test_lock();
-        let cfg = BackoffConfig {
-            disabled: true,
-            ..test_config()
-        };
-        let (s0, y0, p0) = counters::total_backoff();
-        let mut b = Backoff::with_config(cfg, 1);
-        let started = std::time::Instant::now();
-        for _ in 0..10_000 {
-            b.snooze();
-        }
-        assert!(!b.is_parking(), "disabled backoff never reports parking");
-        assert_eq!(
-            counters::total_backoff(),
-            (s0, y0, p0),
-            "disabled backoff must not account steps"
-        );
-        assert!(
-            started.elapsed() < std::time::Duration::from_secs(2),
-            "10k disabled snoozes must be near-instant (no parks)"
-        );
-    }
-
-    #[test]
     fn reset_returns_to_spin_phase() {
         // Snoozes bump the global step counters the exact-delta tests read.
         let _serial = crate::counters::test_lock();
-        let mut b = Backoff::with_config(test_config(), 5);
-        for _ in 0..(2 + YIELD_STEPS) {
+        let mut b = Backoff::seeded(5);
+        for _ in 0..SPIN_STEPS + YIELD_STEPS {
             b.snooze();
         }
         assert!(b.is_parking());
         b.reset();
         assert!(!b.is_parking());
-    }
-
-    #[test]
-    fn default_config_reads_like_the_docs() {
-        let d = BackoffConfig::default();
-        assert_eq!(d.spin_limit, 6);
-        assert_eq!(d.max_exp, 10);
-        assert!(!d.disabled);
     }
 }

@@ -31,7 +31,6 @@ struct Stripe {
     backoff_yield: AtomicU64,
     backoff_park: AtomicU64,
     policy_forced: AtomicU64,
-    env_malformed: AtomicU64,
     shard_respawn: AtomicU64,
     quarantine_domains: AtomicU64,
     quarantine_blocks: AtomicU64,
@@ -46,7 +45,6 @@ const STRIPE_INIT: Stripe = Stripe {
     backoff_yield: AtomicU64::new(0),
     backoff_park: AtomicU64::new(0),
     policy_forced: AtomicU64::new(0),
-    env_malformed: AtomicU64::new(0),
     shard_respawn: AtomicU64::new(0),
     quarantine_domains: AtomicU64::new(0),
     quarantine_blocks: AtomicU64::new(0),
@@ -158,13 +156,6 @@ pub fn incr_policy_scan_forced() {
     stripe().policy_forced.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Records one malformed environment-variable value observed by
-/// [`crate::env`] (the value was ignored and the default used instead).
-#[inline]
-pub fn incr_env_malformed() {
-    stripe().env_malformed.fetch_add(1, Ordering::Relaxed);
-}
-
 /// Total trigger decisions that fired a scan.
 pub fn policy_scans_forced() -> u64 {
     STRIPES_ARR
@@ -209,14 +200,6 @@ pub fn quarantined_blocks() -> u64 {
     STRIPES_ARR
         .iter()
         .map(|s| s.quarantine_blocks.load(Ordering::Relaxed))
-        .sum()
-}
-
-/// Total malformed env-var values seen (and ignored) by [`crate::env`].
-pub fn env_malformed() -> u64 {
-    STRIPES_ARR
-        .iter()
-        .map(|s| s.env_malformed.load(Ordering::Relaxed))
         .sum()
 }
 
@@ -272,11 +255,8 @@ mod tests {
     fn policy_counter_deltas_are_exact() {
         let _serial = test_lock();
         let forced0 = policy_scans_forced();
-        let env0 = env_malformed();
         incr_policy_scan_forced();
-        incr_env_malformed();
         assert_eq!(policy_scans_forced() - forced0, 1);
-        assert_eq!(env_malformed() - env0, 1);
     }
 
     #[test]

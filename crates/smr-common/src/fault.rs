@@ -17,7 +17,7 @@
 //!
 //! # Driving the engine
 //!
-//! Programmatic (tests):
+//! A test builds a plan and installs it:
 //!
 //! ```ignore
 //! let plan = fault::plan()
@@ -28,18 +28,13 @@
 //! drop(plan);                      // disarms, releases all stalls
 //! ```
 //!
-//! Environment (whole-process, e.g. a bench binary):
-//!
-//! * `SMR_FAULT_SCHEDULE="<point>=<action>[@<n>|@every:<n>];..."` with
-//!   actions `delay:<ms>`, `yield:<n>`, `stall`, `panic` (default `@1`).
-//! * `SMR_FAULT_SEED=<u64>` — seeded yield-storm fuzzing: every point hit
-//!   consults a per-thread xorshift PRNG and with probability `1/period`
-//!   (default 1/16, `SMR_FAULT_PERIOD` overrides) performs a short yield
-//!   storm. Decisions are a pure function of the seed and the thread's
-//!   registration order, so a seed reproduces the same per-thread
-//!   injection sequence.
-//! * `SMR_FAULT_STALL_MS=<ms>` — upper bound on any single stall (default
-//!   30 000 ms) so a forgotten release can never hang CI.
+//! `at(point, n, action)` fires on the `n`-th hit, `every(point, n, action)`
+//! on each multiple of `n`. `seeded(seed, period)` adds yield-storm fuzzing:
+//! every hit no trigger matches consults a per-thread xorshift PRNG and with
+//! probability `1/period` performs a short yield storm. Decisions are a pure function of
+//! the seed and the thread's registration order, so a seed reproduces the
+//! same per-thread injection sequence. No stall outlives 30 s, so a
+//! forgotten release can never hang CI.
 //!
 //! Every taken injection is recorded; `take_log` returns the log for
 //! determinism assertions (same seed ⇒ same log).
@@ -61,8 +56,8 @@ macro_rules! fault_point {
 ///
 /// The `fault-injection` feature is enabled, so this forwards to
 /// [`fault::hit`](crate::fault::hit), which consults the installed
-/// [`FaultPlan`](crate::fault::FaultPlan) (or the `SMR_FAULT_*`
-/// environment schedule) and may stall, delay, yield, or panic here.
+/// [`FaultPlan`](crate::fault::FaultPlan) and may stall, delay, yield, or
+/// panic here.
 #[cfg(feature = "fault-injection")]
 #[macro_export]
 macro_rules! fault_point {
@@ -80,7 +75,7 @@ pub use engine::{
 #[cfg(feature = "fault-injection")]
 mod engine {
     use std::collections::{HashMap, HashSet};
-    use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
     use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
     use std::time::{Duration, Instant};
 
@@ -92,7 +87,7 @@ mod engine {
         /// Call `yield_now` this many times (an unlucky scheduling burst).
         YieldStorm(u32),
         /// Park until [`release`]/[`release_all`] (a stalled thread). A
-        /// stall never outlives `SMR_FAULT_STALL_MS` (default 30 s).
+        /// stall never outlives 30 s.
         Stall,
         /// Panic with an `"injected fault"` payload (a dying thread; the
         /// test catches it at the thread or `catch_unwind` boundary).
@@ -150,10 +145,10 @@ mod engine {
         parked: HashMap<String, usize>,
     }
 
-    /// 0 = uninitialized, 1 = disarmed, 2 = armed.
-    static STATE: AtomicU8 = AtomicU8::new(0);
-    /// Whether an environment schedule armed the process at startup.
-    static ENV_ARMED: OnceLock<bool> = OnceLock::new();
+    /// Whether a plan is installed.
+    static ARMED: AtomicBool = AtomicBool::new(false);
+    /// Upper bound on any single stall.
+    const STALL_MAX: Duration = Duration::from_secs(30);
     /// Threads get a stable index in registration order for seeded PRNGs.
     static THREAD_SEQ: AtomicUsize = AtomicUsize::new(0);
     static PLAN_EPOCH: AtomicU64 = AtomicU64::new(0);
@@ -188,17 +183,6 @@ mod engine {
 
     fn lock_config() -> MutexGuard<'static, Config> {
         config().lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn stall_max() -> Duration {
-        static MAX: OnceLock<Duration> = OnceLock::new();
-        *MAX.get_or_init(|| {
-            std::env::var("SMR_FAULT_STALL_MS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .map(Duration::from_millis)
-                .unwrap_or(Duration::from_secs(30))
-        })
     }
 
     fn splitmix64(mut x: u64) -> u64 {
@@ -246,94 +230,13 @@ mod engine {
         }
     }
 
-    /// Parses an `SMR_FAULT_SCHEDULE` string.
-    ///
-    /// Grammar: `point=action[@n|@every:n]` entries separated by `;`.
-    /// Actions: `delay:<ms>`, `yield:<n>`, `stall`, `panic`.
-    fn parse_schedule(s: &str) -> Vec<(String, Trigger)> {
-        let mut out = Vec::new();
-        for entry in s.split(';').map(str::trim).filter(|e| !e.is_empty()) {
-            let Some((point, rest)) = entry.split_once('=') else {
-                eprintln!("SMR_FAULT_SCHEDULE: ignoring malformed entry {entry:?}");
-                continue;
-            };
-            let (action_str, when) = match rest.split_once('@') {
-                Some((a, w)) => (a, Some(w)),
-                None => (rest, None),
-            };
-            let action = match action_str.split_once(':') {
-                Some(("delay", ms)) => ms
-                    .parse()
-                    .ok()
-                    .map(|ms| FaultAction::Delay(Duration::from_millis(ms))),
-                Some(("yield", n)) => n.parse().ok().map(FaultAction::YieldStorm),
-                None if action_str == "stall" => Some(FaultAction::Stall),
-                None if action_str == "panic" => Some(FaultAction::Panic),
-                _ => None,
-            };
-            let Some(action) = action else {
-                eprintln!("SMR_FAULT_SCHEDULE: ignoring bad action in {entry:?}");
-                continue;
-            };
-            let (nth, every) = match when {
-                None => (1, false),
-                Some(w) => match w.strip_prefix("every:") {
-                    Some(n) => match n.parse() {
-                        Ok(n) => (n, true),
-                        Err(_) => continue,
-                    },
-                    None => match w.parse() {
-                        Ok(n) => (n, false),
-                        Err(_) => continue,
-                    },
-                },
-            };
-            if nth == 0 {
-                continue;
-            }
-            out.push((point.trim().to_string(), Trigger { nth, every, action }));
-        }
-        out
-    }
-
-    fn init_from_env() {
-        let mut armed = false;
-        {
-            let mut cfg = lock_config();
-            if let Ok(s) = std::env::var("SMR_FAULT_SCHEDULE") {
-                for (point, trig) in parse_schedule(&s) {
-                    cfg.points.entry(point).or_default().triggers.push(trig);
-                    armed = true;
-                }
-            }
-            if let Ok(seed) = std::env::var("SMR_FAULT_SEED") {
-                if let Ok(seed) = seed.parse() {
-                    let period = std::env::var("SMR_FAULT_PERIOD")
-                        .ok()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&p| p > 0)
-                        .unwrap_or(16);
-                    cfg.seeded = Some((seed, period));
-                    armed = true;
-                }
-            }
-        }
-        let _ = ENV_ARMED.set(armed);
-        STATE.store(if armed { 2 } else { 1 }, Ordering::Release);
-    }
-
     /// Records a hit of `name` and performs whatever the active schedule
     /// asks for. Called by [`fault_point!`](crate::fault_point); not meant
     /// to be invoked directly.
     #[inline]
     pub fn hit(name: &'static str) {
-        match STATE.load(Ordering::Acquire) {
-            1 => (),
-            0 => {
-                init_from_env();
-                hit(name);
-            }
-            _ => on_hit(name),
+        if ARMED.load(Ordering::Acquire) {
+            on_hit(name);
         }
     }
 
@@ -383,11 +286,11 @@ mod engine {
         let mut st = m.lock().unwrap_or_else(|e| e.into_inner());
         let my_gen = st.generation;
         *st.parked.entry(name.to_string()).or_insert(0) += 1;
-        let deadline = Instant::now() + stall_max();
+        let deadline = Instant::now() + STALL_MAX;
         while st.generation == my_gen && !st.released.contains(name) {
             let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
-                eprintln!("fault: stall at {name} hit SMR_FAULT_STALL_MS, resuming");
+                eprintln!("fault: stall at {name} outlived {STALL_MAX:?}, resuming");
                 break;
             }
             let (g, _) = cv
@@ -491,7 +394,7 @@ mod engine {
 
         /// Adds seeded yield-storm fuzzing on every point not matched by an
         /// explicit trigger (probability `1/period` per hit, per-thread
-        /// deterministic — see the module docs).
+        /// deterministic; see the module docs).
         pub fn seeded(mut self, seed: u64, period: u64) -> Self {
             assert!(period > 0);
             self.seeded = Some((seed, period));
@@ -519,7 +422,7 @@ mod engine {
                 let mut st = m.lock().unwrap_or_else(|e| e.into_inner());
                 st.released.clear();
             }
-            STATE.store(2, Ordering::Release);
+            ARMED.store(true, Ordering::Release);
             InstalledPlan { _serial: serial }
         }
     }
@@ -532,8 +435,7 @@ mod engine {
     impl Drop for InstalledPlan {
         fn drop(&mut self) {
             // Disarm first so no new stall can begin, then free the parked.
-            let env_armed = ENV_ARMED.get().copied().unwrap_or(false);
-            STATE.store(if env_armed { 2 } else { 1 }, Ordering::Release);
+            ARMED.store(false, Ordering::Release);
             {
                 let mut cfg = lock_config();
                 cfg.points.clear();
@@ -547,28 +449,6 @@ mod engine {
     #[cfg(test)]
     mod tests {
         use super::*;
-
-        #[test]
-        fn schedule_grammar_parses() {
-            let v = parse_schedule(
-                "hp::reclaim::before_fence=panic@3; ebr::pin::before_validate=yield:4@every:10; \
-                 a::b=stall; c::d=delay:25@2; junk; e=flyswat:9",
-            );
-            assert_eq!(v.len(), 4);
-            assert_eq!(v[0].0, "hp::reclaim::before_fence");
-            assert!(matches!(v[0].1.action, FaultAction::Panic));
-            assert!(!v[0].1.every);
-            assert_eq!(v[0].1.nth, 3);
-            assert!(v[1].1.every);
-            assert_eq!(v[1].1.nth, 10);
-            assert!(matches!(v[1].1.action, FaultAction::YieldStorm(4)));
-            assert!(matches!(v[2].1.action, FaultAction::Stall));
-            assert_eq!(v[2].1.nth, 1);
-            assert!(matches!(
-                v[3].1.action,
-                FaultAction::Delay(d) if d == Duration::from_millis(25)
-            ));
-        }
 
         #[test]
         fn hits_count_and_triggers_fire() {
@@ -591,10 +471,7 @@ mod engine {
 
         #[test]
         fn uninstalled_points_are_silent() {
-            // No plan (and no env in the test environment): hits fall
-            // through without recording. Install and drop a plan first so
-            // STATE is definitely resolved past the env probe.
-            drop(plan().install());
+            // No plan: hits fall through without recording.
             hit("test::point::silent");
             let _plan = plan().install();
             assert_eq!(hits("test::point::silent"), 0);
@@ -635,12 +512,16 @@ mod engine {
 
         #[test]
         fn seeded_decisions_replay_for_same_seed() {
+            // Only this test's own entries: a parallel test crossing a real
+            // point (`backoff::park`) while the plan is armed is logged too.
             let run = |seed: u64| -> Vec<LogEntry> {
                 let _plan = plan().seeded(seed, 4).install();
                 for _ in 0..200 {
                     hit("test::point::seeded");
                 }
-                take_log()
+                let mut log = take_log();
+                log.retain(|e| e.point.starts_with("test::point::"));
+                log
             };
             let a = run(42);
             let b = run(42);

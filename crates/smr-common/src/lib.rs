@@ -14,7 +14,7 @@
 //!   benchmark harness to reproduce the paper's "unreclaimed blocks"
 //!   figures and to report CAS retry/backoff rates.
 //! * [`backoff`] — the spin/yield/park exponential [`Backoff`] threaded
-//!   through every CAS retry loop in `crates/ds` (knob: `SMR_NO_BACKOFF`).
+//!   through every CAS retry loop in `crates/ds`.
 //! * [`map`] — the [`ConcurrentMap`] trait every
 //!   benchmarked structure implements, plus the [`GuardedScheme`]
 //!   abstraction shared by the guard-based schemes (NR, EBR, PEBR,
@@ -51,8 +51,6 @@
 //! * [`pool`] — the per-thread block pool node allocation and
 //!   [`Retired::free`] go through, so a reclaim pass feeds the next inserts
 //!   without the allocator.
-//! * [`mod@env`] — shared env-var parsing with malformed-value accounting
-//!   (one warning + one [`counters::env_malformed`] bump per bad value).
 
 #![warn(missing_docs)]
 
@@ -61,7 +59,6 @@ pub mod backoff;
 pub mod bags;
 pub mod counters;
 pub mod domain;
-pub mod env;
 pub mod epoch;
 pub mod fault;
 pub mod fence;

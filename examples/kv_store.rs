@@ -7,13 +7,13 @@
 //! dominate, entries churn via invalidation and refresh, and memory must
 //! stay bounded under constant replacement (the class behind the paper's
 //! HashMap rows, Fig. 8/11) — but the map now lives behind the service:
-//! keys route to `KV_SHARDS` shards, each shard's worker drains commands
+//! keys route to one shard per core, each shard's worker drains commands
 //! in batches from a bounded ring, and each shard retires into its own
 //! HP++ domain, so one slow shard cannot hold back its siblings' memory.
 //!
-//! Environment knobs (`KvConfig::from_env`; see EXPERIMENTS.md):
-//! `KV_SHARDS`, `KV_BATCH`, `KV_RING`, `KV_OP_TIMEOUT_MS`,
-//! `KV_OP_RETRIES`.
+//! The service runs on `KvConfig::new()`'s defaults; its fields and
+//! builders (`with_shards`, `with_op_timeout`, …) are the one way to
+//! change them.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Instant;
@@ -23,7 +23,7 @@ use kv_service::{Command, KvConfig, KvService};
 const SESSIONS: u64 = 100_000;
 
 fn main() {
-    let cfg = KvConfig::from_env();
+    let cfg = KvConfig::new();
     let shards = cfg.shards;
     // Default store: HP++, one private domain per shard.
     let svc: KvService = KvService::start(cfg);

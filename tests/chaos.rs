@@ -60,8 +60,16 @@ const NOISE_POINTS: &[&str] = &[
     "hpp::try_unlink::mid_invalidation",
 ];
 
+/// `name`'s value, or `default` when unset. A set value that is not a
+/// positive integer panics: a typo must not silently run the default.
 fn knob(name: &str, default: u64) -> u64 {
-    smr_common::env::parse_u64(name).filter(|&v| v > 0).unwrap_or(default)
+    let Ok(raw) = std::env::var(name) else {
+        return default;
+    };
+    match raw.trim().parse() {
+        Ok(v) if v > 0 => v,
+        _ => panic!("{name}={raw:?} is not a positive integer"),
+    }
 }
 
 /// The campaign PRNG: every random decision flows through this, so the

@@ -43,9 +43,9 @@ fn schedule_is_deterministic_for_same_seed() {
 
 fn schedule_is_deterministic_for_same_seed_body() {
     // Same seed + same single-threaded operation sequence must replay the
-    // exact same injection log (the acceptance criterion for
-    // `SMR_FAULT_SEED` reproducibility). Both runs execute on this thread,
-    // so the per-thread PRNG reseeds identically on each plan install.
+    // exact same injection log (the acceptance criterion for seeded-plan
+    // reproducibility). Both runs execute on this thread, so the per-thread
+    // PRNG reseeds identically on each plan install.
     fn run(seed: u64) -> Vec<fault::LogEntry> {
         let _plan = fault::plan().seeded(seed, 4).install();
         let d: &'static hp::Domain = Box::leak(Box::new(hp::Domain::new()));
@@ -929,18 +929,11 @@ fn backoff_parked_thread_keeps_garbage_bounded_and_drains_body() {
         let hp = t.hazard_pointer();
         let p = slot.load(std::sync::atomic::Ordering::Acquire);
         let _ = hp.try_protect(p, slot);
-        // Mid-retry-loop: escalate a tiny-config backoff into the park
-        // phase while the protection is still published. The first park
-        // stalls on the fault point; later snoozes (after release) are
-        // 1 µs sleeps.
-        let mut b = smr_common::backoff::Backoff::with_config(
-            smr_common::backoff::BackoffConfig {
-                spin_limit: 0,
-                max_exp: 0,
-                disabled: false,
-            },
-            0xBACC0FF,
-        );
+        // Mid-retry-loop: escalate a backoff into the park phase while the
+        // protection is still published. Six spins and four yields come
+        // first; the 11th snooze's park stalls on the fault point, and
+        // later snoozes (after release) are sleeps of at most 32 µs.
+        let mut b = smr_common::Backoff::new();
         for _ in 0..16 {
             b.snooze();
         }
@@ -1367,17 +1360,11 @@ fn all_fault_points_are_reachable_body() {
         let m: ds::guarded::EFRBTree<u64, u64, ebr::Ebr> = ConcurrentMap::new();
         assert!(m.insert(&mut m.handle(), 1, 1));
     }
-    // smr-common: escalate a tiny-config backoff into its park phase.
+    // smr-common: escalate a backoff past its six spins and four yields
+    // into its park phase.
     {
-        let mut b = smr_common::backoff::Backoff::with_config(
-            smr_common::backoff::BackoffConfig {
-                spin_limit: 0,
-                max_exp: 0,
-                disabled: false,
-            },
-            1,
-        );
-        for _ in 0..8 {
+        let mut b = smr_common::Backoff::new();
+        for _ in 0..11 {
             b.snooze();
         }
     }

@@ -2,45 +2,25 @@
 //!
 //! Scans the workspace's Rust sources — `crates/*/{src,benches,tests}`
 //! (not `crates/vendor`) and the root `src/`, `tests/` and `examples/` —
-//! for names passed to `smr_common::env::parse_*` or `std::env::var` /
-//! `var_os`: as a string literal, or through a same-file helper that
-//! forwards its name argument to one (`env_usize("KV_SHARDS")`). That set
-//! must equal [`KNOBS`], and DESIGN.md or EXPERIMENTS.md must document each
-//! knob, so a new knob is added on purpose and a deleted one leaves the
-//! list.
+//! for names passed to `std::env::var` / `var_os`: as a string literal, or
+//! through a same-file helper that forwards its name argument to one
+//! (`knob("SMR_CHAOS_SEED", ..)`). That set must equal [`KNOBS`], and
+//! DESIGN.md or EXPERIMENTS.md must document each knob, so a new knob is
+//! added on purpose and a deleted one leaves the list.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 /// Every knob the workspace reads.
 const KNOBS: &[&str] = &[
-    "HPP_INVALIDATE_PERIOD",
-    "KV_BATCH",
-    "KV_OP_RETRIES",
-    "KV_OP_TIMEOUT_MS",
-    "KV_RING",
-    "KV_SHARDS",
     "SMR_CHAOS_OPS",
     "SMR_CHAOS_POINTS",
     "SMR_CHAOS_SEED",
-    "SMR_FAULT_PERIOD",
-    "SMR_FAULT_SCHEDULE",
-    "SMR_FAULT_SEED",
-    "SMR_FAULT_STALL_MS",
-    "SMR_NO_BACKOFF",
     "SMR_NO_MEMBARRIER",
-    "SMR_NO_PIN",
 ];
 
 /// Functions that read the environment by name.
-const READERS: &[&str] = &[
-    "parse_usize",
-    "parse_u32",
-    "parse_u64",
-    "parse_bool",
-    "var",
-    "var_os",
-];
+const READERS: &[&str] = &["var", "var_os"];
 
 fn is_ident(c: char) -> bool {
     c.is_ascii_alphanumeric() || c == '_'
@@ -144,12 +124,12 @@ fn workspace_sources(root: &Path) -> Vec<PathBuf> {
 #[test]
 fn the_census_finds_literal_and_forwarded_names() {
     let src = r#"
-        fn env_usize(name: &str) -> Option<usize> {
-            smr_common::env::parse_usize(name).filter(|&n| n > 0)
+        fn knob(name: &str) -> Option<String> {
+            std::env::var(name).ok().filter(|v| !v.is_empty())
         }
         fn direct() { let _ = std::env::var_os("DIRECT"); std::env::set_var("NOT_READ", "1"); }
-        fn cfg() { env_usize("FORWARDED"); my_env_usize("OTHER_FN"); }
-        fn closure() { let read = |name: &str| env::parse_u64(name); read("VIA_CLOSURE"); }
+        fn cfg() { knob("FORWARDED"); my_knob("OTHER_FN"); }
+        fn closure() { let read = |name: &str| env::var(name); read("VIA_CLOSURE"); }
         // `std::env::var(..)` in prose names nothing.
     "#;
     let mut found = BTreeSet::new();
