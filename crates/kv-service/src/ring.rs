@@ -58,6 +58,7 @@ use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 use smr_common::time::mono_ns;
+use smr_common::util::prefetch;
 use smr_common::{counters, Backoff, CachePadded};
 
 use crate::ShardDown;
@@ -257,6 +258,13 @@ impl ResponseSlot {
     /// `poll` that read that write sees it.
     fn wake_was_sent(&self) -> bool {
         self.woke.load(Relaxed)
+    }
+
+    /// Client side: hints the lines [`poll`](Self::poll) reads (`state` and
+    /// `value`) into this core's cache, ahead of the poll.
+    pub(crate) fn prefetch(&self) {
+        prefetch(&self.state);
+        prefetch(&self.value);
     }
 
     /// Client side: non-blocking result check of the slot lent in state
