@@ -21,7 +21,9 @@ pub fn run(flags: &Flags) -> Result<i32, String> {
     let log = flags.has("--log");
 
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let mut lines = text.lines().filter(|l| !l.is_empty() && !l.starts_with('#'));
+    let mut lines = text
+        .lines()
+        .filter(|l| !l.is_empty() && !l.starts_with('#'));
     let header: Vec<&str> = lines.next().unwrap_or_default().split(',').collect();
     let col = |name: &str| {
         header

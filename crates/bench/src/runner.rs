@@ -360,7 +360,10 @@ mod tests {
                 ..sc
             };
             let stats = run(&sc).expect("bag pair must be applicable");
-            assert!(stats.throughput_mops > 0.0, "{ds}/{scheme} must make progress");
+            assert!(
+                stats.throughput_mops > 0.0,
+                "{ds}/{scheme} must make progress"
+            );
         }
     }
 

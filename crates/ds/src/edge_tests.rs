@@ -37,7 +37,10 @@ fn string_values<M: ConcurrentMap<u64, String>>() {
         assert!(m.insert(&mut h, k, format!("value-{k}")));
     }
     for k in 0..64u64 {
-        assert_eq!(m.get(&mut h, &k).as_deref(), Some(format!("value-{k}").as_str()));
+        assert_eq!(
+            m.get(&mut h, &k).as_deref(),
+            Some(format!("value-{k}").as_str())
+        );
     }
     for k in (0..64u64).step_by(2) {
         assert_eq!(m.remove(&mut h, &k), Some(format!("value-{k}")));

@@ -524,7 +524,10 @@ mod tests {
                     }
                 });
                 while fault::stalled_count(POINT) == 0 {
-                    assert!(!inserter.is_finished(), "the inserter never reached {POINT}");
+                    assert!(
+                        !inserter.is_finished(),
+                        "the inserter never reached {POINT}"
+                    );
                     std::thread::yield_now();
                 }
                 // Level 0 is linked, so the key is present: this marks the
@@ -561,7 +564,10 @@ mod tests {
             let m: SkipList<u64, Canary, nr::Nr> = SkipList::new();
             remove_during_tower_build(&m, &Default::default());
             let linked = linked_levels(&m);
-            assert!(linked.is_empty(), "removed node still linked at levels {linked:?}");
+            assert!(
+                linked.is_empty(),
+                "removed node still linked at levels {linked:?}"
+            );
         }
 
         /// The same schedule under EBR, where the removed node is reclaimed:
@@ -583,9 +589,16 @@ mod tests {
                 h.pin().flush();
                 std::thread::yield_now();
             }
-            assert_eq!(frees.load(Relaxed), inserted, "every removed node is freed once");
+            assert_eq!(
+                frees.load(Relaxed),
+                inserted,
+                "every removed node is freed once"
+            );
             let linked = linked_levels(&m);
-            assert!(linked.is_empty(), "freed node still linked at levels {linked:?}");
+            assert!(
+                linked.is_empty(),
+                "freed node still linked at levels {linked:?}"
+            );
         }
     }
 }

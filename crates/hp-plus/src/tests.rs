@@ -45,7 +45,8 @@ unsafe impl Invalidate for Node {
     unsafe fn invalidate(ptr: *mut Self) {
         let node = unsafe { &*ptr };
         let cur = node.next.load(Relaxed);
-        node.next.store(cur.with_tag(cur.tag() | TAG_INVALIDATED), Release);
+        node.next
+            .store(cur.with_tag(cur.tag() | TAG_INVALIDATED), Release);
     }
 }
 
@@ -138,7 +139,10 @@ fn protect_follows_changed_link() {
         a.deref().is_invalid()
     });
     assert!(ok);
-    assert!(ptr.ptr_eq(c), "protection must retarget to the new link value");
+    assert!(
+        ptr.ptr_eq(c),
+        "protection must retarget to the new link value"
+    );
 
     drop(hp);
     unsafe {
@@ -232,9 +236,11 @@ fn frontier_protection_blocks_reclamation_of_frontier() {
 
     let (head, a, b, c) = chain3();
     let ok = unsafe {
-        t2.try_unlink(&[c], || match head.compare_exchange(a, c, AcqRel, Acquire) {
-            Ok(_) => Some(Unlinked::new(vec![a, b])),
-            Err(_) => None,
+        t2.try_unlink(&[c], || {
+            match head.compare_exchange(a, c, AcqRel, Acquire) {
+                Ok(_) => Some(Unlinked::new(vec![a, b])),
+                Err(_) => None,
+            }
         })
     };
     assert!(ok);
@@ -254,7 +260,11 @@ fn frontier_protection_blocks_reclamation_of_frontier() {
     // hazard pointer, so it must survive.
     t3.do_invalidation();
     t3.reclaim();
-    assert_eq!(unsafe { c.deref() }.value, 3, "frontier node freed too early");
+    assert_eq!(
+        unsafe { c.deref() }.value,
+        3,
+        "frontier node freed too early"
+    );
 
     // Once t2 flushes (invalidating a,b and revoking the frontier hp after
     // a fence), everything can go.
@@ -271,9 +281,11 @@ fn epoched_hps_are_revoked_lazily() {
     let (head, a, b, c) = chain3();
 
     let ok = unsafe {
-        t.try_unlink(&[c], || match head.compare_exchange(a, c, AcqRel, Acquire) {
-            Ok(_) => Some(Unlinked::new(vec![a, b])),
-            Err(_) => None,
+        t.try_unlink(&[c], || {
+            match head.compare_exchange(a, c, AcqRel, Acquire) {
+                Ok(_) => Some(Unlinked::new(vec![a, b])),
+                Err(_) => None,
+            }
         })
     };
     assert!(ok);
@@ -308,9 +320,11 @@ fn array_pair_unlink_frees_both() {
     let (head, a, b, c) = chain3();
 
     let ok = unsafe {
-        t.try_unlink(&[c], || match head.compare_exchange(a, c, AcqRel, Acquire) {
-            Ok(_) => Some([a, b]),
-            Err(_) => None,
+        t.try_unlink(&[c], || {
+            match head.compare_exchange(a, c, AcqRel, Acquire) {
+                Ok(_) => Some([a, b]),
+                Err(_) => None,
+            }
         })
     };
     assert!(ok);

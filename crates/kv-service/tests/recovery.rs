@@ -27,7 +27,9 @@ use smr_common::watchdog::WatchdogStatus;
 
 fn serial() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(())).lock().unwrap_or_else(|e| e.into_inner())
+    LOCK.get_or_init(|| Mutex::new(()))
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
 }
 
 fn wait_for(what: &str, mut cond: impl FnMut() -> bool) {
@@ -40,7 +42,10 @@ fn wait_for(what: &str, mut cond: impl FnMut() -> bool) {
 
 /// First `n` keys routed to `shard` under the service's key mixer.
 fn keys_for<S: ShardStore>(svc: &KvService<S>, shard: usize, n: usize) -> Vec<u64> {
-    (0u64..).filter(|&k| svc.shard_of(k) == shard).take(n).collect()
+    (0u64..)
+        .filter(|&k| svc.shard_of(k) == shard)
+        .take(n)
+        .collect()
 }
 
 fn run_campaign(shards: usize, crashes: &[usize]) {
@@ -87,7 +92,11 @@ fn run_campaign(shards: usize, crashes: &[usize]) {
             svc.generation(target).0 > prev
         });
         expected_gen[target] = prev + 1;
-        assert_eq!(svc.generation(target).0, prev + 1, "generation must bump by exactly one");
+        assert_eq!(
+            svc.generation(target).0,
+            prev + 1,
+            "generation must bump by exactly one"
+        );
 
         // The respawned incarnation serves traffic again.
         let probe = keys_for(&svc, target, 1)[0];
@@ -102,10 +111,17 @@ fn run_campaign(shards: usize, crashes: &[usize]) {
     for i in 0..shards {
         let records = svc.quarantine_records(i);
         let hits = crashes.iter().filter(|&&t| t == i).count();
-        assert_eq!(records.len(), hits, "shard {i}: one quarantine record per crash");
+        assert_eq!(
+            records.len(),
+            hits,
+            "shard {i}: one quarantine record per crash"
+        );
         assert_eq!(svc.generation(i).0, hits as u64);
         for (k, r) in records.iter().enumerate() {
-            assert_eq!(r.generation, k as u64, "shard {i}: record generations must be monotone");
+            assert_eq!(
+                r.generation, k as u64,
+                "shard {i}: record generations must be monotone"
+            );
             if let Some(bound) = r.bound {
                 assert!(
                     r.settled_garbage <= bound,

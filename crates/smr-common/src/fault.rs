@@ -503,10 +503,7 @@ mod engine {
                 .install();
             hit("test::point::boom");
             let err = std::panic::catch_unwind(|| hit("test::point::boom")).unwrap_err();
-            let msg = err
-                .downcast_ref::<String>()
-                .cloned()
-                .unwrap_or_default();
+            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
             assert!(msg.contains("injected fault"), "payload: {msg}");
         }
 

@@ -29,7 +29,9 @@ fn main() {
                 let mut handle = index.handle();
                 let mut price = 10_000 + t;
                 for qty in 0..60_000u64 {
-                    price = (price.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407))
+                    price = (price
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407))
                         % 20_000;
                     if index.insert(&mut handle, price, qty) {
                         posted.fetch_add(1, Relaxed);

@@ -153,7 +153,9 @@ fn crash_and_verify(svc: &KvService<HppStore>, client: &mut Client<HppStore>, sh
     assert!(svc.generation(shard).0 > gen_before, "generation must bump");
     // The killed shard serves again. A scheduled panic may kill it a
     // second time mid-probe, so allow a few attempts — each within budget.
-    let probe = (0u64..).find(|&k| svc.shard_of(k) == shard).expect("mixer covers every shard");
+    let probe = (0u64..)
+        .find(|&k| svc.shard_of(k) == shard)
+        .expect("mixer covers every shard");
     let mut served = false;
     for _ in 0..5 {
         let t0 = Instant::now();
@@ -221,7 +223,10 @@ fn run_campaign(seed: u64, ops: u64, points: u64) -> Vec<LogEntry> {
                 );
             }
             if let Some(p) = prev {
-                assert!(r.generation > p, "shard {i}: record generations must be monotone");
+                assert!(
+                    r.generation > p,
+                    "shard {i}: record generations must be monotone"
+                );
             }
             prev = Some(r.generation);
             total_settled += r.settled_garbage;
@@ -260,8 +265,11 @@ fn run_campaign(seed: u64, ops: u64, points: u64) -> Vec<LogEntry> {
 /// order they land in the log.
 fn normalized(mut log: Vec<LogEntry>) -> Vec<LogEntry> {
     log.sort_by(|a, b| {
-        (&a.point, a.hit, format!("{:?}", a.action))
-            .cmp(&(&b.point, b.hit, format!("{:?}", b.action)))
+        (&a.point, a.hit, format!("{:?}", a.action)).cmp(&(
+            &b.point,
+            b.hit,
+            format!("{:?}", b.action),
+        ))
     });
     log
 }
@@ -282,7 +290,10 @@ fn same_seed_replays_identical_injection_log() {
     let a = normalized(run_campaign(seed, 600, DEFAULT_POINTS));
     let b = normalized(run_campaign(seed, 600, DEFAULT_POINTS));
     assert!(!a.is_empty(), "campaign must take injections");
-    assert_eq!(a, b, "same seed must replay the same injection set (seed {seed:#x})");
+    assert_eq!(
+        a, b,
+        "same seed must replay the same injection set (seed {seed:#x})"
+    );
 }
 
 #[test]
@@ -293,7 +304,9 @@ fn stalled_worker_turns_into_deadline_errors_then_recovers() {
     // not hang — and once the stall releases, the shard serves again on
     // its *original* generation: a slow worker is not a dead worker, so
     // supervision must not have respawned anything.
-    let _plan = fault::plan().at("kv::worker::batch", 2, FaultAction::Stall).install();
+    let _plan = fault::plan()
+        .at("kv::worker::batch", 2, FaultAction::Stall)
+        .install();
     let svc = KvService::<HppStore>::start(
         KvConfig {
             shards: 1,
@@ -319,7 +332,11 @@ fn stalled_worker_turns_into_deadline_errors_then_recovers() {
     );
     fault::release("kv::worker::batch");
     assert_eq!(client.get(1), Ok(Some(11)), "released worker serves again");
-    assert_eq!(svc.generation(0).0, 0, "a stalled worker must not be respawned");
+    assert_eq!(
+        svc.generation(0).0,
+        0,
+        "a stalled worker must not be respawned"
+    );
     assert_eq!(svc.health().shards[0].respawns, 0);
     svc.shutdown();
 }

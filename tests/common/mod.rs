@@ -51,7 +51,11 @@ pub fn check_sequential<M: ConcurrentMap<u64, u64>>(steps: u64, key_space: u64, 
                 }
             }
             1 => {
-                assert_eq!(m.remove(&mut h, &key), model.remove(&key), "remove({key})@{i}");
+                assert_eq!(
+                    m.remove(&mut h, &key),
+                    model.remove(&key),
+                    "remove({key})@{i}"
+                );
             }
             _ => {
                 assert_eq!(

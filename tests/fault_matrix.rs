@@ -196,9 +196,7 @@ fn ebr_stalled_pin_wedges_epoch_and_watchdog_reports_growth_body() {
         g.flush(); // tries to advance; wedged behind the stalled pin
         drop(g);
         let garbage = created - DROPS.load(Relaxed);
-        if let s @ WatchdogStatus::GrowingUnbounded { .. } =
-            watchdog.observe(c.epoch(), garbage)
-        {
+        if let s @ WatchdogStatus::GrowingUnbounded { .. } = watchdog.observe(c.epoch(), garbage) {
             saw_growth = Some(s);
             break;
         }
@@ -329,16 +327,25 @@ where
     };
     std::thread::scope(|s| {
         let reader = s.spawn(|| m.get(&mut m.handle(), &TARGET));
-        wait_for("the reader to stall mid-traversal", || fault::stalled_count(POINT) == 1);
+        wait_for("the reader to stall mid-traversal", || {
+            fault::stalled_count(POINT) == 1
+        });
 
         let mut reclaimer = collector.register();
         retire(&mut reclaimer, collector.garbage_bound(1).unwrap());
-        assert!(fault::hits("pebr::eject::after_mark") > 0, "the reader was ejected");
+        assert!(
+            fault::hits("pebr::eject::after_mark") > 0,
+            "the reader was ejected"
+        );
         // The ejected pin still blocks the epoch (the model never frees
         // under a live pin): one advance past it, no further.
         let wedged = collector.epoch();
         retire(&mut reclaimer, 2 * pebr::COLLECT_THRESHOLD);
-        assert_eq!(collector.epoch(), wedged, "the stale pin must hold the epoch");
+        assert_eq!(
+            collector.epoch(),
+            wedged,
+            "the stale pin must hold the epoch"
+        );
 
         // (`release(POINT)` would leave the gate open for the second stall.)
         fault::release_all();
@@ -350,17 +357,28 @@ where
         // which the stale pin did not allow. One retire only: a second
         // collection would find the reader behind again and re-eject it.
         retire(&mut reclaimer, 1);
-        assert_eq!(collector.epoch(), wedged + 1, "the restart must have re-pinned");
+        assert_eq!(
+            collector.epoch(),
+            wedged + 1,
+            "the restart must have re-pinned"
+        );
 
         fault::release_all();
         let got = reader.join().expect("reader panicked");
-        assert_eq!(got, model.get(&TARGET).copied(), "result differs from the model");
+        assert_eq!(
+            got,
+            model.get(&TARGET).copied(),
+            "result differs from the model"
+        );
     });
     // Crossing 1 was thrown away by the ejection and the restart began at
     // the root again: it made a full traversal's worth of crossings — the
     // list's undisturbed count exactly, the skiplist's at least (its
     // restart runs the helping `find`, which also descends to level 0).
-    assert!(fault::hits(POINT) > undisturbed, "the reader did not restart from the root");
+    assert!(
+        fault::hits(POINT) > undisturbed,
+        "the reader did not restart from the root"
+    );
     drop(plan);
 }
 
@@ -381,8 +399,16 @@ fn hpp_mid_invalidation_preemption_leaks_nothing_body() {
             1,
             FaultAction::YieldStorm(20),
         )
-        .every("hpp::try_unlink::after_frontier", 3, FaultAction::YieldStorm(10))
-        .every("hpp::reclaim::before_revoke", 2, FaultAction::YieldStorm(15))
+        .every(
+            "hpp::try_unlink::after_frontier",
+            3,
+            FaultAction::YieldStorm(10),
+        )
+        .every(
+            "hpp::reclaim::before_revoke",
+            2,
+            FaultAction::YieldStorm(15),
+        )
         .install();
 
     let before = smr_common::counters::garbage_now();
@@ -452,7 +478,10 @@ fn hpp_panic_mid_invalidation_leaks_nothing_body() {
         })
         .join()
     });
-    assert!(churn.is_err(), "the churner must have died mid-invalidation");
+    assert!(
+        churn.is_err(),
+        "the churner must have died mid-invalidation"
+    );
     drop(plan);
 
     let mut t = d.register();
@@ -706,7 +735,10 @@ fn ebr_retire_storm_under_stalled_collector_grows_then_drains_body() {
         }
         std::thread::sleep(Duration::from_millis(2));
     }
-    assert!(flagged, "watchdog must flag growth behind the stalled advance");
+    assert!(
+        flagged,
+        "watchdog must flag growth behind the stalled advance"
+    );
 
     fault::release("ebr::advance::before_publish");
     victim.join().unwrap();
@@ -763,7 +795,10 @@ fn ebr_registry_node_unlinked_behind_a_stale_epoch_waits_for_late_pinners_body()
     fault::release("ebr::advance::before_traverse");
     let kept = victim.join().unwrap();
     assert_eq!(c.epoch(), e0 + 2);
-    assert_eq!(kept, 1, "registry node freed while a pin at e0 + 1 could still reach it");
+    assert_eq!(
+        kept, 1,
+        "registry node freed while a pin at e0 + 1 could still reach it"
+    );
     drop(late);
     drop(plan);
 }
@@ -1117,7 +1152,11 @@ fn hyaline_stalled_leaver_pins_one_batch_and_drains_exactly_body() {
         });
         drop(g); // our reference comes back; the victim's is now the last
     }
-    assert_eq!(DROPS.load(Relaxed), 0, "the detached list still pins its batch");
+    assert_eq!(
+        DROPS.load(Relaxed),
+        0,
+        "the detached list still pins its batch"
+    );
 
     // Churn around the wedged leaver: its slot word is already 0, so new
     // handovers never reach it — only the first batch stays pinned.
@@ -1164,7 +1203,11 @@ fn hyaline_preempted_retire_and_handover_windows_leak_nothing_body() {
     // threads quiesce, a fresh handle adopts the donated leftovers and
     // global garbage returns to where it started.
     let plan = fault::plan()
-        .every("hyaline::retire::after_link", 2, FaultAction::YieldStorm(20))
+        .every(
+            "hyaline::retire::after_link",
+            2,
+            FaultAction::YieldStorm(20),
+        )
         .every(
             "hyaline::handover::before_traverse",
             1,
@@ -1415,7 +1458,9 @@ fn all_fault_points_are_reachable_body() {
         });
         client.drain(|_, r| assert!(r.is_ok()));
         assert!(svc.inject_crash(0), "crash command not accepted");
-        wait_for("the supervisor to respawn the shard", || svc.generation(0).0 == 1);
+        wait_for("the supervisor to respawn the shard", || {
+            svc.generation(0).0 == 1
+        });
         assert_eq!(client.get(0), Ok(None), "respawned shard must serve");
         svc.shutdown();
     }

@@ -77,5 +77,8 @@ fn schemes_work_with_symmetric_fences() {
         }
     }
     let grown = smr_common::counters::garbage_now().saturating_sub(before);
-    assert!(grown < 1000, "garbage grew to {grown} under symmetric fences");
+    assert!(
+        grown < 1000,
+        "garbage grew to {grown} under symmetric fences"
+    );
 }

@@ -120,7 +120,10 @@ fn guarded_registry_churn_bounds() {
                     // A quiescent single pinner collects every threshold
                     // retires; a few generation bags stay in flight.
                     let bound = 4 * ebr::default_collector().collect_threshold() as u64;
-                    assert!(grown < bound, "EBR churn garbage {grown} over bound {bound}");
+                    assert!(
+                        grown < bound,
+                        "EBR churn garbage {grown} over bound {bound}"
+                    );
                 }
                 (other, None) => panic!("registry grew {other}: state its churn bound here"),
             }

@@ -88,5 +88,8 @@ fn stacks_reclaim_promptly() {
         assert_eq!(s.pop(&mut h), Some(i));
     }
     let grown = smr_common::counters::garbage_now().saturating_sub(before);
-    assert!(grown < 2 * hp_plus::RECLAIM_PERIOD as u64 + 64, "grew {grown}");
+    assert!(
+        grown < 2 * hp_plus::RECLAIM_PERIOD as u64 + 64,
+        "grew {grown}"
+    );
 }
