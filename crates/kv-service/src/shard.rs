@@ -1,10 +1,10 @@
 //! One shard: a command ring, a store with its private domain, and the
 //! worker loop that drains the ring in batches.
 //!
-//! Batching is the perf lever: the worker touches the doorbell, the stats
-//! block, and the garbage sample **once per batch**, not once per command,
-//! and its scheme handle (hazard slots, local bags) is registered once for
-//! the shard's lifetime. Commands execute back-to-back on a warm cache.
+//! Batching is the perf lever: the worker touches the stats block and the
+//! garbage sample **once per batch**, not once per command, and its scheme
+//! handle (hazard slots, local bags) is registered once for the shard's
+//! lifetime. Commands execute back-to-back on a warm cache.
 //!
 //! Idle story: a worker whose ring runs dry parks on the doorbell at once
 //! — unless the batch it just ran resolved a command whose caller has
@@ -12,9 +12,9 @@
 //! trip away, so the worker polls for it first (`Ring::spin_for_work`) and
 //! a ping-pong client never pays a park and a futex wake per op. The gate
 //! is what keeps pipelined traffic batched: see DESIGN.md §1.9. A parked
-//! worker is woken by a blocked caller's push, by the push that queues a
-//! whole batch, or by a caller about to wait — one futex wake per batch a
-//! pipelining client gets ahead, not one per park.
+//! worker has no timeout: a blocked caller's push, the push that queues a
+//! whole batch, a caller about to wait, or shutdown wakes it — one futex
+//! wake per batch a pipelining client gets ahead, not one per park.
 //!
 //! Crash story: `WorkerGuard` retires the ring on *any* exit — normal
 //! shutdown or unwind — so queued commands fail fast instead of hanging
@@ -55,9 +55,6 @@ pub struct ShardStatsSnapshot {
     pub idle_spin_hits: u64,
     /// Idle spins that ran out their budget; the worker parked after each.
     pub idle_spin_expired: u64,
-    /// Reply waits that ended on the 1 ms park backstop with the reply
-    /// already there — a wake that never came. Zero by design.
-    pub reply_backstops: u64,
 }
 
 /// Shard counters, written by the single worker, read by anyone.
@@ -103,7 +100,7 @@ impl<S: ShardStore> Shard<S> {
     }
 
     /// The shard's counters: the worker's own plus the ring's park and
-    /// backstop counts.
+    /// wake counts.
     pub(crate) fn stats(&self) -> ShardStatsSnapshot {
         let s = &self.stats;
         ShardStatsSnapshot {
@@ -114,11 +111,10 @@ impl<S: ShardStore> Shard<S> {
             max_batch: s.max_batch.load(Relaxed),
             // Wakes before parks, so a racing reader never sees more
             // wakes than parks.
-            doorbell_wakes: self.ring.doorbell_wakes(),
-            worker_parks: self.ring.worker_parks(),
+            doorbell_wakes: self.ring.work.wakes.load(Relaxed),
+            worker_parks: self.ring.work.sleeps.load(Relaxed),
             idle_spin_hits: s.idle_spin_hits.load(Relaxed),
             idle_spin_expired: s.idle_spin_expired.load(Relaxed),
-            reply_backstops: self.ring.reply_backstops(),
         }
     }
 }
@@ -184,12 +180,18 @@ pub(crate) fn run_worker<S: ShardStore>(shard: Arc<Shard<S>>, ctl: Option<Arc<Su
             shard.ring.wait_for_work();
             continue;
         };
+        // Producers asleep on a full ring get this slot before the command
+        // runs, however long it takes; later pops are notified after it.
+        shard.ring.space.notify();
         blocked_caller = execute(&shard.store, &mut handle, first);
         let mut drained = 1u64;
         while drained < shard.batch as u64 {
             let Some(entry) = shard.ring.pop() else { break };
             blocked_caller |= execute(&shard.store, &mut handle, entry);
             drained += 1;
+        }
+        if drained > 1 {
+            shard.ring.space.notify();
         }
         smr_common::fault_point!("kv::worker::batch");
         shard.stats.record_batch(drained, S::garbage(&handle));

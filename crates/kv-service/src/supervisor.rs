@@ -24,10 +24,10 @@
 //! worker `JoinHandle` (joining a dead worker *before* measuring settled
 //! garbage is what makes the count stable: the unwind donates local bags
 //! on the way out), is nudged by dying workers through [`SupervisorCtl`],
-//! and polls as a backstop. Each per-shard recovery runs under
-//! `catch_unwind` so an injected fault in the recovery path itself
-//! (`kv::quarantine::leak`, `kv::supervisor::respawn`) leaves the shard
-//! down for one tick instead of killing supervision for good.
+//! and samples every shard each [`POLL_INTERVAL`] tick. Each per-shard
+//! recovery runs under `catch_unwind` so an injected fault in the recovery
+//! path itself (`kv::quarantine::leak`, `kv::supervisor::respawn`) leaves
+//! the shard down for one tick instead of killing supervision for good.
 //!
 //! The same tick feeds one [`GarbageWatchdog`] per live shard from what the
 //! shard already publishes, so a stalled worker is judged by a thread that
@@ -35,18 +35,18 @@
 
 use std::sync::atomic::Ordering::{Acquire, Relaxed, Release, SeqCst};
 use std::sync::atomic::{AtomicBool, AtomicU64};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use smr_common::watchdog::{GarbageWatchdog, WatchdogStatus};
 
+use crate::event::EventCount;
 use crate::shard::{run_worker, Shard};
 use crate::store::ShardStore;
 
-/// How often the supervisor re-scans the slots when nobody nudges it. The
-/// nudge path makes detection immediate; the poll catches a nudge lost to
-/// an aborting process state.
+/// The watchdog's sampling period: how often the supervisor scans the slots
+/// when nobody nudges it. A nudge makes death detection immediate.
 const POLL_INTERVAL: Duration = Duration::from_millis(5);
 /// How long a shard's progress token may sit still before its watchdog
 /// calls the shard stalled: ten poll ticks.
@@ -145,8 +145,8 @@ impl<S: ShardStore> ShardSlot<S> {
 struct Sampler {
     watchdog: GarbageWatchdog,
     token: u64,
-    /// The worker's batch and park counts at the last sample.
-    seen: (u64, u64),
+    /// The worker's batch count at the last sample.
+    batches: u64,
 }
 
 impl Sampler {
@@ -154,24 +154,22 @@ impl Sampler {
         Self {
             watchdog: GarbageWatchdog::new(bound, STALL_WINDOW),
             token: 0,
-            seen: (0, 0),
+            batches: 0,
         }
     }
 
     /// One sample of `shard`. The progress token advances when the worker
-    /// finished a batch or parked since the last sample, or is parked, *and*
-    /// garbage is within the bound. So a stuck worker reads
-    /// `DegradedBounded` after the stall window, garbage over the bound for
-    /// that long reads `GrowingUnbounded`, and an idle shard, or one serving
-    /// reads over leftover garbage, reads `Healthy`. The park count keeps a
-    /// sample that lands between an idle worker's backstop wake and its next
-    /// park, after a late tick, from reading as a stall.
+    /// finished a batch since the last sample, or is parked (an idle worker
+    /// parks with no timer, so it stays parked), *and* garbage is within
+    /// the bound. So a stuck worker reads `DegradedBounded` after the stall
+    /// window, garbage over the bound for that long reads
+    /// `GrowingUnbounded`, and an idle shard, or one serving reads over
+    /// leftover garbage, reads `Healthy`.
     fn sample<S: ShardStore>(&mut self, shard: &Shard<S>) -> WatchdogStatus {
         let stats = shard.stats();
         let garbage = stats.garbage as usize;
-        let seen = (stats.batches, stats.worker_parks);
-        let progressed = seen != self.seen || shard.ring.is_worker_parked();
-        self.seen = seen;
+        let progressed = stats.batches != self.batches || shard.ring.work.has_sleepers();
+        self.batches = stats.batches;
         if progressed && garbage <= self.watchdog.bound() {
             self.token += 1;
         }
@@ -181,27 +179,17 @@ impl Sampler {
 
 /// Wakeup channel between dying workers (and the service) and the
 /// supervisor thread.
+#[derive(Default)]
 pub(crate) struct SupervisorCtl {
     stopping: AtomicBool,
-    seq: Mutex<u64>,
-    cv: Condvar,
+    nudges: EventCount,
 }
 
 impl SupervisorCtl {
-    pub(crate) fn new() -> Self {
-        Self {
-            stopping: AtomicBool::new(false),
-            seq: Mutex::new(0),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Wakes the supervisor for an immediate scan. Called from a dying
-    /// worker's drop guard, so it must never panic.
+    /// Wakes the supervisor for an immediate scan. Never panics, so a dying
+    /// worker's drop guard may call it.
     pub(crate) fn nudge(&self) {
-        let mut seq = lock_mutex(&self.seq);
-        *seq = seq.wrapping_add(1);
-        self.cv.notify_all();
+        self.nudges.notify();
     }
 
     pub(crate) fn stop(&self) {
@@ -211,20 +199,6 @@ impl SupervisorCtl {
 
     pub(crate) fn is_stopping(&self) -> bool {
         self.stopping.load(SeqCst)
-    }
-
-    /// Sleeps until a nudge newer than `*seen` arrives or the poll
-    /// interval elapses.
-    fn wait(&self, seen: &mut u64) {
-        let mut seq = lock_mutex(&self.seq);
-        if *seq == *seen {
-            seq = self
-                .cv
-                .wait_timeout(seq, POLL_INTERVAL)
-                .map(|(g, _)| g)
-                .unwrap_or_else(|e| e.into_inner().0);
-        }
-        *seen = *seq;
     }
 }
 
@@ -248,9 +222,14 @@ pub(crate) fn run_supervisor<S: ShardStore>(
     mut workers: Vec<Option<JoinHandle<()>>>,
     cfg: RespawnConfig,
 ) {
-    let mut seen = 0u64;
     let mut samplers: Vec<Option<Sampler>> = slots.iter().map(|_| None).collect();
-    while !ctl.is_stopping() {
+    loop {
+        // Announced before the scan: a nudge during it ends the sleep after.
+        let key = ctl.nudges.prepare_wait();
+        if ctl.is_stopping() {
+            ctl.nudges.cancel_wait(key);
+            break;
+        }
         for (i, slot) in slots.iter().enumerate() {
             if slot.is_closed() {
                 continue;
@@ -273,7 +252,8 @@ pub(crate) fn run_supervisor<S: ShardStore>(
                 }));
             }
         }
-        ctl.wait(&mut seen);
+        ctl.nudges
+            .commit_wait(key, Some(Instant::now() + POLL_INTERVAL));
     }
     for worker in &mut workers {
         if let Some(handle) = worker.take() {

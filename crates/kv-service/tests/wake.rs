@@ -1,9 +1,11 @@
 //! The wake protocol through the public API: a reply wait that parks is
-//! woken by its resolver and by nothing else, an idle worker spins only
-//! behind a blocked caller and then really parks, a pooled reply slot is
-//! never failed by the command before it, and a parked worker's doorbell is
-//! rung on demand — by the push that completes a worker batch, by `drain`,
-//! and otherwise by nobody until the 50 ms backstop.
+//! woken by its resolver, an idle worker spins only behind a blocked caller
+//! and then really parks, a pooled reply slot is never failed by the
+//! command before it, and a parked worker's doorbell is rung on demand — by
+//! the push that completes a worker batch, by `drain`, by another client's
+//! one-shot call, by shutdown, and otherwise by nobody. No sleep ends on a
+//! timer, so a parked worker stays parked until the test wakes it, and a
+//! lost wake fails a test at its deadline instead of slowing it down.
 //!
 //! Every test reads per-shard or process-global counters, so the file
 //! serializes on a local lock.
@@ -32,43 +34,31 @@ fn one_shard() -> KvService<HppStore> {
 
 /// `KvConfig::new().batch`: the backlog at which a push rings unasked.
 const BATCH: u64 = 32;
-/// The worker's doorbell backstop, and how much of one park a test may use
-/// up before what it saw of a "parked" worker stops meaning anything.
-const BACKSTOP: Duration = Duration::from_millis(50);
-const QUIET: Duration = Duration::from_millis(30);
 
-/// Waits until shard `i`'s worker has just begun a park, so that its
-/// backstop is a whole [`BACKSTOP`] away, and returns the counters and the
-/// time of that moment.
-fn fresh_park(svc: &KvService<HppStore>, i: usize) -> (ShardStatsSnapshot, Instant) {
-    let parks = svc.shard_stats(i).worker_parks;
+/// Waits until shard `i`'s worker is asleep in a park after the `*seen`-th,
+/// and returns its counters. Only the test wakes it from there.
+fn asleep(svc: &KvService<HppStore>, i: usize, seen: &mut u64) -> ShardStatsSnapshot {
     wait_for("the worker to park afresh", || {
-        svc.shard_stats(i).worker_parks > parks && svc.worker_parked(i)
+        svc.shard_stats(i).worker_parks > *seen && svc.worker_parked(i)
     });
-    (svc.shard_stats(i), Instant::now())
+    let stats = svc.shard_stats(i);
+    *seen = stats.worker_parks;
+    stats
 }
 
-/// Runs `attempt` on a fresh service until it reports that everything it
-/// observed fell inside one park of the worker (`false`: a slow host let
-/// the backstop fire under the observation; nothing was asserted).
-fn within_one_park(cfg: KvConfig, mut attempt: impl FnMut(&KvService<HppStore>) -> bool) {
-    for _ in 0..10 {
-        let svc = KvService::start(cfg.clone());
-        let valid = attempt(&svc);
-        let stats = svc.shutdown();
-        for s in &stats {
-            assert!(
-                s.doorbell_wakes <= s.worker_parks,
-                "{} wakes for {} parks",
-                s.doorbell_wakes,
-                s.worker_parks
-            );
-        }
-        if valid {
-            return;
-        }
+/// Shuts `svc` down and checks that no shard counted more doorbell wakes
+/// than parks.
+fn shutdown(svc: KvService<HppStore>) -> Vec<ShardStatsSnapshot> {
+    let stats = svc.shutdown();
+    for s in &stats {
+        assert!(
+            s.doorbell_wakes <= s.worker_parks,
+            "{} wakes for {} parks",
+            s.doorbell_wakes,
+            s.worker_parks
+        );
     }
-    panic!("ten attempts, and the worker's backstop fired inside every one");
+    stats
 }
 
 fn submit_gets(client: &mut Client<HppStore>, keys: std::ops::Range<u64>) {
@@ -131,13 +121,12 @@ fn single_handle_one_shot_stress_never_sees_a_stale_drop() {
         assert_eq!(client.get(key), Ok(expect), "live-key balance: key {key}");
     }
     drop(client);
-    let stats = svc.shutdown();
+    let stats = shutdown(svc);
     assert_eq!(
         stats[0].ops,
         OPS + KEYS,
         "a command ran twice or not at all"
     );
-    assert_eq!(stats[0].reply_backstops, 0);
 }
 
 #[test]
@@ -145,9 +134,7 @@ fn idle_worker_spins_out_its_budget_then_parks_and_still_wakes() {
     let _serial = serial();
     let svc = one_shard();
     let mut client = svc.client();
-    // The worker may still be on its way to its first park.
-    wait_for("the fresh worker to park", || svc.worker_parked(0));
-    let before = svc.shard_stats(0);
+    let before = asleep(&svc, 0, &mut 0);
 
     assert_eq!(client.insert(1, 10), Ok(true));
     // Silence. The budget is 50 µs; the acceptance bound is 1 ms.
@@ -163,18 +150,17 @@ fn idle_worker_spins_out_its_budget_then_parks_and_still_wakes() {
     std::thread::sleep(Duration::from_micros(250));
     assert!(
         svc.worker_parked(0),
-        "a parked worker woke with nothing to do"
+        "a parked worker stirred with nothing to do"
     );
 
     let after = svc.shard_stats(0);
     assert_eq!(after.idle_spin_expired, before.idle_spin_expired + 1);
     assert_eq!(after.idle_spin_hits, before.idle_spin_hits);
-    // (The doorbell's own 50 ms timeout may add a park of its own.)
-    assert!(after.worker_parks > before.worker_parks);
+    assert_eq!(after.worker_parks, before.worker_parks + 1);
 
     // The doorbell still works after the spin gave up.
     assert_eq!(client.get(1), Ok(Some(10)));
-    svc.shutdown();
+    shutdown(svc);
 }
 
 #[test]
@@ -234,157 +220,135 @@ fn only_a_blocked_caller_makes_the_worker_spin() {
     wait_for("a depth-1 pipeline to make the worker spin", || {
         idle_spins(&svc.shard_stats(0)) > idle_spins(&before)
     });
-    svc.shutdown();
+    shutdown(svc);
 }
 
+/// `submit`'s contract: a sub-batch window runs no later than the next
+/// wait on its shard, or the shard's shutdown. Nobody waiting, it stays
+/// queued; another client's one-shot call runs it first (FIFO); a `drain`
+/// rings for it exactly once; shutdown runs whatever is left.
 #[test]
-fn sub_batch_window_stays_queued_until_drain_rings() {
+fn a_sub_batch_window_runs_at_the_next_wait_on_its_shard_or_at_shutdown() {
     let _serial = serial();
-    within_one_park(one_shard_cfg(), |svc| {
-        let mut client = svc.client();
-        let (before, began) = fresh_park(svc, 0);
-        submit_gets(&mut client, 0..8);
-        std::thread::sleep(Duration::from_millis(2));
-        let queued = svc.shard_stats(0);
-        let still_parked = svc.worker_parked(0);
-        if began.elapsed() >= QUIET {
-            client.drain(|_, _| {});
-            return false;
-        }
-        assert!(still_parked, "a sub-batch window woke the worker");
-        assert_eq!(queued.ops, before.ops, "a parked worker ran commands");
-        assert_eq!(
-            queued.doorbell_wakes, before.doorbell_wakes,
-            "a sub-batch submit paid a wake"
-        );
+    let svc = one_shard();
+    let (mut window, mut other) = (svc.client(), svc.client());
+    let put = |c: &mut Client<HppStore>, keys: std::ops::Range<u64>| {
+        keys.for_each(|key| {
+            c.submit(Command::Put {
+                key,
+                value: key + 10,
+            })
+            .unwrap()
+        })
+    };
+    let mut seen = 0;
+    let before = asleep(&svc, 0, &mut seen);
+    put(&mut window, 0..8);
+    std::thread::sleep(Duration::from_millis(20));
+    let queued = svc.shard_stats(0);
+    assert!(svc.worker_parked(0), "a sub-batch window roused the worker");
+    assert_eq!(queued.ops, before.ops, "a window ran with nobody waiting");
+    assert_eq!(queued.doorbell_wakes, before.doorbell_wakes);
+    assert_eq!(other.get(7), Ok(Some(17)), "the call overtook the window");
+    let wakes = svc.shard_stats(0).doorbell_wakes;
+    assert_eq!(
+        wakes,
+        before.doorbell_wakes + 1,
+        "a blocked push did not ring"
+    );
+    window.drain(|i, r| assert_eq!(r, Ok(Some(i as u64 + 10))));
 
-        let draining = Instant::now();
-        let mut replies = 0;
-        client.drain(|_, r| {
-            assert_eq!(r, Ok(None));
-            replies += 1;
-        });
-        let took = draining.elapsed();
-        assert_eq!(replies, 8);
-        let after = svc.shard_stats(0);
-        if after.doorbell_wakes != before.doorbell_wakes + 1 {
-            // The backstop fired between the check above and the drain.
-            return false;
-        }
-        assert!(took < BACKSTOP / 4, "drain rang, and still took {took:?}");
-        true
+    let before = asleep(&svc, 0, &mut seen);
+    submit_gets(&mut window, 0..8);
+    let mut replies = 0;
+    window.drain(|i, r| {
+        assert_eq!(r, Ok(Some(i as u64 + 10)));
+        replies += 1;
     });
+    assert_eq!(replies, 8);
+    let wakes = svc.shard_stats(0).doorbell_wakes;
+    assert_eq!(wakes, before.doorbell_wakes + 1, "the drain did not ring");
+
+    asleep(&svc, 0, &mut seen);
+    put(&mut window, 8..11);
+    let ops = svc.shard_stats(0).ops;
+    let stats = shutdown(svc);
+    assert_eq!(stats[0].ops, ops + 3, "shutdown left the window unrun");
+    window.drain(|i, r| assert_eq!(r, Ok(Some(i as u64 + 18))));
 }
 
 #[test]
 fn the_push_that_completes_a_batch_wakes_the_worker_undrained() {
     let _serial = serial();
-    within_one_park(one_shard_cfg(), |svc| {
-        // One producer, then two whose commands only sum to a batch.
-        for producers in [1u64, 2] {
-            let mut clients: Vec<_> = (0..producers).map(|_| svc.client()).collect();
-            let (before, began) = fresh_park(svc, 0);
-            let share = BATCH / producers;
-            for (p, client) in clients.iter_mut().enumerate() {
-                let last = p as u64 + 1 == producers;
-                submit_gets(client, 0..share - last as u64);
-            }
-            let queued = svc.shard_stats(0);
-            let still_parked = svc.worker_parked(0);
-            // The batch-th command.
-            submit_gets(clients.last_mut().unwrap(), 0..1);
-            let pushed = svc.shard_stats(0);
-            if began.elapsed() >= QUIET {
-                clients.iter_mut().for_each(|c| c.drain(|_, _| {}));
-                return false;
-            }
-            assert!(
-                still_parked,
-                "{} queued commands woke the worker",
-                BATCH - 1
-            );
-            assert_eq!(queued.ops, before.ops);
-            assert_eq!(queued.doorbell_wakes, before.doorbell_wakes);
-            assert_eq!(
-                pushed.doorbell_wakes,
-                before.doorbell_wakes + 1,
-                "the batch-th push did not ring ({producers} producers)"
-            );
-            wait_for("the undrained batch to run", || {
-                svc.shard_stats(0).ops == before.ops + BATCH
-            });
-            clients
-                .iter_mut()
-                .for_each(|c| c.drain(|_, r| assert_eq!(r, Ok(None))));
+    let svc = one_shard();
+    let mut seen = 0;
+    // One producer, then two whose commands only sum to a batch.
+    for producers in [1u64, 2] {
+        let mut clients: Vec<_> = (0..producers).map(|_| svc.client()).collect();
+        let before = asleep(&svc, 0, &mut seen);
+        let share = BATCH / producers;
+        for (p, client) in clients.iter_mut().enumerate() {
+            let last = p as u64 + 1 == producers;
+            submit_gets(client, 0..share - last as u64);
         }
-        true
-    });
+        let queued = svc.shard_stats(0);
+        assert!(
+            svc.worker_parked(0),
+            "{} queued commands roused the worker",
+            BATCH - 1
+        );
+        // The batch-th command.
+        submit_gets(clients.last_mut().unwrap(), 0..1);
+        let pushed = svc.shard_stats(0);
+        assert_eq!(queued.ops, before.ops);
+        assert_eq!(queued.doorbell_wakes, before.doorbell_wakes);
+        assert_eq!(
+            pushed.doorbell_wakes,
+            before.doorbell_wakes + 1,
+            "the batch-th push did not ring ({producers} producers)"
+        );
+        wait_for("the undrained batch to run", || {
+            svc.shard_stats(0).ops == before.ops + BATCH
+        });
+        clients
+            .iter_mut()
+            .for_each(|c| c.drain(|_, r| assert_eq!(r, Ok(None))));
+    }
+    shutdown(svc);
 }
 
 #[test]
 fn a_full_tiny_ring_wakes_the_worker_before_its_producer_parks() {
     let _serial = serial();
     // Four slots under a batch of 32: the ring fills first.
-    let cfg = KvConfig {
+    let svc = KvService::start(KvConfig {
         ring_depth: 4,
         ..one_shard_cfg()
-    };
-    within_one_park(cfg, |svc| {
-        let mut client = svc.client();
-        let (before, began) = fresh_park(svc, 0);
-        let parks_before = smr_common::counters::total_backoff().2;
-        submit_gets(&mut client, 0..3);
-        let queued = svc.shard_stats(0);
-        submit_gets(&mut client, 3..4);
-        let full = svc.shard_stats(0);
-        let parks_when_full = smr_common::counters::total_backoff().2;
-        if began.elapsed() >= QUIET {
-            client.drain(|_, _| {});
-            return false;
-        }
-        assert_eq!(queued.doorbell_wakes, before.doorbell_wakes);
-        assert_eq!(
-            full.doorbell_wakes,
-            before.doorbell_wakes + 1,
-            "the push that filled the ring did not ring"
-        );
-        assert_eq!(parks_when_full, parks_before, "a producer parked first");
-        // Twice the ring again, behind a worker that is already up.
-        submit_gets(&mut client, 4..12);
-        let mut replies = 0;
-        client.drain(|_, r| {
-            assert_eq!(r, Ok(None));
-            replies += 1;
-        });
-        assert_eq!(replies, 12);
-        true
     });
-}
-
-#[test]
-fn an_undrained_window_runs_within_the_backstop() {
-    let _serial = serial();
-    let svc = one_shard();
     let mut client = svc.client();
-    let (before, began) = fresh_park(&svc, 0);
-    submit_gets(&mut client, 0..5);
-    wait_for("the backstop to run the undrained window", || {
-        svc.shard_stats(0).ops == before.ops + 5
-    });
-    let took = began.elapsed();
-    assert!(
-        took < BACKSTOP + Duration::from_millis(200),
-        "an undrained window sat for {took:?}"
-    );
+    let before = asleep(&svc, 0, &mut 0);
+    let parks_before = smr_common::counters::total_backoff().2;
+    submit_gets(&mut client, 0..3);
+    let queued = svc.shard_stats(0);
+    submit_gets(&mut client, 3..4);
+    let full = svc.shard_stats(0);
+    let parks_when_full = smr_common::counters::total_backoff().2;
+    assert_eq!(queued.doorbell_wakes, before.doorbell_wakes);
     assert_eq!(
-        svc.shard_stats(0).doorbell_wakes,
-        before.doorbell_wakes,
-        "nobody was waiting, and somebody still paid a wake"
+        full.doorbell_wakes,
+        before.doorbell_wakes + 1,
+        "the push that filled the ring did not ring"
     );
-    // The replies are all there: this drain waits for nothing.
-    client.drain(|_, r| assert_eq!(r, Ok(None)));
-    assert_eq!(svc.shard_stats(0).doorbell_wakes, before.doorbell_wakes);
-    svc.shutdown();
+    assert_eq!(parks_when_full, parks_before, "a producer parked first");
+    // Twice the ring again, behind a worker that is already up.
+    submit_gets(&mut client, 4..12);
+    let mut replies = 0;
+    client.drain(|_, r| {
+        assert_eq!(r, Ok(None));
+        replies += 1;
+    });
+    assert_eq!(replies, 12);
+    shutdown(svc);
 }
 
 #[test]
@@ -396,55 +360,37 @@ fn drain_rings_every_shard_of_its_window_before_the_first_reply() {
         shards: SHARDS,
         ..one_shard_cfg()
     };
-    within_one_park(cfg, |svc| {
-        let mut client = svc.client();
-        // 16 keys per shard, interleaved shard by shard: a 64-command
-        // window that leaves every ring under the batch of 32.
-        let mut keys: Vec<Vec<u64>> = vec![Vec::new(); SHARDS];
-        for key in 0.. {
-            let of = &mut keys[svc.shard_of(key)];
-            if (of.len() as u64) < PER_SHARD {
-                of.push(key);
-            }
-            if keys.iter().all(|k| k.len() as u64 == PER_SHARD) {
-                break;
-            }
+    let svc = KvService::start(cfg);
+    let mut client = svc.client();
+    // 16 keys per shard, interleaved shard by shard: a 64-command window
+    // that leaves every ring under the batch of 32.
+    let mut keys: Vec<Vec<u64>> = vec![Vec::new(); SHARDS];
+    for key in 0.. {
+        let of = &mut keys[svc.shard_of(key)];
+        if (of.len() as u64) < PER_SHARD {
+            of.push(key);
         }
-        wait_for("every worker to park", || {
-            (0..SHARDS).all(|i| svc.worker_parked(i))
-        });
-        let before = svc.stats();
-        for n in 0..PER_SHARD as usize {
-            for of in &keys {
-                client.submit(Command::Get { key: of[n] }).unwrap();
-            }
+        if keys.iter().all(|k| k.len() as u64 == PER_SHARD) {
+            break;
         }
-        let draining = Instant::now();
-        let mut all_ran_behind_first_reply = false;
-        client.drain(|i, r| {
-            assert_eq!(r, Ok(None));
-            if i == 0 {
-                // No further reply is collected while this waits, so every
-                // other shard runs only if `drain` rang it up front.
-                let deadline = Instant::now() + BACKSTOP / 4;
-                while !all_ran_behind_first_reply && Instant::now() < deadline {
-                    all_ran_behind_first_reply =
-                        (0..SHARDS).all(|s| svc.shard_stats(s).ops == before[s].ops + PER_SHARD);
-                    std::thread::yield_now();
-                }
-            }
-        });
-        let took = draining.elapsed();
-        if !all_ran_behind_first_reply && took >= QUIET {
-            return false;
+    }
+    let before: Vec<_> = (0..SHARDS).map(|i| asleep(&svc, i, &mut 0)).collect();
+    for n in 0..PER_SHARD as usize {
+        for of in &keys {
+            client.submit(Command::Get { key: of[n] }).unwrap();
         }
-        assert!(
-            all_ran_behind_first_reply,
-            "a shard stayed asleep behind the first reply: wakes were serialised"
-        );
-        assert!(took < BACKSTOP / 2, "the whole drain took {took:?}");
-        true
+    }
+    client.drain(|i, r| {
+        assert_eq!(r, Ok(None));
+        if i == 0 {
+            // No further reply is collected while this waits, so every
+            // other shard runs only if `drain` rang it up front.
+            wait_for("every shard to run behind the first reply", || {
+                (0..SHARDS).all(|s| svc.shard_stats(s).ops == before[s].ops + PER_SHARD)
+            });
+        }
     });
+    shutdown(svc);
 }
 
 /// A crash in mid-window: commands before it ran, commands queued behind it
@@ -456,13 +402,12 @@ fn a_crash_in_mid_window_types_every_reply_by_its_incarnation() {
     let _serial = serial();
     let svc = one_shard();
     let mut client = svc.client().with_retries(0);
-    fresh_park(&svc, 0);
+    asleep(&svc, 0, &mut 0);
     client.submit(Command::Put { key: 1, value: 10 }).unwrap();
     // Queued, not rung: the worker dies on this one when it next wakes.
     client.submit(Command::Crash { key: 0 }).unwrap();
-    // Behind the crash: on the dead ring, or (had the backstop fired
-    // already) turned away by it.
-    let behind = client.submit(Command::Put { key: 2, value: 20 });
+    // Behind the crash, on the ring that is about to die.
+    client.submit(Command::Put { key: 2, value: 20 }).unwrap();
     // Rings at once; itself rescued off the dead ring.
     svc.inject_crash(0);
     wait_for("the respawn", || svc.generation(0).0 == 1);
@@ -474,35 +419,27 @@ fn a_crash_in_mid_window_types_every_reply_by_its_incarnation() {
     let retry = |r: &Result<Option<u64>, KvError>| matches!(r, Err(KvError::RetryAfter(_)));
     assert_eq!(replies[0], Ok(Some(10)), "queued ahead of the crash");
     assert!(retry(&replies[1]), "the crash command: {:?}", replies[1]);
-    let rest = match behind {
-        Ok(()) => {
-            assert!(
-                retry(&replies[2]),
-                "queued behind the crash: {:?}",
-                replies[2]
-            );
-            &replies[3..]
-        }
-        Err(e) => {
-            assert!(retry(&Err(e)), "turned away by a dead shard: {e:?}");
-            &replies[2..]
-        }
-    };
+    assert!(
+        retry(&replies[2]),
+        "queued behind the crash: {:?}",
+        replies[2]
+    );
+    let rest = &replies[3..];
     assert_eq!(rest, [Ok(Some(30)), Ok(Some(30))], "the respawned shard");
     // Lossy by contract: nothing from before the crash survived it.
     assert_eq!(client.get(1), Ok(None));
     assert_eq!(client.get(2), Ok(None));
-    svc.shutdown();
+    shutdown(svc);
 }
 
 /// Lost-wakeup stress: the worker is stalled after seeded batches, so the
 /// four one-shot clients keep running out their spin and yield phases and
 /// park on their reply slots; every one of those parks has to end with the
-/// resolver's unpark. A wake that got lost would surface 1 ms later as a
-/// backstop expiry with the reply already there.
+/// resolver's unpark. A parked waiter sleeps until its deadline, so a wake
+/// that got lost fails its call with `DeadlineExceeded`.
 #[cfg(feature = "fault-injection")]
 #[test]
-fn parked_reply_waiters_are_woken_by_their_resolver_not_the_backstop() {
+fn parked_reply_waiters_are_woken_by_their_resolver() {
     use smr_common::fault::{self, FaultAction};
 
     let _serial = serial();
@@ -510,7 +447,7 @@ fn parked_reply_waiters_are_woken_by_their_resolver_not_the_backstop() {
     const OPS: u64 = 3_000;
     // Stall lengths and periods from a fixed seed: co-prime periods so the
     // stalls drift across every phase of the clients' escalators, lengths
-    // well inside the backstop so no park may run it out.
+    // far inside the 2 s op timeout, which only a lost wake reaches.
     let mut seed = 0x5EED_CAFE_u64;
     let mut next = || {
         seed = seed
@@ -525,7 +462,7 @@ fn parked_reply_waiters_are_woken_by_their_resolver_not_the_backstop() {
     }
     let _plan = plan.install();
 
-    let svc = one_shard();
+    let svc = KvService::start(one_shard_cfg().with_op_timeout(Duration::from_secs(2)));
     let parks_before = smr_common::counters::total_backoff().2;
     std::thread::scope(|s| {
         for c in 0..CLIENTS {
@@ -544,10 +481,6 @@ fn parked_reply_waiters_are_woken_by_their_resolver_not_the_backstop() {
         parks > 100,
         "only {parks} reply waits parked: nothing was stressed"
     );
-    let stats = svc.shutdown();
+    let stats = shutdown(svc);
     assert_eq!(stats[0].ops, 2 * CLIENTS * OPS);
-    assert_eq!(
-        stats[0].reply_backstops, 0,
-        "a parked waiter was rescued by the 1 ms backstop"
-    );
 }
