@@ -335,7 +335,7 @@ battery_table! {
     hmlist_hpp_concurrent: concurrent::<hpp::HMList<u64, u64>>(8, 512);
     hmlist_hpp_striped: striped::<hpp::HMList<u64, u64>>(4, 64);
     hmlist_hpp_heavy_churn: heavy_churn::<hpp::HMList<u64, u64>>(
-        300, 10, |h| (h.garbage_count(), 2 * HPP_T + 128));
+        300, 10, |h| (hp_plus::Domain::garbage(&h.thread), 2 * HPP_T + 128));
     hmlist_rc_sequential: sequential::<cdrc::HMList<u64, u64>>();
     hmlist_rc_concurrent: concurrent::<cdrc::HMList<u64, u64>>(8, 512);
     hmlist_rc_striped: striped::<cdrc::HMList<u64, u64>>(4, 64);
@@ -353,7 +353,7 @@ battery_table! {
     hhslist_hpp_striped: striped::<hpp::HHSList<u64, u64>>(4, 64);
     hhslist_hpp_marked_run: marked_run::<hpp::HHSList<u64, u64>>(12, 4, 9);
     hhslist_hpp_heavy_churn: heavy_churn::<hpp::HHSList<u64, u64>>(
-        300, 10, |h| (h.garbage_count(), 2 * HPP_T + 128));
+        300, 10, |h| (hp_plus::Domain::garbage(&h.thread), 2 * HPP_T + 128));
     hhslist_rc_sequential: sequential::<cdrc::HHSList<u64, u64>>();
     hhslist_rc_concurrent: concurrent::<cdrc::HHSList<u64, u64>>(8, 1024);
     hhslist_rc_striped: striped::<cdrc::HHSList<u64, u64>>(4, 64);
@@ -388,7 +388,7 @@ battery_table! {
     nmtree_hpp_concurrent: concurrent::<hpp::NMTree<u64, u64>>(8, 1024);
     nmtree_hpp_striped: striped::<hpp::NMTree<u64, u64>>(4, 256);
     nmtree_hpp_heavy_churn: heavy_churn::<hpp::NMTree<u64, u64>>(
-        300, 10, |h| (h.garbage_count(), 4 * HPP_T + 256));
+        300, 10, |h| (hp_plus::Domain::garbage(&h.thread), 4 * HPP_T + 256));
 
     // Ellen et al. tree.
     efrbtree_ebr_sequential: sequential::<guarded::EFRBTree<u64, u64, Ebr>>();
@@ -423,7 +423,7 @@ battery_table! {
     stack_hpp_lifo: lifo::<hpp::TreiberStack<u64>>();
     stack_hpp_no_loss_no_duplication: no_loss_no_duplication::<hpp::TreiberStack<u64>>();
     stack_hpp_heavy_churn: heavy_churn::<BagMap<hpp::TreiberStack<u64>>>(
-        400, 8, |h| (h.garbage_count(), 2 * HPP_T + 64));
+        400, 8, |h| (hp_plus::Domain::garbage(&h.thread), 2 * HPP_T + 64));
 
     // Michael–Scott queue.
     queue_ebr_fifo: fifo::<guarded::MSQueue<u64, Ebr>>();

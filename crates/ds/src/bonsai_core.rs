@@ -3,10 +3,11 @@
 //!
 //! Every update **path-copies**: it builds a new version of the root-to-key
 //! path (rebalancing with Adams-style rotations), shares every untouched
-//! subtree, and publishes the new root with a single CAS. The scheme
-//! families differ only in how dereferences are protected and how replaced
-//! nodes are retired, so the version-building machinery lives here once,
-//! parameterized by a [`Protector`] (`bonsai.rs` has the three).
+//! subtree, and publishes the new root with a single CAS. The families
+//! differ only in how a step is protected ([`Protect::protect_by`], with
+//! the attempt's root snapshot as the witness) and how the copied nodes
+//! are handed over ([`Protect::unlink`]), so the version-building
+//! machinery lives here once, over any [`Protect`].
 //!
 //! The [`Builder`] records two sets during a build: `fresh` (nodes
 //! allocated for the new version — freed wholesale if the root CAS loses)
@@ -14,9 +15,12 @@
 //! CAS wins).
 
 use std::marker::PhantomData;
-use std::sync::atomic::Ordering::Relaxed;
+use std::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed};
 
+use smr_common::tagged::TAG_INVALIDATED;
 use smr_common::{Atomic, Shared};
+
+use crate::protect::{self, Protect};
 
 /// Weight-balance factor (Adams' delta).
 const DELTA: usize = 3;
@@ -65,70 +69,99 @@ pub unsafe fn free_tree<K, V>(t: Shared<Node<K, V>>) {
     }
 }
 
+// SAFETY: sets the bit `is_invalid` reads, in the node's own links.
+unsafe impl<K, V> protect::Invalidate for Node<K, V> {
+    unsafe fn invalidate(ptr: *mut Self) {
+        // SAFETY: the caller passes a live, unlinked node.
+        let node = unsafe { &*ptr };
+        // Published links are immutable, so plain RMW-free stores would
+        // suffice; fetch_or keeps it simple and race-proof.
+        node.left.fetch_or_tag(TAG_INVALIDATED, AcqRel);
+        node.right.fetch_or_tag(TAG_INVALIDATED, AcqRel);
+    }
+}
+
+impl<K, V> protect::Node for Node<K, V> {
+    fn is_invalid(&self) -> bool {
+        self.left.load(Acquire).tag() & TAG_INVALIDATED != 0
+    }
+}
+
 /// The protection failed; the whole operation must restart.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Restart;
 
-/// One reclamation family's way of running a Bonsai operation: what the
-/// per-family copies of the tree differed in.
-pub trait Protector<K, V> {
-    /// Per-thread state, the tree's `Handle`.
-    type Handle: Send;
-    /// An operation in progress on the tree whose root link it borrows.
-    type Op<'a>
-    where
-        K: 'a,
-        V: 'a;
+/// One attempt at an operation: the root link, the snapshot of it the
+/// attempt works on, and the last hazard slot it used — one per node it
+/// protects, since a build keeps every node it read until publication.
+pub struct Attempt<'r, K, V> {
+    root: &'r Atomic<Node<K, V>>,
+    /// The protected root snapshot.
+    pub root0: Shared<Node<K, V>>,
+    slot: usize,
+}
 
-    /// Registers the calling thread.
-    fn handle() -> Self::Handle;
+impl<'r, K, V> Attempt<'r, K, V> {
+    /// Takes the snapshot of `root` under slot 0; `None` if that
+    /// protection failed and the attempt must start again.
+    pub fn start<P: Protect>(op: &mut P::Op<'_>, root: &'r Atomic<Node<K, V>>) -> Option<Self> {
+        let mut root0 = root.load(Acquire);
+        P::protect(op, 0, &mut root0, root, Shared::null()).then_some(Self {
+            root,
+            root0,
+            slot: 0,
+        })
+    }
 
-    /// Starts an operation on the tree rooted at `root`.
-    fn enter<'a>(handle: &'a mut Self::Handle, root: &'a Atomic<Node<K, V>>) -> Self::Op<'a>;
+    /// Makes `child`, read out of the protected `src`, safe to dereference
+    /// under the next slot. The family picks what vouches for it: that the
+    /// root is still this attempt's snapshot (HP: any update may have
+    /// retired any copied node), or that `src` is not invalidated (HP++).
+    /// `false` aborts the attempt.
+    pub fn protect<P: Protect>(
+        &mut self,
+        op: &mut P::Op<'_>,
+        child: Shared<Node<K, V>>,
+        src: Shared<Node<K, V>>,
+    ) -> bool {
+        if child.is_null() {
+            return true;
+        }
+        self.slot += 1;
+        let (root, root0) = (self.root, self.root0);
+        P::protect_by(op, self.slot, child, src, || root.load(Acquire) == root0)
+    }
+}
 
-    /// Takes the root snapshot an attempt works on: the current root,
-    /// protected. Whatever earlier attempts protected is let go.
-    fn snapshot(op: &mut Self::Op<'_>) -> Shared<Node<K, V>>;
-
-    /// Makes `node` safe to dereference. `src` is the (already protected)
-    /// node whose field `node` was read from. `false` aborts the attempt.
-    fn protect(op: &mut Self::Op<'_>, node: Shared<Node<K, V>>, src: Shared<Node<K, V>>) -> bool;
-
-    /// Publishes a version built from the snapshot `root0`: swings the root
-    /// to `new_root` and, if that wins, hands `replaced` to the scheme.
-    ///
-    /// # Safety
-    /// `new_root` heads a version built from `root0` that shares every node
-    /// it did not copy, and `replaced` are exactly the copied ones.
-    unsafe fn publish(
-        op: &mut Self::Op<'_>,
-        root0: Shared<Node<K, V>>,
-        new_root: Shared<Node<K, V>>,
-        replaced: &[Shared<Node<K, V>>],
-    ) -> bool;
-
-    /// Ends the operation: nothing it protected may be dereferenced
-    /// afterwards.
-    fn release(op: Self::Op<'_>);
+/// The frontier of a publication (§3.1): the children of replaced nodes
+/// that are not themselves replaced, the shared subtrees. The paper notes
+/// Bonsai can skip frontier protection; it is passed anyway — O(path)
+/// announcements per update — to keep the generic safety argument intact
+/// (see DESIGN.md). Only HP++ builds it.
+pub fn frontier<K, V>(replaced: &[Shared<Node<K, V>>]) -> Vec<Shared<Node<K, V>>> {
+    let mut frontier = Vec::new();
+    for &r in replaced {
+        // SAFETY: the build protected every node it replaced.
+        let node = unsafe { r.deref() };
+        for child in [&node.left, &node.right] {
+            let child = child.load(Relaxed).with_tag(0);
+            if !child.is_null() && !replaced.contains(&child) {
+                frontier.push(child);
+            }
+        }
+    }
+    frontier
 }
 
 /// Tracks allocations and replacements during one version build.
-pub struct Builder<K, V, P> {
+pub struct Builder<'r, K, V, P> {
+    /// The attempt whose snapshot the build copies.
+    pub at: Attempt<'r, K, V>,
     /// Nodes allocated for the new version.
     pub fresh: Vec<Shared<Node<K, V>>>,
     /// Old nodes whose contents were copied into the new version.
     pub replaced: Vec<Shared<Node<K, V>>>,
     _family: PhantomData<fn() -> P>,
-}
-
-impl<K, V, P> Default for Builder<K, V, P> {
-    fn default() -> Self {
-        Self {
-            fresh: Vec::new(),
-            replaced: Vec::new(),
-            _family: PhantomData,
-        }
-    }
 }
 
 type Parts<K, V> = (Shared<Node<K, V>>, K, V, Shared<Node<K, V>>);
@@ -137,10 +170,15 @@ type Removed<K, V> = Option<(Shared<Node<K, V>>, V)>;
 /// An edge extraction: the rebuilt subtree plus the extracted key/value.
 type Extracted<K, V> = (Shared<Node<K, V>>, K, V);
 
-impl<K: Clone + Ord, V: Clone, P: Protector<K, V>> Builder<K, V, P> {
-    /// Creates an empty builder.
-    pub fn new() -> Self {
-        Self::default()
+impl<'r, K: Clone + Ord, V: Clone, P: Protect> Builder<'r, K, V, P> {
+    /// Creates an empty builder for `at`.
+    pub fn new(at: Attempt<'r, K, V>) -> Self {
+        Self {
+            at,
+            fresh: Vec::new(),
+            replaced: Vec::new(),
+            _family: PhantomData,
+        }
     }
 
     fn mk(
@@ -171,7 +209,7 @@ impl<K: Clone + Ord, V: Clone, P: Protector<K, V>> Builder<K, V, P> {
         let l = node.left.load(Relaxed).with_tag(0);
         let r = node.right.load(Relaxed).with_tag(0);
         for child in [l, r] {
-            if !child.is_null() && !P::protect(p, child, t) {
+            if !self.at.protect::<P>(p, child, t) {
                 return Err(Restart);
             }
         }
@@ -388,49 +426,24 @@ impl<K: Clone + Ord, V: Clone, P: Protector<K, V>> Builder<K, V, P> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::AtomicUsize;
+
     use super::*;
+    use crate::protect::{Guarded, Hpp, Invalidate};
 
-    /// A family over trees the test owns: protects nothing, and fails the
-    /// protection after the count in its handle runs out.
-    struct FailAfter;
+    /// A family under which no protection fails: an EBR critical section
+    /// is never ejected.
+    type Pinned = Guarded<ebr::Ebr>;
 
-    impl Protector<u64, u64> for FailAfter {
-        type Handle = usize;
-        type Op<'a> = &'a mut usize;
-
-        fn handle() -> usize {
-            usize::MAX
-        }
-
-        fn enter<'a>(left: &'a mut usize, _root: &'a Atomic<Node<u64, u64>>) -> &'a mut usize {
-            left
-        }
-
-        fn snapshot(_: &mut &mut usize) -> Shared<Node<u64, u64>> {
-            unreachable!("builds start from roots the test owns")
-        }
-
-        fn protect(
-            left: &mut &mut usize,
-            _node: Shared<Node<u64, u64>>,
-            _src: Shared<Node<u64, u64>>,
-        ) -> bool {
-            left.checked_sub(1).map(|rest| **left = rest).is_some()
-        }
-
-        unsafe fn publish(
-            _: &mut &mut usize,
-            _root0: Shared<Node<u64, u64>>,
-            _new_root: Shared<Node<u64, u64>>,
-            _replaced: &[Shared<Node<u64, u64>>],
-        ) -> bool {
-            unreachable!("nothing is published")
-        }
-
-        fn release(_: &mut usize) {}
+    /// A builder over the tree `link` leads to, which the test owns.
+    fn builder<P: Protect, V: Clone>(link: &Atomic<Node<u64, V>>) -> Builder<'_, u64, V, P> {
+        let root0 = link.load(Relaxed);
+        Builder::new(Attempt {
+            root: link,
+            root0,
+            slot: 0,
+        })
     }
-
-    type Builder = super::Builder<u64, u64, FailAfter>;
 
     fn check_invariants<K: Ord, V>(t: Shared<Node<K, V>>, lo: Option<&K>, hi: Option<&K>) -> usize {
         if t.is_null() {
@@ -457,87 +470,124 @@ mod tests {
 
     #[test]
     fn insert_remove_roundtrip_stays_balanced() {
-        let mut root: Shared<Node<u64, u64>> = Shared::null();
+        let mut h = Pinned::handle(());
+        let mut op = Pinned::enter(&mut h);
+        let root = Atomic::null();
         let mut garbage: Vec<Shared<Node<u64, u64>>> = Vec::new();
 
         for i in 0..256u64 {
             let key = (i * 167) % 256;
-            let mut b = Builder::new();
+            let mut b = builder::<Pinned, _>(&root);
             let new_root = b
-                .insert(&mut &mut FailAfter::handle(), root, &key, &(key * 10))
+                .insert(&mut op, b.at.root0, &key, &(key * 10))
                 .unwrap()
                 .expect("fresh key");
             garbage.extend(b.replaced);
-            root = new_root;
-            check_invariants(root, None, None);
+            root.store(new_root, Relaxed);
+            check_invariants(new_root, None, None);
         }
-        assert_eq!(size_of(root), 256);
+        assert_eq!(size_of(root.load(Relaxed)), 256);
 
         for key in (1..256u64).step_by(2) {
-            let mut b = Builder::new();
+            let mut b = builder::<Pinned, _>(&root);
             let (new_root, v) = b
-                .remove(&mut &mut FailAfter::handle(), root, &key)
+                .remove(&mut op, b.at.root0, &key)
                 .unwrap()
                 .expect("present");
             assert_eq!(v, key * 10);
             garbage.extend(b.replaced);
-            root = new_root;
-            check_invariants(root, None, None);
+            root.store(new_root, Relaxed);
+            check_invariants(new_root, None, None);
         }
-        assert_eq!(size_of(root), 128);
+        assert_eq!(size_of(root.load(Relaxed)), 128);
 
-        let mut b = Builder::new();
-        assert!(b
-            .remove(&mut &mut FailAfter::handle(), root, &1)
-            .unwrap()
-            .is_none());
+        let mut b = builder::<Pinned, _>(&root);
+        assert!(b.remove(&mut op, b.at.root0, &1).unwrap().is_none());
         b.abort();
 
+        Pinned::exit(op);
         for g in garbage {
             unsafe { g.drop_owned() };
         }
-        unsafe { free_tree(root) };
+        unsafe { free_tree(root.load(Relaxed)) };
     }
 
     #[test]
     fn duplicate_insert_builds_nothing_permanent() {
-        let mut b = Builder::new();
+        let mut h = Pinned::handle(());
+        let mut op = Pinned::enter(&mut h);
+        let empty = Atomic::null();
+        let mut b = builder::<Pinned, _>(&empty);
         let root = b
-            .insert(&mut &mut FailAfter::handle(), Shared::null(), &5u64, &50u64)
+            .insert(&mut op, Shared::null(), &5u64, &50u64)
             .unwrap()
             .unwrap();
         assert_eq!(b.fresh.len(), 1);
 
-        let mut b2 = Builder::new();
-        assert!(b2
-            .insert(&mut &mut FailAfter::handle(), root, &5, &50)
-            .unwrap()
-            .is_none());
+        let mut b2 = builder::<Pinned, _>(&empty);
+        assert!(b2.insert(&mut op, root, &5, &50).unwrap().is_none());
         b2.abort();
+        Pinned::exit(op);
         unsafe { root.drop_owned() };
     }
 
-    #[test]
-    fn restarting_protector_aborts_cleanly() {
-        // Build a small tree first.
-        let mut root: Shared<Node<u64, u64>> = Shared::null();
-        for key in 0..32u64 {
-            let mut b = Builder::new();
-            root = b
-                .insert(&mut &mut FailAfter::handle(), root, &key, &key)
-                .unwrap()
-                .unwrap();
-            for g in b.replaced {
-                unsafe { g.drop_owned() };
-            }
+    /// Counts the drops of its instances.
+    #[derive(Clone)]
+    struct Counted;
+
+    static DROPS: AtomicUsize = AtomicUsize::new(0);
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            DROPS.fetch_add(1, Relaxed);
         }
-        // Now fail protection partway through an insert; abort must free
-        // all fresh nodes (no leak, no double free — exercised under the
-        // test allocator by simply running).
-        let mut b = Builder::new();
-        let res = b.insert(&mut &mut 3, root, &100, &100);
+    }
+
+    fn node(
+        left: Shared<Node<u64, Counted>>,
+        key: u64,
+        right: Shared<Node<u64, Counted>>,
+    ) -> Shared<Node<u64, Counted>> {
+        Shared::from_owned(Node {
+            left: Atomic::from(left),
+            right: Atomic::from(right),
+            size: 1 + size_of(left) + size_of(right),
+            key,
+            value: Counted,
+        })
+    }
+
+    #[test]
+    fn restarting_protection_aborts_cleanly() {
+        let leaf = |key| node(Shared::null(), key, Shared::null());
+        // Inserting 5 leaves `20` too heavy for `70`: the double rotation
+        // takes `inner` apart, an old node, after the build made fresh ones.
+        let inner = node(leaf(30), 40, node(Shared::null(), 50, leaf(60)));
+        let root = node(
+            node(leaf(10), 20, inner),
+            70,
+            node(Shared::null(), 90, leaf(95)),
+        );
+        check_invariants(root, None, None);
+        // Under HP++ a protection out of an invalidated node fails, so the
+        // build fails there, in the middle.
+        unsafe { Node::invalidate(inner.as_raw()) };
+        let link = Atomic::from(root);
+        let mut h = Hpp::<0>::handle(Hpp::<0>::default_domain());
+        let mut op = Hpp::<0>::enter(&mut h);
+        let mut b = builder::<Hpp<0>, _>(&link);
+        let res = b.insert(&mut op, root, &5, &Counted);
         assert_eq!(res, Err(Restart));
+        let fresh = b.fresh.len();
+        assert!(
+            fresh > 0,
+            "the protection failed before the build made a node"
+        );
+        // Abort must free every fresh node, and only those.
+        let before = DROPS.load(Relaxed);
         b.abort();
+        assert_eq!(DROPS.load(Relaxed) - before, fresh);
+        Hpp::<0>::exit(op);
         unsafe { free_tree(root) };
     }
 }

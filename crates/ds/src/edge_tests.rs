@@ -208,7 +208,7 @@ fn get_with_keeps_the_node_protected_until_the_closure_returns() {
 
     use crate::list::{Harris, Michael};
     use crate::protect::{Careful, Hpp};
-    parked_reader::<Careful<hp::Thread, 2>, Michael>(|h| h.thread.reclaim());
-    parked_reader::<Hpp<4>, Michael>(|h| h.reclaim());
-    parked_reader::<Hpp<4>, Harris>(|h| h.reclaim());
+    parked_reader::<Careful<hp::Domain, 2>, Michael>(|h| h.thread.reclaim());
+    parked_reader::<Hpp<4>, Michael>(|h| h.thread.reclaim());
+    parked_reader::<Hpp<4>, Harris>(|h| h.thread.reclaim());
 }

@@ -7,7 +7,7 @@
 //! MARK); helpers complete flagged operations. A delete retires its leaf by
 //! a CAS at the *grandparent*, and a descriptor is retired by whoever
 //! displaces it, so no protection here is vouched for by the link it was
-//! read through alone: every one is a [`Retire::protect_by`] with the word
+//! read through alone: every one is a [`Protect::protect_by`](crate::protect::Protect::protect_by) with the word
 //! that does vouch for it as witness. Since HP++ gains nothing (there is no
 //! optimistic traversal to enable), the HP++ alias is this code over
 //! `hp_plus::Thread` — the paper's hybrid mode (§4.2).
@@ -34,7 +34,7 @@ use std::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed};
 use smr_common::{Atomic, Backoff, ConcurrentMap, Shared};
 
 use crate::nm_tree::NmKey;
-use crate::protect::Retire;
+use crate::protect::{Retire, NO_SRC};
 
 // `update` word states (tag bits).
 const CLEAN: usize = 0;
@@ -183,7 +183,7 @@ where
 
                 pupdate = node.update.load(Acquire);
                 let unmoved = || node.update.load(Acquire) == pupdate;
-                if !P::protect_by(op, POP, pupdate.with_tag(0), unmoved) {
+                if !P::protect_by(op, POP, pupdate.with_tag(0), NO_SRC, unmoved) {
                     continue 'restart;
                 }
                 let edge = if *key < node.key {
@@ -199,7 +199,7 @@ where
                 // any of its children can be retired: seeing it unmarked
                 // after announcing the child makes the protection sound.
                 let linked = || edge.load(Acquire) == l && node.update.load(Acquire).tag() != MARK;
-                if !P::protect_by(op, LEAF, l, linked) {
+                if !P::protect_by(op, LEAF, l, NO_SRC, linked) {
                     continue 'restart;
                 }
             }
@@ -242,8 +242,8 @@ where
         // takes a DFLAG on `p`. Holding both also keeps their addresses
         // from being recycled into a word the CAS would then match.
         let flagged = || pn.update.load(Acquire) == d.with_tag(IFLAG);
-        if P::protect_by(op, HELP, info.new_internal, flagged)
-            && P::protect_by(op, LEAF, info.l, flagged)
+        if P::protect_by(op, HELP, info.new_internal, NO_SRC, flagged)
+            && P::protect_by(op, LEAF, info.l, NO_SRC, flagged)
         {
             // SAFETY: `HELP` protects the new internal node.
             self.finish_insert(op, d, &unsafe { info.new_internal.deref() }.key);
@@ -276,7 +276,7 @@ where
         // SAFETY: the caller's protections.
         let (info, gpn) = unsafe { (d.deref(), d.deref().gp.deref()) };
         let flagged = || gpn.update.load(Acquire) == d.with_tag(DFLAG);
-        if !P::protect_by(op, HELP, info.p, flagged) {
+        if !P::protect_by(op, HELP, info.p, NO_SRC, flagged) {
             return;
         }
         // SAFETY: `HELP` protects `p`.
@@ -284,7 +284,9 @@ where
         let cur = pn.update.load(Acquire);
         if cur != info.pupdate {
             self.decide(op, d, cur);
-        } else if P::protect_by(op, LEAF, cur.with_tag(0), || pn.update.load(Acquire) == cur) {
+        } else if P::protect_by(op, LEAF, cur.with_tag(0), NO_SRC, || {
+            pn.update.load(Acquire) == cur
+        }) {
             // A CLEAN word's descriptor is a version number: held across
             // the mark CAS, or a recycled one could stand in for it.
             self.mark(op, d);

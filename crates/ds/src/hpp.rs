@@ -6,8 +6,8 @@
 //! original HP cannot support. Physical deletion goes through
 //! `hp_plus::Thread::try_unlink`, which protects the unlink frontier and
 //! defers invalidation. The lists, the NM tree and the stack are the
-//! crate's one implementation of each under `Hpp`, the Bonsai tree under
-//! `SrcCheck`.
+//! crate's one implementation of each under `Hpp`, the Bonsai tree too
+//! (each step validated against its source's invalidation).
 
 use crate::list::{Harris, List, Michael};
 use crate::protect::{Careful, HpHandle, Hpp};
@@ -41,16 +41,16 @@ pub type StackHandle = HpHandle<hp_plus::Thread, 1>;
 /// `hp_plus::Thread`. See DESIGN.md for why the wait-free-get variant is
 /// not reproduced. `true` is `Careful`'s `LINGER`, as for `hp::SkipList`.
 pub type SkipList<K, V> =
-    skip_list::SkipList<K, V, Careful<hp_plus::Thread, { skip_list::SLOTS }, true>>;
+    skip_list::SkipList<K, V, Careful<hp_plus::Domain, { skip_list::SLOTS }, true>>;
 
 /// Ellen et al. tree under HP++ in *hybrid* mode (§4.2): EFRB needs no
 /// optimistic traversal (HP already supports it), so HP++ adds nothing but
 /// its domain — the paper measures HP++ at 80-90% of HP here.
-pub type EFRBTree<K, V> = efrb_tree::EFRBTree<K, V, Careful<hp_plus::Thread, { efrb_tree::SLOTS }>>;
+pub type EFRBTree<K, V> = efrb_tree::EFRBTree<K, V, Careful<hp_plus::Domain, { efrb_tree::SLOTS }>>;
 
 /// Bonsai tree protected by HP++: a node is validated against the node it
 /// was read from, and the root CAS is a `try_unlink` of the replaced path.
-pub type BonsaiTree<K, V> = bonsai::BonsaiTree<K, V, bonsai::SrcCheck>;
-/// Per-thread state of [`BonsaiTree`]: HP++ registration and a growable
-/// pool of hazard slots.
-pub type BonsaiHandle = bonsai::Slots<hp_plus::Thread>;
+pub type BonsaiTree<K, V> = bonsai::BonsaiTree<K, V, Hpp<0>>;
+/// Per-thread state of [`BonsaiTree`]: HP++ registration and hazard slots
+/// grown on demand, one per node an update reads — O(tree depth).
+pub type BonsaiHandle = HpHandle<hp_plus::Thread, 0>;

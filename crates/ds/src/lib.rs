@@ -3,9 +3,8 @@
 //! Every structure implements [`smr_common::ConcurrentMap`] and is written
 //! **once**, as generic code over a crate-private protection step
 //! (`protect.rs`: how a traversal step is made safe, how a detaching CAS
-//! hands its nodes over; the Bonsai tree: `bonsai_core.rs`); the three
-//! families below are that step's three implementations, exported as type
-//! aliases:
+//! hands its nodes over); the three families below are that step's three
+//! implementations, exported as type aliases:
 //!
 //! * [`guarded`] — any [`smr_common::GuardedScheme`]: NR, EBR, PEBR,
 //!   Hyaline (ejection checks are injected through the guard's
@@ -44,7 +43,6 @@ pub mod cdrc;
 pub mod guarded;
 pub mod hash_map;
 pub mod hp;
-pub mod hp_family;
 pub mod hpp;
 // The single implementations behind the family aliases. Their types are
 // public so the aliases can name them, but only the aliases are exported.

@@ -176,7 +176,7 @@ impl<K: Ord, V, P: Protect, T: Traversal<P>> List<K, V, P, T> {
                     let next = next.with_tag(0);
                     let once = std::iter::once(cur);
                     // SAFETY: the CAS detaches exactly the marked `cur`.
-                    if !unsafe { P::unlink(op, &*link, cur, next, next, once) } {
+                    if !unsafe { P::unlink(op, &*link, cur, next, || [next], once) } {
                         continue 'retry;
                     }
                     cur = next;
@@ -247,7 +247,7 @@ impl<K: Ord, V, P: Protect, T: Traversal<P>> List<K, V, P, T> {
                 };
                 // SAFETY: the CAS detaches exactly that chain — every node
                 // of it marked — and `cur` is what it links to.
-                if !unsafe { P::unlink(op, &*anchor, anchor_next, cur, cur, chain) } {
+                if !unsafe { P::unlink(op, &*anchor, anchor_next, cur, || [cur], chain) } {
                     continue 'retry;
                 }
                 link = anchor;
@@ -454,7 +454,7 @@ where
             let once = std::iter::once(at.cur);
             // SAFETY: `at.link` as above; the CAS detaches exactly the
             // node this thread marked, whose frozen successor is `next`.
-            unsafe { P::unlink(&mut op, &*at.link, at.cur, next, next, once) };
+            unsafe { P::unlink(&mut op, &*at.link, at.cur, next, || [next], once) };
             break Some(value);
         };
         P::exit(op);

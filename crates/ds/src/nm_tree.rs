@@ -332,7 +332,7 @@ where
                 &*sr.ancestor_edge,
                 sr.successor_word,
                 promoted,
-                promoted.with_tag(0),
+                || [promoted.with_tag(0)],
                 chain,
             )
         }

@@ -4,20 +4,23 @@
 //! and friends stay *the same algorithm* under every scheme: only how a
 //! traversal step is made safe ([`Protect::protect`]) and how a detaching
 //! CAS hands its nodes over ([`Protect::unlink`]) change. Every structure in
-//! `list.rs`, `skip_list.rs`, `nm_tree.rs`, `stack.rs`, `efrb_tree.rs` and
-//! `queue.rs` is written once against [`Protect`]; this file holds its three
-//! implementations, so the HP-vs-HP++ difference of any structure can be
-//! read here alone:
+//! `list.rs`, `skip_list.rs`, `nm_tree.rs`, `stack.rs`, `efrb_tree.rs`,
+//! `queue.rs` and `bonsai.rs` is written once against [`Protect`]; this file
+//! holds its three implementations, so the HP-vs-HP++ difference of any
+//! structure can be read here alone:
 //!
-//! | hook | [`Guarded<S>`] (NR, EBR, PEBR, Hyaline) | [`Careful<T, H, LINGER>`] (HP; HP++ hybrid §4.2) | [`Hpp<H>`] (HP++ §3) |
+//! | hook | [`Guarded<S>`] (NR, EBR, PEBR, Hyaline) | [`Careful<D, H, LINGER>`] (HP; HP++ hybrid §4.2) | [`Hpp<H>`] (HP++ §3) |
 //! |---|---|---|---|
-//! | `enter` / `exit` | pin / unpin | — / clear the `H` slots (unless `LINGER`: the skiplist) | — / clear the `H` slots |
+//! | `enter` / `exit` | pin / unpin | — / clear the slots (unless `LINGER`: the skiplist) | — / clear the slots |
 //! | `protect` | `validate()`, else `refresh()` and restart | announce, re-read the link: restart if it *changed or is marked* | announce, restart only if the *source node is invalidated*; a changed link retargets |
+//! | `protect_by` (the queue, EFRB, each Bonsai step) | `validate()`, else `refresh()` and restart | announce, light fence, ask the *witness* (Bonsai: the root is still the snapshot) | announce, light fence, restart only if `src` is invalidated |
 //! | `swap` / `dup` | no-op | exchange two slots / announce an already protected pointer | same |
-//! | `unlink` | CAS, `defer_destroy` each node | CAS, `retire` each node | `try_unlink`: protect the frontier, CAS, defer invalidation |
+//! | `unlink` | CAS, `defer_destroy` each node | CAS, `retire` each node | `try_unlink`: protect the frontier (only this family builds it), CAS, defer invalidation |
 //! | [`Optimistic`] | ✓ | ✗ (paper Table 2) | ✓ |
 //! | [`Retire`] | ✓ | ✓ | ✗ (needs the detaching CAS) |
-//! | [`Retire::protect_by`] | `validate()`, else `refresh()` and restart | announce, light fence, ask the *witness* | ✗ |
+//!
+//! A hazard handle of `H = 0` slots (the Bonsai tree, whose build keeps
+//! O(depth) nodes protected) grows a slot on first use instead.
 
 use std::borrow::{Borrow, BorrowMut};
 use std::marker::PhantomData;
@@ -25,8 +28,6 @@ use std::sync::atomic::Ordering::{AcqRel, Acquire};
 
 use hp_plus::HazardPointer;
 use smr_common::{fence, Atomic, GuardedScheme, SchemeDomain, SchemeGuard, Shared};
-
-use crate::hp_family::HpFamily;
 
 /// How an HP++ unlinker invalidates a node (§3.2); re-exported so that a
 /// structure's file names no scheme crate.
@@ -37,6 +38,25 @@ pub use hp_plus::Invalidate;
 pub trait Node: Invalidate + Sized {
     /// Whether an unlinker has invalidated this node.
     fn is_invalid(&self) -> bool;
+}
+
+/// The `src` of a [`Protect::protect_by`] in a structure that needs
+/// [`Retire`] (the queue, the EFRB tree): only [`Hpp`] reads `src`, and it
+/// runs no such structure.
+pub(crate) const NO_SRC: Shared<NoSrc> = Shared::null();
+
+/// A node that does not exist: the type of [`NO_SRC`].
+pub(crate) enum NoSrc {}
+
+// SAFETY: there is no such node to invalidate.
+unsafe impl Invalidate for NoSrc {
+    unsafe fn invalidate(_: *mut Self) {}
+}
+
+impl Node for NoSrc {
+    fn is_invalid(&self) -> bool {
+        match *self {}
+    }
 }
 
 /// Dereferences a pointer [`Protect::protect`] has just returned `true`
@@ -109,6 +129,25 @@ pub trait Protect: 'static {
         src: Shared<N>,
     ) -> bool;
 
+    /// Makes `ptr` safe to dereference under `slot` when the link it was
+    /// read from does not vouch for it. The family picks what does:
+    /// [`Careful`] asks `witness`, which re-reads the word that does (tags
+    /// included) — the queue's `head`, an EFRB `update` word, the Bonsai
+    /// root still being the attempt's snapshot; [`Hpp`] checks that `src`,
+    /// the protected node `ptr` was read out of (null: a root), is not
+    /// invalidated. That check is sound only where the link from `src`
+    /// never changes: it holds for the Bonsai tree, whose published links
+    /// are immutable, and vacuously for every structure that needs
+    /// [`Retire`], which `Hpp` lacks (they pass [`NO_SRC`]). `false` means
+    /// restart; null empties the slot.
+    fn protect_by<N, S: Node>(
+        op: &mut Self::Op<'_>,
+        slot: usize,
+        ptr: Shared<N>,
+        src: Shared<S>,
+        witness: impl FnOnce() -> bool,
+    ) -> bool;
+
     /// Exchanges what slots `a` and `b` protect (hand-over-hand stepping).
     fn swap(op: &mut Self::Op<'_>, a: usize, b: usize);
 
@@ -124,14 +163,16 @@ pub trait Protect: 'static {
     /// * A successful CAS makes exactly the nodes of `detached` unreachable,
     ///   once, with links that no longer change (Assumption 1), and they
     ///   are `Box` allocations.
-    /// * `frontier` is the one node still reachable that a detached node
-    ///   links to (§3.1); the caller protects `from`'s chain up to it.
-    unsafe fn unlink<N: Node>(
+    /// * `frontier` builds the nodes still reachable that a detached node
+    ///   links to (§3.1; a list's one successor, the Bonsai tree's shared
+    ///   subtrees); the caller protects `from`'s chain up to them. Only
+    ///   [`Hpp`] calls it.
+    unsafe fn unlink<N: Node, F: AsRef<[Shared<N>]>>(
         op: &mut Self::Op<'_>,
         link: &Atomic<N>,
         from: Shared<N>,
         to: Shared<N>,
-        frontier: Shared<N>,
+        frontier: impl FnOnce() -> F,
         detached: impl Iterator<Item = Shared<N>>,
     ) -> bool;
 }
@@ -154,18 +195,6 @@ pub trait Retire: Protect {
     /// `node` is a `Box` allocation, unreachable from the structure, and
     /// retired once.
     unsafe fn retire<N>(op: &mut Self::Op<'_>, node: Shared<N>);
-
-    /// Makes `ptr` safe to dereference under `slot` when the word that
-    /// vouches for it is not the link it was read from: `witness` re-reads
-    /// that word (tags included) and says whether `ptr` was still unretired
-    /// — the queue's `next` by `head`, an EFRB descriptor by the `update`
-    /// word it came from. `false` means restart; null empties the slot.
-    fn protect_by<N>(
-        op: &mut Self::Op<'_>,
-        slot: usize,
-        ptr: Shared<N>,
-        witness: impl FnOnce() -> bool,
-    ) -> bool;
 }
 
 /// Critical-section protection: any [`GuardedScheme`].
@@ -214,18 +243,35 @@ impl<S: GuardedScheme> Protect for Guarded<S> {
     }
 
     #[inline]
+    fn protect_by<N, M: Node>(
+        op: &mut S::Guard<'_>,
+        _slot: usize,
+        _ptr: Shared<N>,
+        _src: Shared<M>,
+        _witness: impl FnOnce() -> bool,
+    ) -> bool {
+        // The critical section vouches for everything read inside it.
+        smr_common::fault_point!("ds::guarded::traverse::validate");
+        if op.validate() {
+            return true;
+        }
+        op.refresh();
+        false
+    }
+
+    #[inline]
     fn swap(_: &mut S::Guard<'_>, _: usize, _: usize) {}
 
     #[inline]
     fn dup<N>(_: &mut S::Guard<'_>, _: usize, _: Shared<N>) {}
 
     #[inline]
-    unsafe fn unlink<N: Node>(
+    unsafe fn unlink<N: Node, F: AsRef<[Shared<N>]>>(
         op: &mut S::Guard<'_>,
         link: &Atomic<N>,
         from: Shared<N>,
         to: Shared<N>,
-        _frontier: Shared<N>,
+        _frontier: impl FnOnce() -> F,
         detached: impl Iterator<Item = Shared<N>>,
     ) -> bool {
         if link.compare_exchange(from, to, AcqRel, Acquire).is_err() {
@@ -246,49 +292,40 @@ impl<S: GuardedScheme> Retire for Guarded<S> {
         // SAFETY: the caller's contract is `defer_destroy`'s.
         unsafe { op.defer_destroy(node) };
     }
-
-    #[inline]
-    fn protect_by<N>(
-        op: &mut S::Guard<'_>,
-        _slot: usize,
-        _ptr: Shared<N>,
-        _witness: impl FnOnce() -> bool,
-    ) -> bool {
-        // The critical section vouches for everything read inside it.
-        smr_common::fault_point!("ds::guarded::traverse::validate");
-        if op.validate() {
-            return true;
-        }
-        op.refresh();
-        false
-    }
 }
 
-/// Per-thread state of the hazard-pointer families: the scheme thread and
-/// the `H` hazard slots a structure's traversal roles index into.
-pub struct HpHandle<T: HpFamily, const H: usize> {
+/// Per-thread state of the hazard-pointer families: the scheme thread `T`
+/// (`hp::Thread`, or `hp_plus::Thread`, which wraps one) and the `H` hazard
+/// slots a structure's traversal roles index into. With `H = 0` (the Bonsai
+/// tree) a slot is made the first time it is indexed instead.
+pub struct HpHandle<T, const H: usize> {
     pub(crate) thread: T,
     slots: [HazardPointer; H],
+    /// The slots of an `H = 0` handle.
+    grown: Vec<HazardPointer>,
 }
 
-impl<T: HpFamily, const H: usize> HpHandle<T, H> {
-    /// Registers with `domain`: the family's default, or a structure's own
-    /// (one per KV shard, say), so garbage pressure and collector stalls
-    /// stay inside it.
-    pub fn new_in(domain: &'static T::Domain) -> Self {
-        let mut thread = domain.register();
-        let slots = std::array::from_fn(|_| thread.hazard_pointer());
-        Self { thread, slots }
+impl<T: BorrowMut<hp::Thread>, const H: usize> HpHandle<T, H> {
+    fn new(mut thread: T) -> Self {
+        let slots = std::array::from_fn(|_| thread.borrow_mut().hazard_pointer());
+        Self {
+            thread,
+            slots,
+            grown: Vec::new(),
+        }
     }
 
-    /// Unreclaimed blocks charged to this handle's thread.
-    pub fn garbage_count(&self) -> usize {
-        T::Domain::garbage(&self.thread)
-    }
-
-    /// Forces one reclamation round now (HP++: invalidation included).
-    pub fn reclaim(&mut self) {
-        T::Domain::collect(&mut self.thread)
+    /// Slot `i`; a constant `i` under a fixed `H` folds to the array index.
+    #[inline]
+    fn slot(&mut self, i: usize) -> &HazardPointer {
+        if H > 0 {
+            return &self.slots[i];
+        }
+        if i >= self.grown.len() {
+            let Self { thread, grown, .. } = self;
+            grown.resize_with(i + 1, || thread.borrow_mut().hazard_pointer());
+        }
+        &self.grown[i]
     }
 
     /// Exchanges slots `a` and `b`, as two scalar moves. `slots.swap` on
@@ -307,16 +344,21 @@ impl<T: HpFamily, const H: usize> HpHandle<T, H> {
         for slot in &self.slots {
             slot.reset();
         }
+        if H == 0 {
+            for slot in &self.grown {
+                slot.reset();
+            }
+        }
     }
 }
 
-impl<T: HpFamily, const H: usize> Borrow<T> for HpHandle<T, H> {
+impl<T, const H: usize> Borrow<T> for HpHandle<T, H> {
     fn borrow(&self) -> &T {
         &self.thread
     }
 }
 
-impl<T: HpFamily, const H: usize> BorrowMut<T> for HpHandle<T, H> {
+impl<T, const H: usize> BorrowMut<T> for HpHandle<T, H> {
     fn borrow_mut(&mut self) -> &mut T {
         &mut self.thread
     }
@@ -326,34 +368,38 @@ impl<T: HpFamily, const H: usize> BorrowMut<T> for HpHandle<T, H> {
 /// the link it came from, which fails whenever the source is marked or the
 /// link moved — a sound over-approximation of "the target may be retired",
 /// and the reason a traversal under it can never leave a deleted node.
-/// `T` is `hp::Thread`, or `hp_plus::Thread` for the §4.2 hybrid.
+/// `D` is `hp::Domain`, or `hp_plus::Domain` for the §4.2 hybrid.
 ///
 /// `LINGER` leaves the slots announced at `exit` instead of clearing them.
 /// Only the skiplist sets it: a store per slot per operation is a few
 /// percent of an operation on its 41 slots, and what lingers until the next
 /// operation overwrites it is bounded by `H`, which every garbage bound
 /// already counts.
-pub struct Careful<T, const H: usize, const LINGER: bool = false>(PhantomData<fn() -> T>);
+pub struct Careful<D, const H: usize, const LINGER: bool = false>(PhantomData<fn() -> D>);
 
-impl<T: HpFamily, const H: usize, const LINGER: bool> Protect for Careful<T, H, LINGER> {
-    type Handle = HpHandle<T, H>;
-    type Scheme = T::Domain;
-    type Domain = &'static T::Domain;
-    type Op<'h> = &'h mut HpHandle<T, H>;
+impl<D, const H: usize, const LINGER: bool> Protect for Careful<D, H, LINGER>
+where
+    D: SchemeDomain,
+    D::Handle: BorrowMut<hp::Thread> + Send,
+{
+    type Handle = HpHandle<D::Handle, H>;
+    type Scheme = D;
+    type Domain = &'static D;
+    type Op<'h> = &'h mut Self::Handle;
 
-    fn domain(scheme: &'static T::Domain) -> &'static T::Domain {
+    fn domain(scheme: &'static D) -> &'static D {
         scheme
     }
 
-    fn handle(domain: &'static T::Domain) -> HpHandle<T, H> {
-        HpHandle::new_in(domain)
+    fn handle(domain: &'static D) -> Self::Handle {
+        HpHandle::new(domain.register())
     }
 
-    fn enter(handle: &mut HpHandle<T, H>) -> &mut HpHandle<T, H> {
+    fn enter(handle: &mut Self::Handle) -> &mut Self::Handle {
         handle
     }
 
-    fn exit(op: &mut HpHandle<T, H>) {
+    fn exit(op: &mut Self::Handle) {
         if !LINGER {
             op.clear();
         }
@@ -361,7 +407,7 @@ impl<T: HpFamily, const H: usize, const LINGER: bool> Protect for Careful<T, H, 
 
     #[inline]
     fn protect<N: Node>(
-        op: &mut &mut HpHandle<T, H>,
+        op: &mut &mut Self::Handle,
         slot: usize,
         ptr: &mut Shared<N>,
         link: &Atomic<N>,
@@ -369,26 +415,37 @@ impl<T: HpFamily, const H: usize, const LINGER: bool> Protect for Careful<T, H, 
     ) -> bool {
         // Nothing to protect at the end of a chain; the null was read from
         // a link whose owner the previous step validated.
-        ptr.is_null() || op.slots[slot].try_protect(*ptr, link).is_ok()
+        ptr.is_null() || op.slot(slot).try_protect(*ptr, link).is_ok()
     }
 
     #[inline]
-    fn swap(op: &mut &mut HpHandle<T, H>, a: usize, b: usize) {
+    fn protect_by<N, S: Node>(
+        op: &mut &mut Self::Handle,
+        slot: usize,
+        ptr: Shared<N>,
+        _src: Shared<S>,
+        witness: impl FnOnce() -> bool,
+    ) -> bool {
+        fence::announce_then_validate(|| op.slot(slot).protect_raw(ptr.as_raw()), witness)
+    }
+
+    #[inline]
+    fn swap(op: &mut &mut Self::Handle, a: usize, b: usize) {
         op.swap(a, b);
     }
 
     #[inline]
-    fn dup<N>(op: &mut &mut HpHandle<T, H>, slot: usize, ptr: Shared<N>) {
-        op.slots[slot].protect_raw(ptr.as_raw());
+    fn dup<N>(op: &mut &mut Self::Handle, slot: usize, ptr: Shared<N>) {
+        op.slot(slot).protect_raw(ptr.as_raw());
     }
 
     #[inline]
-    unsafe fn unlink<N: Node>(
-        op: &mut &mut HpHandle<T, H>,
+    unsafe fn unlink<N: Node, F: AsRef<[Shared<N>]>>(
+        op: &mut &mut Self::Handle,
         link: &Atomic<N>,
         from: Shared<N>,
         to: Shared<N>,
-        _frontier: Shared<N>,
+        _frontier: impl FnOnce() -> F,
         detached: impl Iterator<Item = Shared<N>>,
     ) -> bool {
         if link.compare_exchange(from, to, AcqRel, Acquire).is_err() {
@@ -398,26 +455,20 @@ impl<T: HpFamily, const H: usize, const LINGER: bool> Protect for Careful<T, H, 
             // SAFETY: the caller's contract is `retire`'s; every reader
             // validated its protection against a link that no longer
             // leads here.
-            unsafe { op.thread.retire(node.as_raw()) };
+            unsafe { op.thread.borrow_mut().retire(node.as_raw()) };
         }
         true
     }
 }
 
-impl<T: HpFamily, const H: usize, const LINGER: bool> Retire for Careful<T, H, LINGER> {
-    unsafe fn retire<N>(op: &mut &mut HpHandle<T, H>, node: Shared<N>) {
-        // SAFETY: the caller's contract is `HpFamily::retire`'s.
-        unsafe { op.thread.retire(node.as_raw()) };
-    }
-
-    #[inline]
-    fn protect_by<N>(
-        op: &mut &mut HpHandle<T, H>,
-        slot: usize,
-        ptr: Shared<N>,
-        witness: impl FnOnce() -> bool,
-    ) -> bool {
-        fence::announce_then_validate(|| op.slots[slot].protect_raw(ptr.as_raw()), witness)
+impl<D, const H: usize, const LINGER: bool> Retire for Careful<D, H, LINGER>
+where
+    D: SchemeDomain,
+    D::Handle: BorrowMut<hp::Thread> + Send,
+{
+    unsafe fn retire<N>(op: &mut &mut Self::Handle, node: Shared<N>) {
+        // SAFETY: the caller's contract is `hp::Thread::retire`'s.
+        unsafe { op.thread.borrow_mut().retire(node.as_raw()) };
     }
 }
 
@@ -438,7 +489,7 @@ impl<const H: usize> Protect for Hpp<H> {
     }
 
     fn handle(domain: &'static hp_plus::Domain) -> Self::Handle {
-        HpHandle::new_in(domain)
+        HpHandle::new(domain.register())
     }
 
     fn enter(handle: &mut Self::Handle) -> &mut Self::Handle {
@@ -457,7 +508,7 @@ impl<const H: usize> Protect for Hpp<H> {
         link: &Atomic<N>,
         src: Shared<N>,
     ) -> bool {
-        hp_plus::try_protect(&op.slots[slot], ptr, link, || {
+        hp_plus::try_protect(op.slot(slot), ptr, link, || {
             // SAFETY: a non-null `src` is protected by the caller — it is
             // the node `link` belongs to. Unmasked like every step's
             // dereference, so a caller that has just dereferenced `src`
@@ -467,22 +518,37 @@ impl<const H: usize> Protect for Hpp<H> {
     }
 
     #[inline]
+    fn protect_by<N, S: Node>(
+        op: &mut &mut Self::Handle,
+        slot: usize,
+        ptr: Shared<N>,
+        src: Shared<S>,
+        _witness: impl FnOnce() -> bool,
+    ) -> bool {
+        fence::announce_then_validate(
+            || op.slot(slot).protect_raw(ptr.as_raw()),
+            // SAFETY: as in `protect`.
+            || !unsafe { protected_ref(src) }.is_some_and(S::is_invalid),
+        )
+    }
+
+    #[inline]
     fn swap(op: &mut &mut Self::Handle, a: usize, b: usize) {
         op.swap(a, b);
     }
 
     #[inline]
     fn dup<N>(op: &mut &mut Self::Handle, slot: usize, ptr: Shared<N>) {
-        op.slots[slot].protect_raw(ptr.as_raw());
+        op.slot(slot).protect_raw(ptr.as_raw());
     }
 
     #[inline]
-    unsafe fn unlink<N: Node>(
+    unsafe fn unlink<N: Node, F: AsRef<[Shared<N>]>>(
         op: &mut &mut Self::Handle,
         link: &Atomic<N>,
         from: Shared<N>,
         to: Shared<N>,
-        frontier: Shared<N>,
+        frontier: impl FnOnce() -> F,
         detached: impl Iterator<Item = Shared<N>>,
     ) -> bool {
         let do_unlink = || {
@@ -491,7 +557,7 @@ impl<const H: usize> Protect for Hpp<H> {
                 .map(|_| detached)
         };
         // SAFETY: the caller's contract is `try_unlink`'s.
-        unsafe { op.thread.try_unlink(&[frontier], do_unlink) }
+        unsafe { op.thread.try_unlink(frontier().as_ref(), do_unlink) }
     }
 }
 

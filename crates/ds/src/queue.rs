@@ -6,14 +6,14 @@
 //! A dequeuer reads `next` out of the head node but retires the head by
 //! swinging `head`, so the word that vouches for `next` is `head`, not the
 //! link it was read from: while `head` is unchanged its successor cannot
-//! have been retired. That is [`Retire::protect_by`].
+//! have been retired. That is [`Protect::protect_by`](crate::protect::Protect::protect_by).
 
 use std::marker::PhantomData;
 use std::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed, Release};
 
 use smr_common::{Atomic, Backoff, Shared};
 
-use crate::protect::Retire;
+use crate::protect::{Retire, NO_SRC};
 
 // Hazard roles: the end node an operation works on, and a dequeue's
 // successor of the head.
@@ -64,7 +64,9 @@ impl<T: Send, P: Retire> MSQueue<T, P> {
         loop {
             // Protect the tail so its next field stays dereferenceable.
             let tail = self.tail.load(Acquire);
-            if !P::protect_by(&mut op, END, tail, || self.tail.load(Acquire) == tail) {
+            if !P::protect_by(&mut op, END, tail, NO_SRC, || {
+                self.tail.load(Acquire) == tail
+            }) {
                 continue;
             }
             // SAFETY: `END` protects the tail.
@@ -95,7 +97,7 @@ impl<T: Send, P: Retire> MSQueue<T, P> {
         let value = loop {
             let head = self.head.load(Acquire);
             let head_unmoved = || self.head.load(Acquire) == head;
-            if !P::protect_by(&mut op, END, head, head_unmoved) {
+            if !P::protect_by(&mut op, END, head, NO_SRC, head_unmoved) {
                 continue;
             }
             // SAFETY: `END` protects the head.
@@ -103,7 +105,7 @@ impl<T: Send, P: Retire> MSQueue<T, P> {
             if next.is_null() {
                 break None;
             }
-            if !P::protect_by(&mut op, NEXT, next, head_unmoved) {
+            if !P::protect_by(&mut op, NEXT, next, NO_SRC, head_unmoved) {
                 continue;
             }
             let tail = self.tail.load(Acquire);

@@ -103,7 +103,7 @@ impl<T, P: Protect> TreiberStack<T, P> {
             let once = std::iter::once(top);
             // SAFETY: the CAS detaches exactly `top`, whose only link
             // leads to `next`.
-            if unsafe { P::unlink(&mut op, &self.head, top, next, next, once) } {
+            if unsafe { P::unlink(&mut op, &self.head, top, next, || [next], once) } {
                 // SAFETY: `TOP` keeps the node alive past its retirement,
                 // and only the thread that detached it takes the value.
                 break unsafe { (*top.as_raw()).value.take() };

@@ -1,6 +1,8 @@
 //! Per-thread HP++ state: unlinked nodes, epoched hazard pointers,
 //! deferred invalidation, reclamation (Algorithms 3 and 5).
 
+use std::borrow::{Borrow, BorrowMut};
+
 use hp::HazardPointer;
 use smr_common::{counters, Retired, Shared};
 
@@ -241,6 +243,20 @@ impl Thread {
         for (_, hp) in self.epoched_hps.drain(..) {
             self.inner.recycle(hp);
         }
+    }
+}
+
+/// The plain HP thread inside: what its slots and plain retirements (the
+/// §4.2 hybrid) go through.
+impl Borrow<hp::Thread> for Thread {
+    fn borrow(&self) -> &hp::Thread {
+        &self.inner
+    }
+}
+
+impl BorrowMut<hp::Thread> for Thread {
+    fn borrow_mut(&mut self) -> &mut hp::Thread {
+        &mut self.inner
     }
 }
 

@@ -131,8 +131,8 @@ pub struct KvConfig {
     pub op_timeout: std::time::Duration,
     /// Bounded retry budget for one-shot client calls that hit
     /// [`KvError::RetryAfter`] (shard respawning): how many times the call
-    /// re-pushes, with `smr_common::Backoff`-jittered spacing, before
-    /// surfacing the error. Default 3 (0 allowed).
+    /// re-pushes, each after the respawn it sleeps for, before surfacing
+    /// the error. Default 3 (0 allowed).
     pub retries: u32,
 }
 

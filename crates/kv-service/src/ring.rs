@@ -340,7 +340,8 @@ pub(crate) type Entry = (Command, ReplyGuard);
 /// waits, which anchors it within a few polls of the operation's start.
 pub(crate) struct Deadline {
     timeout: Duration,
-    at: Option<Instant>,
+    /// When it passes; set by the first look ([`passed`](Self::passed)).
+    pub(crate) at: Option<Instant>,
 }
 
 impl Deadline {

@@ -12,7 +12,6 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use smr_common::watchdog::WatchdogStatus;
-use smr_common::Backoff;
 
 use crate::ring::{Command, Deadline, PushError, ResponseSlot, WaitError};
 use crate::shard::{run_worker, Shard, ShardStatsSnapshot};
@@ -305,7 +304,7 @@ impl<S: ShardStore> Drop for KvService<S> {
 /// * one-shot ([`get`](Self::get) / [`insert`](Self::insert) /
 ///   [`remove`](Self::remove)) — submit and wait, with the full failure
 ///   API: per-op deadline ([`KvConfig::op_timeout`]), bounded retries with
-///   backoff-jittered spacing across shard respawns;
+///   each retry after the shard's respawn;
 /// * pipelined ([`submit`](Self::submit) then [`drain`](Self::drain)) —
 ///   keep many commands in flight and collect replies in submission
 ///   order. Pipelined replies carry typed errors but are *not* retried:
@@ -446,23 +445,32 @@ impl<S: ShardStore> Client<S> {
         }
     }
 
-    /// Waits (jittered backoff) for shard `idx` to come back up after a
-    /// death: either a respawned incarnation accepts commands, the service
-    /// closes, or the deadline passes. Returns whether retrying is useful.
+    /// Sleeps until shard `idx` is back up after a death: either a
+    /// respawned incarnation accepts commands, the service closes, or the
+    /// deadline passes. Returns whether retrying is useful.
     fn await_respawn(&mut self, idx: usize, deadline: &mut Deadline) -> bool {
-        let mut backoff = Backoff::new();
+        let slot = Arc::clone(&self.slots[idx]);
         loop {
-            if self.slots[idx].is_closed() {
+            // Announced before the re-check: a respawn or a close after it
+            // ends the sleep.
+            let key = slot.respawned.prepare_wait();
+            let up = if slot.is_closed() {
+                Some(false)
+            } else {
+                self.refresh(idx);
+                if !self.cached[idx].shard.ring.is_closed() {
+                    Some(true)
+                } else {
+                    deadline.passed().then_some(false)
+                }
+            };
+            if let Some(up) = up {
+                slot.respawned.cancel_wait(key);
+                return up;
+            }
+            if !slot.respawned.commit_wait(key, deadline.at) {
                 return false;
             }
-            self.refresh(idx);
-            if !self.cached[idx].shard.ring.is_closed() {
-                return true;
-            }
-            if deadline.passed() {
-                return false;
-            }
-            backoff.snooze();
         }
     }
 
@@ -909,5 +917,73 @@ mod tests {
         assert_eq!(svc.generation(0), Generation(0));
         assert!(svc.quarantine_records(0).is_empty());
         svc.shutdown();
+    }
+
+    /// A call into a dead shard sleeps on the slot until the respawn, or
+    /// the close, that ends its wait: staged by stalling every respawn.
+    #[cfg(feature = "fault-injection")]
+    mod respawn_wait {
+        use super::*;
+        use smr_common::fault::{self, FaultAction};
+        use std::thread::JoinHandle;
+
+        const RESPAWN: &str = "kv::supervisor::respawn";
+        /// A test's deadline for any wait: reaching it means a wake was lost.
+        const LOST: Duration = Duration::from_secs(20);
+
+        type Call = JoinHandle<(Result<Option<u64>, KvError>, Duration)>;
+
+        /// Crashes the one shard and calls into it from a thread; returns
+        /// once the call sleeps on the slot while the respawn is stalled.
+        fn asleep_on_a_stalled_respawn() -> (KvService<HppStore>, Call) {
+            let svc = KvService::<HppStore>::start(
+                KvConfig {
+                    shards: 1,
+                    batch: 4,
+                    ring_depth: 32,
+                    buckets: 32,
+                    ..KvConfig::new()
+                }
+                .with_op_timeout(LOST),
+            );
+            let mut client = svc.client();
+            assert!(svc.inject_crash(0));
+            let call = std::thread::spawn(move || {
+                let start = Instant::now();
+                (client.get(1), start.elapsed())
+            });
+            let start = Instant::now();
+            while !(svc.slots[0].respawned.has_sleepers() && fault::stalled_count(RESPAWN) > 0) {
+                assert!(start.elapsed() < LOST, "the call never slept on the slot");
+                std::thread::yield_now();
+            }
+            (svc, call)
+        }
+
+        #[test]
+        fn the_respawn_wakes_the_call() {
+            let _plan = fault::plan()
+                .every(RESPAWN, 1, FaultAction::Stall)
+                .install();
+            let (svc, call) = asleep_on_a_stalled_respawn();
+            fault::release(RESPAWN);
+            assert_eq!(call.join().unwrap().0, Ok(None));
+            svc.shutdown();
+        }
+
+        #[test]
+        fn shutdown_wakes_the_call_with_stopped() {
+            let _plan = fault::plan()
+                .every(RESPAWN, 1, FaultAction::Stall)
+                .install();
+            let (svc, call) = asleep_on_a_stalled_respawn();
+            // Shutdown closes the slot, then joins the stalled supervisor.
+            let shutdown = std::thread::spawn(move || svc.shutdown());
+            let (result, took) = call.join().unwrap();
+            assert_eq!(result, Err(KvError::Stopped));
+            assert!(took < LOST / 4, "woke only near its deadline: {took:?}");
+            fault::release(RESPAWN);
+            shutdown.join().unwrap();
+        }
     }
 }

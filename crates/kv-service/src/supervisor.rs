@@ -91,6 +91,9 @@ pub(crate) struct ShardSlot<S> {
     /// The current incarnation's latest watchdog status; `None` until the
     /// supervisor's first sample of it.
     verdict: Mutex<Option<WatchdogStatus>>,
+    /// Where clients wait out a respawn: notified after each new
+    /// generation is stored, and at close.
+    pub(crate) respawned: EventCount,
 }
 
 impl<S: ShardStore> ShardSlot<S> {
@@ -103,6 +106,7 @@ impl<S: ShardStore> ShardSlot<S> {
             quarantined_garbage: AtomicU64::new(0),
             records: Mutex::new(Vec::new()),
             verdict: Mutex::new(None),
+            respawned: EventCount::default(),
         }
     }
 
@@ -118,6 +122,7 @@ impl<S: ShardStore> ShardSlot<S> {
 
     pub(crate) fn close(&self) {
         self.closed.store(true, SeqCst);
+        self.respawned.notify();
     }
 
     pub(crate) fn is_closed(&self) -> bool {
@@ -318,6 +323,7 @@ fn recover<S: ShardStore>(
     *lock_mutex(&slot.verdict) = None;
     *slot.current.write().unwrap_or_else(|e| e.into_inner()) = Arc::clone(&fresh);
     slot.generation.store(generation + 1, Release);
+    slot.respawned.notify();
     slot.respawns.fetch_add(1, Relaxed);
     smr_common::counters::incr_shard_respawn();
     // Shutdown may have raced this respawn: it closes the rings it sees,
