@@ -82,6 +82,8 @@ unsafe impl<K, V> protect::Invalidate for Node<K, V> {
 }
 
 impl<K, V> protect::Node for Node<K, V> {
+    const INVALID_TAG: usize = TAG_INVALIDATED;
+
     fn is_invalid(&self) -> bool {
         self.left.load(Acquire).tag() & TAG_INVALIDATED != 0
     }
@@ -106,7 +108,7 @@ impl<'r, K, V> Attempt<'r, K, V> {
     /// protection failed and the attempt must start again.
     pub fn start<P: Protect>(op: &mut P::Op<'_>, root: &'r Atomic<Node<K, V>>) -> Option<Self> {
         let mut root0 = root.load(Acquire);
-        P::protect(op, 0, &mut root0, root, Shared::null()).then_some(Self {
+        P::protect(op, 0, &mut root0, root).then_some(Self {
             root,
             root0,
             slot: 0,

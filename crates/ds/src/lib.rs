@@ -80,6 +80,8 @@ pub trait InDomain<K, V>: ConcurrentMap<K, V> {
 /// feature). DESIGN.md §1.7 documents the invariant each one attacks.
 pub const FAULT_POINTS: &[&str] = &[
     "ds::guarded::traverse::validate",
+    "ds::careful::protect::after_announce",
+    "ds::hpp::protect::after_announce",
     "ds::skiplist::insert::before_level_link",
     "ds::efrb::help_insert::before_child_cas",
 ];

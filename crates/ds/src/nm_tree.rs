@@ -101,6 +101,8 @@ unsafe impl<K, V> protect::Invalidate for Node<K, V> {
 }
 
 impl<K, V> protect::Node for Node<K, V> {
+    const INVALID_TAG: usize = INVALID;
+
     fn is_invalid(&self) -> bool {
         self.left.load(Acquire).tag() & INVALID != 0
     }
@@ -131,8 +133,8 @@ impl<K, V> SeekRecord<K, V> {
     }
 }
 
-/// Protects the target of `edge`, a field of `src`, under `slot` and
-/// returns an edge word (tags included) whose pointer part is the
+/// Protects the target of `edge`, a field of a protected node, under
+/// `slot` and returns an edge word (tags included) whose pointer part is the
 /// protected node. `None` = restart.
 ///
 /// The tags are the ones read *with* the pointer, before the protection
@@ -145,12 +147,11 @@ fn protect_edge<K, V, P: Protect>(
     op: &mut P::Op<'_>,
     slot: usize,
     edge: &Atomic<Node<K, V>>,
-    src: Shared<Node<K, V>>,
 ) -> Option<Shared<Node<K, V>>> {
     let mut word = edge.load(Acquire);
     loop {
         let mut ptr = word.with_tag(0);
-        if !P::protect(op, slot, &mut ptr, edge, src) {
+        if !P::protect(op, slot, &mut ptr, edge) {
             return None;
         }
         if ptr == word.with_tag(0) {
@@ -262,7 +263,7 @@ where
         let mut ancestor_edge: *const Atomic<Node<K, V>> = &self.r.left;
         let mut prev = r; // owner of parent_edge; protected (or sentinel)
         let mut parent_edge = ancestor_edge;
-        let mut leaf_word = protect_edge::<K, V, P>(op, CUR, &self.r.left, r)?;
+        let mut leaf_word = protect_edge::<K, V, P>(op, CUR, &self.r.left)?;
         let mut successor_word = leaf_word;
         P::dup(op, ANCESTOR, r);
         P::dup(op, SUCCESSOR, leaf_word.with_tag(0));
@@ -290,7 +291,7 @@ where
             prev = cur;
             P::swap(op, PREV, CUR);
             parent_edge = next_edge;
-            leaf_word = protect_edge::<K, V, P>(op, CUR, next_edge, prev)?;
+            leaf_word = protect_edge::<K, V, P>(op, CUR, next_edge)?;
         }
         Some(SeekRecord {
             ancestor_edge,

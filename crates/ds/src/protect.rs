@@ -12,7 +12,7 @@
 //! | hook | [`Guarded<S>`] (NR, EBR, PEBR, Hyaline) | [`Careful<D, H, LINGER>`] (HP; HP++ hybrid §4.2) | [`Hpp<H>`] (HP++ §3) |
 //! |---|---|---|---|
 //! | `enter` / `exit` | pin / unpin | — / clear the slots (unless `LINGER`: the skiplist) | — / clear the slots |
-//! | `protect` | `validate()`, else `refresh()` and restart | announce, re-read the link: restart if it *changed or is marked* | announce, restart only if the *source node is invalidated*; a changed link retargets |
+//! | `protect` | `validate()`, else `refresh()` and restart | announce, re-read the link: restart if it *changed or is marked* | announce, re-read the link: restart only if it carries the source's *invalidation bit*; a changed link retargets |
 //! | `protect_by` (the queue, EFRB, each Bonsai step) | `validate()`, else `refresh()` and restart | announce, light fence, ask the *witness* (Bonsai: the root is still the snapshot) | announce, light fence, restart only if `src` is invalidated |
 //! | `swap` / `dup` | no-op | exchange two slots / announce an already protected pointer | same |
 //! | `unlink` | CAS, `defer_destroy` each node | CAS, `retire` each node | `try_unlink`: protect the frontier (only this family builds it), CAS, defer invalidation |
@@ -36,6 +36,12 @@ pub use hp_plus::Invalidate;
 /// What the protection step needs to know about a node: its HP++
 /// invalidation bit. Only [`Hpp`] sets or reads it.
 pub trait Node: Invalidate + Sized {
+    /// The tag bit that [`Invalidate::invalidate`] sets on *every* link out
+    /// of this node before it returns (0: the node is never invalidated).
+    /// [`Hpp::protect`] reads it off the link it re-reads anyway, so a step
+    /// validates with one load; a root link never carries it.
+    const INVALID_TAG: usize;
+
     /// Whether an unlinker has invalidated this node.
     fn is_invalid(&self) -> bool;
 }
@@ -54,6 +60,8 @@ unsafe impl Invalidate for NoSrc {
 }
 
 impl Node for NoSrc {
+    const INVALID_TAG: usize = 0;
+
     fn is_invalid(&self) -> bool {
         match *self {}
     }
@@ -73,6 +81,43 @@ pub unsafe fn protected_ref<'a, N>(ptr: Shared<N>) -> Option<&'a N> {
     debug_assert_eq!(ptr.tag(), 0, "protect returns untagged pointers");
     // SAFETY: no tag bits are set, so the word is the pointer.
     unsafe { (ptr.into_usize() as *const N).as_ref() }
+}
+
+/// Whether this thread crosses the fault points in the hazard families'
+/// announce-to-validate windows. The engine counts hits process-wide, so
+/// inside this crate's own (parallel) test suite only a thread that opted
+/// in ([`STALL_VICTIM`]) does, and a battery row never takes a staged
+/// test's stall.
+#[inline(always)]
+fn crosses_fault_points() -> bool {
+    #[cfg(all(test, feature = "fault-injection"))]
+    if !STALL_VICTIM.with(std::cell::Cell::get) {
+        return false;
+    }
+    true
+}
+
+#[cfg(all(test, feature = "fault-injection"))]
+thread_local! {
+    /// Opts the current thread into [`crosses_fault_points`].
+    pub(crate) static STALL_VICTIM: std::cell::Cell<bool> =
+        const { std::cell::Cell::new(false) };
+}
+
+/// `word` without its tag bits: how a traversal step takes the successor
+/// it announces next. A tag is rare (a marked or invalidated node), so the
+/// mask runs on a cold branch and the common word goes to the next
+/// dereference as loaded — the step's critical path is then the one load
+/// of `next`, not the load and an `and`. `black_box` on the cold arm alone
+/// keeps LLVM from folding the branch back into the mask.
+#[inline(always)]
+pub(crate) fn untagged<N>(word: Shared<N>) -> Shared<N> {
+    if word.tag() == 0 {
+        word
+    } else {
+        std::hint::cold_path();
+        std::hint::black_box(word.with_tag(0))
+    }
 }
 
 /// One reclamation family's way of making a traversal safe.
@@ -116,17 +161,16 @@ pub trait Protect: 'static {
     fn exit(op: Self::Op<'_>);
 
     /// Makes `*ptr` — the untagged pointer just read from `link`, a field
-    /// of `src` (itself untagged; null `src` = the structure's root, never
-    /// reclaimed) — safe to dereference under `slot`. On `true`, `*ptr` is protected and is
-    /// (for the hazard families) what `link` held at validation; it may
-    /// have been retargeted. `false` means the traversal lost its footing
-    /// and must restart from the root.
+    /// of a protected node or a root link — safe to dereference under
+    /// `slot`. On `true`, `*ptr` is protected and is (for the hazard
+    /// families) what `link` held at validation, untagged; it may have been
+    /// retargeted. `false` means the traversal lost its footing and must
+    /// restart from the root.
     fn protect<N: Node>(
         op: &mut Self::Op<'_>,
         slot: usize,
         ptr: &mut Shared<N>,
         link: &Atomic<N>,
-        src: Shared<N>,
     ) -> bool;
 
     /// Makes `ptr` safe to dereference under `slot` when the link it was
@@ -230,7 +274,6 @@ impl<S: GuardedScheme> Protect for Guarded<S> {
         _slot: usize,
         _ptr: &mut Shared<N>,
         _link: &Atomic<N>,
-        _src: Shared<N>,
     ) -> bool {
         // A traverser preempted between validation and the dereference
         // that follows is exactly what ejection (PEBR) must survive.
@@ -411,11 +454,30 @@ where
         slot: usize,
         ptr: &mut Shared<N>,
         link: &Atomic<N>,
-        _src: Shared<N>,
     ) -> bool {
         // Nothing to protect at the end of a chain; the null was read from
         // a link whose owner the previous step validated.
-        ptr.is_null() || op.slot(slot).try_protect(*ptr, link).is_ok()
+        if ptr.is_null() {
+            return true;
+        }
+        // `HazardPointer::try_protect`, with this crate's fault point.
+        let slot = op.slot(slot);
+        let word = fence::announce_then_validate(
+            || {
+                // Untagged by contract, so the word is the pointer.
+                slot.protect_raw(ptr.into_usize() as *mut N);
+                if crosses_fault_points() {
+                    smr_common::fault_point!("ds::careful::protect::after_announce");
+                }
+            },
+            || link.load(Acquire),
+        );
+        // Changed or marked: the target may be retired.
+        if word == *ptr {
+            return true;
+        }
+        slot.reset();
+        false
     }
 
     #[inline]
@@ -506,15 +568,38 @@ impl<const H: usize> Protect for Hpp<H> {
         slot: usize,
         ptr: &mut Shared<N>,
         link: &Atomic<N>,
-        src: Shared<N>,
     ) -> bool {
-        hp_plus::try_protect(op.slot(slot), ptr, link, || {
-            // SAFETY: a non-null `src` is protected by the caller — it is
-            // the node `link` belongs to. Unmasked like every step's
-            // dereference, so a caller that has just dereferenced `src`
-            // pays no second null test here.
-            unsafe { protected_ref(src) }.is_some_and(N::is_invalid)
-        })
+        // `hp_plus::try_protect` with the source's invalidity read off the
+        // link itself (`Node::INVALID_TAG`): one load after the fence.
+        let slot = op.slot(slot);
+        loop {
+            // Untagged by contract, so the word is the pointer.
+            slot.protect_raw(ptr.into_usize() as *mut N);
+            fence::light();
+            // The announce-to-validate window: an unlinker may move `link`,
+            // or detach and invalidate its owner, while this thread sleeps.
+            if crosses_fault_points() {
+                smr_common::fault_point!("ds::hpp::protect::after_announce");
+            }
+            let word = link.load(Acquire);
+            // Unchanged and untagged: the straight line.
+            if word == *ptr {
+                return true;
+            }
+            // Both ways out — an invalidated source, a link that moved
+            // under the announcement — are rare, and said to be.
+            std::hint::cold_path();
+            if word.tag() & N::INVALID_TAG != 0 {
+                slot.reset();
+                return false;
+            }
+            // Marked but valid (walked through), or retargeted.
+            let new = word.with_tag(0);
+            if new == *ptr {
+                return true;
+            }
+            *ptr = new;
+        }
     }
 
     #[inline]

@@ -66,6 +66,8 @@ unsafe impl<K, V> protect::Invalidate for Node<K, V> {
 }
 
 impl<K, V> protect::Node for Node<K, V> {
+    const INVALID_TAG: usize = 0;
+
     fn is_invalid(&self) -> bool {
         false
     }
@@ -129,7 +131,7 @@ impl<K: Ord, V, P: Retire> SkipList<K, V, P> {
                 let mut link = &tower[level];
                 let mut cur = link.load(Acquire).with_tag(0);
                 loop {
-                    if !P::protect(op, succ_slot(level), &mut cur, link, pred) {
+                    if !P::protect(op, succ_slot(level), &mut cur, link) {
                         continue 'retry;
                     }
                     // SAFETY: `cur` is protected.
@@ -181,7 +183,7 @@ impl<K: Ord, V, P: Retire> SkipList<K, V, P> {
             let mut link = &tower[level];
             let mut cur = link.load(Acquire).with_tag(0);
             loop {
-                if !P::protect(op, succ_slot(level), &mut cur, link, pred) {
+                if !P::protect(op, succ_slot(level), &mut cur, link) {
                     return Err(());
                 }
                 // SAFETY: `cur` is protected.

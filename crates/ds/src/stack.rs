@@ -36,6 +36,8 @@ unsafe impl<T> protect::Invalidate for Node<T> {
 }
 
 impl<T> protect::Node for Node<T> {
+    const INVALID_TAG: usize = TAG_INVALIDATED;
+
     fn is_invalid(&self) -> bool {
         self.next.load(Acquire).tag() & TAG_INVALIDATED != 0
     }
@@ -92,7 +94,7 @@ impl<T, P: Protect> TreiberStack<T, P> {
         let mut backoff = Backoff::new();
         let value = loop {
             let mut top = self.head.load(Acquire).with_tag(0);
-            if !P::protect(&mut op, TOP, &mut top, &self.head, Shared::null()) {
+            if !P::protect(&mut op, TOP, &mut top, &self.head) {
                 continue; // the head moved under a careful protection
             }
             if top.is_null() {

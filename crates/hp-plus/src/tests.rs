@@ -336,6 +336,36 @@ fn array_pair_unlink_frees_both() {
 }
 
 #[test]
+fn null_frontier_takes_no_slot() {
+    let _serial = serial();
+    // Unlinking a chain's last node: its frontier is `[null]`, which needs
+    // no protection and must take no hazard slot — not even one parked
+    // until the next flush, which would grow the domain's slot count.
+    let before = DROPS.load(Relaxed);
+    let d = new_domain();
+    let mut t = d.register();
+    let own = [(); 2].map(|()| t.hazard_pointer());
+    let capacity = d.hp.slot_capacity();
+    for i in 0..1000 {
+        let head = Atomic::new(Node::new(i));
+        let node = head.load(Relaxed);
+        let ok = unsafe {
+            t.try_unlink(&[Shared::null()], || {
+                head.compare_exchange(node, Shared::null(), AcqRel, Acquire)
+                    .ok()
+                    .map(|_| Unlinked::single(node))
+            })
+        };
+        assert!(ok);
+        assert!(d.hp.protected_words().is_empty(), "unlink {i} announced");
+    }
+    assert_eq!(d.hp.slot_capacity(), capacity, "null frontiers took slots");
+    t.reclaim();
+    assert_eq!(DROPS.load(Relaxed), before + 1000);
+    drop(own);
+}
+
+#[test]
 fn concurrent_traverse_vs_unlink_stress_no_uaf() {
     let _serial = serial();
     // Readers hand-over-hand traverse a 3-node chain with try_protect while

@@ -126,9 +126,9 @@ impl Thread {
 
     /// Algorithm 3's `TryUnlink`.
     ///
-    /// 1. Protects every pointer in `frontier` (no validation needed — the
-    ///    caller guarantees the frontier was decided before the unlink and
-    ///    cannot change, Assumption 1).
+    /// 1. Protects every non-null pointer in `frontier` (no validation
+    ///    needed — the caller guarantees the frontier was decided before
+    ///    the unlink and cannot change, Assumption 1).
     /// 2. Runs `do_unlink` (typically one CAS detaching a chain), which
     ///    returns the detached nodes on success.
     /// 3. On success, schedules the detached nodes for deferred invalidation
@@ -148,7 +148,8 @@ impl Thread {
         do_unlink: impl FnOnce() -> Option<I>,
     ) -> bool {
         let held = self.frontier.len();
-        for f in frontier {
+        // A null entry (a chain that ends the structure) needs no slot.
+        for f in frontier.iter().filter(|f| !f.is_null()) {
             let hp = self.hazard_pointer();
             hp.protect_raw(f.as_raw());
             self.frontier.push(hp);

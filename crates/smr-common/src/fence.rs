@@ -37,7 +37,7 @@
 //! emulate the `membarrier` syscall, and the `SeqCst` pair keeps the
 //! protocol checkable.
 
-use std::sync::atomic::{compiler_fence, fence, Ordering};
+use std::sync::atomic::{compiler_fence, fence, AtomicBool, Ordering};
 use std::sync::OnceLock;
 
 #[cfg(target_os = "linux")]
@@ -91,7 +91,7 @@ fn strategy_cell() -> &'static OnceLock<Strategy> {
 /// benchmarking the cost of the optimization, and on kernels without
 /// `membarrier`).
 pub fn strategy() -> Strategy {
-    *strategy_cell().get_or_init(|| {
+    let strategy = *strategy_cell().get_or_init(|| {
         // Miri has no membarrier shim; the symmetric fallback keeps the
         // fence protocol exercisable under the interpreter.
         if cfg!(miri) || std::env::var_os("SMR_NO_MEMBARRIER").is_some() {
@@ -104,16 +104,40 @@ pub fn strategy() -> Strategy {
             }
         }
         Strategy::SeqCst
-    })
+    });
+    if strategy == Strategy::Asymmetric {
+        ASYMMETRIC.store(true, Ordering::Relaxed);
+    }
+    strategy
 }
+
+/// Set once [`strategy`] has resolved to [`Strategy::Asymmetric`]; never
+/// cleared. [`light`]'s fast path reads this one byte instead of the
+/// `OnceLock`, whose state check costs a traversal step four instructions
+/// and a taken branch. `Relaxed` suffices: the flag publishes no data, and
+/// it is set only after the `OnceLock` holds `Asymmetric`, which every
+/// [`heavy`] reads through [`strategy`] itself.
+static ASYMMETRIC: AtomicBool = AtomicBool::new(false);
 
 /// The light fence issued on the protection fast path (per `TryProtect`).
 ///
 /// With the asymmetric strategy this compiles to nothing (it only prevents
 /// compiler reordering); the matching heavy fence on the reclamation side
-/// supplies the ordering.
+/// supplies the ordering. The fast path is a load of a static flag and an
+/// untaken branch; until the flag is set — the strategy not yet detected,
+/// or symmetric — the cold path detects it and fences accordingly.
 #[inline]
 pub fn light() {
+    if ASYMMETRIC.load(Ordering::Relaxed) {
+        compiler_fence(Ordering::SeqCst);
+    } else {
+        light_slow();
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn light_slow() {
     match strategy() {
         Strategy::Asymmetric => compiler_fence(Ordering::SeqCst),
         Strategy::SeqCst => fence(Ordering::SeqCst),

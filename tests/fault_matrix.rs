@@ -1389,11 +1389,17 @@ fn all_fault_points_are_reachable_body() {
         }
         drop(h);
     }
-    // ds: any guarded traversal crosses the validate window; a skiplist
-    // insert with a tower of two or more levels (all 64 being one level
-    // high has probability 2^-64) crosses the upper-level link window; an
-    // EFRB insert crosses the one before its child CAS.
+    // ds: any guarded traversal crosses the validate window, and any
+    // hazard-family step past `head` its family's announce window (the
+    // HP++ churn above crossed HP++'s); a skiplist insert with a tower of
+    // two or more levels (all 64 being one level high has probability
+    // 2^-64) crosses the upper-level link window; an EFRB insert crosses
+    // the one before its child CAS.
     {
+        let m: ds::hp::HMList<u64, u64> = ConcurrentMap::new();
+        let mut h = m.handle();
+        assert!(m.insert(&mut h, 1, 1));
+        assert!(m.get(&mut h, &1).is_some());
         let m: ds::guarded::SkipList<u64, u64, ebr::Ebr> = ConcurrentMap::new();
         let mut h = m.handle();
         for k in 0..64 {
