@@ -342,19 +342,26 @@ impl<S: GuardedScheme> Retire for Guarded<S> {
 /// slots a structure's traversal roles index into. With `H = 0` (the Bonsai
 /// tree) a slot is made the first time it is indexed instead.
 pub struct HpHandle<T, const H: usize> {
-    pub(crate) thread: T,
+    // Declared before `thread`, so they are released before its teardown
+    // counts it out of the domain.
     slots: [HazardPointer; H],
     /// The slots of an `H = 0` handle.
     grown: Vec<HazardPointer>,
+    pub(crate) thread: T,
 }
+
+// SAFETY: every slot here was taken from `thread` and travels with it, so
+// the slots still announce only on the OS thread that holds the
+// registration (the `Send` contract of `hp::Thread`).
+unsafe impl<T: Send, const H: usize> Send for HpHandle<T, H> {}
 
 impl<T: BorrowMut<hp::Thread>, const H: usize> HpHandle<T, H> {
     fn new(mut thread: T) -> Self {
         let slots = std::array::from_fn(|_| thread.borrow_mut().hazard_pointer());
         Self {
-            thread,
             slots,
             grown: Vec::new(),
+            thread,
         }
     }
 

@@ -2,6 +2,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use hp::HazardPointer;
 use smr_common::{fence, SchemeDomain};
 
 use crate::thread::Thread;
@@ -34,6 +35,12 @@ impl Domain {
     /// Registers the current thread.
     pub fn register(&'static self) -> Thread {
         Thread::new(self)
+    }
+
+    /// Acquires a hazard slot directly from the domain, which then counts
+    /// it as a participant for good ([`hp::Domain::hazard_pointer`]).
+    pub fn hazard_pointer(&'static self) -> HazardPointer {
+        self.hp.hazard_pointer()
     }
 
     /// Algorithm 5's `FenceEpoch`: issue a heavy fence and advance the
@@ -87,6 +94,16 @@ impl SchemeDomain for Domain {
 
     fn collect(handle: &mut Thread) {
         handle.reclaim();
+    }
+
+    /// Reclaims when the handle holds garbage and no other participant can
+    /// announce: no heavy fence, so it is cheap enough for an idle worker.
+    fn collect_idle(handle: &mut Thread) -> bool {
+        let worth = Self::garbage(handle) > 0 && handle.domain().hp.participants() == 1;
+        if worth {
+            handle.reclaim();
+        }
+        worth
     }
 
     fn orphans(&self) -> usize {

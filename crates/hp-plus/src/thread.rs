@@ -88,6 +88,10 @@ pub struct Thread {
     unlink_count: usize,
 }
 
+// SAFETY: the frontier and parked slots were taken from `inner` and travel
+// with it (the `Send` contract of `hp::Thread`).
+unsafe impl Send for Thread {}
+
 impl Thread {
     pub(crate) fn new(domain: &'static Domain) -> Self {
         Self {
@@ -225,6 +229,11 @@ impl Thread {
     /// Algorithm 5's `Reclaim`: flush invalidations, take the retired set,
     /// issue the epoched heavy fence, revoke all parked frontier
     /// protections, then scan hazards and free the unprotected nodes.
+    ///
+    /// A thread alone in its domain skips the fence and leaves the fence
+    /// epoch where it is: no other thread can hold a pointer into what it
+    /// unlinked, so its frontier protections guard nothing and are revoked
+    /// at once.
     pub fn reclaim(&mut self) {
         self.do_invalidation();
         let Self {
@@ -234,9 +243,11 @@ impl Thread {
             ..
         } = self;
         let parked: &[(u64, HazardPointer)] = epoched_hps;
-        inner.reclaim_with_prefence(|| {
+        inner.reclaim_with_prefence(|alone| {
             smr_common::fault_point!("hpp::reclaim::before_revoke");
-            domain.fence_epoch_step();
+            if !alone {
+                domain.fence_epoch_step();
+            }
             for (_, hp) in parked {
                 hp.reset();
             }

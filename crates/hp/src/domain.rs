@@ -1,5 +1,7 @@
 //! A reclamation domain: the global hazard-slot list plus orphaned garbage.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use smr_common::retired::Orphans;
 use smr_common::{Retired, SchemeDomain};
 
@@ -15,6 +17,11 @@ pub struct Domain {
     pub(crate) hazards: HazardList,
     /// Retired nodes abandoned by exited threads; adopted by reclaimers.
     pub(crate) orphans: Orphans<Retired>,
+    /// Who can announce: one per live [`Thread`], plus one for good per
+    /// direct [`hazard_pointer`](Domain::hazard_pointer). A reclaimer that
+    /// reads 1 here is the only participant and skips its heavy fence
+    /// (DESIGN.md §1.5).
+    participants: AtomicUsize,
 }
 
 impl Default for Domain {
@@ -29,6 +36,7 @@ impl Domain {
         Self {
             hazards: HazardList::new(),
             orphans: Orphans::new(),
+            participants: AtomicUsize::new(0),
         }
     }
 
@@ -40,8 +48,43 @@ impl Domain {
     /// Acquires a hazard slot directly from the domain.
     ///
     /// Prefer [`Thread::hazard_pointer`], which caches released slots.
+    /// Nothing tracks when a direct slot's user leaves, so the domain
+    /// counts it as a participant for good: no reclaimer in it is ever
+    /// alone again.
     pub fn hazard_pointer(&'static self) -> HazardPointer {
+        self.join();
         HazardPointer::from_slot(self.hazards.acquire())
+    }
+
+    /// Counts a participant in before it can hold a slot. `AcqRel`: a
+    /// reclaimer whose alone check ([`is_alone`](Domain::is_alone)) this
+    /// RMW reads from happens-before everything the joiner does next.
+    pub(crate) fn join(&self) {
+        self.participants.fetch_add(1, Ordering::AcqRel);
+    }
+
+    /// Counts a [`Thread`] out at the very end of its teardown, after its
+    /// slots are cleared: `Release` orders its last protection before any
+    /// later alone check.
+    pub(crate) fn leave(&self) {
+        self.participants.fetch_sub(1, Ordering::Release);
+    }
+
+    /// The alone check: whether the calling thread, itself registered, is
+    /// the domain's only participant. One `AcqRel` RMW, never a plain
+    /// load: it must sit in the count's modification order, so a
+    /// registration either precedes it (and it reads ≥ 2) or reads from it
+    /// (and everything the caller did before it happens-before the new
+    /// thread's first load).
+    pub(crate) fn is_alone(&self) -> bool {
+        self.participants.fetch_add(0, Ordering::AcqRel) == 1
+    }
+
+    /// Registered threads plus direct slots ever taken: a plain load, for
+    /// deciding whether an idle reclaim is worth trying. It proves nothing;
+    /// a reclaim's own alone check decides its fence.
+    pub fn participants(&self) -> usize {
+        self.participants.load(Ordering::Relaxed)
     }
 
     /// Snapshot of every currently announced pointer (unsorted).
@@ -75,6 +118,16 @@ impl SchemeDomain for Domain {
 
     fn collect(handle: &mut Thread) {
         handle.reclaim();
+    }
+
+    /// Reclaims when the handle holds garbage and no other participant can
+    /// announce: the scan then costs no heavy fence.
+    fn collect_idle(handle: &mut Thread) -> bool {
+        let worth = handle.retired_count() > 0 && handle.domain().participants() == 1;
+        if worth {
+            handle.reclaim();
+        }
+        worth
     }
 
     fn orphans(&self) -> usize {

@@ -137,11 +137,21 @@ impl Drop for HazardList {
 /// [`try_protect`](HazardPointer::try_protect) announces and validates
 /// against the link the pointer was read from (the original HP validation,
 /// which over-approximates unreachability — paper §2.2).
+///
+/// A slot stays on the OS thread that took it: the handle is neither
+/// `Send` nor `Sync`, so a reclaimer that is its domain's only registered
+/// participant knows every slot it could race with is its own. Slots move
+/// between threads only inside their registration (`hp::Thread`, whose
+/// `Send` says so).
+///
+/// ```compile_fail
+/// let mut thread = hp::default_domain().register();
+/// let slot = thread.hazard_pointer();
+/// std::thread::spawn(move || slot.reset());
+/// ```
 pub struct HazardPointer {
     slot: *const HazardSlot,
 }
-
-unsafe impl Send for HazardPointer {}
 
 impl HazardPointer {
     pub(crate) fn from_slot(slot: *const HazardSlot) -> Self {

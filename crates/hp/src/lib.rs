@@ -9,7 +9,8 @@
 //!
 //! The announce/validate fast path issues only a *light* fence (a compiler
 //! fence when `membarrier(2)` is available); reclamation issues the matching
-//! process-wide *heavy* fence before scanning.
+//! process-wide *heavy* fence before scanning, unless the reclaimer is its
+//! domain's only participant, whom the fence would order against nobody.
 //!
 //! The [`hp-plus`](../hp_plus/index.html) crate extends — not modifies —
 //! this crate, exactly as HP++ extends HP in the paper (§4.2).
@@ -84,6 +85,7 @@ pub const FAULT_POINTS: &[&str] = &[
     "hp::protect::after_announce",
     "hp::retire::after_push",
     "hp::reclaim::before_fence",
+    "hp::reclaim::after_alone_check",
     "hp::reclaim::after_snapshot",
     "hp::teardown::before_reclaim",
 ];

@@ -25,10 +25,16 @@ pub struct Thread {
     scan_bag: Vec<Retired>,
 }
 
+// SAFETY: the raw slot pointers are the thread's own cached slots, and
+// the slots travel with the registration: a `HazardPointer` is `!Send`, so
+// every slot in use announces on the OS thread that holds the `Thread` it
+// came from. That is what lets a reclaimer that counts itself the domain's
+// only participant skip its heavy fence (DESIGN.md §1.5).
 unsafe impl Send for Thread {}
 
 impl Thread {
     pub(crate) fn new(domain: &'static Domain) -> Self {
+        domain.join();
         Self {
             domain,
             spare: Vec::new(),
@@ -44,6 +50,12 @@ impl Thread {
     }
 
     /// Acquires a hazard pointer (cached slot if available).
+    ///
+    /// The slot belongs to this registration: use it only while this
+    /// `Thread` is live on the same OS thread. The handle is `!Send`, so it
+    /// cannot leave that thread; a `Thread` sent elsewhere while such a
+    /// handle is still in use, or dropped before it, would let a reclaimer
+    /// count itself alone while the slot still announces.
     pub fn hazard_pointer(&mut self) -> HazardPointer {
         match self.spare.pop() {
             Some(slot) => HazardPointer::from_slot(slot),
@@ -113,26 +125,36 @@ impl Thread {
         self.retired.push(r);
     }
 
-    /// Scans hazard slots and frees every retired node not announced.
+    /// Scans hazard slots and frees every retired node not announced. The
+    /// heavy fence is skipped when this thread is the domain's only
+    /// participant: it would order nobody's announcements.
     pub fn reclaim(&mut self) {
-        self.reclaim_with_prefence(fence::heavy);
+        self.reclaim_with_prefence(|alone| {
+            if !alone {
+                fence::heavy();
+            }
+        });
     }
 
     /// Reclamation with a caller-supplied heavy fence (HP++'s Algorithm 5
-    /// replaces the fence with its epoched variant).
+    /// replaces the fence with its epoched variant). `prefence` is told
+    /// whether the alone check found this thread the domain's only
+    /// participant, in which case no fence is needed: any thread that
+    /// registers later happens-after the check, and so after every unlink
+    /// the caller made before this call.
     ///
     /// Allocation-free in steady state: the hazard snapshot and the bag
     /// under scan live in per-thread scratch buffers whose capacities are
     /// reused across calls (growth only while warming up or when the
     /// domain's hazard array grows).
-    pub fn reclaim_with_prefence(&mut self, prefence: impl FnOnce()) {
+    pub fn reclaim_with_prefence(&mut self, prefence: impl FnOnce(bool)) {
         // Adopt orphans so exited threads' garbage is not stranded (a
         // single atomic load when there are none).
         if let Some(mut orphans) = self.domain.orphans.take() {
             self.retired.append(&mut orphans);
         }
         if self.retired.is_empty() {
-            prefence();
+            prefence(self.domain.is_alone());
             return;
         }
         // An aborted scan (injected panic mid-reclaim) leaves its bag in
@@ -142,11 +164,15 @@ impl Thread {
         }
         std::mem::swap(&mut self.retired, &mut self.scan_bag);
         smr_common::fault_point!("hp::reclaim::before_fence");
+        let alone = self.domain.is_alone();
+        // A thread that registers from here on happens-after every unlink
+        // above, so it cannot reach a node of `scan_bag`.
+        smr_common::fault_point!("hp::reclaim::after_alone_check");
         // Orders prior unlinks/retires against the hazard scan below: any
         // thread that announced one of `scan_bag` before its unlink is
         // visible to the scan; any thread that announces later will fail
         // validation.
-        prefence();
+        prefence(alone);
         self.scan_protected.clear();
         self.domain
             .hazards
@@ -182,6 +208,9 @@ impl Drop for Thread {
                 for slot in t.spare.drain(..) {
                     drop(HazardPointer::from_slot(slot));
                 }
+                // Last: slots cleared, leftovers donated. A panic above
+                // leaves the thread counted, which only costs fences.
+                t.domain.leave();
             }
         }
         let g = Teardown(self);

@@ -585,12 +585,16 @@ impl Ring {
     }
 
     /// Worker: sleep until the ring has an entry or is closed, and a push,
-    /// a waiter's [`flush`](Self::flush) or `close` notifies.
-    pub(crate) fn wait_for_work(&self) {
+    /// a waiter's [`flush`](Self::flush) or `close` notifies. `idle` runs
+    /// once the re-check under the prepared wait finds the ring empty: a
+    /// notify meanwhile ends the sleep before it starts, so it delays no
+    /// command the doorbell would have run.
+    pub(crate) fn wait_for_work(&self, idle: impl FnOnce()) {
         let key = self.work.prepare_wait();
         if self.has_next() || self.closed.load(Relaxed) {
             self.work.cancel_wait(key);
         } else {
+            idle();
             self.work.commit_wait(key, None);
         }
     }
@@ -969,7 +973,7 @@ mod tests {
                     reply.complete(Some(cmd.key()));
                 }
                 None if ring.is_closed() => break,
-                None => ring.wait_for_work(),
+                None => ring.wait_for_work(|| {}),
             }
         })
     }
@@ -1016,14 +1020,14 @@ mod tests {
         let r = Arc::clone(&ring);
         joins(
             "an entry was queued",
-            std::thread::spawn(move || r.wait_for_work()),
+            std::thread::spawn(move || r.wait_for_work(|| {})),
         );
         ring.pop().unwrap();
         ring.close();
         let r = Arc::clone(&ring);
         joins(
             "the ring was closed",
-            std::thread::spawn(move || r.wait_for_work()),
+            std::thread::spawn(move || r.wait_for_work(|| {})),
         );
     }
 

@@ -492,6 +492,11 @@ impl<S: ShardStore> Client<S> {
         let idx = self.shard_of(cmd.key());
         let blocked = self.solo && self.pending.is_empty();
         let (slot, lent) = self.take_slot();
+        // Room first, so that the entry is written straight into the
+        // vector below: a `push` builds it on the stack and reloads it as
+        // one 16-byte word, a load that cannot be store-forwarded and so
+        // waits for the ring-slot stores still in flight.
+        self.pending.reserve(1);
         let mut deadline = Deadline::after(self.op_timeout);
         let mut attempts = 0u32;
         loop {
@@ -503,7 +508,13 @@ impl<S: ShardStore> Client<S> {
             // it over in `drop`.
             match unsafe { ring.push_deadline(cmd, &slot, blocked, &mut deadline) } {
                 Ok(()) => {
-                    self.pending.push((at, slot, lent));
+                    let len = self.pending.len();
+                    // SAFETY: `reserve` above made room for this entry,
+                    // and nothing since has pushed.
+                    unsafe {
+                        self.pending.as_mut_ptr().add(len).write((at, slot, lent));
+                        self.pending.set_len(len + 1);
+                    }
                     return Ok(());
                 }
                 Err(PushError::TimedOut) => {
@@ -872,8 +883,10 @@ mod tests {
             ..test_cfg()
         });
         let mut client = svc.client();
-        // 100 unlinks stay below HP++'s 128-unlink reclaim cadence: garbage
-        // that no `get` will ever free.
+        // A second handle in the shard's domain: the worker is not alone in
+        // it, so its idle reclaim never runs, and 100 unlinks stay below
+        // HP++'s 128-unlink reclaim cadence: garbage that nothing frees.
+        let second = svc.with_store(0, |s| s.handle());
         for k in 0..100u64 {
             client.insert(k, k).unwrap();
             client.remove(k).unwrap();
@@ -893,6 +906,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
             assert_eq!(verdict(), Some(WatchdogStatus::Healthy), "idle");
         }
+        drop(second);
         svc.shutdown();
     }
 

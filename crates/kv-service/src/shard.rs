@@ -10,7 +10,11 @@
 //! — unless the batch it just ran resolved a command whose caller has
 //! nothing else in flight. That caller's next command is one reply round
 //! trip away, so the worker polls for it first (`Ring::spin_for_work`) and
-//! a ping-pong client never pays a park and a futex wake per op. The gate
+//! a ping-pong client never pays a park and a futex wake per op. Before
+//! either the spin or the sleep it reclaims, where its scheme makes that
+//! cheap (`ShardStore::collect_idle`), so an idle shard holds no garbage;
+//! a drained ring during pipelined traffic does not, as that costs the
+//! pipeline throughput. The gate
 //! is what keeps pipelined traffic batched: see DESIGN.md §1.9. A parked
 //! worker has no timeout: a blocked caller's push, the push that queues a
 //! whole batch, a caller about to wait, or shutdown wakes it — one futex
@@ -157,6 +161,14 @@ pub(crate) fn run_worker<S: ShardStore>(shard: Arc<Shard<S>>, ctl: Option<Arc<Su
 
     let mut handle = shard.store.handle();
     let _guard = WorkerGuard(&shard.ring, ctl.as_deref());
+    // An idle reclaim (free where the shard's handle is alone in its
+    // domain), then the garbage health reads. A plain store: this thread
+    // is the only writer.
+    let collect_idle = |handle: &mut S::Handle| {
+        if S::collect_idle(handle) {
+            shard.stats.garbage.store(S::garbage(handle), Relaxed);
+        }
+    };
     // Whether the last batch resolved a command for a blocked caller.
     let mut blocked_caller = false;
     // Idle-spin outcomes. A hit sits between a command's arrival and its
@@ -169,6 +181,8 @@ pub(crate) fn run_worker<S: ShardStore>(shard: Arc<Shard<S>>, ctl: Option<Arc<Su
                 break;
             }
             if std::mem::take(&mut blocked_caller) {
+                // The blocked caller is reading its reply: off its path.
+                collect_idle(&mut handle);
                 if shard.ring.spin_for_work() {
                     spin_hits += 1;
                     shard.stats.idle_spin_hits.store(spin_hits, Relaxed);
@@ -177,7 +191,7 @@ pub(crate) fn run_worker<S: ShardStore>(shard: Arc<Shard<S>>, ctl: Option<Arc<Su
                 spin_expired += 1;
                 shard.stats.idle_spin_expired.store(spin_expired, Relaxed);
             }
-            shard.ring.wait_for_work();
+            shard.ring.wait_for_work(|| collect_idle(&mut handle));
             continue;
         };
         // Producers asleep on a full ring get this slot before the command

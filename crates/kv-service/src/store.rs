@@ -62,6 +62,12 @@ pub trait ShardStore: Send + Sync + Sized + 'static {
         Some(bound as u64)
     }
 
+    /// Reclaims what an idle worker can reclaim cheaply
+    /// ([`SchemeDomain::collect_idle`]); returns whether it ran a round.
+    fn collect_idle(handle: &mut Self::Handle) -> bool {
+        Self::Domain::collect_idle(handle.borrow_mut())
+    }
+
     /// Flushes reclamation as far as the scheme allows (worker exit path).
     fn quiesce(&self, handle: &mut Self::Handle) {
         flush::<Self::Domain>(handle.borrow_mut());

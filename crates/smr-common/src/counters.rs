@@ -34,6 +34,7 @@ struct Stripe {
     shard_respawn: AtomicU64,
     quarantine_domains: AtomicU64,
     quarantine_blocks: AtomicU64,
+    heavy_fences: AtomicU64,
 }
 
 #[allow(clippy::declare_interior_mutable_const)]
@@ -48,6 +49,7 @@ const STRIPE_INIT: Stripe = Stripe {
     shard_respawn: AtomicU64::new(0),
     quarantine_domains: AtomicU64::new(0),
     quarantine_blocks: AtomicU64::new(0),
+    heavy_fences: AtomicU64::new(0),
 };
 
 static STRIPES_ARR: [Stripe; STRIPES] = [STRIPE_INIT; STRIPES];
@@ -161,6 +163,21 @@ pub fn policy_scans_forced() -> u64 {
     STRIPES_ARR
         .iter()
         .map(|s| s.policy_forced.load(Ordering::Relaxed))
+        .sum()
+}
+
+/// Records one [`crate::fence::heavy`] call (a `membarrier` under the
+/// asymmetric strategy: microseconds, beside which this RMW is free).
+#[inline]
+pub fn incr_heavy_fence() {
+    stripe().heavy_fences.fetch_add(1, Ordering::Relaxed);
+}
+
+/// Total heavy fences issued, process-wide.
+pub fn heavy_fences() -> u64 {
+    STRIPES_ARR
+        .iter()
+        .map(|s| s.heavy_fences.load(Ordering::Relaxed))
         .sum()
 }
 

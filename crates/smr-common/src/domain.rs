@@ -33,6 +33,14 @@ pub trait SchemeDomain: Default + Send + Sync + 'static {
     /// allows. Three rounds free everything nothing protects.
     fn collect(handle: &mut Self::Handle);
 
+    /// A reclamation round for a thread with nothing else to do, where it
+    /// is cheap: the hazard-pointer schemes reclaim when `handle` holds
+    /// garbage and is its domain's only participant, so the scan needs no
+    /// heavy fence. Returns whether it ran one; by default it does nothing.
+    fn collect_idle(_handle: &mut Self::Handle) -> bool {
+        false
+    }
+
     /// Blocks that exited handles donated and nobody has adopted yet.
     fn orphans(&self) -> usize;
 

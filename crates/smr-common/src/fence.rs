@@ -159,8 +159,10 @@ pub fn announce_then_validate<R>(publish: impl FnOnce(), validate: impl FnOnce()
 }
 
 /// The heavy process-wide fence issued on the reclamation slow path.
+/// Counted in [`crate::counters::heavy_fences`].
 #[inline]
 pub fn heavy() {
+    crate::counters::incr_heavy_fence();
     match strategy() {
         Strategy::Asymmetric => {
             #[cfg(target_os = "linux")]

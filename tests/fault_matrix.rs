@@ -1309,6 +1309,98 @@ fn hyaline_panicking_teardown_still_donates_body() {
 }
 
 #[test]
+fn hpp_thread_registering_after_an_alone_check_keeps_its_frontier_node() {
+    common::isolated(hpp_thread_registering_after_an_alone_check_keeps_its_frontier_node_body);
+}
+
+fn hpp_thread_registering_after_an_alone_check_keeps_its_frontier_node_body() {
+    // A reclaimer alone in its domain unlinks `a` from `head -> a -> b` and
+    // stalls between its alone check and its scan. A thread registers
+    // there and protects `b`, the unlink's frontier, still linked. The
+    // reclaimer resumes without a fence and revokes its own frontier
+    // protection: the scan frees `a`, which the late thread could never
+    // reach, and `b` stays readable under the late thread's protection.
+    use hp_plus::Invalidate;
+    use smr_common::{Atomic, Shared};
+    use std::sync::atomic::Ordering::{AcqRel, Acquire, Release};
+
+    const POINT: &str = "hp::reclaim::after_alone_check";
+    static DROPS: AtomicUsize = AtomicUsize::new(0);
+    struct Node {
+        next: Atomic<Node>,
+        value: u64,
+    }
+    impl Drop for Node {
+        fn drop(&mut self) {
+            DROPS.fetch_add(1, Relaxed);
+        }
+    }
+    unsafe impl Invalidate for Node {
+        unsafe fn invalidate(ptr: *mut Self) {
+            let node = unsafe { &*ptr };
+            let cur = node.next.load(Relaxed);
+            node.next.store(cur.with_tag(cur.tag() | 2), Release);
+        }
+    }
+
+    let plan = fault::plan().at(POINT, 1, FaultAction::Stall).install();
+    let d: &'static hp_plus::Domain = Box::leak(Box::new(hp_plus::Domain::new()));
+    let b = Shared::from_owned(Node {
+        next: Atomic::null(),
+        value: 2,
+    });
+    let a = Shared::from_owned(Node {
+        next: Atomic::from(b),
+        value: 1,
+    });
+    let head: &'static Atomic<Node> = Box::leak(Box::new(Atomic::from(a)));
+    let (a_word, b_word) = (a.as_raw() as usize, b.as_raw() as usize);
+
+    let fences_before = smr_common::counters::heavy_fences();
+    let reclaimer = std::thread::spawn(move || {
+        let (a, b) = (
+            Shared::from_raw(a_word as *mut Node),
+            Shared::from_raw(b_word as *mut Node),
+        );
+        let mut t = d.register();
+        let unlinked = unsafe {
+            t.try_unlink(&[b], || {
+                head.compare_exchange(a, b, AcqRel, Acquire)
+                    .ok()
+                    .map(|_| hp_plus::Unlinked::single(a))
+            })
+        };
+        assert!(unlinked);
+        t.reclaim();
+        smr_common::counters::heavy_fences() - fences_before
+    });
+    wait_for("the reclaimer stalled after its alone check", || {
+        fault::stalled_count(POINT) == 1
+    });
+
+    let mut late = d.register();
+    let slot = late.hazard_pointer();
+    let mut cur = head.load(Acquire);
+    assert!(hp_plus::try_protect(&slot, &mut cur, head, || false));
+    assert_eq!(cur.as_raw() as usize, b_word, "the late thread reaches b");
+
+    fault::release(POINT);
+    let fences = reclaimer.join().unwrap();
+    drop(plan);
+    assert_eq!(fences, 0, "the reclaimer decided alone");
+    assert_eq!(DROPS.load(Relaxed), 1, "the unlinked node was freed");
+    assert_eq!(
+        unsafe { cur.deref() }.value,
+        2,
+        "the frontier node survived"
+    );
+    late.recycle(slot);
+    drop(late);
+    unsafe { head.load(Acquire).drop_owned() };
+    assert_eq!(DROPS.load(Relaxed), 2);
+}
+
+#[test]
 fn all_fault_points_are_reachable() {
     common::isolated(all_fault_points_are_reachable_body);
 }
@@ -1319,7 +1411,7 @@ fn all_fault_points_are_reachable_body() {
     // injection point fails here instead of silently rotting.
     let plan = fault::plan().install(); // armed, no triggers: just counts
 
-    // hp: protect, retire, both reclaim windows, teardown.
+    // hp: protect, retire, the three reclaim windows, teardown.
     {
         let d: &'static hp::Domain = Box::leak(Box::new(hp::Domain::new()));
         let mut t = d.register();
